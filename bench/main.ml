@@ -532,12 +532,10 @@ let () =
   close_out oc;
   Printf.printf "sat artifact written to %s\n\n%!" path
 
-(* {2 Parallel stages: static partition vs dynamic work-stealing scheduler}
+(* {2 Parallel stage: the work-stealing scheduler}
 
-   The same study rows fanned out over the same number of forked workers,
-   once through the legacy static round-robin partition (one fixed slice
-   per worker, no fault tolerance) and once through the chunked
-   work-stealing scheduler behind `Study.run_parallel`.  Both runs must
+   The same study rows fanned out over forked workers through the chunked
+   work-stealing scheduler behind `Study.run_parallel`.  The run must
    agree with the sequential rows computed above on every column except
    the wall clock. *)
 
@@ -547,9 +545,6 @@ let () =
     | Some s -> (
         match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
     | None -> 4
-  in
-  let static_rows, static_ms =
-    time_ms (fun () -> S.Eval.Study.run_parallel_static ~jobs variants)
   in
   let sched_stats = ref (S.Engine.Telemetry.Scheduler.create ()) in
   let dynamic_rows, dynamic_ms =
@@ -569,29 +564,23 @@ let () =
          rows)
   in
   let reference = canon (S.Eval.Study.of_csv (S.Eval.Study.to_csv results)) in
-  if canon static_rows <> reference then
-    failwith "parallel stage: static rows disagree with the sequential run";
   if canon dynamic_rows <> reference then
     failwith "parallel stage: dynamic rows disagree with the sequential run";
-  let ratio = static_ms /. dynamic_ms in
   Printf.printf
-    "PARALLEL (%d rows over %d workers, static partition vs dynamic scheduler)\n\n\
-    \  static partition:   %8.1f ms\n\
-    \  dynamic scheduler:  %8.1f ms (static/dynamic %.2fx)\n\
+    "PARALLEL (%d rows over %d workers, dynamic scheduler)\n\n\
+    \  dynamic scheduler:  %8.1f ms\n\
     \  chunks:             %d dispatched, %d completed\n\
     \  retries:            %d (workers lost %d, heartbeat kills %d)\n\n%!"
-    (List.length dynamic_rows) jobs static_ms dynamic_ms ratio
-    stats.chunks_dispatched stats.chunks_completed stats.retries
-    stats.workers_lost stats.heartbeat_kills;
+    (List.length dynamic_rows) jobs dynamic_ms stats.chunks_dispatched
+    stats.chunks_completed stats.retries stats.workers_lost
+    stats.heartbeat_kills;
   let json =
     Printf.sprintf
       "{\n\
       \  \"sample\": %d,\n\
       \  \"jobs\": %d,\n\
       \  \"rows\": %d,\n\
-      \  \"static_ms\": %.3f,\n\
       \  \"dynamic_ms\": %.3f,\n\
-      \  \"static_over_dynamic\": %.3f,\n\
       \  \"rows_match_sequential\": true,\n\
       \  \"chunks_dispatched\": %d,\n\
       \  \"chunks_completed\": %d,\n\
@@ -603,7 +592,7 @@ let () =
        }\n"
       sample_size jobs
       (List.length dynamic_rows)
-      static_ms dynamic_ms ratio stats.chunks_dispatched stats.chunks_completed
+      dynamic_ms stats.chunks_dispatched stats.chunks_completed
       stats.rows_completed stats.retries stats.workers_spawned
       stats.workers_lost stats.heartbeat_kills
   in
@@ -627,7 +616,9 @@ let () =
    producer the STREAM fuzz target cross-checks), pushed through the real
    checkpoint/resume scheduler; the verdicts CI can gate on are
    deterministic (row counts, manifest completeness), the throughput
-   ratio is for the committed artifact. *)
+   ratio is for the committed artifact.  The parent's peak heap is the
+   major heap's growth over this stage alone, sampled at every merged
+   chunk — earlier stages' peaks do not count. *)
 
 let () =
   let getenv_int name default =
@@ -661,6 +652,10 @@ let () =
     Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir)
       (fun () -> k dir)
   in
+  let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
+  let heap_at_start = heap_words () in
+  let heap_peak = ref heap_at_start in
+  let sample_heap _ = heap_peak := max !heap_peak (heap_words ()) in
   let run total =
     with_tmpdir (fun dir ->
         let fingerprint =
@@ -670,12 +665,13 @@ let () =
         let _, ms =
           time_ms (fun () ->
               S.Eval.Scheduler.map_checkpointed ~jobs ~dir ~fingerprint
-                ~f:derive total)
+                ~progress:sample_heap ~f:derive total)
         in
         if not (S.Eval.Manifest.is_complete (S.Eval.Manifest.load ~dir)) then
           failwith "stream stage: manifest incomplete after a finished run";
         (* the lazy merge: count rows without ever materializing them *)
         let rows = S.Eval.Scheduler.fold_shards ~dir (fun n _ _ -> n + 1) 0 in
+        sample_heap ();
         if rows <> total then
           failwith
             (Printf.sprintf "stream stage: merged %d rows, expected %d" rows
@@ -684,10 +680,10 @@ let () =
   in
   let small_ms = run small in
   let large_ms = run large in
-  let heap_mb st =
-    float_of_int (st.Gc.top_heap_words * Sys.word_size / 8) /. 1_048_576.
+  let peak_mb =
+    float_of_int ((!heap_peak - heap_at_start) * Sys.word_size / 8)
+    /. 1_048_576.
   in
-  let peak_mb = heap_mb (Gc.quick_stat ()) in
   let small_rate = float_of_int small /. small_ms *. 1000. in
   let large_rate = float_of_int large /. large_ms *. 1000. in
   let ratio = large_rate /. small_rate in
@@ -697,7 +693,7 @@ let () =
     \  %8d rows: %8.1f ms  (%8.1f rows/s)\n\
     \  %8d rows: %8.1f ms  (%8.1f rows/s)\n\
     \  large/small throughput: %.3fx (flat = no per-row cost growth)\n\
-    \  parent peak heap:       %.1f MB (shards merged lazily)\n\n%!"
+    \  parent peak heap:       %.1f MB over this stage (shards merged lazily)\n\n%!"
     jobs small small_ms small_rate large large_ms large_rate ratio peak_mb;
   let json =
     Printf.sprintf

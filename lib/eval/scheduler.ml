@@ -3,15 +3,16 @@
    The parent owns a chunked queue of work-item ranges.  Chunk sizes are
    adaptive (a fraction of the remaining work, "guided self-scheduling"),
    so the queue starts coarse and ends fine — slow items stop creating
-   stragglers because no worker is pinned to a static slice.
+   stragglers because no worker is pinned to a fixed slice.
 
-   Wire protocol (one line per message, '\n'-terminated):
+   Workers are {!Specrepair_workers.Worker} processes (fork, pipes, line
+   framing, reaping, kill, SIGPIPE guard); this module adds the messages:
 
-     parent -> worker  (per-worker command pipe)
+     parent -> worker
        CHUNK <id> <i1> <i2> ...   evaluate these work items
        QUIT                       no more work; exit 0
 
-     worker -> parent  (per-worker message pipe)
+     worker -> parent
        HB <id> <k>                k items of chunk <id> finished (heartbeat)
        DONE <id> <n>              chunk published with n result rows
        ERR <id> <message>         deterministic evaluation error; exiting
@@ -23,24 +24,13 @@
    (telemetry), and the parent cross-checks received vs expected row
    counts before merging.
 
-   Two merge modes share the scheduling loop:
-
-   - {!map} collects rows into an in-memory array (scratch directory
-     deleted afterwards) — the classic study runner.
-   - {!map_checkpointed} keeps every verified chunk as a result shard
-     `shard_<lo>_<hi>.res` in a caller-owned run directory and records
-     the range in an atomically-replaced checkpoint manifest
-     ({!Manifest}); rows never enter parent memory, so the corpus size
-     is bounded only by disk, and [~resume] restarts a killed run from
-     the manifest's pending complement.
-
-   Fault tolerance: the parent polls `waitpid WNOHANG` on every live
-   worker and tracks a per-chunk heartbeat.  A dead or silent worker has
-   its in-flight chunk requeued (bounded by [max_retries]) and a
-   replacement is forked; `kill -9` mid-run therefore costs one chunk of
-   recompute, not the study. *)
+   {!map} merges rows into memory; {!map_checkpointed} keeps each
+   verified chunk as a shard recorded in a checkpoint manifest (see the
+   interface).  A dead or silent worker has its in-flight chunk requeued
+   (bounded by [max_retries]) and a replacement is forked. *)
 
 module Telemetry = Specrepair_engine.Telemetry
+module Worker = Specrepair_workers.Worker
 
 type stats = Telemetry.Scheduler.t
 
@@ -51,14 +41,9 @@ type chunk = { id : int; lo : int; hi : int; mutable attempts : int }
 let chunk_indices c = List.init (c.hi - c.lo) (fun k -> c.lo + k)
 
 type worker = {
-  pid : int;
-  cmd_w : Unix.file_descr;  (* parent's end: commands out *)
-  msg_r : Unix.file_descr;  (* parent's end: messages in *)
-  rbuf : Buffer.t;  (* partial message line *)
+  proc : Worker.t;
   mutable inflight : chunk option;
-  mutable last_beat : float;
   mutable quitting : bool;  (* QUIT sent; a clean exit is expected *)
-  mutable eof : bool;  (* message pipe closed; await waitpid *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -69,14 +54,6 @@ let shard_path dir ~lo ~hi =
   Filename.concat dir (Printf.sprintf "shard_%d_%d.res" lo hi)
 
 (* {2 Worker side} *)
-
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
-let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
 
 (* Test-only fault injection: with SPECREPAIR_SCHED_KILL_ITEM=<i> and
    SPECREPAIR_SCHED_KILL_MARK=<path>, the first worker to reach item <i>
@@ -103,9 +80,7 @@ let chaos_crash_after () =
     (Sys.getenv_opt "SPECREPAIR_SCHED_CRASH_AFTER_CHUNKS")
     int_of_string_opt
 
-let child_main ~dir ~f ~cmd_r ~msg_w =
-  let ic = Unix.in_channel_of_descr cmd_r in
-  let send line = write_line msg_w line in
+let child_main ~dir ~f ~recv ~send =
   let chaos = chaos_kill () in
   let run_chunk id indices =
     let tmp = Filename.concat dir (Printf.sprintf "chunk_%d.tmp" id) in
@@ -118,7 +93,7 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
             (try close_out (open_out mark) with Sys_error _ -> ());
             Unix.kill (Unix.getpid ()) Sys.sigkill
         | _ -> ());
-        let emit line = output_string oc ("T " ^ one_line line ^ "\n") in
+        let emit line = output_string oc ("T " ^ Worker.one_line line ^ "\n") in
         let r = f ~emit i in
         if String.contains r '\n' then
           failwith (Printf.sprintf "Scheduler: result for item %d spans lines" i);
@@ -131,10 +106,9 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
     send (Printf.sprintf "DONE %d %d" id !finished)
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | "QUIT" -> ()
-    | line -> (
+    match recv () with
+    | None | Some "QUIT" -> ()
+    | Some line -> (
         match String.split_on_char ' ' line with
         | "CHUNK" :: id :: indices -> (
             let id = int_of_string id in
@@ -145,7 +119,8 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
                 (* a deterministic failure: retrying would repeat it, so
                    report and die rather than burn the retry budget *)
                 send
-                  (Printf.sprintf "ERR %d %s" id (one_line (Printexc.to_string e)));
+                  (Printf.sprintf "ERR %d %s" id
+                     (Worker.one_line (Printexc.to_string e)));
                 Unix._exit 3)
         | _ -> ())
   in
@@ -249,79 +224,38 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     let workers : (int, worker) Hashtbl.t = Hashtbl.create jobs in
     let live_workers () = Hashtbl.fold (fun _ w acc -> w :: acc) workers [] in
     let spawn () =
-      let cmd_r, cmd_w = Unix.pipe ~cloexec:false () in
-      let msg_r, msg_w = Unix.pipe ~cloexec:false () in
-      match Unix.fork () with
-      | 0 ->
-          Unix.close cmd_w;
-          Unix.close msg_r;
-          (* drop the parent's ends of every sibling's pipes, so a sibling
-             sees EOF as soon as the parent closes its command pipe *)
-          Hashtbl.iter
-            (fun _ w ->
-              (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-              (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
-            workers;
-          (match child_main ~dir ~f ~cmd_r ~msg_w with
-          | () -> Unix._exit 0
-          | exception _ -> Unix._exit 2)
-      | pid ->
-          Unix.close cmd_r;
-          Unix.close msg_w;
-          stats.workers_spawned <- stats.workers_spawned + 1;
-          let w =
-            {
-              pid;
-              cmd_w;
-              msg_r;
-              rbuf = Buffer.create 256;
-              inflight = None;
-              last_beat = now ();
-              quitting = false;
-              eof = false;
-            }
-          in
-          Hashtbl.replace workers pid w;
-          w
-    in
-    let send_to w line =
-      match write_line w.cmd_w line with
-      | () -> true
-      | exception Unix.Unix_error ((EPIPE | EBADF), _, _) -> false
+      let proc = Worker.spawn (child_main ~dir ~f) in
+      stats.workers_spawned <- stats.workers_spawned + 1;
+      let w = { proc; inflight = None; quitting = false } in
+      Hashtbl.replace workers proc.pid w;
+      w
     in
     let assign w =
       match next_chunk () with
       | Some c ->
           w.inflight <- Some c;
-          w.last_beat <- now ();
           stats.chunks_dispatched <- stats.chunks_dispatched + 1;
-          (* a failed write means the worker is already dead; the waitpid
+          (* a failed write means the worker is already dead; the reap
              poll will requeue the chunk *)
           ignore
-            (send_to w
+            (Worker.send w.proc
                (Printf.sprintf "CHUNK %d %s" c.id
                   (String.concat " " (List.map string_of_int (chunk_indices c)))))
       | None ->
           w.quitting <- true;
-          ignore (send_to w "QUIT")
+          ignore (Worker.send w.proc "QUIT")
     in
-    (* Remove [w] from the pool; requeue its in-flight chunk.  The message
-       pipe is closed before requeueing, so a DONE the dead worker managed
+    (* Remove a reaped [w] from the pool; requeue its in-flight chunk.
+       Reaping closed the message pipe, so a DONE the dead worker managed
        to send can never merge a chunk that is also being recomputed. *)
     let retire w ~lost ~reason =
-      Hashtbl.remove workers w.pid;
-      (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-      (try Unix.close w.msg_r with Unix.Unix_error _ -> ());
+      Hashtbl.remove workers w.proc.pid;
       if lost then stats.workers_lost <- stats.workers_lost + 1;
       match w.inflight with
       | Some c ->
           w.inflight <- None;
           requeue_chunk ~reason c
       | None -> ()
-    in
-    let reap_blocking pid =
-      try ignore (Unix.waitpid [] pid)
-      with Unix.Unix_error (ECHILD, _, _) -> ()
     in
     let merged = ref 0 in
     let merge_chunk w (c : chunk) ~reported =
@@ -342,7 +276,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
             (Printf.sprintf
                "%d/%d rows done (chunk %d, %d rows, worker %d; %.1f rows/s, \
                 ETA %.0fs)"
-               !merged todo c.id (List.length rows) w.pid rate eta)
+               !merged todo c.id (List.length rows) w.proc.pid rate eta)
       | _ ->
           (* expected vs received cross-check failed: the file is missing,
              torn, or short a row — recompute the chunk *)
@@ -355,9 +289,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     in
     let handle_line w line =
       match String.split_on_char ' ' line with
-      | [ "HB"; _; _ ] -> w.last_beat <- now ()
       | [ "DONE"; id; nrows ] -> (
-          w.last_beat <- now ();
           match w.inflight with
           | Some c
             when int_of_string_opt id = Some c.id
@@ -376,35 +308,10 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
           raise
             (Chunk_failed
                { indices; attempts; reason = "worker error: " ^ String.concat " " rest })
-      | _ -> ()
-    in
-    let rec drain_lines w =
-      let s = Buffer.contents w.rbuf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          Buffer.clear w.rbuf;
-          Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-          handle_line w (String.sub s 0 i);
-          drain_lines w
-    in
-    let scratch = Bytes.create 65536 in
-    let read_messages w =
-      match Unix.read w.msg_r scratch 0 (Bytes.length scratch) with
-      | 0 -> w.eof <- true
-      | k ->
-          Buffer.add_subbytes w.rbuf scratch 0 k;
-          drain_lines w
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      | _ -> () (* HB: draining already recorded the heartbeat *)
     in
     let cleanup () =
-      List.iter
-        (fun w ->
-          (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-          reap_blocking w.pid;
-          (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-          (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
-        (live_workers ());
+      List.iter (fun w -> Worker.kill w.proc) (live_workers ());
       Hashtbl.reset workers;
       if not keep_dir then (
         try
@@ -414,22 +321,8 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
           Unix.rmdir dir
         with Sys_error _ | Unix.Unix_error _ -> ())
     in
-    (* the parent writes into worker pipes that may vanish under it: turn
-       SIGPIPE into EPIPE for the duration of the run *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    let restore_sigpipe () =
-      match old_sigpipe with
-      | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-      | None -> ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        restore_sigpipe ();
-        cleanup ())
-      (fun () ->
+    Worker.with_sigpipe_ignored @@ fun () ->
+    Fun.protect ~finally:cleanup (fun () ->
         while !merged < todo do
           (* keep the pool at strength while there is queued work; [assign]
              immediately hands each fresh worker a chunk *)
@@ -442,28 +335,23 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
             assign (spawn ())
           done;
           (* 1. messages: heartbeats, completions, errors *)
-          let readable = List.filter (fun w -> not w.eof) (live_workers ()) in
-          let fds = List.map (fun w -> w.msg_r) readable in
-          let ready, _, _ =
-            if fds = [] then ([], [], [])
-            else
-              try Unix.select fds [] [] 0.05
-              with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+          let ready =
+            Worker.select (List.map (fun w -> w.proc) (live_workers ())) 0.05
           in
           List.iter
-            (fun w -> if List.mem w.msg_r ready then read_messages w)
-            readable;
+            (fun w -> Worker.drain w.proc ~readable:ready (handle_line w))
+            (live_workers ());
           (* 2. death poll: reap exited workers, requeue their chunks *)
           List.iter
             (fun w ->
-              match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-              | 0, _ -> ()
-              | _, status ->
+              match Worker.reap w.proc with
+              | None -> ()
+              | Some status ->
                   retire w
                     ~lost:(not (w.quitting && w.inflight = None))
-                    ~reason:(Printf.sprintf "worker %d %s" w.pid (status_to_string status))
-              | exception Unix.Unix_error (ECHILD, _, _) ->
-                  retire w ~lost:false ~reason:"already reaped")
+                    ~reason:
+                      (Printf.sprintf "worker %d %s" w.proc.pid
+                         (status_to_string status)))
             (live_workers ());
           (* 3. heartbeat: a worker that holds a chunk but has gone silent
              is presumed hung; kill it and recompute the chunk *)
@@ -471,14 +359,13 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
             (fun w ->
               if
                 w.inflight <> None
-                && now () -. w.last_beat > heartbeat_timeout_ms /. 1000.
+                && Worker.stale w.proc ~timeout:(heartbeat_timeout_ms /. 1000.)
               then begin
                 stats.heartbeat_kills <- stats.heartbeat_kills + 1;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                reap_blocking w.pid;
+                Worker.kill w.proc;
                 retire w ~lost:true
                   ~reason:
-                    (Printf.sprintf "worker %d silent for %.0f ms" w.pid
+                    (Printf.sprintf "worker %d silent for %.0f ms" w.proc.pid
                        heartbeat_timeout_ms)
               end)
             (live_workers ())
@@ -486,10 +373,8 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
         (* all rows merged: release the pool *)
         List.iter
           (fun w ->
-            if not w.quitting then ignore (send_to w "QUIT");
-            reap_blocking w.pid;
-            (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-            (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
+            if not w.quitting then ignore (Worker.send w.proc "QUIT");
+            Worker.wait w.proc)
           (live_workers ());
         Hashtbl.reset workers;
         stats)

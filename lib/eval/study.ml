@@ -404,141 +404,3 @@ let write_stream_csv ?(timings = true) ~dir oc =
       output_char oc '\n';
       count + 1)
     0
-
-(* The pre-scheduler runner: a static round-robin partition over forked
-   workers, one slice each, no fault tolerance (any worker failure aborts
-   the whole run).  Kept as the baseline that [bench/main.ml] compares the
-   dynamic scheduler against. *)
-
-let run_parallel_static ?(seed = 42) ?(budget = Repair.Common.default_budget)
-    ?deadline_ms ?telemetry ?(techniques = Technique.all) ?(jobs = 1)
-    ?(progress = fun _ -> ()) variants =
-  if jobs <= 1 then
-    run ~seed ~budget ?deadline_ms ?telemetry ~techniques ~progress variants
-  else begin
-    let arr = Array.of_list variants in
-    let n = Array.length arr in
-    let slice w =
-      (* round-robin so heavy domains spread across workers *)
-      List.filter_map
-        (fun i -> if i mod jobs = w then Some arr.(i) else None)
-        (List.init n Fun.id)
-    in
-    let want_telemetry = Option.is_some telemetry in
-    let children =
-      List.init jobs (fun w ->
-          let path =
-            Filename.temp_file (Printf.sprintf "specrepair_w%d_" w) ".csv"
-          in
-          let tpath = path ^ ".telemetry" in
-          match Unix.fork () with
-          | 0 ->
-              (* worker; an exception must exit this process, never escape
-                 into the parent's continuation of a forked child *)
-              (try
-                 let tchan =
-                   if want_telemetry then Some (open_out tpath) else None
-                 in
-                 let telemetry =
-                   Option.map
-                     (fun oc line ->
-                       output_string oc line;
-                       output_char oc '\n')
-                     tchan
-                 in
-                 let rows =
-                   run ~seed ~budget ?deadline_ms ?telemetry ~techniques
-                     (slice w)
-                 in
-                 Option.iter close_out tchan;
-                 let oc = open_out path in
-                 output_string oc (to_csv rows);
-                 close_out oc
-               with e ->
-                 Printf.eprintf "static worker %d/%d: %s\n%!" w jobs
-                   (Printexc.to_string e);
-                 Unix._exit 3);
-              Stdlib.exit 0
-          | pid -> (w, pid, path, tpath))
-    in
-    (* On any failure: reap every remaining child (no zombies outlive the
-       call) and remove every temp file before re-raising. *)
-    let reap_all () =
-      List.iter
-        (fun (_, pid, _, _) ->
-          match Unix.waitpid [] pid with
-          | _ -> ()
-          | exception Unix.Unix_error (_, _, _) -> () (* already reaped *))
-        children
-    in
-    let remove_temp_files () =
-      List.iter
-        (fun (_, _, path, tpath) ->
-          List.iter
-            (fun p ->
-              if Sys.file_exists p then
-                try Sys.remove p with Sys_error _ -> ())
-            [ path; tpath ])
-        children
-    in
-    let finished = ref 0 in
-    let results =
-      try
-        List.concat_map
-          (fun (w, pid, path, tpath) ->
-            let _, status = Unix.waitpid [] pid in
-            (* name the casualty like the dynamic scheduler's Chunk_failed
-               does: which slice, which pid, how it died *)
-            (match status with
-            | Unix.WEXITED 0 -> ()
-            | Unix.WEXITED code ->
-                failwith
-                  (Printf.sprintf
-                     "Study.run_parallel_static: worker %d/%d (pid %d, slice \
-                      %d mod %d) exited %d"
-                     (w + 1) jobs pid w jobs code)
-            | Unix.WSIGNALED sg ->
-                failwith
-                  (Printf.sprintf
-                     "Study.run_parallel_static: worker %d/%d (pid %d, slice \
-                      %d mod %d) killed by signal %d"
-                     (w + 1) jobs pid w jobs sg)
-            | Unix.WSTOPPED sg ->
-                failwith
-                  (Printf.sprintf
-                     "Study.run_parallel_static: worker %d/%d (pid %d, slice \
-                      %d mod %d) stopped by signal %d"
-                     (w + 1) jobs pid w jobs sg));
-            let ic = open_in_bin path in
-            let text = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Sys.remove path;
-            (match telemetry with
-            | Some sink when Sys.file_exists tpath ->
-                let tic = open_in tpath in
-                (try
-                   while true do
-                     sink (input_line tic)
-                   done
-                 with End_of_file -> ());
-                close_in tic;
-                Sys.remove tpath
-            | _ -> ());
-            let rows = of_csv text in
-            incr finished;
-            progress
-              (Printf.sprintf "worker %d/%d finished (%d rows)" !finished jobs
-                 (List.length rows));
-            rows)
-          children
-      with e ->
-        reap_all ();
-        remove_temp_files ();
-        raise e
-    in
-    progress (Printf.sprintf "%d rows from %d workers" (List.length results) jobs);
-    (* restore deterministic order: by variant then technique *)
-    List.stable_sort
-      (fun a b -> compare (a.variant_id, a.technique) (b.variant_id, b.technique))
-      results
-  end

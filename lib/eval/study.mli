@@ -129,21 +129,6 @@ val stream_fingerprint :
 (** The run-parameter fingerprint {!run_stream} stores in the manifest;
     exposed so operators can pre-check a directory's compatibility. *)
 
-val run_parallel_static :
-  ?seed:int ->
-  ?budget:Specrepair_repair.Common.budget ->
-  ?deadline_ms:float ->
-  ?telemetry:(string -> unit) ->
-  ?techniques:Technique.t list ->
-  ?jobs:int ->
-  ?progress:(string -> unit) ->
-  Benchmarks.Generate.variant list ->
-  spec_result list
-(** The pre-scheduler parallel runner: static round-robin slices, one per
-    forked worker, no fault tolerance (any worker failure aborts the run;
-    results reordered canonically).  Kept as the baseline [bench/main.ml]
-    measures the dynamic scheduler against — use {!run_parallel}. *)
-
 val to_csv : ?timings:bool -> spec_result list -> string
 (** [~timings:false] zeroes the wall-clock [time_ms] column, yielding
     byte-stable output for run-to-run comparisons (default [true]). *)

@@ -7,7 +7,9 @@
    byte-identical to plain solving — and the rest scramble saved phases,
    restart schedules, and simplification on/off.
 
-   Wire protocol (one line per message on the worker's message pipe):
+   Workers are {!Specrepair_workers.Worker} processes (fork, pipes, line
+   framing, reaping, kill, SIGPIPE guard); this module adds the messages,
+   all worker -> parent (the command pipe stays unused):
 
      HB             still alive (sent at start and at every solver restart)
      DONE           result file published; exiting 0
@@ -20,15 +22,12 @@
    variables when the worker simplified.  Proof steps stream separately to
    `proof_<i>` in text DRUP as the worker runs.
 
-   Trust story: a SAT verdict is accepted only after the parent evaluates
-   the model against its own copy of the CNF; under [~certify:true] an
-   UNSAT verdict is accepted only if the independent {!Drat} checker admits
-   the worker's proof file.  A worker whose answer fails validation is
-   discarded (the race continues on the survivors) rather than trusted.
-   Losers are SIGKILLed and every child is reaped before [solve] returns;
-   a silent worker is presumed hung after [heartbeat_timeout] and killed.
-   If every worker dies without an accepted verdict the parent falls back
-   to solving in-process ([winner = -1]). *)
+   A verdict is never trusted on a worker's word: a SAT model is checked
+   against the parent's copy of the CNF and, under [~certify:true], an
+   UNSAT verdict needs the {!Drat} checker to admit the proof file (see
+   the interface for the race and the in-process fallback). *)
+
+module Worker = Specrepair_workers.Worker
 
 type outcome = {
   result : Solver.result;
@@ -58,14 +57,6 @@ let worker_plan ~simplify idx =
       simp = (if idx land 1 = 1 then not simplify else simplify);
     }
 
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
-let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
-
 (* Test-only fault injection: with SPECREPAIR_PORTFOLIO_CHAOS_KILL=<i>,
    worker <i> SIGKILLs itself before doing any work — a deterministic
    stand-in for losing a racer mid-run.  Unset in normal operation. *)
@@ -88,8 +79,7 @@ let model_satisfies (cnf : Dimacs.cnf) model =
 
 (* {2 Worker side} *)
 
-let child_main ~idx ~plan ~dir ~msg_w ?max_conflicts (cnf : Dimacs.cnf) =
-  let send line = write_line msg_w line in
+let child_main ~idx ~plan ~dir ~send ?max_conflicts (cnf : Dimacs.cnf) =
   chaos_kill idx;
   send "HB";
   let proof_path = Filename.concat dir (Printf.sprintf "proof_%d" idx) in
@@ -129,20 +119,7 @@ let child_main ~idx ~plan ~dir ~msg_w ?max_conflicts (cnf : Dimacs.cnf) =
 
 (* {2 Parent side} *)
 
-type worker = {
-  idx : int;
-  pid : int;
-  msg_r : Unix.file_descr;
-  rbuf : Buffer.t;
-  mutable last_beat : float;
-  mutable eof : bool;
-}
-
-let now () = Unix.gettimeofday ()
-
-let reap_blocking pid =
-  try ignore (Unix.waitpid [] pid)
-  with Unix.Unix_error (ECHILD, _, _) -> ()
+type worker = { idx : int; proc : Worker.t }
 
 let read_result dir idx =
   let path = Filename.concat dir (Printf.sprintf "res_%d.res" idx) in
@@ -207,30 +184,19 @@ let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
   let accepted = ref None in
   let spawn idx =
     let plan = worker_plan ~simplify idx in
-    let msg_r, msg_w = Unix.pipe ~cloexec:false () in
-    match Unix.fork () with
-    | 0 ->
-        Unix.close msg_r;
-        Hashtbl.iter
-          (fun _ w -> try Unix.close w.msg_r with Unix.Unix_error _ -> ())
-          workers;
-        (match child_main ~idx ~plan ~dir ~msg_w ?max_conflicts cnf with
-        | () -> Unix._exit 0
-        | exception e ->
-            (try write_line msg_w ("ERR " ^ one_line (Printexc.to_string e))
+    let proc =
+      Worker.spawn (fun ~recv:_ ~send ->
+          try child_main ~idx ~plan ~dir ~send ?max_conflicts cnf
+          with e ->
+            (try send ("ERR " ^ Worker.one_line (Printexc.to_string e))
              with Unix.Unix_error _ -> ());
-            Unix._exit 2)
-    | pid ->
-        Unix.close msg_w;
-        Hashtbl.replace workers pid
-          { idx; pid; msg_r; rbuf = Buffer.create 64; last_beat = now (); eof = false }
+            raise e)
+    in
+    Hashtbl.replace workers proc.pid { idx; proc }
   in
-  let retire w =
-    Hashtbl.remove workers w.pid;
-    try Unix.close w.msg_r with Unix.Unix_error _ -> ()
-  in
-  (* A DONE arrived: read, validate, and either accept the verdict or
-     discard the worker and keep racing. *)
+  let retire w = Hashtbl.remove workers w.proc.pid in
+  (* A DONE arrived (or a worker died after publishing): read, validate,
+     and either accept the verdict or discard the worker and keep racing. *)
   let consider w =
     let ok =
       match read_result dir w.idx with
@@ -247,7 +213,7 @@ let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
           end
       | _ -> None  (* Unknown, torn file, or a model that does not check *)
     in
-    match ok with
+    (match ok with
     | Some (result, model) ->
         (match proof with
         | Some sink when result = Solver.Unsat -> replay_proof dir w.idx sink
@@ -255,54 +221,24 @@ let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
         accepted := Some (result, model, w.idx);
         (* the winner has published and is exiting; reap it here — cleanup
            only sees workers still in the pool *)
-        reap_blocking w.pid;
-        retire w
+        Worker.wait w.proc
     | None ->
         incr rejected;
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap_blocking w.pid;
-        retire w
+        Worker.kill w.proc);
+    retire w
   in
   let handle_line w line =
-    match String.split_on_char ' ' line with
-    | "HB" :: _ -> w.last_beat <- now ()
-    | "DONE" :: _ ->
-        w.last_beat <- now ();
-        consider w
-    | "ERR" :: _ ->
-        incr rejected;
-        reap_blocking w.pid;
-        retire w
-    | _ -> ()
-  in
-  let rec drain_lines w =
-    if !accepted = None then begin
-      let s = Buffer.contents w.rbuf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          Buffer.clear w.rbuf;
-          Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-          handle_line w (String.sub s 0 i);
-          if Hashtbl.mem workers w.pid then drain_lines w
-    end
-  in
-  let scratch = Bytes.create 65536 in
-  let read_messages w =
-    match Unix.read w.msg_r scratch 0 (Bytes.length scratch) with
-    | 0 -> w.eof <- true
-    | k ->
-        Buffer.add_subbytes w.rbuf scratch 0 k;
-        drain_lines w
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    if !accepted = None && Hashtbl.mem workers w.proc.pid then
+      match String.split_on_char ' ' line with
+      | "DONE" :: _ -> consider w
+      | "ERR" :: _ ->
+          incr rejected;
+          Worker.wait w.proc;
+          retire w
+      | _ -> () (* HB: draining already recorded the heartbeat *)
   in
   let cleanup () =
-    List.iter
-      (fun w ->
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap_blocking w.pid;
-        try Unix.close w.msg_r with Unix.Unix_error _ -> ())
-      (live ());
+    List.iter (fun w -> Worker.kill w.proc) (live ());
     Hashtbl.reset workers;
     try
       Array.iter
@@ -311,66 +247,40 @@ let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
       Unix.rmdir dir
     with Sys_error _ | Unix.Unix_error _ -> ()
   in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  let restore_sigpipe () =
-    match old_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      restore_sigpipe ();
-      cleanup ())
-    (fun () ->
+  Worker.with_sigpipe_ignored @@ fun () ->
+  Fun.protect ~finally:cleanup (fun () ->
       for i = 0 to jobs - 1 do
         spawn i
       done;
       while !accepted = None && Hashtbl.length workers > 0 do
         (* 1. messages: heartbeats, completions, errors *)
-        let readable = List.filter (fun w -> not w.eof) (live ()) in
-        let fds = List.map (fun w -> w.msg_r) readable in
-        let ready, _, _ =
-          if fds = [] then ([], [], [])
-          else
-            try Unix.select fds [] [] 0.05
-            with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-        in
+        let ready = Worker.select (List.map (fun w -> w.proc) (live ())) 0.05 in
         List.iter
-          (fun w ->
-            if !accepted = None && List.mem w.msg_r ready then read_messages w)
-          readable;
+          (fun w -> Worker.drain w.proc ~readable:ready (handle_line w))
+          (live ());
         (* 2. death poll: a worker may die (or be chaos-killed) without a
            DONE; if it managed to publish a result before dying, still
            consider it — the rename made the file trustworthy *)
         if !accepted = None then
           List.iter
             (fun w ->
-              match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-              | 0, _ -> ()
-              | _, _ ->
-                  Hashtbl.remove workers w.pid;
-                  (try Unix.close w.msg_r with Unix.Unix_error _ -> ());
-                  if Sys.file_exists (Filename.concat dir (Printf.sprintf "res_%d.res" w.idx))
-                  then begin
-                    (* reuse the validation path; the pid is already reaped *)
-                    Hashtbl.replace workers w.pid w;
-                    consider w;
-                    if Hashtbl.mem workers w.pid then retire w
-                  end
-                  else incr rejected
-              | exception Unix.Unix_error (ECHILD, _, _) -> retire w)
+              if !accepted = None && Worker.reap w.proc <> None then
+                if
+                  Sys.file_exists
+                    (Filename.concat dir (Printf.sprintf "res_%d.res" w.idx))
+                then consider w
+                else begin
+                  incr rejected;
+                  retire w
+                end)
             (live ());
         (* 3. heartbeat: silent workers are presumed hung *)
         if !accepted = None then
           List.iter
             (fun w ->
-              if now () -. w.last_beat > heartbeat_timeout then begin
+              if Worker.stale w.proc ~timeout:heartbeat_timeout then begin
                 incr rejected;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                reap_blocking w.pid;
+                Worker.kill w.proc;
                 retire w
               end)
             (live ())

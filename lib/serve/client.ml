@@ -2,6 +2,8 @@
    line-oriented; concurrency comes from [burst], which forks one child
    per request so the daemon genuinely sees overlapping connections. *)
 
+module Worker = Specrepair_workers.Worker
+
 type addr = Unix_sock of string | Tcp of string * int
 
 type conn = { fd : Unix.file_descr; rbuf : Buffer.t }
@@ -78,56 +80,32 @@ let oneshot addr line =
       r
 
 (* One forked child per request: each opens its own connection, performs
-   the round-trip, and streams the reply back to the parent over a pipe,
-   so the daemon sees genuinely concurrent clients. *)
+   the round-trip, and sends the reply back to the parent as one message
+   line, so the daemon sees genuinely concurrent clients. *)
 let burst addr lines =
   let children =
     List.map
       (fun line ->
-        let r, w = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 -> (
-            Unix.close r;
-            let status =
-              match oneshot addr line with
-              | Ok reply ->
-                  (try write_all w (reply ^ "\n") with Unix.Unix_error _ -> ());
-                  0
-              | Error msg ->
-                  (try write_all w ("!" ^ msg ^ "\n") with Unix.Unix_error _ -> ());
-                  1
-            in
-            Unix._exit status)
-        | pid ->
-            Unix.close w;
-            (pid, r))
+        Worker.spawn (fun ~recv:_ ~send ->
+            send
+              (match oneshot addr line with
+              | Ok reply -> reply
+              | Error msg -> "!" ^ msg)))
       lines
   in
-  let results =
-    List.map
-      (fun (pid, r) ->
-        let buf = Buffer.create 1024 in
-        let chunk = Bytes.create 65536 in
-        let rec drain () =
-          match Unix.read r chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              drain ()
-          | exception Unix.Unix_error (EINTR, _, _) -> drain ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        drain ();
-        (try Unix.close r with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid)
-         with Unix.Unix_error (ECHILD, _, _) -> ());
-        match String.split_on_char '\n' (Buffer.contents buf) with
-        | line :: _ when String.length line > 0 && line.[0] = '!' ->
-            Error (String.sub line 1 (String.length line - 1))
-        | line :: _ when line <> "" -> Ok line
-        | _ -> Error "no reply from burst child")
-      children
+  let reply w =
+    let got = ref None in
+    while !got = None && not w.Worker.eof do
+      Worker.drain w ~readable:(Worker.select [ w ] 1.) (fun l -> got := Some l)
+    done;
+    Worker.wait w;
+    match !got with
+    | Some line when String.length line > 0 && line.[0] = '!' ->
+        Error (String.sub line 1 (String.length line - 1))
+    | Some line when line <> "" -> Ok line
+    | _ -> Error "no reply from burst child"
   in
+  let results = List.map reply children in
   let rec collect acc = function
     | [] -> Ok (List.rev acc)
     | Ok r :: rest -> collect (r :: acc) rest

@@ -3,6 +3,8 @@
    protocol.ml, the execution in handler.ml (worker side), the process
    supervision in pool.ml. *)
 
+module Worker = Specrepair_workers.Worker
+
 type config = {
   socket : string option;
   tcp : int option;
@@ -130,19 +132,16 @@ let run config =
     try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true)))
     with Invalid_argument _ | Sys_error _ -> None
   in
-  let old_pipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
   let restore_signals () =
     let restore signum = function
       | Some h -> ( try Sys.set_signal signum h with Invalid_argument _ -> ())
       | None -> ()
     in
     restore Sys.sigterm old_term;
-    restore Sys.sigint old_int;
-    restore Sys.sigpipe old_pipe
+    restore Sys.sigint old_int
   in
+  (* replies go to client sockets that may close under the daemon *)
+  Worker.with_sigpipe_ignored @@ fun () ->
 
   (* {2 Client plumbing} *)
   let close_client c =

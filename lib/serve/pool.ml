@@ -1,25 +1,23 @@
-(* The serving worker pool.  Same bones as the study scheduler's worker
-   protocol (fork, per-worker pipes, line messages, WNOHANG death polls,
-   SIGKILL + respawn) but shaped for a daemon: workers are long-lived and
-   sticky (warm caches accrue per slot), requests are individually
-   dispatched rather than chunked, and a lost worker fails exactly its
-   in-flight request — the daemon turns that into one error reply, never
-   a retry (repair requests are not idempotent in wall-clock cost). *)
+(* The serving worker pool.  Workers are {!Specrepair_workers.Worker}
+   processes (fork, pipes, line framing, reaping, kill); this module adds
+   the REQ/QUIT and HB/RES messages and the daemon's policy: workers are
+   long-lived and sticky (warm caches accrue per slot), requests are
+   individually dispatched rather than chunked, and a lost worker fails
+   exactly its in-flight request — the daemon turns that into one error
+   reply, never a retry (repair requests are not idempotent in wall-clock
+   cost). *)
+
+module Worker = Specrepair_workers.Worker
 
 type inflight = {
   token : int;
-  started : float;
   kill_at : float option;  (* hard deadline; None = never killed *)
 }
 
 type slot = {
   index : int;
-  mutable pid : int;
-  mutable cmd_w : Unix.file_descr;
-  mutable msg_r : Unix.file_descr;
-  rbuf : Buffer.t;
+  mutable proc : Worker.t;
   mutable inflight : inflight option;
-  mutable last_beat : float;
 }
 
 type t = {
@@ -32,16 +30,6 @@ type event =
   | Reply of { token : int; warmth : Handler.warmth; line : string }
   | Died of { token : int; slot : int }
   | Timed_out of { token : int; slot : int }
-
-let now () = Unix.gettimeofday ()
-
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
-let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
 
 let warmth_char = function
   | Handler.Warm -> 'W'
@@ -56,17 +44,15 @@ let warmth_of_char = function
 
 (* {2 Worker side} *)
 
-let worker_main ~handle ~cmd_r ~msg_w =
+let worker_main ~handle ~recv ~send =
   (* the daemon's signal discipline must not leak into workers: a SIGTERM
      aimed at the daemon is handled there, workers are killed explicitly *)
   (try Sys.set_signal Sys.sigterm Sys.Signal_default with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint Sys.Signal_default with Invalid_argument _ -> ());
-  let ic = Unix.in_channel_of_descr cmd_r in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | "QUIT" -> ()
-    | line -> (
+    match recv () with
+    | None | Some "QUIT" -> ()
+    | Some line -> (
         match String.index_opt line ' ' with
         | Some sp when String.sub line 0 sp = "REQ" -> (
             let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
@@ -75,7 +61,7 @@ let worker_main ~handle ~cmd_r ~msg_w =
                 match int_of_string_opt (String.sub rest 0 sp2) with
                 | Some token ->
                     let req = String.sub rest (sp2 + 1) (String.length rest - sp2 - 1) in
-                    write_line msg_w (Printf.sprintf "HB %d" token);
+                    send (Printf.sprintf "HB %d" token);
                     let reply, warmth =
                       try handle req
                       with e ->
@@ -83,9 +69,9 @@ let worker_main ~handle ~cmd_r ~msg_w =
                             (Printexc.to_string e),
                           Handler.Uncached )
                     in
-                    write_line msg_w
+                    send
                       (Printf.sprintf "RES %d %c %s" token (warmth_char warmth)
-                         (one_line reply));
+                         (Worker.one_line reply));
                     loop ()
                 | None -> loop ())
             | None -> loop ())
@@ -95,70 +81,17 @@ let worker_main ~handle ~cmd_r ~msg_w =
 
 (* {2 Parent side} *)
 
-let spawn t (s : slot) =
-  let cmd_r, cmd_w = Unix.pipe ~cloexec:false () in
-  let msg_r, msg_w = Unix.pipe ~cloexec:false () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close cmd_w;
-      Unix.close msg_r;
-      (* drop inherited parent ends of the sibling slots' pipes *)
-      Array.iter
-        (fun (o : slot) ->
-          if o.index <> s.index then begin
-            (try Unix.close o.cmd_w with Unix.Unix_error _ -> ());
-            (try Unix.close o.msg_r with Unix.Unix_error _ -> ())
-          end)
-        t.slots;
-      (match worker_main ~handle:t.handle ~cmd_r ~msg_w with
-      | () -> Unix._exit 0
-      | exception _ -> Unix._exit 2)
-  | pid ->
-      Unix.close cmd_r;
-      Unix.close msg_w;
-      (* Non-blocking parent end: a respawn recycles fd numbers, so a
-         caller holding a pre-respawn readable set from select could
-         otherwise block forever reading the fresh worker's silent pipe.
-         drain already treats EAGAIN as "nothing there". *)
-      Unix.set_nonblock msg_r;
-      s.pid <- pid;
-      s.cmd_w <- cmd_w;
-      s.msg_r <- msg_r;
-      Buffer.clear s.rbuf;
-      s.inflight <- None;
-      s.last_beat <- now ()
-
-let close_slot_fds (s : slot) =
-  (try Unix.close s.cmd_w with Unix.Unix_error _ -> ());
-  (try Unix.close s.msg_r with Unix.Unix_error _ -> ())
-
 let create ~jobs ~handle =
-  let jobs = max 1 jobs in
-  let t =
-    {
-      slots =
-        Array.init jobs (fun index ->
-            {
-              index;
-              pid = -1;
-              cmd_w = Unix.stdin;
-              msg_r = Unix.stdin;
-              rbuf = Buffer.create 256;
-              inflight = None;
-              last_beat = 0.;
-            });
-      handle;
-      respawns = 0;
-    }
+  let spawn index =
+    { index; proc = Worker.spawn (worker_main ~handle); inflight = None }
   in
-  Array.iter (fun s -> spawn t s) t.slots;
-  t
+  { slots = Array.init (max 1 jobs) spawn; handle; respawns = 0 }
 
 let jobs t = Array.length t.slots
 let slot_of_key t key = Hashtbl.hash key mod jobs t
 let idle t i = t.slots.(i).inflight = None
 let respawns t = t.respawns
-let pids t = Array.to_list (Array.map (fun s -> s.pid) t.slots)
+let pids t = Array.to_list (Array.map (fun s -> s.proc.Worker.pid) t.slots)
 
 let dispatch t ~slot ~token ?kill_after_s line =
   let s = t.slots.(slot) in
@@ -167,19 +100,18 @@ let dispatch t ~slot ~token ?kill_after_s line =
     Some
       {
         token;
-        started = now ();
-        kill_at = Option.map (fun d -> now () +. d) kill_after_s;
+        kill_at = Option.map (fun d -> Unix.gettimeofday () +. d) kill_after_s;
       };
-  s.last_beat <- now ();
   (* a failed write means the worker is already dead: leave the request
      in flight, the reap poll will surface the Died event and respawn *)
-  try write_line s.cmd_w ("REQ " ^ string_of_int token ^ " " ^ one_line line)
-  with Unix.Unix_error ((EPIPE | EBADF), _, _) -> ()
+  ignore
+    (Worker.send s.proc
+       ("REQ " ^ string_of_int token ^ " " ^ Worker.one_line line))
 
-let fds t = Array.to_list (Array.map (fun s -> s.msg_r) t.slots)
+let fds t = Array.to_list (Array.map (fun s -> s.proc.Worker.msg) t.slots)
 
-(* A dead worker's slot: respawn immediately (the daemon's router assumes
-   every slot exists) and surface the lost request, if any. *)
+(* A reaped worker's slot: respawn immediately (the daemon's router
+   assumes every slot exists) and surface the lost request, if any. *)
 let lose t (s : slot) ~timed_out acc =
   let ev =
     match s.inflight with
@@ -188,86 +120,59 @@ let lose t (s : slot) ~timed_out acc =
         else Some (Died { token; slot = s.index })
     | None -> None
   in
-  close_slot_fds s;
   t.respawns <- t.respawns + 1;
-  spawn t s;
+  s.proc <- Worker.spawn (worker_main ~handle:t.handle);
+  s.inflight <- None;
   match ev with Some e -> e :: acc | None -> acc
-
-let reap_blocking pid =
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error (ECHILD, _, _) -> ()
 
 let handle_line (s : slot) line acc =
   match String.split_on_char ' ' line with
-  | [ "HB"; _ ] ->
-      s.last_beat <- now ();
-      acc
   | "RES" :: token :: w :: rest -> (
       match (int_of_string_opt token, warmth_of_char w, s.inflight) with
       | Some token, Some warmth, Some { token = t'; _ } when token = t' ->
           s.inflight <- None;
-          s.last_beat <- now ();
           Reply { token; warmth; line = String.concat " " rest } :: acc
       | _ -> acc (* stale or garbled; the reap poll recovers *))
-  | _ -> acc
-
-let scratch = Bytes.create 65536
+  | _ -> acc (* HB: draining already recorded the heartbeat *)
 
 let drain t readable =
-  Array.fold_left
-    (fun acc (s : slot) ->
-      if not (List.mem s.msg_r readable) then acc
-      else
-        match Unix.read s.msg_r scratch 0 (Bytes.length scratch) with
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> acc
-        | 0 ->
-            (* EOF: the worker is gone; reap and respawn right here so the
-               slot is usable again without waiting for the next poll *)
-            reap_blocking s.pid;
-            lose t s ~timed_out:false acc
-        | k ->
-            Buffer.add_subbytes s.rbuf scratch 0 k;
-            let rec lines acc =
-              let text = Buffer.contents s.rbuf in
-              match String.index_opt text '\n' with
-              | None -> acc
-              | Some i ->
-                  Buffer.clear s.rbuf;
-                  Buffer.add_substring s.rbuf text (i + 1) (String.length text - i - 1);
-                  lines (handle_line s (String.sub text 0 i) acc)
-            in
-            lines acc)
-    [] t.slots
+  let events = ref [] in
+  Array.iter
+    (fun s ->
+      Worker.drain s.proc ~readable (fun line ->
+          events := handle_line s line !events);
+      if s.proc.Worker.eof then begin
+        (* EOF: the worker is gone; reap and respawn right here so the
+           slot is usable again without waiting for the next poll *)
+        Worker.wait s.proc;
+        events := lose t s ~timed_out:false !events
+      end)
+    t.slots;
+  !events
 
 let reap t =
   Array.fold_left
-    (fun acc (s : slot) ->
-      match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-      | 0, _ -> acc
-      | _, _ -> lose t s ~timed_out:false acc
-      | exception Unix.Unix_error (ECHILD, _, _) -> lose t s ~timed_out:false acc)
+    (fun acc s ->
+      match Worker.reap s.proc with
+      | None -> acc
+      | Some _ -> lose t s ~timed_out:false acc)
     [] t.slots
 
 let kill_overdue t =
   Array.fold_left
-    (fun acc (s : slot) ->
+    (fun acc s ->
       match s.inflight with
-      | Some { kill_at = Some at; _ } when now () > at ->
-          (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ());
-          reap_blocking s.pid;
+      | Some { kill_at = Some at; _ } when Unix.gettimeofday () > at ->
+          Worker.kill s.proc;
           lose t s ~timed_out:true acc
       | _ -> acc)
     [] t.slots
 
 let shutdown t =
   Array.iter
-    (fun (s : slot) ->
-      (match s.inflight with
-      | Some _ ->
-          (* busy: it would only see QUIT after finishing; don't wait *)
-          (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ())
-      | None -> (
-          try write_line s.cmd_w "QUIT"
-          with Unix.Unix_error ((EPIPE | EBADF), _, _) -> ()));
-      reap_blocking s.pid;
-      close_slot_fds s)
+    (fun s ->
+      (* a busy worker would only see QUIT after finishing: don't wait *)
+      if s.inflight <> None || not (Worker.send s.proc "QUIT") then
+        Worker.kill s.proc
+      else Worker.wait s.proc)
     t.slots

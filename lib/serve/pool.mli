@@ -1,15 +1,15 @@
-(** The daemon's fork-worker pool: the serving counterpart of the study
-    scheduler's worker protocol ({!Specrepair_eval.Scheduler}).
+(** The daemon's fork-worker pool.
 
-    [jobs] workers are forked at creation, each running a caller-supplied
-    handler over a line protocol ('\n'-terminated, one message per line):
+    [jobs] workers are forked at creation on the shared worker substrate
+    ({!Specrepair_workers.Worker}: fork, pipes, line framing, reaping,
+    kill), each running a caller-supplied handler.  The pool's messages:
 
     {v
-    parent -> worker  (per-worker command pipe)
+    parent -> worker
       REQ <token> <line>      serve this request line
       QUIT                    exit cleanly
 
-    worker -> parent  (per-worker message pipe)
+    worker -> parent
       HB <token>              request received; solving (heartbeat)
       RES <token> <W|C|U> <line>   reply line, tagged warm/cold/uncached
     v}

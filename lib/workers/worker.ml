@@ -1,0 +1,155 @@
+(* Forked worker processes with line-framed pipes.  See worker.mli; the
+   discipline is described once in DESIGN.md ("Worker processes"). *)
+
+type t = {
+  pid : int;
+  cmd : Unix.file_descr;
+  msg : Unix.file_descr;
+  buf : Buffer.t;
+  mutable last_beat : float;
+  mutable eof : bool;
+  mutable status : Unix.process_status option;
+}
+
+let now () = Unix.gettimeofday ()
+
+let write_line fd line =
+  let b = Bytes.of_string (line ^ "\n") in
+  let len = Bytes.length b in
+  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
+  go 0
+
+let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
+
+(* On Unix a [Unix.file_descr] is the descriptor number itself; fork-based
+   workers exist only there. *)
+let fd_of_int : int -> Unix.file_descr = Obj.magic
+let int_of_fd : Unix.file_descr -> int = Obj.magic
+
+(* In the child: close every descriptor inherited from the parent except
+   stdin, stdout, stderr and [keep].  Without this a worker would hold the
+   parent's other pipes, listeners and client sockets open for as long as
+   it lives, and the far end of each would never see end of file. *)
+let close_inherited ~keep =
+  let keep = List.map int_of_fd keep in
+  let listing =
+    try Sys.readdir "/proc/self/fd"
+    with Sys_error _ -> ( try Sys.readdir "/dev/fd" with Sys_error _ -> [||])
+  in
+  Array.iter
+    (fun entry ->
+      match int_of_string_opt entry with
+      | Some n when n > 2 && not (List.mem n keep) -> (
+          try Unix.close (fd_of_int n) with Unix.Unix_error _ -> ())
+      | _ -> ())
+    listing
+
+let spawn body =
+  let cmd_r, cmd = Unix.pipe () in
+  let msg, msg_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      close_inherited ~keep:[ cmd_r; msg_w ];
+      let ic = Unix.in_channel_of_descr cmd_r in
+      let recv () = try Some (input_line ic) with End_of_file -> None in
+      (match body ~recv ~send:(write_line msg_w) with
+      | () -> Unix._exit 0
+      | exception _ -> Unix._exit 2)
+  | pid ->
+      Unix.close cmd_r;
+      Unix.close msg_w;
+      (* a caller's readable set can outlive a respawn that recycles this
+         descriptor number: reading must never block on a silent pipe *)
+      Unix.set_nonblock msg;
+      let buf = Buffer.create 256 in
+      { pid; cmd; msg; buf; last_beat = now (); eof = false; status = None }
+
+(* Record the exit status and release the parent's pipe ends, exactly once:
+   a second close could hit a descriptor number already reused. *)
+let reaped t status =
+  t.status <- Some status;
+  (try Unix.close t.cmd with Unix.Unix_error _ -> ());
+  try Unix.close t.msg with Unix.Unix_error _ -> ()
+
+let send t line =
+  t.status = None
+  &&
+  match write_line t.cmd line with
+  | () -> true
+  | exception Unix.Unix_error ((EPIPE | EBADF), _, _) -> false
+
+let scratch = Bytes.create 65536
+
+let drain t ~readable on_line =
+  if t.status = None && (not t.eof) && List.mem t.msg readable then
+    match Unix.read t.msg scratch 0 (Bytes.length scratch) with
+    | 0 -> t.eof <- true
+    | k ->
+        Buffer.add_subbytes t.buf scratch 0 k;
+        let text = Buffer.contents t.buf in
+        Buffer.clear t.buf;
+        let rec lines start =
+          match String.index_from_opt text start '\n' with
+          | Some i ->
+              t.last_beat <- now ();
+              on_line (String.sub text start (i - start));
+              lines (i + 1)
+          | None ->
+              Buffer.add_substring t.buf text start (String.length text - start)
+        in
+        lines 0
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+
+let reap t =
+  match t.status with
+  | Some _ as s -> s
+  | None -> (
+      match Unix.waitpid [ Unix.WNOHANG ] t.pid with
+      | 0, _ -> None
+      | _, status ->
+          reaped t status;
+          t.status
+      | exception Unix.Unix_error (ECHILD, _, _) ->
+          reaped t (Unix.WEXITED 0);
+          t.status)
+
+let wait t =
+  if t.status = None then
+    let rec go () =
+      match Unix.waitpid [] t.pid with
+      | _, status -> reaped t status
+      | exception Unix.Unix_error (EINTR, _, _) -> go ()
+      | exception Unix.Unix_error (ECHILD, _, _) -> reaped t (Unix.WEXITED 0)
+    in
+    go ()
+
+let kill t =
+  if t.status = None then begin
+    (try Unix.kill t.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    wait t
+  end
+
+let stale t ~timeout = now () -. t.last_beat > timeout
+
+let select workers timeout =
+  let fds =
+    List.filter_map
+      (fun t -> if t.status = None && not t.eof then Some t.msg else None)
+      workers
+  in
+  if fds = [] then []
+  else
+    match Unix.select fds [] [] timeout with
+    | ready, _, _ -> ready
+    | exception Unix.Unix_error (EINTR, _, _) -> []
+
+let with_sigpipe_ignored f =
+  let previous =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
+  in
+  Fun.protect f ~finally:(fun () ->
+      match previous with
+      | Some h -> (
+          try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
+      | None -> ())

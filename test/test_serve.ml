@@ -501,6 +501,40 @@ let test_daemon_hard_deadline () =
       Alcotest.(check int) "wedged worker was replaced" 1
         (status_counter sock "worker_respawns"))
 
+(* Everything [fd] sends until the peer closes it; [None] if it stays
+   open and silent for [timeout] seconds. *)
+let read_to_eof fd ~timeout =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] timeout with
+    | [], _, _ -> None
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Some (Buffer.contents buf)
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            go ())
+  in
+  go ()
+
+let test_daemon_respawn_holds_no_client_socket () =
+  with_daemon
+    ~config:(fun c -> { c with Daemon.workers = 1; max_request_bytes = 200 })
+    (fun sock _ ->
+      let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+      Unix.connect a (Unix.ADDR_UNIX sock);
+      (* another client's request kills the worker: the replacement is
+         forked while A is connected *)
+      let r = ask sock (evaluate_request ~id:"boom" ~chaos:"kill" spec_src) in
+      check_contains "worker crashed" {|"code":"worker_crashed"|} r;
+      (* an unterminated line past the limit: the daemon answers and drops
+         A, which must then see end of file *)
+      ignore (Unix.write_substring a (String.make 300 'x') 0 300);
+      match read_to_eof a ~timeout:3. with
+      | Some r -> check_contains "oversized reply" {|"code":"oversized"|} r
+      | None -> Alcotest.fail "no end of file: a worker holds A's socket")
+
 let test_daemon_sigterm_shutdown () =
   let sock, pid = start_daemon () in
   let r = ask sock (sat_request ~id:"pre" ()) in
@@ -557,6 +591,8 @@ let () =
             test_daemon_worker_crash;
           Alcotest.test_case "hard deadline backstop" `Quick
             test_daemon_hard_deadline;
+          Alcotest.test_case "respawned worker holds no client socket" `Quick
+            test_daemon_respawn_holds_no_client_socket;
           Alcotest.test_case "sigterm shutdown" `Quick
             test_daemon_sigterm_shutdown;
         ] );

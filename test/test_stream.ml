@@ -333,44 +333,6 @@ let test_tampered_shard_detected () =
       Sys.remove shard;
       expect_corrupt "missing shard")
 
-(* {2 The static runner names its casualties} *)
-
-let test_static_failure_names_worker () =
-  (* a domain whose source cannot parse: the worker evaluating it dies,
-     and the parent must say which worker, pid and slice — not a bare
-     "worker failed" *)
-  let base = List.hd (B.Generate.sample ~seed ~per_domain:1 ()) in
-  let broken =
-    {
-      base.B.Generate.domain with
-      name = "broken_stream_test";
-      source = "sig ( this is not alloy";
-    }
-  in
-  let poisoned = { base with B.Generate.domain = broken } in
-  match
-    Eval.Study.run_parallel_static ~seed ~jobs:2
-      ~techniques:[ Eval.Technique.ATR ]
-      [ poisoned; base ]
-  with
-  | _ -> Alcotest.fail "expected the poisoned slice to fail"
-  | exception Failure msg ->
-      let has needle =
-        let nl = String.length needle and ml = String.length msg in
-        let rec scan i =
-          i + nl <= ml && (String.sub msg i nl = needle || scan (i + 1))
-        in
-        scan 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "names the runner: %s" msg)
-        true
-        (has "run_parallel_static");
-      Alcotest.(check bool)
-        (Printf.sprintf "names worker and slice: %s" msg)
-        true
-        (has "worker 1/2" && has "slice 0 mod 2" && has "pid ")
-
 let () =
   Alcotest.run "stream"
     [
@@ -399,10 +361,5 @@ let () =
             test_corrupt_manifests_rejected;
           Alcotest.test_case "tampered shard detected" `Slow
             test_tampered_shard_detected;
-        ] );
-      ( "static",
-        [
-          Alcotest.test_case "failure names the worker" `Slow
-            test_static_failure_names_worker;
         ] );
     ]

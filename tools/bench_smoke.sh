@@ -114,8 +114,8 @@ with open(sys.argv[3]) as f:
     pdata = json.load(f)
 
 prequired = [
-    "sample", "jobs", "rows", "static_ms", "dynamic_ms",
-    "static_over_dynamic", "rows_match_sequential", "chunks_dispatched",
+    "sample", "jobs", "rows", "dynamic_ms", "rows_match_sequential",
+    "chunks_dispatched",
     "chunks_completed", "rows_completed", "retries", "workers_spawned",
     "workers_lost", "heartbeat_kills",
 ]
@@ -140,7 +140,7 @@ if pdata["retries"] != 0 or pdata["workers_lost"] != 0:
              f"{pdata['retries']} workers_lost={pdata['workers_lost']}")
 print(f"bench_smoke: parallel ok ({pdata['rows']} rows, "
       f"{pdata['chunks_completed']} chunks over {pdata['jobs']} workers, "
-      f"static/dynamic {pdata['static_over_dynamic']}x)")
+      f"{pdata['dynamic_ms']} ms)")
 
 with open(sys.argv[4]) as f:
     sdata = json.load(f)
@@ -314,7 +314,7 @@ else
             exit 1
         fi
     done
-    for key in static_ms dynamic_ms chunks_completed retries workers_lost; do
+    for key in dynamic_ms chunks_completed retries workers_lost; do
         if ! grep -q "\"$key\"" "$par"; then
             echo "bench_smoke: BENCH_parallel.json lacks key $key" >&2
             exit 1
