@@ -207,6 +207,7 @@ let telemetry_json ?(extra = []) t =
   field "candidates_generated" (string_of_int m.Telemetry.candidates_generated);
   field "candidates_evaluated" (string_of_int m.Telemetry.candidates_evaluated);
   field "llm_rounds" (string_of_int m.Telemetry.llm_rounds);
+  field "proposal_builds" (string_of_int m.Telemetry.proposal_builds);
   field "pool_peak" (string_of_int m.Telemetry.pool_peak);
   field "deadline_checks" (string_of_int m.Telemetry.deadline_checks);
   field "certified_unsat" (string_of_int m.Telemetry.certified_unsat);

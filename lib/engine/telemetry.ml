@@ -7,6 +7,7 @@ type t = {
   mutable candidates_generated : int;
   mutable candidates_evaluated : int;
   mutable llm_rounds : int;
+  mutable proposal_builds : int;
   mutable pool_peak : int;
   mutable deadline_checks : int;
   mutable certified_unsat : int;
@@ -24,6 +25,7 @@ let create () =
     candidates_generated = 0;
     candidates_evaluated = 0;
     llm_rounds = 0;
+    proposal_builds = 0;
     pool_peak = 0;
     deadline_checks = 0;
     certified_unsat = 0;
@@ -45,6 +47,7 @@ let candidates_generated t n =
 
 let candidate_evaluated t = t.candidates_evaluated <- t.candidates_evaluated + 1
 let llm_round t = t.llm_rounds <- t.llm_rounds + 1
+let proposal_build t = t.proposal_builds <- t.proposal_builds + 1
 let deadline_check t = t.deadline_checks <- t.deadline_checks + 1
 
 let record_certified t ok =
@@ -104,11 +107,12 @@ let pp ppf t =
     "@[<v>solver queries: %d (sat %d / unsat %d / unknown %d)@,\
      instance queries: %d, enumerations: %d@,\
      candidates: %d generated, %d evaluated (pool peak %d)@,\
-     llm rounds: %d, deadline checks: %d@,\
+     llm rounds: %d (%d proposal builds), deadline checks: %d@,\
      certificates: %d accepted, %d failed"
     (solver_queries t) t.sat_verdicts t.unsat_verdicts t.unknown_verdicts
     t.instance_queries t.enumerations t.candidates_generated
-    t.candidates_evaluated t.pool_peak t.llm_rounds t.deadline_checks
+    t.candidates_evaluated t.pool_peak t.llm_rounds t.proposal_builds
+    t.deadline_checks
     t.certified_unsat t.certificate_failures;
   List.iter
     (fun (phase, ms) -> Format.fprintf ppf "@,phase %s: %.3f ms" phase ms)

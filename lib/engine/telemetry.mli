@@ -20,6 +20,9 @@ type t = {
   mutable candidates_evaluated : int;
       (** candidates actually scored against tests or the oracle *)
   mutable llm_rounds : int;  (** dialogue rounds of the LLM pipelines *)
+  mutable proposal_builds : int;
+      (** proposal distributions the LLM pipelines built: one per
+          self-check loop, however many proposals it draws *)
   mutable pool_peak : int;  (** largest single mutation / template pool *)
   mutable deadline_checks : int;  (** cooperative deadline polls performed *)
   mutable certified_unsat : int;
@@ -40,6 +43,7 @@ val candidates_generated : t -> int -> unit
 
 val candidate_evaluated : t -> unit
 val llm_round : t -> unit
+val proposal_build : t -> unit
 val deadline_check : t -> unit
 
 val record_certified : t -> bool -> unit

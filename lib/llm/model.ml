@@ -213,8 +213,17 @@ let site_vocabulary spec site =
   | body -> List.sort_uniq String.compare (rels_of_fmla [] body)
   | exception Not_found -> []
 
-let weight profile ~hints ~guidance ~assertion_vocab ~competence spec
-    (m : Mutation.Mutate.t) =
+(* Sites whose constraint mentions a relation of the checked assertions. *)
+let sites_sharing_vocabulary spec assertion_vocab =
+  List.filter
+    (fun site ->
+      List.exists
+        (fun r -> List.mem r assertion_vocab)
+        (site_vocabulary spec site))
+    (Location.sites spec)
+
+let weight profile ~hints ~guidance ~assertion_vocab ~sharing_sites
+    ~competence (m : Mutation.Mutate.t) =
   let prior = lookup profile.pattern_prior m.op 1.0 in
   let w = ref (prior *. competence) in
   let size_penalty =
@@ -233,8 +242,7 @@ let weight profile ~hints ~guidance ~assertion_vocab ~competence spec
      surest way to make a named check pass is to constrain harder, which is
      exactly how Pass-anchored repairs overfit. *)
   if List.mem Prompt.Pass hints && assertion_vocab <> [] then begin
-    let site_vocab = site_vocabulary spec m.site in
-    let shares = List.exists (fun r -> List.mem r assertion_vocab) site_vocab in
+    let shares = List.mem m.site sharing_sites in
     (* without a location hint, the assertion anchor is all the model has *)
     let boost = if List.mem Prompt.Loc hints then 4.0 else 8.0 in
     w := !w *. (if shares then boost else 0.4);
@@ -242,22 +250,26 @@ let weight profile ~hints ~guidance ~assertion_vocab ~competence spec
   end;
   !w
 
-let propose profile ~rng ~hints guidance (task : Task.t) =
+(* Everything up to the tempered distribution depends only on the prompt,
+   so a self-check loop builds it once and draws from it k times; building
+   reads no randomness, so the draws match k independent [propose] calls. *)
+let proposer profile ~hints guidance (task : Task.t) =
   match Alloy.Typecheck.check_result task.faulty with
-  | Error _ -> None
+  | Error _ -> fun _ -> None
   | Ok env ->
       let spec = task.faulty in
       let space = Mutation.Mutate.all_mutations env spec ~with_pool:true () in
-      if space = [] then None
+      if space = [] then fun _ -> None
       else begin
         let assertion_vocab = assertion_vocabulary task in
+        let sharing_sites = sites_sharing_vocabulary spec assertion_vocab in
         let competence = lookup profile.domain_competence task.domain 1.0 in
         let base_weights =
           List.map
             (fun (m : Mutation.Mutate.t) ->
               let w =
-                weight profile ~hints ~guidance ~assertion_vocab ~competence
-                  spec m
+                weight profile ~hints ~guidance ~assertion_vocab
+                  ~sharing_sites ~competence m
               in
               (* Loc hint: strong focus on the named sites *)
               let w =
@@ -289,13 +301,13 @@ let propose profile ~rng ~hints guidance (task : Task.t) =
         let tempered =
           List.map (fun (m, w) -> (m, w ** (1. /. max 0.1 temp))) base_weights
         in
-        let sample_one () = Rng.choose_weighted rng tempered in
         let apply_ok spec' =
           spec' <> spec
           && (not (List.exists (Ast.equal_spec spec') guidance.blocked))
           && Alloy.Typecheck.check_result spec' |> Result.is_ok
         in
-        let attempt () =
+        let attempt rng =
+          let sample_one () = Rng.choose_weighted rng tempered in
           match sample_one () with
           | None -> None
           | Some m1 -> (
@@ -326,11 +338,15 @@ let propose profile ~rng ~hints guidance (task : Task.t) =
                     else if apply_ok spec1 then Some spec1
                     else None)
         in
-        let rec retry n = if n = 0 then None else
-            match attempt () with Some s -> Some s | None -> retry (n - 1)
-        in
-        retry 12
+        fun rng ->
+          let rec retry n = if n = 0 then None else
+              match attempt rng with Some s -> Some s | None -> retry (n - 1)
+          in
+          retry 12
       end
+
+let propose profile ~rng ~hints guidance task =
+  proposer profile ~hints guidance task rng
 
 let chatter_openings =
   [

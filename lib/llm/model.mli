@@ -78,6 +78,19 @@ val propose :
     faulty one and from every blocked spec), or [None] when the model fails
     to produce one. *)
 
+val proposer :
+  profile ->
+  hints:Prompt.hint list ->
+  guidance ->
+  Task.t ->
+  Rng.t ->
+  Alloy.Ast.spec option
+(** [proposer profile ~hints guidance task] builds the proposal
+    distribution of one prompt and returns a sampler: each application to
+    an [rng] is one {!propose} call.  Building reads no randomness, so k
+    draws from one sampler consume [rng] exactly as k {!propose} calls
+    do; a self-check loop builds once and draws k times. *)
+
 val respond : profile -> rng:Rng.t -> guidance -> Prompt.t -> string
 (** Full response text for a prompt: chatter + fenced candidate spec, or a
     deliberately malformed response on the malformed channel. *)

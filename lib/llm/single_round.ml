@@ -12,7 +12,7 @@ let tool_name setting =
    small scope it can reason about) and returns the first that satisfies
    them.  The anchoring is double-edged — a candidate can make the named
    checks pass by over-constraining, silently breaking other commands. *)
-let pass_anchored_proposal ~session profile rng (task : Task.t) hints =
+let pass_anchored_proposal ~session profile rng (task : Task.t) hints draw =
   let named_checks_pass candidate =
     match Common.env_of_spec candidate with
     | None -> false
@@ -34,7 +34,7 @@ let pass_anchored_proposal ~session profile rng (task : Task.t) hints =
   let rec go n first =
     if n = 0 || Session.expired session then first
     else
-      match Model.propose profile ~rng ~hints Model.no_guidance task with
+      match draw rng with
       | None -> go (n - 1) first
       | Some candidate ->
           let first = match first with None -> Some candidate | s -> s in
@@ -61,14 +61,17 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
       Rng.of_context ~seed:(Session.seed session)
         [ task.spec_id; "single-round"; Prompt.single_setting_to_string setting ]
     in
-    let prompt = Prompt.single task setting in
     let hints = Prompt.hints_of_setting setting in
     let response =
       Session.time session "llm" (fun () ->
-          if List.mem Prompt.Pass hints then
-            Model.render_response profile ~rng
-              (pass_anchored_proposal ~session profile rng task hints)
-          else Model.respond profile ~rng Model.no_guidance prompt)
+          Telemetry.proposal_build telemetry;
+          let draw = Model.proposer profile ~hints Model.no_guidance task in
+          let proposal =
+            if List.mem Prompt.Pass hints then
+              pass_anchored_proposal ~session profile rng task hints draw
+            else draw rng
+          in
+          Model.render_response profile ~rng proposal)
     in
     Telemetry.candidate_evaluated telemetry;
     match Extract.spec_of_response response with

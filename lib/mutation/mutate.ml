@@ -58,8 +58,40 @@ let intcmp_swaps = function
   | Ige -> [ Igt; Ile; Ieq ]
   | Igt -> [ Ige; Ilt ]
 
+(* Replacement pools of one mutation-space build: each pool is enumerated
+   once and shared by every node that asks for it (same variables in
+   scope, same arity and size).  The tables live only as long as the
+   build. *)
+type pools = {
+  exprs :
+    vars:(string * int) list -> arity:int -> depth:int -> limit:int ->
+    expr list;
+  atoms : vars:(string * int) list -> limit:int -> fmla list;
+}
+
+let shared_pools env =
+  let memo tbl key build =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = build () in
+        Hashtbl.add tbl key v;
+        v
+  in
+  let exprs_tbl = Hashtbl.create 16 and atoms_tbl = Hashtbl.create 16 in
+  {
+    exprs =
+      (fun ~vars ~arity ~depth ~limit ->
+        memo exprs_tbl (vars, arity, depth, limit) (fun () ->
+            Pool.exprs env ~vars ~arity ~depth ~limit ()));
+    atoms =
+      (fun ~vars ~limit ->
+        memo atoms_tbl (vars, limit) (fun () ->
+            Pool.atomic_fmlas env ~vars ~limit ()));
+  }
+
 (* Mutations of an expression node. *)
-let expr_mutations env vars e ~with_pool =
+let expr_mutations env pools vars e ~with_pool =
   let arity_of e =
     match Alloy.Typecheck.expr_arity env vars e with
     | a -> Some a
@@ -105,7 +137,7 @@ let expr_mutations env vars e ~with_pool =
     | Some a ->
         let depth = if with_pool then 2 else 1 in
         let limit = if with_pool then 60 else 15 in
-        Pool.exprs env ~vars ~arity:a ~depth ~limit ()
+        pools.exprs ~vars ~arity:a ~depth ~limit
         |> List.filter (fun e' -> e' <> e)
         |> List.map (fun e' -> ("expr-replace", e'))
     | None -> []
@@ -113,7 +145,7 @@ let expr_mutations env vars e ~with_pool =
   structural @ unary_additions @ pool_replacements
 
 (* Mutations of a formula node. *)
-let fmla_mutations env vars f ~with_pool =
+let fmla_mutations pools vars f ~with_pool =
   let structural =
     match f with
     | Cmp (op, a, b) ->
@@ -160,7 +192,7 @@ let fmla_mutations env vars f ~with_pool =
   let pool_juncts =
     if not with_pool then []
     else
-      Pool.atomic_fmlas env ~vars ~limit:40 ()
+      pools.atoms ~vars ~limit:40
       |> List.concat_map (fun atom ->
              [
                ("junct-add-and", And (f, atom));
@@ -169,7 +201,7 @@ let fmla_mutations env vars f ~with_pool =
   in
   structural @ negation_add @ pool_juncts
 
-let mutations_at env spec site path ?(with_pool = false) () =
+let mutations_with env pools spec site path ~with_pool =
   let node = Location.get (Location.body spec site) path in
   let vars = Location.vars_at env spec site path in
   let results =
@@ -177,22 +209,26 @@ let mutations_at env spec site path ?(with_pool = false) () =
     | Location.F f ->
         List.map
           (fun (op, f') -> { site; path; replacement = Location.F f'; op })
-          (fmla_mutations env vars f ~with_pool)
+          (fmla_mutations pools vars f ~with_pool)
     | Location.E e ->
         List.map
           (fun (op, e') -> { site; path; replacement = Location.E e'; op })
-          (expr_mutations env vars e ~with_pool)
+          (expr_mutations env pools vars e ~with_pool)
   in
   (* drop no-op mutations *)
   List.filter (fun m -> m.replacement <> node) results
 
+let mutations_at env spec site path ?(with_pool = false) () =
+  mutations_with env (shared_pools env) spec site path ~with_pool
+
 let all_mutations env spec ?sites ?(with_pool = false) () =
   let sites = match sites with Some s -> s | None -> Location.sites spec in
+  let pools = shared_pools env in
   List.concat_map
     (fun site ->
       let body = Location.body spec site in
       List.concat_map
-        (fun (path, _) -> mutations_at env spec site path ~with_pool ())
+        (fun (path, _) -> mutations_with env pools spec site path ~with_pool)
         (Location.subnodes body))
     sites
 

@@ -92,8 +92,8 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
     let locations =
       Faultloc.candidate_locations env0.spec
         ~sites:(Mutation.Location.sites env0.spec)
-      (* top-level constraint roots only: the sweep descends through each
-         subtree itself (see mutations_of_location) *)
+      (* top-level constraint roots only: the sweep descends through every
+         node of each root's subtree *)
       |> List.filter (fun (_, path) -> path = [])
     in
     let top_locations =
@@ -101,30 +101,6 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
     in
     let tried = ref 0 in
     let verify env' = Common.oracle_passes ~max_conflicts session env' in
-    (* candidate stream: depth 1 = single mutations at suspicious locations
-       (descending through every node of the suspicious subtree), depth 2 =
-       pairs across distinct locations *)
-    let mutations_of_location (site, path) =
-      let body = Mutation.Location.body env0.spec site in
-      let subtree_paths =
-        List.filter_map
-          (fun (p, _) ->
-            (* nodes within the suspicious subtree *)
-            let rec is_prefix xs ys =
-              match (xs, ys) with
-              | [], _ -> true
-              | x :: xs, y :: ys -> x = y && is_prefix xs ys
-              | _ -> false
-            in
-            if is_prefix path p then Some p else None)
-          (Mutation.Location.subnodes body)
-      in
-      List.concat_map
-        (fun p ->
-          Mutation.Mutate.mutations_at env0 env0.spec site p
-            ~with_pool:budget.Session.use_pool ())
-        subtree_paths
-    in
     let is_pool_op (m : Mutation.Mutate.t) =
       match m.op with
       | "expr-replace" | "junct-add-and" | "junct-add-or" -> true
@@ -132,9 +108,14 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
     in
     let depth1 =
       Session.time session "mutation" (fun () ->
-          (* overlapping suspicious subtrees would repeat locations; dedup *)
+          (* candidate stream: depth 1 = single mutations at every node of
+             the suspicious subtrees, depth 2 = pairs across distinct
+             locations.  One node can offer the same replacement twice
+             (e.g. dropping either of two equal operands); dedup. *)
           let seen = Hashtbl.create 64 in
-          List.concat_map mutations_of_location top_locations
+          Mutation.Mutate.all_mutations env0 env0.spec
+            ~sites:(List.map fst top_locations)
+            ~with_pool:budget.Session.use_pool ()
           |> List.filter (fun (m : Mutation.Mutate.t) ->
                  let key = (m.site, m.path, m.replacement) in
                  if Hashtbl.mem seen key then false

@@ -175,6 +175,70 @@ let test_loc_hint_focuses () =
   Alcotest.(check bool) "most proposals edit the hinted site" true
     (!total > 0 && float_of_int !hits /. float_of_int !total > 0.6)
 
+(* {2 One proposal distribution per self-check loop}
+
+   The pipelines build a prompt's proposal distribution once and draw k
+   proposals from it.  That must be indistinguishable from k [propose]
+   calls: the same proposals, and the generator left in the same state. *)
+
+let test_proposer_matches_propose () =
+  let module B = Specrepair_benchmarks in
+  let variant_task =
+    match B.Domains.find "ctree" with
+    | Some d -> B.Generate.to_task (List.hd (B.Generate.variants d))
+    | None -> Alcotest.fail "no ctree domain"
+  in
+  let k = 6 and proposals = ref 0 in
+  let hint_sets = Llm.Prompt.[ []; [ Loc ]; [ Pass ]; [ Loc; Fix ] ] in
+  List.iter
+    (fun (t : Llm.Task.t) ->
+      let blocked =
+        let rng = Rng.of_context ~seed:11 [ "blocked"; t.spec_id ] in
+        List.init 3 (fun _ ->
+            Llm.Model.propose Llm.Model.gpt4 ~rng ~hints:[]
+              Llm.Model.no_guidance t)
+        |> List.filter_map Fun.id
+      in
+      let steered =
+        {
+          Llm.Model.site_boost = [ (List.hd (Location.sites t.faulty), 3.0) ];
+          op_boost = [ ("quant-swap", 2.0) ];
+          blocked;
+          exploration = 0.15;
+        }
+      in
+      List.iter
+        (fun (profile : Llm.Model.profile) ->
+          List.iteri
+            (fun h hints ->
+              List.iteri
+                (fun g guidance ->
+                  let label =
+                    Printf.sprintf "%s %s hints#%d guidance#%d" t.spec_id
+                      profile.name h g
+                  in
+                  let context = [ label ] in
+                  let a = Rng.of_context ~seed:5 context
+                  and b = Rng.of_context ~seed:5 context in
+                  let one_by_one =
+                    List.init k (fun _ ->
+                        Llm.Model.propose profile ~rng:a ~hints guidance t)
+                  in
+                  let draw = Llm.Model.proposer profile ~hints guidance t in
+                  let from_one = List.init k (fun _ -> draw b) in
+                  proposals :=
+                    !proposals + List.length (List.filter_map Fun.id from_one);
+                  Alcotest.(check bool) (label ^ ": same proposals") true
+                    (List.equal (Option.equal Ast.equal_spec) one_by_one
+                       from_one);
+                  Alcotest.(check bool) (label ^ ": same generator state") true
+                    (Rng.next_int64 a = Rng.next_int64 b))
+                [ Llm.Model.no_guidance; steered ])
+            hint_sets)
+        Llm.Model.panel)
+    [ Lazy.force task; variant_task ];
+  Alcotest.(check bool) "the draws proposed something" true (!proposals > 0)
+
 (* {2 Pipelines} *)
 
 let session_for ~seed () =
@@ -273,6 +337,8 @@ let () =
           Alcotest.test_case "blocklist respected" `Quick
             test_propose_respects_blocklist;
           Alcotest.test_case "loc hint focuses" `Quick test_loc_hint_focuses;
+          Alcotest.test_case "one proposer, k draws" `Quick
+            test_proposer_matches_propose;
         ] );
       ( "pipelines",
         [

@@ -212,6 +212,85 @@ let test_seeded_stream_deterministic () =
   Alcotest.(check bool) "different seeds sample differently" true
     (List.exists (fun s -> candidates s <> candidates 3) [ 4; 5; 6; 7 ])
 
+(* {2 Pool sharing}
+
+   [all_mutations] shares each replacement pool between the nodes of one
+   build that ask for it.  The space must be exactly the per-node
+   enumeration, where every node asks {!Pool} afresh. *)
+
+let per_node_mutations env spec ?(sites = Location.sites spec) ~with_pool () =
+  List.concat_map
+    (fun site ->
+      List.concat_map
+        (fun (path, _) -> Mutate.mutations_at env spec site path ~with_pool ())
+        (Location.subnodes (Location.body spec site)))
+    sites
+
+let check_per_node label env spec =
+  List.iter
+    (fun with_pool ->
+      let shared = Mutate.all_mutations env spec ~with_pool () in
+      if shared <> per_node_mutations env spec ~with_pool () then
+        Alcotest.failf "%s (with_pool %b): space differs from per-node" label
+          with_pool)
+    [ false; true ]
+
+(* Nodes in different quantifier scopes see different variables, so a pool
+   shared by arity alone would offer one scope's variables in another. *)
+let scoped_src =
+  {|
+sig A { r: set B }
+sig B { s: set A }
+fact OneScope {
+  all x: A | some x.r
+}
+fact TwoScopes {
+  all y: B, z: A | y in z.r implies some y.s
+}
+pred P[p: A] {
+  some q: B | q in p.r && no q.s
+}
+run P for 3
+|}
+
+let test_shared_pools_scoped () =
+  let e = Typecheck.check (Parser.parse scoped_src) in
+  let spec = e.spec in
+  let scopes =
+    List.concat_map
+      (fun site ->
+        List.map
+          (fun (path, _) -> Location.vars_at e spec site path)
+          (Location.subnodes (Location.body spec site)))
+      (Location.sites spec)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "nodes bind at least four variable sets" true
+    (List.length scopes >= 4);
+  check_per_node "scoped" e spec;
+  (* a subset of sites, in a different order, as BeAFix's sweep asks *)
+  let sites = List.rev (Location.sites spec) in
+  Alcotest.(check bool) "reordered sites" true
+    (Mutate.all_mutations e spec ~sites ~with_pool:true ()
+    = per_node_mutations e spec ~sites ~with_pool:true ())
+
+let test_shared_pools_corpus () =
+  let module B = Specrepair_benchmarks in
+  List.iter
+    (fun (d : B.Domains.t) -> check_per_node d.name (B.Domains.env d) (B.Domains.spec d))
+    B.Domains.all;
+  let variants =
+    List.filter_map
+      (fun (v : B.Generate.variant) ->
+        match Typecheck.check_result v.injected.faulty with
+        | Ok e -> Some (v.id, e)
+        | Error _ -> None)
+      (B.Generate.sample ~per_domain:5 ())
+  in
+  Alcotest.(check bool) "at least 50 fault variants" true
+    (List.length variants >= 50);
+  List.iter (fun (id, (e : Typecheck.env)) -> check_per_node id e e.spec) variants
+
 let () =
   Alcotest.run "mutation"
     [
@@ -240,5 +319,9 @@ let () =
           Alcotest.test_case "well-typed" `Quick test_mutations_well_typed;
           Alcotest.test_case "no no-ops" `Quick test_mutations_change_spec;
           Alcotest.test_case "operator coverage" `Quick test_quant_swap_present;
+          Alcotest.test_case "shared pools across scopes" `Quick
+            test_shared_pools_scoped;
+          Alcotest.test_case "shared pools over the corpus" `Quick
+            test_shared_pools_corpus;
         ] );
     ]

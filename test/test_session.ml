@@ -146,6 +146,31 @@ let test_telemetry_counters () =
   Alcotest.(check bool) "phase timers recorded" true
     (List.mem_assoc "mutation" (Telemetry.phases t))
 
+(* The Multi-Round pipeline builds one proposal distribution per round and
+   draws its best-of-k self-check proposals from it, so builds never
+   outnumber rounds. *)
+let test_proposal_builds_per_round () =
+  let file =
+    if Sys.file_exists "../specs/graph_faulty.als" then
+      "../specs/graph_faulty.als"
+    else "specs/graph_faulty.als"
+  in
+  let src = In_channel.with_open_bin file In_channel.input_all in
+  let env = Typecheck.check (Parser.parse src) in
+  let session = Session.create env in
+  let task =
+    Llm.Task.make ~spec_id:file ~domain:"cli" ~faulty:env.Typecheck.spec ()
+  in
+  ignore
+    (Llm.Multi_round.repair ~session ~profile:Llm.Model.gpt4 task
+       Llm.Multi_round.Generic);
+  let t = Session.telemetry session in
+  Alcotest.(check bool) "at least one round" true (t.Telemetry.llm_rounds >= 1);
+  Alcotest.(check bool) "at least one proposal build" true
+    (t.Telemetry.proposal_builds >= 1);
+  Alcotest.(check bool) "proposal_builds <= llm_rounds" true
+    (t.Telemetry.proposal_builds <= t.Telemetry.llm_rounds)
+
 let test_telemetry_json_parses () =
   let env = Lazy.force faulty_env in
   let session = Session.create env in
@@ -170,6 +195,7 @@ let test_telemetry_json_parses () =
       "\"timed_out\"";
       "\"solver_queries\"";
       "\"candidates_evaluated\"";
+      "\"proposal_builds\"";
       "\"oracle\"";
     ]
 
@@ -245,6 +271,8 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "counters" `Quick test_telemetry_counters;
+          Alcotest.test_case "proposal builds per round" `Quick
+            test_proposal_builds_per_round;
           Alcotest.test_case "certified repair" `Quick test_certified_repair;
           Alcotest.test_case "json" `Quick test_telemetry_json_parses;
           Alcotest.test_case "budget and seed" `Quick
