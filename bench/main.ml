@@ -190,6 +190,7 @@ let () =
           formulas_translated = acc.formulas_translated + s.formulas_translated;
           formulas_reused = acc.formulas_reused + s.formulas_reused;
           contexts = acc.contexts + s.contexts;
+          contexts_retired = acc.contexts_retired + s.contexts_retired;
           certified = acc.certified + s.certified;
           certificate_failures =
             acc.certificate_failures + s.certificate_failures;
@@ -203,6 +204,7 @@ let () =
         formulas_translated = 0;
         formulas_reused = 0;
         contexts = 0;
+        contexts_retired = 0;
         certified = 0;
         certificate_failures = 0;
       }
@@ -214,10 +216,10 @@ let () =
     \  oracle-incremental: %8.1f ms\n\
     \  speedup:            %8.2fx\n\
     \  verdict cache:      %d hits / %d solved\n\
-    \  translations:       %d fresh / %d reused (%d contexts)\n\n%!"
+    \  translations:       %d fresh / %d reused (%d contexts, %d retired)\n\n%!"
     n_candidates (List.length oracle_workload) fresh_ms incremental_ms speedup
     stats.verdict_hits stats.verdict_misses stats.formulas_translated
-    stats.formulas_reused stats.contexts;
+    stats.formulas_reused stats.contexts stats.contexts_retired;
   let json =
     Printf.sprintf
       "{\n\
@@ -234,14 +236,15 @@ let () =
       \  \"fallback_queries\": %d,\n\
       \  \"formulas_translated\": %d,\n\
       \  \"formulas_reused\": %d,\n\
-      \  \"contexts\": %d\n\
+      \  \"contexts\": %d,\n\
+      \  \"contexts_retired\": %d\n\
        }\n"
       sample_size
       (List.length oracle_workload)
       n_candidates fresh_ms incremental_ms speedup stats.verdict_hits
       stats.verdict_misses stats.instance_hits stats.instance_misses
       stats.fallback_queries stats.formulas_translated stats.formulas_reused
-      stats.contexts
+      stats.contexts stats.contexts_retired
   in
   let path =
     Option.value (Sys.getenv_opt "BENCH_ORACLE_OUT") ~default:"BENCH_oracle.json"

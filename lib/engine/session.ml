@@ -26,6 +26,7 @@ type t = {
   budget : budget;
   seed : int;
   started_ns : int64;
+  stopped_ms : float option ref;  (* set by [stop_clock]; shared *)
   deadline_ns : int64 option;  (* absolute, on the monotonic clock *)
   deadline_rel_ms : float option;
   telemetry : Telemetry.t;
@@ -54,6 +55,7 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     budget;
     seed;
     started_ns;
+    stopped_ms = ref None;
     deadline_ns =
       Option.map
         (fun ms -> Int64.add started_ns (Int64.of_float (ms *. 1e6)))
@@ -101,7 +103,13 @@ let expired t =
 let timed_out t = !(t.expiry)
 let deadline_ms t = t.deadline_rel_ms
 
-let elapsed_ms t = Int64.to_float (Int64.sub (now_ns ()) t.started_ns) /. 1e6
+let elapsed_ms t =
+  match !(t.stopped_ms) with
+  | Some ms -> ms
+  | None -> Int64.to_float (Int64.sub (now_ns ()) t.started_ns) /. 1e6
+
+let stop_clock t =
+  if !(t.stopped_ms) = None then t.stopped_ms := Some (elapsed_ms t)
 
 (* Clock-reading but latch-preserving: an already-expired session always
    answers [Some 0.].  The learned portfolio budgets its technique plan
@@ -161,6 +169,7 @@ let oracle_stats t =
     formulas_translated = s.formulas_translated - b.formulas_translated;
     formulas_reused = s.formulas_reused - b.formulas_reused;
     contexts = s.contexts;
+    contexts_retired = s.contexts_retired - b.contexts_retired;
     certified = s.certified - b.certified;
     certificate_failures = s.certificate_failures - b.certificate_failures;
   }
@@ -219,10 +228,11 @@ let telemetry_json ?(extra = []) t =
        "{\"verdict_hits\":%d,\"verdict_misses\":%d,\"instance_hits\":%d,\
         \"instance_misses\":%d,\"fallback_queries\":%d,\
         \"formulas_translated\":%d,\"formulas_reused\":%d,\"contexts\":%d,\
-        \"certified\":%d,\"certificate_failures\":%d}"
+        \"contexts_retired\":%d,\"certified\":%d,\"certificate_failures\":%d}"
        os.Solver.Oracle.verdict_hits os.verdict_misses os.instance_hits
        os.instance_misses os.fallback_queries os.formulas_translated
-       os.formulas_reused os.contexts os.certified os.certificate_failures);
+       os.formulas_reused os.contexts os.contexts_retired os.certified
+       os.certificate_failures);
   let ss = sat_stats t in
   field "sat"
     (Printf.sprintf

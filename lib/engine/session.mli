@@ -113,7 +113,15 @@ val now_ns : unit -> int64
 (** The monotonic clock, in nanoseconds. *)
 
 val elapsed_ms : t -> float
-(** Monotonic wall-clock milliseconds since session creation. *)
+(** Monotonic wall-clock milliseconds since session creation, or up to
+    {!stop_clock} once that has been called. *)
+
+val stop_clock : t -> unit
+(** Freezes {!elapsed_ms} (and so the [elapsed_ms] of {!telemetry_json})
+    at its current value, for work done after the session's own: a study
+    row scores its result after the engine returns, and that time belongs
+    to neither the row's [time_ms] nor its telemetry line.  Idempotent;
+    shared with derived sessions; deadlines are unaffected. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f] and adds its wall-clock duration to the

@@ -116,7 +116,8 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
     ?telemetry ?simplify ?portfolio technique (v : Benchmarks.Generate.variant)
     =
   (* one session per study row: shared domain oracle, per-technique budget,
-     monotonic clock for [time_ms] *)
+     monotonic clock for [time_ms], stopped before scoring so that the
+     telemetry line's [elapsed_ms] is the row's [time_ms] *)
   let session =
     Session.create
       ~oracle:(domain_oracle ?simplify ?portfolio v.domain)
@@ -125,6 +126,7 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
       (Benchmarks.Domains.env v.domain)
   in
   let result = apply_technique ~session technique v in
+  Session.stop_clock session;
   let elapsed = Session.elapsed_ms session in
   let final = result.Repair.Common.final_spec in
   let rep =

@@ -5,8 +5,9 @@
     Every (variant, technique) row runs in its own
     {!Specrepair_repair.Session.t} (shared per-domain oracle, per-technique
     budget, monotonic [time_ms]); [?deadline_ms] bounds each row and
-    [?telemetry] receives one JSON line per row (schema in DESIGN.md) —
-    the CSV schema itself never changes. *)
+    [?telemetry] receives one JSON line per row (schema in DESIGN.md),
+    whose [elapsed_ms] is the row's [time_ms]: both stop before REP / TM /
+    SM scoring — the CSV schema itself never changes. *)
 
 module Alloy = Specrepair_alloy
 module Benchmarks = Specrepair_benchmarks

@@ -50,6 +50,7 @@ type report = {
   skipped : int;
   discrepancies : int;
   corpus : string list;
+  contexts_retired : int option;
 }
 
 (* {2 SAT target} *)
@@ -424,20 +425,25 @@ type oracle_case = {
 let gen_oracle_case rng =
   let o_base = Gen.spec ~with_commands:true rng in
   let mutants = Mutate.all_mutations o_base o_base.spec () in
+  let typed =
+    List.filter_map (fun m ->
+        match Mutate.apply o_base.spec m with
+        | spec' -> (
+            match Alloy.Typecheck.check_result spec' with
+            | Ok env' -> Some env'
+            | Error _ -> None)
+        | exception _ -> None)
+  in
+  let o_candidates = typed (Rng.sample rng 5 mutants) in
+  (* one case in four continues into a long stream, so the oracle outgrows
+     some of its contexts and must retire them mid-stream *)
   let o_candidates =
-    Rng.sample rng 5 mutants
-    |> List.filter_map (fun m ->
-           match Mutate.apply o_base.spec m with
-           | spec' -> (
-               match Alloy.Typecheck.check_result spec' with
-               | Ok env' -> Some env'
-               | Error _ -> None)
-           | exception _ -> None)
+    if Rng.int rng 4 = 0 then o_candidates @ typed (Rng.sample rng 40 mutants)
+    else o_candidates
   in
   { o_base; o_candidates }
 
-let check_oracle_case { o_base; o_candidates } =
-  let oracle = Oracle.create o_base in
+let check_oracle_stream oracle { o_base; o_candidates } =
   let rec over_envs first = function
     | [] -> `Ok
     | (env' : Alloy.Typecheck.env) :: rest ->
@@ -466,6 +472,9 @@ let check_oracle_case { o_base; o_candidates } =
         over_cmds env'.spec.commands
   in
   over_envs true (o_base :: o_candidates)
+
+let check_oracle_case case =
+  check_oracle_stream (Oracle.create case.o_base) case
 
 (* A single base/candidate pair, used by the shrinker and by corpus replay
    (where the candidate is its own base). *)
@@ -740,6 +749,7 @@ let retypecheck spec =
 let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
   let checks = ref 0 and skipped = ref 0 in
   let discrepancies = ref 0 and corpus = ref [] in
+  let retired = ref 0 in
   let record name path = ignore name; corpus := path :: !corpus in
   for i = 0 to iters - 1 do
     let rng = Rng.of_context ~seed [ target_name target; "iter"; string_of_int i ] in
@@ -796,7 +806,10 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
                   (spec_with_goal env case.s_scope goal)))
     | Oracle_target -> (
         let case = gen_oracle_case rng in
-        match guard (fun () -> check_oracle_case case) with
+        let oracle = Oracle.create case.o_base in
+        let outcome = guard (fun () -> check_oracle_stream oracle case) in
+        retired := !retired + (Oracle.stats oracle).contexts_retired;
+        match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
         | `Fail _ ->
@@ -951,6 +964,8 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
     skipped = !skipped;
     discrepancies = !discrepancies;
     corpus = List.rev !corpus;
+    contexts_retired =
+      (match target with Oracle_target -> Some !retired | _ -> None);
   }
 
 (* {2 JSON summaries} *)
@@ -959,8 +974,11 @@ let json_string s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "
 
 let report_json r =
   Printf.sprintf
-    "{\"target\":%s,\"seed\":%d,\"iters\":%d,\"checks\":%d,\"skipped\":%d,\"discrepancies\":%d,\"corpus\":[%s]}"
+    "{\"target\":%s,\"seed\":%d,\"iters\":%d,\"checks\":%d,\"skipped\":%d,\"discrepancies\":%d,%s\"corpus\":[%s]}"
     (json_string r.target) r.seed r.iters r.checks r.skipped r.discrepancies
+    (match r.contexts_retired with
+    | Some n -> Printf.sprintf "\"contexts_retired\":%d," n
+    | None -> "")
     (String.concat "," (List.map json_string r.corpus))
 
 let summary_json ~corpus_dir ~seed reports =

@@ -14,7 +14,9 @@
       additionally re-checked by direct evaluation.
     - [Oracle_target] — the incremental, assumption-guarded
       [Solver.Oracle] vs. fresh [Analyzer] solves over mutation-derived
-      candidate streams, including repeat queries (cache coherence).
+      candidate streams, including repeat queries (cache coherence).  One
+      stream in four is long enough for the oracle to retire contexts
+      mid-stream; the summary counts the retirements.
     - [Eval_target] — [Alloy.Eval] vs. the translation pinned to a
       concrete random instance, for both goal formulas and the
       facts/implicit conjunction.
@@ -94,6 +96,9 @@ type report = {
   skipped : int;  (** instance space exceeded the enumeration cap *)
   discrepancies : int;
   corpus : string list;  (** paths of persisted shrunk failures *)
+  contexts_retired : int option;
+      (** oracle target only: solving contexts its oracles retired for
+          outgrowing their queries *)
 }
 
 val run :

@@ -13,6 +13,7 @@ type stats = {
   formulas_translated : int;
   formulas_reused : int;
   contexts : int;
+  contexts_retired : int;
   certified : int;
   certificate_failures : int;
 }
@@ -25,6 +26,7 @@ type counters = {
   mutable c_fallback_queries : int;
   mutable c_formulas_translated : int;
   mutable c_formulas_reused : int;
+  mutable c_contexts_retired : int;
   mutable c_certified : int;
   mutable c_cert_failures : int;
 }
@@ -41,11 +43,11 @@ type sat_stats = {
   eliminated : int;
 }
 
-(* Counters of solving work done outside the long-lived contexts: the
-   simplified fresh solves report through {!Analyzer}'s [?stats] callback
-   and accumulate here (context solvers keep their own lifetime counters
-   and are read directly in {!sat_stats}). *)
-type fresh_counters = {
+(* Counters of solving work no live context holds: the simplified fresh
+   solves report through {!Analyzer}'s [?stats] callback, and a retired
+   context's solver folds its lifetime counters in as it is dropped (live
+   context solvers are read directly in {!sat_stats}). *)
+type spent_counters = {
   mutable f_conflicts : int;
   mutable f_decisions : int;
   mutable f_propagations : int;
@@ -61,12 +63,16 @@ type fresh_counters = {
 type cert = { checker : Drat.t; mutable cert_error : string option }
 
 (* One shared solver per command scope: base bounds, Tseitin state, and the
-   activation-literal memo for every formula ever guarded in it. *)
+   activation-literal memo for every formula guarded in it since it was
+   built.  Each memo entry carries the variables its translation added, and
+   [base_vars] counts those of the bounds and implicit constraints, so a
+   query can tell how much of the context it actually uses. *)
 type context = {
   solver : Solver.t;
   bounds : Bounds.t;
   ts : Tseitin.t;
-  acts : (string, Lit.t) Hashtbl.t;
+  acts : (string, Lit.t * int) Hashtbl.t;
+  base_vars : int;
   cert : cert option;
 }
 
@@ -81,7 +87,7 @@ type t = {
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
   instances : (string, Alloy.Instance.t list) Hashtbl.t;
   counters : counters;
-  fresh : fresh_counters;
+  spent : spent_counters;
 }
 
 let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
@@ -92,7 +98,7 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
     simplify;
     portfolio;
     on_certify;
-    fresh =
+    spent =
       {
         f_conflicts = 0;
         f_decisions = 0;
@@ -114,6 +120,7 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
         c_fallback_queries = 0;
         c_formulas_translated = 0;
         c_formulas_reused = 0;
+        c_contexts_retired = 0;
         c_certified = 0;
         c_cert_failures = 0;
       };
@@ -177,8 +184,7 @@ let verdict_cache_key ?max_conflicts env c =
 
 (* {2 Contexts and activation literals} *)
 
-let context_for t scope =
-  let key = scope_key scope in
+let context_for t key scope =
   match Hashtbl.find_opt t.contexts key with
   | Some ctx -> ctx
   | None ->
@@ -207,22 +213,33 @@ let context_for t scope =
       (* the immutable base: implicit constraints and scope caps, asserted
          unguarded exactly once per context *)
       Tseitin.assert_formula ts (Translate.implicit_fmla bounds);
-      let ctx = { solver; bounds; ts; acts = Hashtbl.create 256; cert } in
+      let ctx =
+        {
+          solver;
+          bounds;
+          ts;
+          acts = Hashtbl.create 256;
+          base_vars = Solver.n_vars solver;
+          cert;
+        }
+      in
       Hashtbl.add t.contexts key ctx;
       ctx
 
 (* The activation literal of [f] in [ctx]: a fresh literal [act] with
-   clauses enforcing [act => f], memoized structurally.  Solving under the
-   assumption [act] then enables exactly this formula; leaving [act]
-   unassumed leaves the guarded clauses inert (the solver may satisfy them
-   vacuously by setting [act] false). *)
+   clauses enforcing [act => f], memoized structurally together with the
+   number of variables the translation added.  Solving under the assumption
+   [act] then enables exactly this formula; leaving [act] unassumed leaves
+   the guarded clauses inert (the solver may satisfy them vacuously by
+   setting [act] false). *)
 let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
   match Hashtbl.find_opt ctx.acts key with
-  | Some act ->
+  | Some entry ->
       t.counters.c_formulas_reused <- t.counters.c_formulas_reused + 1;
-      act
+      entry
   | None ->
       t.counters.c_formulas_translated <- t.counters.c_formulas_translated + 1;
+      let vars_before = Solver.n_vars ctx.solver in
       let bounds = Bounds.with_env ctx.bounds env in
       let fm = Translate.fmla bounds [] f in
       let act = Lit.pos (Solver.new_var ctx.solver) in
@@ -233,8 +250,9 @@ let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
         let lf = Tseitin.lit_of ctx.ts fm in
         Solver.add_clause ctx.solver [ Lit.negate act; lf ]
       end;
-      Hashtbl.add ctx.acts key act;
-      act
+      let entry = (act, Solver.n_vars ctx.solver - vars_before) in
+      Hashtbl.add ctx.acts key entry;
+      entry
 
 (* Goal formula of a command, in the candidate env.  [None] delegates to the
    plain analyzer (which raises the canonical error for unknown names). *)
@@ -264,7 +282,7 @@ let outcome_tag = Analyzer.outcome_verdict
    a session observes are bit-identical whatever the session's solving
    options (verdicts are solver-path-independent; first models are not). *)
 let record_fresh t (r : Simplify.solve_result) =
-  let f = t.fresh in
+  let f = t.spent in
   f.f_conflicts <- f.f_conflicts + r.Simplify.conflicts;
   f.f_decisions <- f.f_decisions + r.Simplify.decisions;
   f.f_propagations <- f.f_propagations + r.Simplify.propagations;
@@ -295,11 +313,34 @@ let analyzer_run ?simplify ?portfolio ?max_conflicts t env c =
     o
   end
 
-(* {2 Verdict queries (incremental)} *)
+(* {2 Verdict queries (incremental)}
+
+   A context only grows: every candidate's mutated facts and goals stay
+   guarded in it, and propagation, restarts and learnt-clause reduction all
+   pay for the inert ones, so per-query solve time rises with everything
+   checked before.  After each verdict query the context is retired if it
+   holds more than [max_growth] times the variables that query used (its
+   base plus the formulas it assumed); the next query for that scope
+   builds a fresh one.  A context built by a single query holds exactly
+   what that query used, so the rule cannot thrash, and verdicts do not
+   depend on the solver path, so nothing observable changes.  The verdict,
+   outcome and instance tables are untouched. *)
+let max_growth = 3
+
+let retire t key ctx =
+  let f = t.spent and s = ctx.solver in
+  f.f_conflicts <- f.f_conflicts + Solver.n_conflicts s;
+  f.f_decisions <- f.f_decisions + Solver.n_decisions s;
+  f.f_propagations <- f.f_propagations + Solver.n_propagations s;
+  f.f_restarts <- f.f_restarts + Solver.n_restarts s;
+  f.f_reductions <- f.f_reductions + Solver.n_reductions s;
+  Hashtbl.remove t.contexts key;
+  t.counters.c_contexts_retired <- t.counters.c_contexts_retired + 1
 
 let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c goal =
   let scope = Bounds.scope_of_command c in
-  let ctx = context_for t scope in
+  let key = scope_key scope in
+  let ctx = context_for t key scope in
   let dd = decls_digest env.spec in
   let fact_acts =
     List.map
@@ -314,20 +355,27 @@ let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c goal =
       env.spec.facts
   in
   let goal_act = activation t ctx env ("goal:" ^ fmla_key env.spec goal) goal in
-  let assumptions = fact_acts @ [ goal_act ] in
-  match Solver.solve ~assumptions ?max_conflicts ctx.solver with
-  | Solver.Sat -> `Sat
-  | Solver.Unsat ->
-      (match ctx.cert with
-      | None -> ()
-      | Some cert ->
-          (* every proof step was already RUP-checked as it streamed in;
-             what remains is that the clause store actually refutes this
-             query's assumptions *)
-          note_certified t
-            (cert.cert_error = None && Drat.refutes cert.checker assumptions));
-      `Unsat
-  | Solver.Unknown -> `Unknown
+  let assumed = fact_acts @ [ goal_act ] in
+  let assumptions = List.map fst assumed in
+  let used = List.fold_left (fun n (_, v) -> n + v) ctx.base_vars assumed in
+  let verdict =
+    match Solver.solve ~assumptions ?max_conflicts ctx.solver with
+    | Solver.Sat -> `Sat
+    | Solver.Unsat ->
+        (match ctx.cert with
+        | None -> ()
+        | Some cert ->
+            (* every proof step was already RUP-checked as it streamed in;
+               what remains is that the clause store actually refutes this
+               query's assumptions *)
+            note_certified t
+              (cert.cert_error = None
+              && Drat.refutes cert.checker assumptions));
+        `Unsat
+    | Solver.Unknown -> `Unknown
+  in
+  if Solver.n_vars ctx.solver > max_growth * used then retire t key ctx;
+  verdict
 
 let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
     (c : Ast.command) =
@@ -398,7 +446,7 @@ let enumerate ?(limit = 10) ?max_conflicts t (env : Alloy.Typecheck.env) scope
 (* {2 Statistics} *)
 
 let sat_stats t =
-  let f = t.fresh in
+  let f = t.spent in
   let base =
     {
       conflicts = f.f_conflicts;
@@ -435,6 +483,7 @@ let stats t =
     formulas_translated = c.c_formulas_translated;
     formulas_reused = c.c_formulas_reused;
     contexts = Hashtbl.length t.contexts;
+    contexts_retired = c.c_contexts_retired;
     certified = c.c_certified;
     certificate_failures = c.c_cert_failures;
   }
@@ -448,6 +497,7 @@ let reset_stats t =
   c.c_fallback_queries <- 0;
   c.c_formulas_translated <- 0;
   c.c_formulas_reused <- 0;
+  c.c_contexts_retired <- 0;
   c.c_certified <- 0;
   c.c_cert_failures <- 0
 
@@ -455,8 +505,8 @@ let pp_stats fmt t =
   let s = stats t in
   Format.fprintf fmt
     "verdicts: %d hit / %d solved; instances: %d hit / %d solved; \
-     translations: %d fresh / %d reused; fallbacks: %d; contexts: %d; \
-     certified: %d ok / %d failed"
+     translations: %d fresh / %d reused; fallbacks: %d; contexts: %d live / \
+     %d retired; certified: %d ok / %d failed"
     s.verdict_hits s.verdict_misses s.instance_hits s.instance_misses
     s.formulas_translated s.formulas_reused s.fallback_queries s.contexts
-    s.certified s.certificate_failures
+    s.contexts_retired s.certified s.certificate_failures

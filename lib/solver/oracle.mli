@@ -15,7 +15,12 @@
       per session; and
     - each verdict query is a {!Specrepair_sat.Solver.solve} under the
       assumptions naming the candidate's facts and the goal, sharing one
-      learned-clause database across the whole session.
+      learned-clause database across the queries the context serves.
+
+    Contexts are bounded: after a verdict query, a context holding more
+    than three times the variables that query used (base plus assumed
+    formulas) is retired, and the next query for its scope builds a fresh
+    one.  Verdicts, outcomes and instances are unaffected.
 
     On top of the incremental contexts sit structural caches keyed by the
     digest of the pretty-printed candidate (x command x scope x conflict
@@ -44,7 +49,10 @@ type stats = {
   fallback_queries : int;  (** sig-incompatible candidates, fresh-solved *)
   formulas_translated : int;  (** guarded translations performed *)
   formulas_reused : int;  (** activation literals served from memo *)
-  contexts : int;  (** solving contexts (one per distinct scope) *)
+  contexts : int;
+      (** live solving contexts (at most one per distinct scope); a gauge *)
+  contexts_retired : int;
+      (** contexts dropped for outgrowing their queries *)
   certified : int;  (** UNSAT verdicts accepted by the proof checker *)
   certificate_failures : int;
       (** UNSAT verdicts the checker could {e not} certify *)
@@ -130,8 +138,8 @@ type sat_stats = {
 
 val sat_stats : t -> sat_stats
 (** Aggregate SAT-solver work under this oracle: the lifetime counters of
-    every incremental context's solver plus the counters reported by
-    simplified fresh solves.  The simplification counters are nonzero only
+    every incremental context's solver, live or retired, plus the counters
+    reported by simplified fresh solves; every field is monotone.  The simplification counters are nonzero only
     when the oracle was created with [~simplify:true]. *)
 
 val reset_stats : t -> unit

@@ -124,6 +124,17 @@ let smoke target iters () =
   Alcotest.(check int) "all iterations accounted for" iters
     (r.Harness.checks + r.Harness.skipped)
 
+(* The oracle campaign's long streams must actually exercise context
+   retirement, and only the oracle report carries the count. *)
+let test_oracle_retires_contexts () =
+  let dir = tmp_dir "fuzz-retire" in
+  let r = Harness.run ~corpus_dir:dir Harness.Oracle_target ~seed:11 ~iters:25 () in
+  Alcotest.(check bool) "contexts retired" true
+    (match r.Harness.contexts_retired with Some n -> n > 0 | None -> false);
+  let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
+  Alcotest.(check (option int)) "eval report has no count" None
+    e.Harness.contexts_retired
+
 let test_report_deterministic () =
   let dir = tmp_dir "fuzz-det" in
   let run () =
@@ -273,6 +284,8 @@ let () =
           Alcotest.test_case "sat" `Quick (smoke Harness.Sat_target 150);
           Alcotest.test_case "solver" `Quick (smoke Harness.Solver_target 40);
           Alcotest.test_case "oracle" `Quick (smoke Harness.Oracle_target 25);
+          Alcotest.test_case "oracle retires contexts" `Quick
+            test_oracle_retires_contexts;
           Alcotest.test_case "eval" `Quick (smoke Harness.Eval_target 40);
           Alcotest.test_case "proof" `Quick (smoke Harness.Proof_target 100);
           Alcotest.test_case "simplify" `Quick

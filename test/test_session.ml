@@ -11,6 +11,8 @@ module Solver = Specrepair_solver
 module Llm = Specrepair_llm
 module Eval = Specrepair_eval
 module B = Specrepair_benchmarks
+module Mutate = Specrepair_mutation.Mutate
+module Json = Specrepair_serve.Json
 
 let faulty_src =
   {|
@@ -222,6 +224,118 @@ let test_certified_repair () =
   Alcotest.(check bool) "same outcome without certification" r.repaired
     plain.repaired
 
+(* A study row's telemetry line and its CSV row report the same time: the
+   session clock stops when the engine returns, before REP / TM / SM
+   scoring, so the line's [elapsed_ms] is the row's [time_ms] (to the
+   line's three decimals) rather than the row time plus scoring.  The
+   line's oracle object also carries the retirement count. *)
+let test_study_line_elapsed_is_row_time () =
+  let v = List.hd (B.Generate.sample ~per_domain:1 ()) in
+  List.iter
+    (fun technique ->
+      let line = ref "" in
+      let r = Eval.Study.run_one ~telemetry:(( := ) line) technique v in
+      let j = Result.get_ok (Json.parse !line) in
+      let name = Eval.Technique.name technique in
+      Alcotest.(check (option string))
+        (name ^ ": elapsed_ms = time_ms")
+        (Some (Printf.sprintf "%.3f" r.time_ms))
+        (Option.map (Printf.sprintf "%.3f") (Json.mem_num "elapsed_ms" j));
+      Alcotest.(check bool)
+        (name ^ ": oracle.contexts_retired present")
+        true
+        (Option.bind (Json.member "oracle" j) (Json.mem_int "contexts_retired")
+        <> None))
+    [ Eval.Technique.ATR; Eval.Technique.BeAFix ]
+
+(* {2 Bounded solving contexts}
+
+   The oracle retires a context once it holds more than three times what a
+   query uses.  Over every domain, a stream of single mutations of the
+   ground truth long enough to retire contexts must look exactly like
+   fresh solving: the same verdicts, the same instances, every UNSAT
+   certified under [~certify:true], and oracle and SAT counters that never
+   run backwards across a retirement. *)
+
+let retirement_stream d =
+  let base = B.Domains.env d in
+  Mutate.all_mutations base base.spec ()
+  |> List.filter_map (fun m ->
+         match Typecheck.check_result (Mutate.apply base.spec m) with
+         | Ok env -> Some env
+         | Error _ | (exception _) -> None)
+  |> List.filteri (fun i _ -> i < 40)
+
+let tag = Solver.Analyzer.outcome_verdict
+
+let check_deltas_nonnegative label session =
+  let os = Session.oracle_stats session and ss = Session.sat_stats session in
+  List.iter
+    (fun (field, n) ->
+      if n < 0 then Alcotest.failf "%s: %s delta is %d" label field n)
+    [
+      ("verdict_hits", os.Solver.Oracle.verdict_hits);
+      ("verdict_misses", os.verdict_misses);
+      ("instance_hits", os.instance_hits);
+      ("instance_misses", os.instance_misses);
+      ("formulas_translated", os.formulas_translated);
+      ("formulas_reused", os.formulas_reused);
+      ("contexts_retired", os.contexts_retired);
+      ("certified", os.certified);
+      ("conflicts", ss.Solver.Oracle.conflicts);
+      ("decisions", ss.decisions);
+      ("propagations", ss.propagations);
+      ("restarts", ss.restarts);
+      ("reductions", ss.reductions);
+    ]
+
+let test_retirement_invisible () =
+  List.iter
+    (fun (d : B.Domains.t) ->
+      let base = B.Domains.env d in
+      let plain = Solver.Oracle.create base in
+      let certified = Solver.Oracle.create ~certify:true base in
+      List.iter
+        (fun (env : Typecheck.env) ->
+          (* a session per candidate, as a study row has one *)
+          let session = Session.create ~oracle:plain base in
+          List.iter
+            (fun (c : Ast.command) ->
+              let fresh = Solver.Analyzer.run_command env c in
+              let v = Session.command_verdict session env c in
+              if v <> tag fresh then
+                Alcotest.failf "%s: incremental verdict differs from fresh"
+                  d.name;
+              (match (Session.run_command session env c, fresh) with
+              | Solver.Analyzer.Sat a, Solver.Analyzer.Sat b
+                when Instance.equal a b ->
+                  ()
+              | Solver.Analyzer.Unsat, Solver.Analyzer.Unsat
+              | Solver.Analyzer.Unknown, Solver.Analyzer.Unknown ->
+                  ()
+              | _ -> Alcotest.failf "%s: instance differs from fresh" d.name);
+              let before = Solver.Oracle.stats certified in
+              let cv = Solver.Oracle.command_verdict certified env c in
+              let after = Solver.Oracle.stats certified in
+              if cv <> v then
+                Alcotest.failf "%s: certifying oracle disagrees" d.name;
+              if
+                cv = `Unsat
+                && after.verdict_misses > before.verdict_misses
+                && after.certified <> before.certified + 1
+              then Alcotest.failf "%s: an UNSAT verdict went uncertified" d.name)
+            env.spec.commands;
+          check_deltas_nonnegative d.name session)
+        (retirement_stream d);
+      Alcotest.(check bool)
+        (d.name ^ ": the stream retired a context")
+        true
+        ((Solver.Oracle.stats plain).contexts_retired > 0);
+      Alcotest.(check int)
+        (d.name ^ ": no certificate failures")
+        0 (Solver.Oracle.stats certified).certificate_failures)
+    B.Domains.all
+
 let test_session_budget_and_seed () =
   let env = Lazy.force faulty_env in
   let budget = { Session.default_budget with max_candidates = 7 } in
@@ -275,8 +389,15 @@ let () =
             test_proposal_builds_per_round;
           Alcotest.test_case "certified repair" `Quick test_certified_repair;
           Alcotest.test_case "json" `Quick test_telemetry_json_parses;
+          Alcotest.test_case "study line elapsed is row time" `Quick
+            test_study_line_elapsed_is_row_time;
           Alcotest.test_case "budget and seed" `Quick
             test_session_budget_and_seed;
+        ] );
+      ( "bounded contexts",
+        [
+          Alcotest.test_case "retirement is invisible" `Quick
+            test_retirement_invisible;
         ] );
       ( "techniques",
         [ Alcotest.test_case "name round-trip" `Quick test_technique_roundtrip ] );

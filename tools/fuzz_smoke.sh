@@ -54,6 +54,15 @@ if ! cmp -s "$workdir/summary-1.json" "$workdir/summary-2.json"; then
     exit 1
 fi
 
+# The oracle campaign must have driven its oracles past the context bound:
+# a smoke in which no context was ever retired leaves retirement unchecked.
+retired=$(grep -o '"target":"oracle"[^}]*"contexts_retired":[0-9]*' \
+    "$workdir/summary-1.json" | sed 's/.*://')
+if [ -z "$retired" ] || [ "$retired" -eq 0 ]; then
+    echo "fuzz_smoke: the oracle campaign retired no solving context" >&2
+    exit 1
+fi
+
 # The chaos hook corrupts the DPLL reference on purpose; the harness must
 # notice, shrink, persist a corpus entry, and exit nonzero.
 if SPECREPAIR_FUZZ_CHAOS=drop-clause dune exec bin/specrepair.exe -- fuzz \
@@ -133,4 +142,4 @@ if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; chaos hooks caught)"
