@@ -118,9 +118,9 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
   (* one session per study row: shared domain oracle, per-technique budget,
      monotonic clock for [time_ms], stopped before scoring so that the
      telemetry line's [elapsed_ms] is the row's [time_ms] *)
+  let oracle = domain_oracle ?simplify ?portfolio v.domain in
   let session =
-    Session.create
-      ~oracle:(domain_oracle ?simplify ?portfolio v.domain)
+    Session.create ~oracle
       ~budget:(budget_for technique budget)
       ~seed ?deadline_ms
       (Benchmarks.Domains.env v.domain)
@@ -128,30 +128,41 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
   let result = apply_technique ~session technique v in
   Session.stop_clock session;
   let elapsed = Session.elapsed_ms session in
+  (* the line reads the shared oracle's counters live, so it is built
+     before REP below queries that oracle *)
+  let line =
+    Option.map
+      (fun sink ->
+        ( sink,
+          Session.telemetry_json
+            ~extra:
+              [
+                ("variant_id", v.id);
+                ("technique", Technique.name technique);
+                ("defect_class", v.injected.Benchmarks.Fault.class_name);
+                ("tool", result.Repair.Common.tool);
+                ("repaired", string_of_bool result.Repair.Common.repaired);
+              ]
+            session ))
+      telemetry
+  in
   let final = result.Repair.Common.final_spec in
+  (* REP's verdicts come from the row's domain oracle at the budget the
+     engines queried it with ([budget_for] keeps [max_conflicts]), so a
+     command the technique already solved is a verdict-table hit *)
   let rep =
-    Metrics.Rep.rep_score
-      ~max_conflicts:budget.Repair.Common.max_conflicts
-      ~ground_truth:v.ground_truth ~candidate:final ()
+    Bool.to_int
+      (Metrics.Rep.rep_with
+         ~verdict:
+           (Specrepair_solver.Oracle.command_verdict
+              ~max_conflicts:budget.Repair.Common.max_conflicts oracle)
+         ~ground_truth:v.ground_truth ~candidate:final)
   in
   let gt_text = Alloy.Pretty.spec_to_string v.ground_truth in
   let cand_text = Alloy.Pretty.spec_to_string final in
   let tm = Metrics.Bleu.token_match ~reference:gt_text ~candidate:cand_text in
   let sm = Metrics.Tree_kernel.syntax_match v.ground_truth final in
-  (match telemetry with
-  | None -> ()
-  | Some sink ->
-      sink
-        (Session.telemetry_json
-           ~extra:
-             [
-               ("variant_id", v.id);
-               ("technique", Technique.name technique);
-               ("defect_class", v.injected.Benchmarks.Fault.class_name);
-               ("tool", result.Repair.Common.tool);
-               ("repaired", string_of_bool result.Repair.Common.repaired);
-             ]
-           session));
+  Option.iter (fun (sink, l) -> sink l) line;
   {
     variant_id = v.id;
     domain = v.domain.name;

@@ -7,7 +7,10 @@
     budget, monotonic [time_ms]); [?deadline_ms] bounds each row and
     [?telemetry] receives one JSON line per row (schema in DESIGN.md),
     whose [elapsed_ms] is the row's [time_ms]: both stop before REP / TM /
-    SM scoring — the CSV schema itself never changes. *)
+    SM scoring — the CSV schema itself never changes.  REP takes its
+    verdicts from the row's domain oracle, at the row's conflict budget,
+    after the telemetry line has been built, so the line's oracle counters
+    are the technique's alone. *)
 
 module Alloy = Specrepair_alloy
 module Benchmarks = Specrepair_benchmarks

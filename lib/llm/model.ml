@@ -222,9 +222,18 @@ let sites_sharing_vocabulary spec assertion_vocab =
         (site_vocabulary spec site))
     (Location.sites spec)
 
-let weight profile ~hints ~guidance ~assertion_vocab ~sharing_sites
+(* [pattern_prior] as a table, first binding winning as with
+   [List.assoc_opt]: a proposer build looks it up once per mutation. *)
+let prior_table profile =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (op, p) -> if not (Hashtbl.mem tbl op) then Hashtbl.add tbl op p)
+    profile.pattern_prior;
+  tbl
+
+let weight ~priors ~hints ~guidance ~assertion_vocab ~sharing_sites
     ~competence (m : Mutation.Mutate.t) =
-  let prior = lookup profile.pattern_prior m.op 1.0 in
+  let prior = Option.value ~default:1.0 (Hashtbl.find_opt priors m.op) in
   let w = ref (prior *. competence) in
   let size_penalty =
     1. /. sqrt (float_of_int (Location.node_size m.replacement))
@@ -264,11 +273,12 @@ let proposer profile ~hints guidance (task : Task.t) =
         let assertion_vocab = assertion_vocabulary task in
         let sharing_sites = sites_sharing_vocabulary spec assertion_vocab in
         let competence = lookup profile.domain_competence task.domain 1.0 in
+        let priors = prior_table profile in
         let base_weights =
           List.map
             (fun (m : Mutation.Mutate.t) ->
               let w =
-                weight profile ~hints ~guidance ~assertion_vocab
+                weight ~priors ~hints ~guidance ~assertion_vocab
                   ~sharing_sites ~competence m
               in
               (* Loc hint: strong focus on the named sites *)
@@ -299,7 +309,10 @@ let proposer profile ~hints guidance (task : Task.t) =
           ((profile.temperature *. hint_sharpening) +. guidance.exploration)
         in
         let tempered =
-          List.map (fun (m, w) -> (m, w ** (1. /. max 0.1 temp))) base_weights
+          Rng.sampler
+            (List.map
+               (fun (m, w) -> (m, w ** (1. /. max 0.1 temp)))
+               base_weights)
         in
         let apply_ok spec' =
           spec' <> spec
@@ -307,7 +320,7 @@ let proposer profile ~hints guidance (task : Task.t) =
           && Alloy.Typecheck.check_result spec' |> Result.is_ok
         in
         let attempt rng =
-          let sample_one () = Rng.choose_weighted rng tempered in
+          let sample_one () = Rng.draw rng tempered in
           match sample_one () with
           | None -> None
           | Some m1 -> (

@@ -35,19 +35,42 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int";
   int_of_float (float t *. float_of_int n)
 
-let choose_weighted t weighted =
-  let total = List.fold_left (fun acc (_, w) -> acc +. max 0. w) 0. weighted in
+(* Weights are summed once, left to right with negatives clamped to zero,
+   into a prefix array; a draw binary-searches for the first prefix above
+   [float t *. total].  That is the index (and the generator state) of a
+   linear scan accumulating the same sums, at O(log n) per draw. *)
+type 'a sampler = { items : 'a array; prefix : float array }
+
+let sampler weighted =
+  let pairs = Array.of_list weighted in
+  let prefix = Array.make (Array.length pairs) 0. in
+  let acc = ref 0. in
+  Array.iteri
+    (fun i (_, w) ->
+      (* [max 0. w], with the comparison specialized to floats *)
+      acc := !acc +. if 0. >= w then 0. else w;
+      prefix.(i) <- !acc)
+    pairs;
+  { items = Array.map fst pairs; prefix }
+
+let draw t s =
+  let n = Array.length s.prefix in
+  let total = if n = 0 then 0. else s.prefix.(n - 1) in
   if total <= 0. then None
   else begin
     let target = float t *. total in
-    let rec pick acc = function
-      | [] -> None
-      | (x, w) :: rest ->
-          let acc = acc +. max 0. w in
-          if target < acc then Some x else pick acc rest
+    (* first i with target < prefix.(i); the predicate is monotone in i *)
+    let rec search lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if target < s.prefix.(mid) then search lo mid else search (mid + 1) hi
     in
-    pick 0. weighted
+    let i = search 0 n in
+    if i < n then Some s.items.(i) else None
   end
+
+let choose_weighted t weighted = draw t (sampler weighted)
 
 let shuffle t xs =
   xs

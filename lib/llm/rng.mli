@@ -18,8 +18,19 @@ val float : t -> float
 val int : t -> int -> int
 (** Uniform in [0, n). *)
 
+type 'a sampler
+(** A weighted list prepared for repeated draws: its weights (negatives
+    clamped to zero) summed once into a prefix table. *)
+
+val sampler : ('a * float) list -> 'a sampler
+
+val draw : t -> 'a sampler -> 'a option
+(** Samples proportionally to the weights in O(log n); [None] when all
+    weights are zero or the list is empty.  Draws exactly the item, and
+    leaves the generator in exactly the state, of a linear scan over the
+    list. *)
+
 val choose_weighted : t -> ('a * float) list -> 'a option
-(** Samples proportionally to the (non-negative) weights; [None] when all
-    weights are zero or the list is empty. *)
+(** One draw from a one-shot {!sampler}. *)
 
 val shuffle : t -> 'a list -> 'a list

@@ -2,18 +2,13 @@ module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
 module Ast = Alloy.Ast
 
-let outcome_tag = function
-  | Solver.Analyzer.Sat _ -> `Sat
-  | Solver.Analyzer.Unsat -> `Unsat
-  | Solver.Analyzer.Unknown -> `Unknown
-
 let command_applicable (spec : Ast.spec) (c : Ast.command) =
   match c.cmd_kind with
   | Ast.Run_pred name -> Ast.find_pred spec name <> None
   | Ast.Check name -> Ast.find_assert spec name <> None
   | Ast.Run_fmla _ -> true
 
-let rep ?max_conflicts ~ground_truth ~candidate () =
+let rep_with ~verdict ~ground_truth ~candidate =
   match
     ( Alloy.Typecheck.check_result ground_truth,
       Alloy.Typecheck.check_result candidate )
@@ -24,16 +19,18 @@ let rep ?max_conflicts ~ground_truth ~candidate () =
            (fun c ->
              command_applicable candidate c
              &&
-             let o1 =
-               outcome_tag (Solver.Analyzer.run_command ?max_conflicts gt_env c)
-             in
-             let o2 =
-               outcome_tag
-                 (Solver.Analyzer.run_command ?max_conflicts cand_env c)
-             in
+             let o1 = verdict gt_env c in
+             let o2 = verdict cand_env c in
              o1 <> `Unknown && o1 = o2)
            ground_truth.commands
   | _ -> false
+
+let rep ?max_conflicts ~ground_truth ~candidate () =
+  rep_with
+    ~verdict:(fun env c ->
+      Solver.Analyzer.outcome_verdict
+        (Solver.Analyzer.run_command ?max_conflicts env c))
+    ~ground_truth ~candidate
 
 let rep_score ?max_conflicts ~ground_truth ~candidate () =
   if rep ?max_conflicts ~ground_truth ~candidate () then 1 else 0

@@ -9,12 +9,28 @@
 
 module Alloy = Specrepair_alloy
 
+val rep_with :
+  verdict:
+    (Alloy.Typecheck.env ->
+    Alloy.Ast.command ->
+    Specrepair_solver.Analyzer.verdict) ->
+  ground_truth:Alloy.Ast.spec ->
+  candidate:Alloy.Ast.spec ->
+  bool
+(** REP with the command outcomes supplied by [verdict], called on the
+    ground truth's env and then the candidate's, command by command, in
+    the ground truth's command order.  Any provider whose verdicts agree
+    with the analyzer's gives {!rep}'s answer; the study passes its
+    domain oracle's {!Specrepair_solver.Oracle.command_verdict}. *)
+
 val rep :
   ?max_conflicts:int ->
   ground_truth:Alloy.Ast.spec ->
   candidate:Alloy.Ast.spec ->
   unit ->
   bool
+(** {!rep_with} on fresh {!Specrepair_solver.Analyzer.run_command}
+    outcomes: the reference implementation. *)
 
 val rep_score :
   ?max_conflicts:int ->

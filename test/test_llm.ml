@@ -70,6 +70,65 @@ let test_choose_weighted () =
   Alcotest.(check (option string)) "all-zero weights" None
     (Rng.choose_weighted rng [ ("a", 0.) ])
 
+(* A sampler built once must draw what the linear scan it replaced draws,
+   and consume the generator identically.  The reference below is that
+   scan, kept verbatim. *)
+let linear_choose rng weighted =
+  let total = List.fold_left (fun acc (_, w) -> acc +. max 0. w) 0. weighted in
+  if total <= 0. then None
+  else begin
+    let target = Rng.float rng *. total in
+    let rec pick acc = function
+      | [] -> None
+      | (x, w) :: rest ->
+          let acc = acc +. max 0. w in
+          if target < acc then Some x else pick acc rest
+    in
+    pick 0. weighted
+  end
+
+let test_sampler_matches_linear_scan () =
+  let st = Random.State.make [| 2024 |] in
+  let random_weights n =
+    List.init n (fun i ->
+        ( i,
+          match Random.State.int st 6 with
+          | 0 -> 0.
+          | 1 -> -.Random.State.float st 3.
+          | 2 -> 1.
+          | 3 -> Random.State.float st 1e-6
+          | _ -> Random.State.float st 50. ))
+  in
+  let cases =
+    [
+      ("empty", []);
+      ("all zero", List.init 7 (fun i -> (i, 0.)));
+      ("negatives", [ (0, -2.); (1, 3.); (2, -0.5); (3, 0.); (4, 1.5) ]);
+      ("all negative", [ (0, -1.); (1, -4.) ]);
+      ("single", [ (0, 2.5) ]);
+      ("ties", List.init 64 (fun i -> (i, 1.)));
+      ("nan", [ (0, 1.); (1, Float.nan); (2, 2.) ]);
+      ("infinity", [ (0, 1.); (1, Float.infinity); (2, 1.) ]);
+      ("negative zero", [ (0, -0.); (1, 1.); (2, -0.); (3, 2.) ]);
+    ]
+    @ List.map
+        (fun n -> (Printf.sprintf "%d random" n, random_weights n))
+        [ 1; 2; 3; 17; 100; 1000; 5000 ]
+  in
+  List.iteri
+    (fun c (label, weighted) ->
+      let a = Rng.create (Int64.of_int (c + 1))
+      and b = Rng.create (Int64.of_int (c + 1)) in
+      let sampler = Rng.sampler weighted in
+      let k = 300 in
+      let linear = List.init k (fun _ -> linear_choose a weighted) in
+      let drawn = List.init k (fun _ -> Rng.draw b sampler) in
+      Alcotest.(check (list (option int))) (label ^ ": same items") linear drawn;
+      Alcotest.(check int64)
+        (label ^ ": same generator state")
+        (Rng.next_int64 a) (Rng.next_int64 b))
+    cases
+
 let test_shuffle_permutes () =
   let rng = Rng.create 11L in
   let xs = List.init 20 Fun.id in
@@ -321,6 +380,8 @@ let () =
           Alcotest.test_case "context-sensitive" `Quick test_rng_context_sensitivity;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "weighted choice" `Quick test_choose_weighted;
+          Alcotest.test_case "sampler matches linear scan" `Quick
+            test_sampler_matches_linear_scan;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;
         ] );
       ( "prompt+extract",

@@ -99,6 +99,62 @@ let test_equivalence_extension () =
     (Metrics.Rep.equivalent_constraints ~scope ~ground_truth:(parse gt_src)
        ~candidate:(parse broken_src) ())
 
+(* REP over the study's verdict provider: a domain oracle, shared by every
+   candidate of the domain as the study shares it across rows, must score
+   exactly what fresh analyzer solves score.  The candidates are the ground
+   truth, the sample-1 faulty variant, and a fixed spread of its single
+   mutations — enough per domain for the oracle to retire solving contexts
+   along the way. *)
+let test_rep_oracle_matches_fresh () =
+  let module B = Specrepair_benchmarks in
+  let module Solver = Specrepair_solver in
+  let module Mutate = Specrepair_mutation.Mutate in
+  let max_conflicts = Specrepair_repair.Common.default_budget.max_conflicts in
+  let variants = B.Generate.sample ~per_domain:1 () and retired = ref 0 in
+  let scores =
+    List.concat_map
+      (fun (v : B.Generate.variant) ->
+        let oracle = Solver.Oracle.create (B.Domains.env v.domain) in
+        let faulty = v.injected.faulty in
+        let mutants =
+          match Typecheck.check_result faulty with
+          | Error msg -> Alcotest.failf "%s: faulty variant: %s" v.id msg
+          | Ok env ->
+              let all = Array.of_list (Mutate.all_mutations env faulty ()) in
+              let stride = max 1 (Array.length all / 24) in
+              List.init (min 24 (Array.length all)) (fun i ->
+                  match Mutate.apply faulty all.(i * stride) with
+                  | s -> Some s
+                  | exception _ -> None)
+              |> List.filter_map Fun.id
+        in
+        let scores =
+          List.mapi
+            (fun i candidate ->
+              ( Printf.sprintf "%s candidate %d" v.id i,
+                Metrics.Rep.rep ~max_conflicts ~ground_truth:v.ground_truth
+                  ~candidate (),
+                Metrics.Rep.rep_with
+                  ~verdict:(Solver.Oracle.command_verdict ~max_conflicts oracle)
+                  ~ground_truth:v.ground_truth ~candidate ))
+            (v.ground_truth :: faulty :: mutants)
+        in
+        retired := !retired + (Solver.Oracle.stats oracle).contexts_retired;
+        scores)
+      variants
+  in
+  Alcotest.(check (list (pair string bool)))
+    "oracle REP = fresh REP on every candidate"
+    (List.map (fun (l, fresh, _) -> (l, fresh)) scores)
+    (List.map (fun (l, _, by_oracle) -> (l, by_oracle)) scores);
+  (* the ground truths score 1; so must some other candidate, or the
+     comparison never sees a REP-true repair *)
+  Alcotest.(check bool) "some candidate other than a ground truth scores 1"
+    true
+    (List.length (List.filter (fun (_, fresh, _) -> fresh) scores)
+    > List.length variants);
+  Alcotest.(check bool) "some oracle retired a context" true (!retired > 0)
+
 (* {2 BLEU / Token Match} *)
 
 let test_bleu_identity () =
@@ -319,6 +375,8 @@ let () =
           Alcotest.test_case "overconstrained" `Quick test_rep_overconstrained;
           Alcotest.test_case "equivalence extension" `Quick
             test_equivalence_extension;
+          Alcotest.test_case "oracle verdicts match fresh" `Quick
+            test_rep_oracle_matches_fresh;
         ] );
       ( "bleu",
         [

@@ -228,7 +228,11 @@ let test_certified_repair () =
    session clock stops when the engine returns, before REP / TM / SM
    scoring, so the line's [elapsed_ms] is the row's [time_ms] (to the
    line's three decimals) rather than the row time plus scoring.  The
-   line's oracle object also carries the retirement count. *)
+   line's oracle object also carries the retirement count, and it counts
+   the technique's verdict queries only: REP scores through the same
+   domain oracle, so a line built after scoring would book REP's hits and
+   misses to the technique.  Every verdict query the session records is
+   exactly one verdict hit, miss or fallback. *)
 let test_study_line_elapsed_is_row_time () =
   let v = List.hd (B.Generate.sample ~per_domain:1 ()) in
   List.iter
@@ -241,12 +245,21 @@ let test_study_line_elapsed_is_row_time () =
         (name ^ ": elapsed_ms = time_ms")
         (Some (Printf.sprintf "%.3f" r.time_ms))
         (Option.map (Printf.sprintf "%.3f") (Json.mem_num "elapsed_ms" j));
+      let oracle = Option.get (Json.member "oracle" j) in
       Alcotest.(check bool)
         (name ^ ": oracle.contexts_retired present")
         true
-        (Option.bind (Json.member "oracle" j) (Json.mem_int "contexts_retired")
-        <> None))
-    [ Eval.Technique.ATR; Eval.Technique.BeAFix ]
+        (Json.mem_int "contexts_retired" oracle <> None);
+      let sum obj fields =
+        List.fold_left
+          (fun acc f -> acc + Option.get (Json.mem_int f obj))
+          0 fields
+      in
+      Alcotest.(check int)
+        (name ^ ": verdicts recorded = verdict hits + misses + fallbacks")
+        (sum j [ "sat_verdicts"; "unsat_verdicts"; "unknown_verdicts" ])
+        (sum oracle [ "verdict_hits"; "verdict_misses"; "fallback_queries" ]))
+    Eval.Technique.all
 
 (* {2 Bounded solving contexts}
 
