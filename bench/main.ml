@@ -194,6 +194,8 @@ let () =
           certified = acc.certified + s.certified;
           certificate_failures =
             acc.certificate_failures + s.certificate_failures;
+          definitions = acc.definitions + s.definitions;
+          definitions_shared = acc.definitions_shared + s.definitions_shared;
         })
       {
         S.Analyzer.Oracle.verdict_hits = 0;
@@ -207,6 +209,8 @@ let () =
         contexts_retired = 0;
         certified = 0;
         certificate_failures = 0;
+        definitions = 0;
+        definitions_shared = 0;
       }
       !oracles
   in

@@ -172,6 +172,8 @@ let oracle_stats t =
     contexts_retired = s.contexts_retired - b.contexts_retired;
     certified = s.certified - b.certified;
     certificate_failures = s.certificate_failures - b.certificate_failures;
+    definitions = s.definitions - b.definitions;
+    definitions_shared = s.definitions_shared - b.definitions_shared;
   }
 
 (* {2 JSON serialization} *)
@@ -228,11 +230,12 @@ let telemetry_json ?(extra = []) t =
        "{\"verdict_hits\":%d,\"verdict_misses\":%d,\"instance_hits\":%d,\
         \"instance_misses\":%d,\"fallback_queries\":%d,\
         \"formulas_translated\":%d,\"formulas_reused\":%d,\"contexts\":%d,\
-        \"contexts_retired\":%d,\"certified\":%d,\"certificate_failures\":%d}"
+        \"contexts_retired\":%d,\"certified\":%d,\"certificate_failures\":%d,\
+        \"definitions\":%d,\"definitions_shared\":%d}"
        os.Solver.Oracle.verdict_hits os.verdict_misses os.instance_hits
        os.instance_misses os.fallback_queries os.formulas_translated
        os.formulas_reused os.contexts os.contexts_retired os.certified
-       os.certificate_failures);
+       os.certificate_failures os.definitions os.definitions_shared);
   let ss = sat_stats t in
   field "sat"
     (Printf.sprintf

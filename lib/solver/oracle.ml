@@ -16,6 +16,8 @@ type stats = {
   contexts_retired : int;
   certified : int;
   certificate_failures : int;
+  definitions : int;
+  definitions_shared : int;
 }
 
 type counters = {
@@ -29,6 +31,8 @@ type counters = {
   mutable c_contexts_retired : int;
   mutable c_certified : int;
   mutable c_cert_failures : int;
+  mutable c_definitions : int;  (* of retired contexts' clausifiers *)
+  mutable c_definitions_shared : int;
 }
 
 type sat_stats = {
@@ -123,6 +127,8 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
         c_contexts_retired = 0;
         c_certified = 0;
         c_cert_failures = 0;
+        c_definitions = 0;
+        c_definitions_shared = 0;
       };
   }
 
@@ -209,7 +215,11 @@ let context_for t key scope =
         end
       in
       let bounds = Bounds.create solver t.base scope in
-      let ts = Tseitin.create solver in
+      (* verdicts do not depend on the encoding, so verdict contexts share
+         structurally equal definitions; instance queries and enumerations
+         keep {!Analyzer}'s unshared encoding and with it their first
+         models *)
+      let ts = Tseitin.create_shared solver in
       (* the immutable base: implicit constraints and scope caps, asserted
          unguarded exactly once per context *)
       Tseitin.assert_formula ts (Translate.implicit_fmla bounds);
@@ -335,7 +345,11 @@ let retire t key ctx =
   f.f_restarts <- f.f_restarts + Solver.n_restarts s;
   f.f_reductions <- f.f_reductions + Solver.n_reductions s;
   Hashtbl.remove t.contexts key;
-  t.counters.c_contexts_retired <- t.counters.c_contexts_retired + 1
+  let c = t.counters in
+  c.c_contexts_retired <- c.c_contexts_retired + 1;
+  c.c_definitions <- c.c_definitions + Tseitin.definitions ctx.ts;
+  c.c_definitions_shared <-
+    c.c_definitions_shared + Tseitin.definitions_shared ctx.ts
 
 let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c goal =
   let scope = Bounds.scope_of_command c in
@@ -472,8 +486,11 @@ let sat_stats t =
       })
     t.contexts base
 
+(* like {!sat_stats}, the clausifier counters of live contexts are read
+   directly and retired ones were folded in as they were dropped *)
 let stats t =
   let c = t.counters in
+  let sum f = Hashtbl.fold (fun _ ctx n -> n + f ctx.ts) t.contexts 0 in
   {
     verdict_hits = c.c_verdict_hits;
     verdict_misses = c.c_verdict_misses;
@@ -486,27 +503,18 @@ let stats t =
     contexts_retired = c.c_contexts_retired;
     certified = c.c_certified;
     certificate_failures = c.c_cert_failures;
+    definitions = c.c_definitions + sum Tseitin.definitions;
+    definitions_shared =
+      c.c_definitions_shared + sum Tseitin.definitions_shared;
   }
-
-let reset_stats t =
-  let c = t.counters in
-  c.c_verdict_hits <- 0;
-  c.c_verdict_misses <- 0;
-  c.c_instance_hits <- 0;
-  c.c_instance_misses <- 0;
-  c.c_fallback_queries <- 0;
-  c.c_formulas_translated <- 0;
-  c.c_formulas_reused <- 0;
-  c.c_contexts_retired <- 0;
-  c.c_certified <- 0;
-  c.c_cert_failures <- 0
 
 let pp_stats fmt t =
   let s = stats t in
   Format.fprintf fmt
     "verdicts: %d hit / %d solved; instances: %d hit / %d solved; \
      translations: %d fresh / %d reused; fallbacks: %d; contexts: %d live / \
-     %d retired; certified: %d ok / %d failed"
+     %d retired; certified: %d ok / %d failed; definitions: %d / %d shared"
     s.verdict_hits s.verdict_misses s.instance_hits s.instance_misses
     s.formulas_translated s.formulas_reused s.fallback_queries s.contexts
-    s.contexts_retired s.certified s.certificate_failures
+    s.contexts_retired s.certified s.certificate_failures s.definitions
+    s.definitions_shared

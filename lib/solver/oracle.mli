@@ -12,14 +12,18 @@
     - every candidate fact body and every goal formula is guarded by an
       activation literal ([act] implies [fmla], via Tseitin) and memoized by
       its pretty-printed digest, so unchanged formulas are translated once
-      per session; and
+      per session;
+    - the Tseitin clausifier shares structurally equal definitions
+      ({!Specrepair_sat.Tseitin.create_shared}), so a changed formula
+      emits only the circuits the context does not already hold; and
     - each verdict query is a {!Specrepair_sat.Solver.solve} under the
       assumptions naming the candidate's facts and the goal, sharing one
       learned-clause database across the queries the context serves.
 
     Contexts are bounded: after a verdict query, a context holding more
-    than three times the variables that query used (base plus assumed
-    formulas) is retired, and the next query for its scope builds a fresh
+    than three times the variables that query used (base plus the
+    variables the assumed formulas added when they were translated) is
+    retired, and the next query for its scope builds a fresh
     one.  Verdicts, outcomes and instances are unaffected.
 
     On top of the incremental contexts sit structural caches keyed by the
@@ -56,6 +60,12 @@ type stats = {
   certified : int;  (** UNSAT verdicts accepted by the proof checker *)
   certificate_failures : int;
       (** UNSAT verdicts the checker could {e not} certify *)
+  definitions : int;
+      (** compound circuit nodes clausified in verdict contexts, live or
+          retired ({!Specrepair_sat.Tseitin.definitions}) *)
+  definitions_shared : int;
+      (** of those, nodes served by a structurally equal definition the
+          context already held *)
 }
 
 val create :
@@ -141,7 +151,5 @@ val sat_stats : t -> sat_stats
     every incremental context's solver, live or retired, plus the counters
     reported by simplified fresh solves; every field is monotone.  The simplification counters are nonzero only
     when the oracle was created with [~simplify:true]. *)
-
-val reset_stats : t -> unit
 
 val pp_stats : Format.formatter -> t -> unit

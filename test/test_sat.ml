@@ -263,6 +263,65 @@ let test_tseitin_equisat () =
     | Unknown, _ -> Alcotest.fail "unexpected unknown"
   done
 
+(* The structurally sharing clausifier against [Formula.eval], on inputs
+   that hold physically distinct copies of one subformula.  [copy seed n]
+   rebuilds the same formula from its seed on every call, with a compound
+   root.  The third input puts the same children under [And] and under [Or],
+   which only the connective in the sharing key keeps apart. *)
+let test_tseitin_shared () =
+  let copy seed n () =
+    let rand = Random.State.make [| seed |] in
+    let a = random_formula rand n 3 in
+    Formula.iff a (random_formula rand n 3)
+  in
+  for seed = 1 to 150 do
+    let n = 4 + (seed mod 2) in
+    let c = copy seed n and d = copy (seed + 1000) n in
+    List.iter
+      (fun (label, make) ->
+        let f = make () in
+        let vars_after create =
+          let s = Solver.create () in
+          ignore (Solver.new_vars s n);
+          let ts = create s in
+          ignore (Tseitin.lit_of ts f);
+          Solver.n_vars s
+        in
+        let s = Solver.create () in
+        ignore (Solver.new_vars s n);
+        let ts = Tseitin.create_shared s in
+        let l = Tseitin.lit_of ts f in
+        for m = 0 to (1 lsl n) - 1 do
+          let env v = m land (1 lsl v) <> 0 in
+          let assumptions = List.init n (fun v -> Lit.make v (env v)) in
+          match Solver.solve ~assumptions s with
+          | Sat ->
+              let value = Solver.value s (Lit.var l) = Lit.sign l in
+              if value <> Formula.eval env f then
+                Alcotest.failf "seed %d, %s, mask %d: shared literal is %b"
+                  seed label m value
+          | Unsat | Unknown ->
+              Alcotest.failf "seed %d, %s, mask %d: definitions refuted" seed
+                label m
+        done;
+        (* a later call finds the whole circuit in the structural table *)
+        let vars = Solver.n_vars s in
+        if Tseitin.lit_of ts (make ()) <> l || Solver.n_vars s <> vars then
+          Alcotest.failf "seed %d, %s: a second copy was defined again" seed
+            label;
+        if vars_after Tseitin.create_shared >= vars_after Tseitin.create then
+          Alcotest.failf "seed %d, %s: sharing allocated no fewer variables"
+            seed label)
+      [
+        ("conjoined copies", fun () -> Formula.and_ [ c (); c () ]);
+        ("disjoined copies", fun () -> Formula.or_ [ c (); c () ]);
+        ( "and/or over equal children",
+          fun () ->
+            Formula.iff (Formula.and_ [ c (); d () ]) (Formula.or_ [ c (); d () ])
+        );
+      ]
+  done
+
 (* {2 Cardinality} *)
 
 let test_card_semantics () =
@@ -441,6 +500,8 @@ let () =
         [
           Alcotest.test_case "smart constructors" `Quick test_formula_simplify;
           Alcotest.test_case "tseitin equisatisfiable" `Quick test_tseitin_equisat;
+          Alcotest.test_case "tseitin structural sharing" `Quick
+            test_tseitin_shared;
         ] );
       ( "cardinality",
         [

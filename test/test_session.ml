@@ -228,7 +228,8 @@ let test_certified_repair () =
    session clock stops when the engine returns, before REP / TM / SM
    scoring, so the line's [elapsed_ms] is the row's [time_ms] (to the
    line's three decimals) rather than the row time plus scoring.  The
-   line's oracle object also carries the retirement count, and it counts
+   line's oracle object also carries the retirement count and the
+   clausifier's definition counters (shared ones a subset), and it counts
    the technique's verdict queries only: REP scores through the same
    domain oracle, so a line built after scoring would book REP's hits and
    misses to the technique.  Every verdict query the session records is
@@ -250,6 +251,14 @@ let test_study_line_elapsed_is_row_time () =
         (name ^ ": oracle.contexts_retired present")
         true
         (Json.mem_int "contexts_retired" oracle <> None);
+      (match
+         ( Json.mem_int "definitions" oracle,
+           Json.mem_int "definitions_shared" oracle )
+       with
+      | Some defs, Some shared ->
+          if shared > defs then
+            Alcotest.failf "%s: %d of %d definitions shared" name shared defs
+      | _ -> Alcotest.failf "%s: oracle definition counters missing" name);
       let sum obj fields =
         List.fold_left
           (fun acc f -> acc + Option.get (Json.mem_int f obj))
@@ -268,16 +277,21 @@ let test_study_line_elapsed_is_row_time () =
    ground truth long enough to retire contexts must look exactly like
    fresh solving: the same verdicts, the same instances, every UNSAT
    certified under [~certify:true], and oracle and SAT counters that never
-   run backwards across a retirement. *)
+   run backwards across a retirement.  Structural sharing makes contexts
+   grow at different rates per domain, so each domain's stream runs for at
+   least [retirement_floor] candidates and then until its plain oracle has
+   retired a context. *)
+
+let retirement_floor = 40
 
 let retirement_stream d =
   let base = B.Domains.env d in
   Mutate.all_mutations base base.spec ()
-  |> List.filter_map (fun m ->
+  |> List.to_seq
+  |> Seq.filter_map (fun m ->
          match Typecheck.check_result (Mutate.apply base.spec m) with
          | Ok env -> Some env
          | Error _ | (exception _) -> None)
-  |> List.filteri (fun i _ -> i < 40)
 
 let tag = Solver.Analyzer.outcome_verdict
 
@@ -295,6 +309,8 @@ let check_deltas_nonnegative label session =
       ("formulas_reused", os.formulas_reused);
       ("contexts_retired", os.contexts_retired);
       ("certified", os.certified);
+      ("definitions", os.definitions);
+      ("definitions_shared", os.definitions_shared);
       ("conflicts", ss.Solver.Oracle.conflicts);
       ("decisions", ss.decisions);
       ("propagations", ss.propagations);
@@ -308,38 +324,49 @@ let test_retirement_invisible () =
       let base = B.Domains.env d in
       let plain = Solver.Oracle.create base in
       let certified = Solver.Oracle.create ~certify:true base in
-      List.iter
-        (fun (env : Typecheck.env) ->
-          (* a session per candidate, as a study row has one *)
-          let session = Session.create ~oracle:plain base in
-          List.iter
-            (fun (c : Ast.command) ->
-              let fresh = Solver.Analyzer.run_command env c in
-              let v = Session.command_verdict session env c in
-              if v <> tag fresh then
-                Alcotest.failf "%s: incremental verdict differs from fresh"
-                  d.name;
-              (match (Session.run_command session env c, fresh) with
-              | Solver.Analyzer.Sat a, Solver.Analyzer.Sat b
-                when Instance.equal a b ->
-                  ()
-              | Solver.Analyzer.Unsat, Solver.Analyzer.Unsat
-              | Solver.Analyzer.Unknown, Solver.Analyzer.Unknown ->
-                  ()
-              | _ -> Alcotest.failf "%s: instance differs from fresh" d.name);
-              let before = Solver.Oracle.stats certified in
-              let cv = Solver.Oracle.command_verdict certified env c in
-              let after = Solver.Oracle.stats certified in
-              if cv <> v then
-                Alcotest.failf "%s: certifying oracle disagrees" d.name;
-              if
-                cv = `Unsat
-                && after.verdict_misses > before.verdict_misses
-                && after.certified <> before.certified + 1
-              then Alcotest.failf "%s: an UNSAT verdict went uncertified" d.name)
-            env.spec.commands;
-          check_deltas_nonnegative d.name session)
-        (retirement_stream d);
+      let check_candidate (env : Typecheck.env) =
+        (* a session per candidate, as a study row has one *)
+        let session = Session.create ~oracle:plain base in
+        List.iter
+          (fun (c : Ast.command) ->
+            let fresh = Solver.Analyzer.run_command env c in
+            let v = Session.command_verdict session env c in
+            if v <> tag fresh then
+              Alcotest.failf "%s: incremental verdict differs from fresh"
+                d.name;
+            (match (Session.run_command session env c, fresh) with
+            | Solver.Analyzer.Sat a, Solver.Analyzer.Sat b
+              when Instance.equal a b ->
+                ()
+            | Solver.Analyzer.Unsat, Solver.Analyzer.Unsat
+            | Solver.Analyzer.Unknown, Solver.Analyzer.Unknown ->
+                ()
+            | _ -> Alcotest.failf "%s: instance differs from fresh" d.name);
+            let before = Solver.Oracle.stats certified in
+            let cv = Solver.Oracle.command_verdict certified env c in
+            let after = Solver.Oracle.stats certified in
+            if cv <> v then
+              Alcotest.failf "%s: certifying oracle disagrees" d.name;
+            if
+              cv = `Unsat
+              && after.verdict_misses > before.verdict_misses
+              && after.certified <> before.certified + 1
+            then Alcotest.failf "%s: an UNSAT verdict went uncertified" d.name)
+          env.spec.commands;
+        check_deltas_nonnegative d.name session
+      in
+      let rec run i stream =
+        if i >= retirement_floor
+           && (Solver.Oracle.stats plain).contexts_retired > 0
+        then ()
+        else
+          match stream () with
+          | Seq.Nil -> ()
+          | Seq.Cons (env, rest) ->
+              check_candidate env;
+              run (i + 1) rest
+      in
+      run 0 (retirement_stream d);
       Alcotest.(check bool)
         (d.name ^ ": the stream retired a context")
         true
