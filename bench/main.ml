@@ -4,7 +4,9 @@
    paper on a stratified benchmark sample — Table I (REP counts), Figure 2
    (TM/SM means), Figure 3 (Pearson matrix), Table II / Figure 4 (hybrid
    unions) — and then times each regeneration stage and the substrate
-   operations with Bechamel (one Test.make per table/figure).
+   operations with Bechamel (one Test.make per table/figure).  Every
+   BENCH_*.json artifact opens with the git revision, core count and OCaml
+   version it was measured with.
 
    Environment:
      BENCH_SAMPLE       variants per domain for the embedded study (default 2;
@@ -147,6 +149,31 @@ let check_workload ~mk_check () =
 let fresh_check env =
   S.Repair.Common.oracle_passes (S.Repair.Session.create env) env
 
+(* [git_rev] is null outside a git checkout. *)
+let stamp =
+  let git_rev =
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let rev = In_channel.input_line ic in
+    match (Unix.close_process_in ic, rev) with
+    | Unix.WEXITED 0, Some rev -> Printf.sprintf "\"%s\"" (String.trim rev)
+    | _ -> "null"
+  in
+  Printf.sprintf "  \"git_rev\": %s,\n  \"nproc\": %d,\n  \"ocaml\": \"%s\",\n"
+    git_rev
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+
+(* [json] is an object opening with "{\n"; the stamp goes first. *)
+let write_artifact ~var stage json =
+  let path =
+    Option.value (Sys.getenv_opt var) ~default:("BENCH_" ^ stage ^ ".json")
+  in
+  assert (String.starts_with ~prefix:"{\n" json);
+  let body = String.sub json 2 (String.length json - 2) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc ("{\n" ^ stamp ^ body));
+  Printf.printf "%s artifact written to %s\n\n%!" stage path
+
 let time_ms f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -250,13 +277,7 @@ let () =
       stats.fallback_queries stats.formulas_translated stats.formulas_reused
       stats.contexts stats.contexts_retired
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_ORACLE_OUT") ~default:"BENCH_oracle.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "oracle artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_ORACLE_OUT" "oracle" json
 
 (* {2 Proof stage: certification overhead}
 
@@ -362,13 +383,7 @@ let () =
       plain_ms cert_ms overhead certified cert_failures sat_plain_ms
       sat_logged_ms sat_checked_ms (List.length steps)
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_PROOF_OUT") ~default:"BENCH_proof.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "proof artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_PROOF_OUT" "proof" json
 
 (* {2 SAT stage: inprocessing and portfolio racing on hard instances}
 
@@ -531,13 +546,7 @@ let () =
       (String.concat ",\n" (List.map family_json rows))
       (best simplify_speedup) (best portfolio_speedup) total_certified
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_SAT_OUT") ~default:"BENCH_sat.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "sat artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_SAT_OUT" "sat" json
 
 (* {2 Parallel stage: the work-stealing scheduler}
 
@@ -603,15 +612,7 @@ let () =
       stats.rows_completed stats.retries stats.workers_spawned
       stats.workers_lost stats.heartbeat_kills
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "BENCH_PARALLEL_OUT")
-      ~default:"BENCH_parallel.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "parallel artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_PARALLEL_OUT" "parallel" json
 
 (* {2 Stream stage: checkpointed corpus streaming, small vs large}
 
@@ -719,13 +720,7 @@ let () =
        }\n"
       jobs small large small_ms large_ms small_rate large_rate ratio peak_mb
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_STREAM_OUT") ~default:"BENCH_stream.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "stream artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_STREAM_OUT" "stream" json
 
 (* {2 Serve stage: cold vs warm requests through the daemon}
 
@@ -931,13 +926,7 @@ let () =
       cold_rps warm_rps warm_speedup replies_match cache_hits cache_misses
       worker_respawns queue_high_water clean_shutdown
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_SERVE_OUT") ~default:"BENCH_serve.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "serve artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_SERVE_OUT" "serve" json
 
 (* {2 Hybrid stage: telemetry-learned portfolio vs the static pipeline}
 
@@ -1092,13 +1081,7 @@ let () =
       union_n planned static_ms learned_ms static_repairs learned_repairs
       speedup
   in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_HYBRID_OUT") ~default:"BENCH_hybrid.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "hybrid artifact written to %s\n\n%!" path
+  write_artifact ~var:"BENCH_HYBRID_OUT" "hybrid" json
 
 (* {2 Timed benchmarks} *)
 

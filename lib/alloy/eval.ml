@@ -220,11 +220,177 @@ and quantified env inst bindings q decls body =
       in
       n = 1
 
-let facts_hold env inst =
-  List.for_all (fun f -> fmla env inst [] f) (Implicit.constraints env)
+(* {2 Per-instance memo}
+
+   A verdict is the outcome of one evaluation: a truth value or the message
+   of the [Eval_error] it raised.  Evaluation is deterministic, so a verdict
+   can be replayed whenever everything the evaluation read is unchanged.
+   The instance is fixed by the memo; of the environment, [fmla] reads only
+   [spec.preds] (calls) and [spec.funs] (relation names no binding, field or
+   signature resolves), and the implicit constraints derive from
+   [spec.sigs]. *)
+
+type verdict = Holds of bool | Fails of string
+
+let decide f = match f () with v -> Holds v | exception Eval_error msg -> Fails msg
+let replay = function Holds v -> v | Fails msg -> raise (Eval_error msg)
+
+(* Can evaluating [e] or [f] call a predicate?  Formulas enter expressions
+   only through [Ite] and [Compr]. *)
+let rec expr_calls = function
+  | Rel _ | Univ | Iden | None_ -> false
+  | Unop (_, e) -> expr_calls e
+  | Binop (_, a, b) -> expr_calls a || expr_calls b
+  | Ite (c, a, b) -> fmla_calls c || expr_calls a || expr_calls b
+  | Compr (decls, body) -> decls_call decls || fmla_calls body
+
+and fmla_calls = function
+  | True | False -> false
+  | Call _ -> true
+  | Cmp (_, a, b) -> expr_calls a || expr_calls b
+  | Multf (_, e) | Card (_, e, _) -> expr_calls e
+  | Not f -> fmla_calls f
+  | And (a, b) | Or (a, b) | Implies (a, b) | Iff (a, b) ->
+      fmla_calls a || fmla_calls b
+  | Quant (_, decls, body) -> decls_call decls || fmla_calls body
+  | Let (_, e, body) -> expr_calls e || fmla_calls body
+
+and decls_call decls = List.exists (fun (_, e) -> expr_calls e) decls
+
+(* The implicit constraints read field columns and may fall through to
+   functions; only when one of those can call a predicate does their
+   verdict depend on [spec.preds]. *)
+let implicit_reads_preds (spec : spec) =
+  List.exists
+    (fun s -> List.exists (fun f -> List.exists expr_calls f.fld_cols) s.sig_fields)
+    spec.sigs
+  || List.exists
+       (fun f -> decls_call f.fun_params || expr_calls f.fun_body)
+       spec.funs
+
+type implicit_entry = {
+  i_sigs : sig_decl list;
+  i_funs : fun_decl list;
+  i_preds : pred_decl list option;  (** [Some] when the verdict reads them *)
+  i_verdict : verdict;
+}
+
+type fact_entry = {
+  f_body : fmla;
+  f_preds : pred_decl list;
+  f_funs : fun_decl list;
+  f_verdict : verdict;
+}
+
+type memo = {
+  inst : Instance.t;
+  mutable implicit : implicit_entry list;  (* newest first *)
+  mutable n_implicit : int;
+  mutable facts : fact_entry list;  (* newest first *)
+  mutable n_facts : int;
+}
+
+let implicit_capacity = 8
+let fact_capacity = 64
+
+let memo inst = { inst; implicit = []; n_implicit = 0; facts = []; n_facts = 0 }
+let instance m = m.inst
+
+type counters = {
+  implicit_evaluated : int;
+  implicit_memoized : int;
+  facts_evaluated : int;
+  facts_memoized : int;
+}
+
+let implicit_evaluated = ref 0
+let implicit_memoized = ref 0
+let facts_evaluated = ref 0
+let facts_memoized = ref 0
+
+let counters () =
+  {
+    implicit_evaluated = !implicit_evaluated;
+    implicit_memoized = !implicit_memoized;
+    facts_evaluated = !facts_evaluated;
+    facts_memoized = !facts_memoized;
+  }
+
+let same ~structural a b = a == b || (structural && a = b)
+
+(* Declarations are matched physically first: candidates derived by
+   mutation share their base's lists.  Candidates re-parsed from text (LLM
+   proposals) only match structurally. *)
+let find_implicit ~structural (spec : spec) entries =
+  List.find_opt
+    (fun e ->
+      same ~structural e.i_sigs spec.sigs
+      && same ~structural e.i_funs spec.funs
+      &&
+      match e.i_preds with
+      | None -> true
+      | Some preds -> same ~structural preds spec.preds)
+    entries
+
+let implicit_verdict env m =
+  let spec = env.Typecheck.spec in
+  match
+    match find_implicit ~structural:false spec m.implicit with
+    | Some _ as hit -> hit
+    | None -> find_implicit ~structural:true spec m.implicit
+  with
+  | Some e ->
+      incr implicit_memoized;
+      e.i_verdict
+  | None ->
+      let v =
+        decide (fun () ->
+            List.for_all (fun f -> fmla env m.inst [] f) (Implicit.constraints env))
+      in
+      incr implicit_evaluated;
+      if m.n_implicit >= implicit_capacity then begin
+        m.implicit <- [];
+        m.n_implicit <- 0
+      end;
+      let i_preds = if implicit_reads_preds spec then Some spec.preds else None in
+      m.implicit <-
+        { i_sigs = spec.sigs; i_funs = spec.funs; i_preds; i_verdict = v }
+        :: m.implicit;
+      m.n_implicit <- m.n_implicit + 1;
+      v
+
+let rec find_fact body preds funs = function
+  | [] -> None
+  | e :: rest ->
+      if e.f_body == body && e.f_preds == preds && e.f_funs == funs then Some e
+      else find_fact body preds funs rest
+
+let fact_verdict env m body =
+  let spec = env.Typecheck.spec in
+  match find_fact body spec.preds spec.funs m.facts with
+  | Some e ->
+      incr facts_memoized;
+      e.f_verdict
+  | None ->
+      let v = decide (fun () -> fmla env m.inst [] body) in
+      incr facts_evaluated;
+      if m.n_facts >= fact_capacity then begin
+        m.facts <- [];
+        m.n_facts <- 0
+      end;
+      m.facts <-
+        { f_body = body; f_preds = spec.preds; f_funs = spec.funs; f_verdict = v }
+        :: m.facts;
+      m.n_facts <- m.n_facts + 1;
+      v
+
+let facts_hold_memo env m =
+  replay (implicit_verdict env m)
   && List.for_all
-       (fun fact -> fmla env inst [] fact.fact_body)
+       (fun fact -> replay (fact_verdict env m fact.fact_body))
        env.Typecheck.spec.facts
+
+let facts_hold env inst = facts_hold_memo env (memo inst)
 
 let pred_sat env inst (p : Ast.pred_decl) =
   match p.pred_params with

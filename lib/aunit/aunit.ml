@@ -9,12 +9,24 @@ type test = {
   valuation : Alloy.Instance.t;
   target : target;
   expect : bool;
+  memo : Alloy.Eval.memo;
 }
+
+let make ~name ~target ~expect valuation =
+  {
+    test_name = name;
+    valuation;
+    target;
+    expect;
+    memo = Alloy.Eval.memo valuation;
+  }
 
 type verdict = { passing : test list; failing : test list }
 
-let eval_target env valuation = function
-  | Facts -> Alloy.Eval.facts_hold env valuation
+let eval_target env t =
+  let valuation = t.valuation in
+  match t.target with
+  | Facts -> Alloy.Eval.facts_hold_memo env t.memo
   | Pred name -> (
       match Ast.find_pred env.Alloy.Typecheck.spec name with
       | Some p -> Alloy.Eval.pred_sat env valuation p
@@ -22,7 +34,7 @@ let eval_target env valuation = function
   | Fmla f -> Alloy.Eval.fmla env valuation [] f
 
 let run_test env t =
-  match eval_target env t.valuation t.target with
+  match eval_target env t with
   | verdict -> verdict = t.expect
   | exception Alloy.Eval.Eval_error _ -> false
 
@@ -49,7 +61,7 @@ let generate ?session ?(per_kind = 4) (env : Alloy.Typecheck.env) ~scope =
   let positives =
     enumerate ~limit:per_kind env scope Ast.True
     |> List.map (fun inst ->
-           { test_name = fresh "facts_pos"; valuation = inst; target = Facts; expect = true })
+           make ~name:(fresh "facts_pos") ~target:Facts ~expect:true inst)
   in
   (* negative tests: valuations of the bare structure (implicit constraints
      only) that violate some explicit fact.  We search with the facts
@@ -68,12 +80,7 @@ let generate ?session ?(per_kind = 4) (env : Alloy.Typecheck.env) ~scope =
         in
         enumerate ~limit:per_kind env' scope not_facts
         |> List.map (fun inst ->
-               {
-                 test_name = fresh "facts_neg";
-                 valuation = inst;
-                 target = Facts;
-                 expect = false;
-               })
+               make ~name:(fresh "facts_neg") ~target:Facts ~expect:false inst)
   in
   let pred_tests =
     List.concat_map
@@ -86,27 +93,20 @@ let generate ?session ?(per_kind = 4) (env : Alloy.Typecheck.env) ~scope =
         let holds =
           enumerate ~limit:(max 1 (per_kind / 2)) env scope goal
           |> List.map (fun inst ->
-                 {
-                   test_name = fresh ("pred_" ^ p.pred_name ^ "_pos");
-                   valuation = inst;
-                   target = Pred p.pred_name;
-                   expect = true;
-                 })
+                 make
+                   ~name:(fresh ("pred_" ^ p.pred_name ^ "_pos"))
+                   ~target:(Pred p.pred_name) ~expect:true inst)
         in
         let fails =
           enumerate ~limit:(max 1 (per_kind / 2)) env scope (Ast.Not goal)
           |> List.map (fun inst ->
-                 {
-                   test_name = fresh ("pred_" ^ p.pred_name ^ "_neg");
-                   valuation = inst;
-                   target = Pred p.pred_name;
-                   expect = false;
-                 })
+                 make
+                   ~name:(fresh ("pred_" ^ p.pred_name ^ "_neg"))
+                   ~target:(Pred p.pred_name) ~expect:false inst)
         in
         holds @ fails)
       env.spec.preds
   in
   positives @ negatives @ pred_tests
 
-let of_counterexample ~name inst =
-  { test_name = name; valuation = inst; target = Facts; expect = false }
+let of_counterexample ~name inst = make ~name ~target:Facts ~expect:false inst

@@ -2,9 +2,15 @@
 
     A test pairs a concrete valuation (an {!Specrepair_alloy.Instance.t})
     with an expected verdict for a target — the conjunction of the spec's
-    facts, a named predicate, or an arbitrary formula.  Tests survive
-    formula-level mutations of the spec because valuations only mention
-    signatures and fields, which repairs never touch.
+    facts, a named predicate, or an arbitrary formula.  Valuations only
+    mention signatures and fields, so a test applies to any candidate that
+    declares them.  Mutation-based repairs keep the base's declarations;
+    LLM candidates are re-parsed and may change them, in which case a
+    missing relation makes the target raise and the test fail.
+
+    Each test owns the evaluation memo of its valuation
+    ({!Specrepair_alloy.Eval.memo}): a [Facts] target replays the verdicts
+    a candidate shares with the specs the test already ran against.
 
     This is the oracle of the ARepair engine and the currency in which
     ICEBAR converts counterexamples into constraints. *)
@@ -16,12 +22,16 @@ type target =
   | Pred of string  (** a predicate, parameters existentially quantified *)
   | Fmla of Alloy.Ast.fmla
 
-type test = {
+type test = private {
   test_name : string;
   valuation : Alloy.Instance.t;
   target : target;
   expect : bool;
+  memo : Alloy.Eval.memo;  (** the valuation's memo *)
 }
+
+val make : name:string -> target:target -> expect:bool -> Alloy.Instance.t -> test
+(** A test with a fresh memo for its valuation. *)
 
 type verdict = { passing : test list; failing : test list }
 

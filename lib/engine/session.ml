@@ -32,6 +32,7 @@ type t = {
   telemetry : Telemetry.t;
   oracle_base : Solver.Oracle.stats;  (* snapshot at creation, for deltas *)
   sat_base : Solver.Oracle.sat_stats;
+  eval_base : Alloy.Eval.counters;
   expiry : bool ref;  (* latched; shared with derived sessions *)
 }
 
@@ -64,6 +65,7 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     telemetry;
     oracle_base = Solver.Oracle.stats oracle;
     sat_base = Solver.Oracle.sat_stats oracle;
+    eval_base = Alloy.Eval.counters ();
     expiry = ref false;
   }
 
@@ -176,6 +178,15 @@ let oracle_stats t =
     definitions_shared = s.definitions_shared - b.definitions_shared;
   }
 
+let eval_stats t =
+  let s = Alloy.Eval.counters () and b = t.eval_base in
+  {
+    Alloy.Eval.implicit_evaluated = s.implicit_evaluated - b.implicit_evaluated;
+    implicit_memoized = s.implicit_memoized - b.implicit_memoized;
+    facts_evaluated = s.facts_evaluated - b.facts_evaluated;
+    facts_memoized = s.facts_memoized - b.facts_memoized;
+  }
+
 (* {2 JSON serialization} *)
 
 let json_escape s =
@@ -244,6 +255,13 @@ let telemetry_json ?(extra = []) t =
         \"strengthened\":%d,\"vivified\":%d,\"eliminated\":%d}"
        ss.Solver.Oracle.conflicts ss.decisions ss.propagations ss.restarts
        ss.reductions ss.subsumed ss.strengthened ss.vivified ss.eliminated);
+  let es = eval_stats t in
+  field "eval"
+    (Printf.sprintf
+       "{\"implicit_evaluated\":%d,\"implicit_memoized\":%d,\
+        \"facts_evaluated\":%d,\"facts_memoized\":%d}"
+       es.Alloy.Eval.implicit_evaluated es.implicit_memoized es.facts_evaluated
+       es.facts_memoized);
   let phase_fields =
     List.map
       (fun (phase, ms) ->

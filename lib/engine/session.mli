@@ -172,10 +172,16 @@ val sat_stats : t -> Solver.Oracle.sat_stats
     simplifier's subsumed / strengthened / vivified / eliminated counters
     when simplification is enabled. *)
 
+val eval_stats : t -> Alloy.Eval.counters
+(** Evaluator work during this session (delta of the process-wide
+    {!Alloy.Eval.counters}): implicit-constraint and fact verdicts
+    evaluated, and those the instances' memos replayed. *)
+
 val telemetry_json : ?extra:(string * string) list -> t -> string
 (** One-line JSON object: [extra] string fields first (escaped), then
     [elapsed_ms], [timed_out], the {!Telemetry.t} counters, the per-phase
-    timers, the session-relative oracle stats, and a ["sat"] object with
-    the {!sat_stats} solver counters.  Schema documented in DESIGN.md. *)
+    timers, the session-relative oracle stats, a ["sat"] object with the
+    {!sat_stats} solver counters, and an ["eval"] object with the
+    {!eval_stats} counters.  Schema documented in DESIGN.md. *)
 
 val pp_telemetry : Format.formatter -> t -> unit

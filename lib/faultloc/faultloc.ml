@@ -105,14 +105,18 @@ let rank_by_instances (env : Alloy.Typecheck.env) ~goal_of ~counterexamples
   (* classification of an instance under a (possibly relaxed) spec; the
      goal formula is re-read from that spec so relaxations of assertion
      bodies are visible *)
-  let classify env' inst =
+  let classify env' memo =
     match
-      ( Alloy.Eval.facts_hold env' inst,
-        Alloy.Eval.fmla env' inst [] (goal_of env') )
+      ( Alloy.Eval.facts_hold_memo env' memo,
+        Alloy.Eval.fmla env' (Alloy.Eval.instance memo) [] (goal_of env') )
     with
     | facts, g -> (facts, g)
     | exception Alloy.Eval.Eval_error _ -> (false, false)
   in
+  (* every relaxation shares all but one site with [env]: the instances'
+     memos replay the rest *)
+  let counterexamples = List.map Alloy.Eval.memo counterexamples in
+  let witnesses = List.map Alloy.Eval.memo witnesses in
   let cex_baseline = List.map (classify env) counterexamples in
   let wit_baseline = List.map (classify env) witnesses in
   let score_loc (site, path) =

@@ -534,6 +534,36 @@ let pinned_sat env scope (inst : Alloy.Instance.t) fmla_of =
   | Solver.Unsat -> false
   | Solver.Unknown -> false
 
+(* Up to [eval_mutants] well-typed single-site mutants of [env], spread
+   evenly over its mutation space. *)
+let eval_mutants = 8
+
+let single_site_mutants (env : Alloy.Typecheck.env) =
+  let ms = Array.of_list (Mutate.all_mutations env env.spec ()) in
+  let step = max 1 (Array.length ms / eval_mutants) in
+  List.init (min eval_mutants (Array.length ms)) (fun i -> ms.(i * step))
+  |> List.filter_map (fun m ->
+         match Alloy.Typecheck.check_result (Mutate.apply env.spec m) with
+         | Ok env' -> Some env'
+         | Error _ | (exception _) -> None)
+
+(* The base, its mutants and the base again, all on one memo of [inst]:
+   every answer must be the direct [facts_hold] one, errors included. *)
+let check_memo env inst =
+  let outcome f =
+    match f () with v -> Ok v | exception Alloy.Eval.Eval_error msg -> Error msg
+  in
+  let memo = Alloy.Eval.memo inst in
+  let envs = (env :: single_site_mutants env) @ [ env ] in
+  if
+    List.for_all
+      (fun env' ->
+        outcome (fun () -> Alloy.Eval.facts_hold_memo env' memo)
+        = outcome (fun () -> Alloy.Eval.facts_hold env' inst))
+      envs
+  then `Ok
+  else `Fail "memoized facts_hold disagrees with direct evaluation on a mutant"
+
 let check_eval_case { e_env = env; e_scope = scope; e_inst = inst; e_goal = goal } =
   let eval_goal = Alloy.Eval.fmla env inst [] goal in
   let sat_goal =
@@ -546,7 +576,7 @@ let check_eval_case { e_env = env; e_scope = scope; e_inst = inst; e_goal = goal
     let sat_facts = pinned_sat env scope inst Translate.spec_fmla in
     if eval_facts <> sat_facts then
       `Fail "pinned translation disagrees with facts_hold on facts+implicit"
-    else `Ok
+    else check_memo env inst
 
 (* {2 Campaign driver} *)
 

@@ -19,7 +19,9 @@
       mid-stream; the summary counts the retirements.
     - [Eval_target] — [Alloy.Eval] vs. the translation pinned to a
       concrete random instance, for both goal formulas and the
-      facts/implicit conjunction.
+      facts/implicit conjunction; then memoized evaluation vs. direct:
+      the spec and single-site mutants of it share one memo of the
+      instance, and each must get the direct [facts_hold] answer.
     - [Proof_target] — the CDCL solver's DRUP proof log vs. the
       independent checker ({!Specrepair_sat.Drat}): every random CNF is
       solved with logging on, the steps must survive a round-trip through

@@ -58,6 +58,10 @@ let repair_assert ~session ~tried (env0 : Alloy.Typecheck.env)
   let scope = Solver.Bounds.scope_of_command cmd in
   let cexs = Common.counterexamples_for ~limit:4 session env0 name scope in
   let wits = Common.witnesses_for ~limit:4 session env0 name scope in
+  (* every candidate is checked against the same instances and differs from
+     [env0] at one site: their memos replay the rest *)
+  let cex_memos = List.map Alloy.Eval.memo cexs in
+  let wit_memos = List.map Alloy.Eval.memo wits in
   let consistent (env' : Alloy.Typecheck.env) =
     let body' =
       match Ast.find_assert env'.spec name with
@@ -70,20 +74,21 @@ let repair_assert ~session ~tried (env0 : Alloy.Typecheck.env)
         List.for_all
           (fun cex ->
             match
-              Alloy.Eval.facts_hold env' cex
-              && not (Alloy.Eval.fmla env' cex [] b)
+              Alloy.Eval.facts_hold_memo env' cex
+              && not (Alloy.Eval.fmla env' (Alloy.Eval.instance cex) [] b)
             with
             | admitted -> not admitted
             | exception Alloy.Eval.Eval_error _ -> false)
-          cexs
+          cex_memos
         && List.for_all
              (fun wit ->
                match
-                 Alloy.Eval.facts_hold env' wit && Alloy.Eval.fmla env' wit [] b
+                 Alloy.Eval.facts_hold_memo env' wit
+                 && Alloy.Eval.fmla env' (Alloy.Eval.instance wit) [] b
                with
                | kept -> kept
                | exception Alloy.Eval.Eval_error _ -> false)
-             wits
+             wit_memos
   in
   let locations =
     Session.time session "faultloc" (fun () ->

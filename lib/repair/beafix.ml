@@ -7,13 +7,13 @@ module Telemetry = Specrepair_engine.Telemetry
 
 (* Admission of an instance as a counterexample of assertion [name]:
    the facts hold and the assertion body does not. *)
-let admits_cex (env : Alloy.Typecheck.env) name inst =
+let admits_cex (env : Alloy.Typecheck.env) name memo =
   match Ast.find_assert env.spec name with
   | None -> false
   | Some a -> (
       match
-        Alloy.Eval.facts_hold env inst
-        && not (Alloy.Eval.fmla env inst [] a.assert_body)
+        Alloy.Eval.facts_hold_memo env memo
+        && not (Alloy.Eval.fmla env (Alloy.Eval.instance memo) [] a.assert_body)
       with
       | v -> v
       | exception Alloy.Eval.Eval_error _ -> false)
@@ -21,16 +21,17 @@ let admits_cex (env : Alloy.Typecheck.env) name inst =
 (* Does the candidate behave differently from the original on any collected
    instance?  Candidates indistinguishable on every instance are pruned
    (BeAFix's non-equivalence pruning, sample-based). *)
-let distinguishable env0 env' instances =
+let distinguishable env0 env' memos =
   List.exists
-    (fun inst ->
+    (fun memo ->
+      let inst = Alloy.Eval.instance memo in
       let v0 =
-        match Alloy.Eval.facts_hold env0 inst with
+        match Alloy.Eval.facts_hold_memo env0 memo with
         | v -> v
         | exception Alloy.Eval.Eval_error _ -> false
       in
       let v1 =
-        match Alloy.Eval.facts_hold env' inst with
+        match Alloy.Eval.facts_hold_memo env' memo with
         | v -> v
         | exception Alloy.Eval.Eval_error _ -> false
       in
@@ -54,7 +55,7 @@ let distinguishable env0 env' instances =
              in
              e0 <> e1)
            env0.Alloy.Typecheck.spec.asserts)
-    instances
+    memos
 
 let repair ?session (env0 : Alloy.Typecheck.env) =
   (* one incremental session shared by the whole bounded-exhaustive sweep *)
@@ -85,7 +86,12 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
           Common.witnesses_for ~limit:3 session env0 name (scope_of_cmd c))
         failing
     in
-    let all_instances = List.map snd cexs @ witnesses in
+    (* one memo per collected instance, shared by every candidate (and by
+       [env0], which [distinguishable] re-evaluates for each of them) *)
+    let cexs = List.map (fun (name, i) -> (name, Alloy.Eval.memo i)) cexs in
+    let all_instances =
+      List.map snd cexs @ List.map Alloy.Eval.memo witnesses
+    in
     (* BeAFix performs no fault localization: it sweeps the marked
        suspicious locations — here, every constraint — in textual order,
        relying on pruning and the bounded-exhaustive sweep. *)

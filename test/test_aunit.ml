@@ -5,6 +5,8 @@ module Aunit = Specrepair_aunit.Aunit
 module Faultloc = Specrepair_faultloc.Faultloc
 module Solver = Specrepair_solver
 module Location = Specrepair_mutation.Location
+module Mutate = Specrepair_mutation.Mutate
+module B = Specrepair_benchmarks
 
 let gt_src =
   {|
@@ -95,15 +97,168 @@ let test_of_counterexample () =
 
 let test_broken_pred_counts_as_failing () =
   let t =
-    {
-      Aunit.test_name = "missing pred";
-      valuation = { Instance.sigs = [ ("Node", []) ]; fields = [ ("edges", Instance.Tuple_set.empty) ] };
-      target = Aunit.Pred "doesNotExist";
-      expect = true;
-    }
+    Aunit.make ~name:"missing pred" ~target:(Aunit.Pred "doesNotExist")
+      ~expect:true
+      { Instance.sigs = [ ("Node", []) ]; fields = [ ("edges", Instance.Tuple_set.empty) ] }
   in
   Alcotest.(check bool) "missing predicate fails" false
     (Aunit.run_test (Lazy.force gt_env) t)
+
+(* {2 Memoized evaluation}
+
+   Each test replays verdicts from its valuation's memo.  For every domain
+   one suite stays warm across a stream of candidates; after each
+   candidate its partition must equal the one tests with fresh memos give.
+   The stream covers the ground truth, the sample-1 faulty variant, single
+   mutations at every site kind, a copy re-parsed from its printed text
+   (equal declarations, none of them physically shared), and a predicate
+   mutation seen only through a fact that calls the predicate. *)
+
+let names tests = List.map (fun (t : Aunit.test) -> t.test_name) tests
+
+let fresh (t : Aunit.test) =
+  Aunit.make ~name:t.test_name ~target:t.target ~expect:t.expect t.valuation
+
+let check_partition label env suite =
+  let warm = Aunit.run_suite env suite in
+  let direct = Aunit.run_suite env (List.map fresh suite) in
+  Alcotest.(check (list string)) (label ^ ": passing") (names direct.passing)
+    (names warm.passing);
+  Alcotest.(check (list string)) (label ^ ": failing") (names direct.failing)
+    (names warm.failing)
+
+(* Up to [n] well-typed single mutations of [env], taken round-robin over
+   its sites so that facts, predicates and assertions all get some. *)
+let single_mutations (env : Typecheck.env) n =
+  let spec = env.spec in
+  let per_site =
+    List.map
+      (fun site ->
+        List.concat_map
+          (fun (path, _) -> Mutate.mutations_at env spec site path ())
+          (Location.subnodes (Location.body spec site)))
+      (Location.sites spec)
+  in
+  let rec round acc k = function
+    | [] -> List.rev acc
+    | _ when k >= n -> List.rev acc
+    | lists ->
+        let acc, k, rest =
+          List.fold_left
+            (fun (acc, k, rest) ms ->
+              match ms with
+              | [] -> (acc, k, rest)
+              | m :: more -> (
+                  if k >= n then (acc, k, rest)
+                  else
+                    match Typecheck.check_result (Mutate.apply spec m) with
+                    | Ok env' -> (env' :: acc, k + 1, more :: rest)
+                    | Error _ | (exception _) -> (acc, k, more :: rest)))
+            (acc, k, []) lists
+        in
+        round acc k (List.rev rest)
+  in
+  round [] 0 per_site
+
+(* The ground truth with a parameterless predicate [memoProbe] whose body
+   is [body], called from an added fact. *)
+let with_probe (spec : Ast.spec) body =
+  {
+    spec with
+    preds = spec.preds @ [ { Ast.pred_name = "memoProbe"; pred_params = []; pred_body = body } ];
+    facts = spec.facts @ [ { Ast.fact_name = None; fact_body = Ast.Call ("memoProbe", []) } ];
+  }
+
+let test_memo_differential () =
+  let variants = B.Generate.sample ~per_domain:1 () in
+  List.iter
+    (fun (d : B.Domains.t) ->
+      let gt = B.Domains.env d in
+      let scope =
+        match gt.spec.commands with
+        | c :: _ -> Solver.Bounds.scope_of_command c
+        | [] -> Solver.Analyzer.default_scope
+      in
+      let suite = Aunit.generate ~per_kind:4 gt ~scope in
+      let check label env = check_partition (d.name ^ ": " ^ label) env suite in
+      check "ground truth" gt;
+      let v =
+        List.find (fun (v : B.Generate.variant) -> v.domain.name = d.name) variants
+      in
+      check "faulty variant" (Typecheck.check v.injected.faulty);
+      let mutants = single_mutations gt 24 in
+      Alcotest.(check int) (d.name ^ ": mutants") 24 (List.length mutants);
+      List.iteri (fun i env' -> check (Printf.sprintf "mutant %d" i) env') mutants;
+      let reparsed = Typecheck.check (Parser.parse (Pretty.spec_to_string gt.spec)) in
+      Alcotest.(check bool) (d.name ^ ": re-parse shares no declarations") false
+        (reparsed.spec.sigs == gt.spec.sigs);
+      check "re-parsed" reparsed;
+      (* the probe's fact body stays physically the same; only the
+         predicate it calls changes, so the positive [Facts] tests flip *)
+      let probed = with_probe gt.spec Ast.True in
+      check "probe base" (Typecheck.check probed);
+      let flipped =
+        Typecheck.check
+          (Location.with_body probed (Location.Pred_site "memoProbe") Ast.False)
+      in
+      check "probe mutant" flipped;
+      Alcotest.(check bool) (d.name ^ ": the probe mutant fails a test") true
+        ((Aunit.run_suite flipped suite).failing
+        <> (Aunit.run_suite (Typecheck.check probed) suite).failing);
+      check "ground truth again" gt)
+    B.Domains.all
+
+(* A field column that calls a predicate makes the implicit constraints
+   read [preds]: mutating the predicate must not replay the base's
+   implicit verdict. *)
+let test_memo_implicit_reads_preds () =
+  let base =
+    Typecheck.check
+      (Parser.parse
+         {|
+sig Node { next: set { n: Node | ok[n] } }
+pred ok[n: Node] { some n }
+|})
+  in
+  let mutant =
+    Typecheck.check
+      (Location.with_body base.spec (Location.Pred_site "ok") Ast.False)
+  in
+  let inst =
+    {
+      Instance.sigs = [ ("Node", [ "Node$0"; "Node$1" ]) ];
+      fields = [ ("next", Instance.Tuple_set.singleton [| "Node$0"; "Node$1" |]) ];
+    }
+  in
+  let memo = Eval.memo inst in
+  Alcotest.(check bool) "base admits the instance" true
+    (Eval.facts_hold_memo base memo);
+  Alcotest.(check bool) "mutant rejects it, as direct evaluation does" false
+    (Eval.facts_hold_memo mutant memo);
+  Alcotest.(check bool) "direct evaluation on the mutant" false
+    (Eval.facts_hold mutant inst)
+
+let test_memo_replays_errors () =
+  let env = Lazy.force gt_env in
+  (* no [edges] relation: the implicit constraints raise *)
+  let inst = { Instance.sigs = [ ("Node", [ "Node$0" ]) ]; fields = [] } in
+  let memo = Eval.memo inst in
+  let raises () =
+    match Eval.facts_hold_memo env memo with
+    | _ -> false
+    | exception Eval.Eval_error _ -> true
+  in
+  let before = Eval.counters () in
+  Alcotest.(check bool) "first call raises" true (raises ());
+  Alcotest.(check bool) "second call raises" true (raises ());
+  let after = Eval.counters () in
+  Alcotest.(check int) "evaluated once" 1
+    (after.implicit_evaluated - before.implicit_evaluated);
+  Alcotest.(check int) "replayed once" 1
+    (after.implicit_memoized - before.implicit_memoized);
+  let t = Aunit.make ~name:"missing edges" ~target:Aunit.Facts ~expect:true inst in
+  Alcotest.(check bool) "test fails on first run" false (Aunit.run_test env t);
+  Alcotest.(check bool) "test fails on second run" false (Aunit.run_test env t)
 
 (* {2 Fault localization} *)
 
@@ -178,6 +333,15 @@ let () =
           Alcotest.test_case "per_kind scaling" `Quick test_per_kind_controls_size;
           Alcotest.test_case "deterministic generation" `Quick
             test_suite_deterministic;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "warm suites match fresh memos" `Quick
+            test_memo_differential;
+          Alcotest.test_case "implicit constraints calling a predicate" `Quick
+            test_memo_implicit_reads_preds;
+          Alcotest.test_case "errors are replayed" `Quick
+            test_memo_replays_errors;
         ] );
       ( "faultloc",
         [

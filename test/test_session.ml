@@ -239,9 +239,32 @@ let test_study_line_elapsed_is_row_time () =
   List.iter
     (fun technique ->
       let line = ref "" in
+      let before = Specrepair_alloy.Eval.counters () in
       let r = Eval.Study.run_one ~telemetry:(( := ) line) technique v in
+      let after = Specrepair_alloy.Eval.counters () in
       let j = Result.get_ok (Json.parse !line) in
       let name = Eval.Technique.name technique in
+      (* the row's evaluator work, all of it inside the engine's session *)
+      let ev = Option.get (Json.member "eval" j) in
+      List.iter
+        (fun (field, b, a) ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: eval.%s is the row's delta" name field)
+            (Some (a - b)) (Json.mem_int field ev))
+        [
+          ("implicit_evaluated", before.implicit_evaluated, after.implicit_evaluated);
+          ("implicit_memoized", before.implicit_memoized, after.implicit_memoized);
+          ("facts_evaluated", before.facts_evaluated, after.facts_evaluated);
+          ("facts_memoized", before.facts_memoized, after.facts_memoized);
+        ];
+      (match technique with
+      | Eval.Technique.ARepair | Eval.Technique.ICEBAR ->
+          Alcotest.(check bool)
+            (name ^ ": AUnit scoring decides implicit constraints")
+            true
+            (after.implicit_evaluated + after.implicit_memoized
+            > before.implicit_evaluated + before.implicit_memoized)
+      | _ -> ());
       Alcotest.(check (option string))
         (name ^ ": elapsed_ms = time_ms")
         (Some (Printf.sprintf "%.3f" r.time_ms))
@@ -297,6 +320,7 @@ let tag = Solver.Analyzer.outcome_verdict
 
 let check_deltas_nonnegative label session =
   let os = Session.oracle_stats session and ss = Session.sat_stats session in
+  let es = Session.eval_stats session in
   List.iter
     (fun (field, n) ->
       if n < 0 then Alcotest.failf "%s: %s delta is %d" label field n)
@@ -316,6 +340,10 @@ let check_deltas_nonnegative label session =
       ("propagations", ss.propagations);
       ("restarts", ss.restarts);
       ("reductions", ss.reductions);
+      ("implicit_evaluated", es.Specrepair_alloy.Eval.implicit_evaluated);
+      ("implicit_memoized", es.implicit_memoized);
+      ("facts_evaluated", es.facts_evaluated);
+      ("facts_memoized", es.facts_memoized);
     ]
 
 let test_retirement_invisible () =

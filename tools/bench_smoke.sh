@@ -57,6 +57,14 @@ import json, os, sys
 
 ci = os.environ.get("CI_MODE", "0") == "1"
 
+# every artifact is stamped with the revision, core count and compiler
+for path in sys.argv[1:]:
+    with open(path) as f:
+        stamped = json.load(f)
+    missing = [k for k in ("git_rev", "nproc", "ocaml") if k not in stamped]
+    if missing:
+        sys.exit(f"bench_smoke: {os.path.basename(path)} lacks stamp keys: {missing}")
+
 with open(sys.argv[1]) as f:
     data = json.load(f)
 
@@ -302,6 +310,14 @@ else:
 EOF
 else
     # no python3: settle for structural sanity checks
+    for f in "$out" "$proof" "$par" "$sat" "$serve" "$stream" "$hybrid"; do
+        for key in git_rev nproc ocaml; do
+            if ! grep -q "\"$key\"" "$f"; then
+                echo "bench_smoke: $(basename "$f") lacks stamp key $key" >&2
+                exit 1
+            fi
+        done
+    done
     for key in speedup fresh_ms incremental_ms verdict_hits; do
         if ! grep -q "\"$key\"" "$out"; then
             echo "bench_smoke: BENCH_oracle.json lacks key $key" >&2
