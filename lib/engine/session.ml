@@ -1,5 +1,6 @@
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
+module Space = Specrepair_mutation.Space
 
 type budget = {
   max_depth : int;
@@ -33,13 +34,16 @@ type t = {
   oracle_base : Solver.Oracle.stats;  (* snapshot at creation, for deltas *)
   sat_base : Solver.Oracle.sat_stats;
   eval_base : Alloy.Eval.counters;
+  spaces : Space.store;  (* shared with derived sessions *)
+  spaces_base : Space.stats;
   expiry : bool ref;  (* latched; shared with derived sessions *)
 }
 
 let now_ns () = Monotonic_clock.now ()
 
 let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
-    ?(budget = default_budget) ?(seed = 42) ?deadline_ms env =
+    ?(budget = default_budget) ?(seed = 42) ?deadline_ms
+    ?(spaces = Space.create_store ()) env =
   let telemetry = Telemetry.create () in
   let oracle =
     match oracle with
@@ -66,6 +70,8 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     oracle_base = Solver.Oracle.stats oracle;
     sat_base = Solver.Oracle.sat_stats oracle;
     eval_base = Alloy.Eval.counters ();
+    spaces;
+    spaces_base = Space.stats spaces;
     expiry = ref false;
   }
 
@@ -89,6 +95,7 @@ let oracle t = t.oracle
 let budget t = t.budget
 let seed t = t.seed
 let telemetry t = t.telemetry
+let spaces t = t.spaces
 
 let expired t =
   match t.deadline_ns with
@@ -187,6 +194,14 @@ let eval_stats t =
     facts_memoized = s.facts_memoized - b.facts_memoized;
   }
 
+let space_stats t =
+  let s = Space.stats t.spaces and b = t.spaces_base in
+  {
+    Space.built = s.built - b.built;
+    reused = s.reused - b.reused;
+    evicted = s.evicted - b.evicted;
+  }
+
 (* {2 JSON serialization} *)
 
 let json_escape s =
@@ -262,6 +277,10 @@ let telemetry_json ?(extra = []) t =
         \"facts_evaluated\":%d,\"facts_memoized\":%d}"
        es.Alloy.Eval.implicit_evaluated es.implicit_memoized es.facts_evaluated
        es.facts_memoized);
+  let ps = space_stats t in
+  field "spaces"
+    (Printf.sprintf "{\"built\":%d,\"reused\":%d,\"evicted\":%d}"
+       ps.Space.built ps.reused ps.evicted);
   let phase_fields =
     List.map
       (fun (phase, ms) ->

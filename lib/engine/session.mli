@@ -25,6 +25,7 @@
 
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
+module Space = Specrepair_mutation.Space
 
 type budget = {
   max_depth : int;  (** greedy / composition depth *)
@@ -49,6 +50,7 @@ val create :
   ?budget:budget ->
   ?seed:int ->
   ?deadline_ms:float ->
+  ?spaces:Space.store ->
   Alloy.Typecheck.env ->
   t
 (** A fresh session for [env].  Without [?oracle] a new incremental oracle
@@ -61,7 +63,9 @@ val create :
     configure the created oracle's verdict-only fresh solves (see
     {!Specrepair_solver.Oracle.create}); like [certify], they are ignored
     when an explicit [?oracle] is supplied.  [?deadline_ms] is relative to
-    now on the monotonic clock; omitted means no deadline.  Default budget
+    now on the monotonic clock; omitted means no deadline.  [?spaces] is
+    the store the LLM pipelines look their proposal spaces up in (see
+    {!spaces}); omitted means a fresh, empty one.  Default budget
     {!default_budget}, default seed 42. *)
 
 val for_spec :
@@ -80,7 +84,8 @@ val for_spec :
 
 val with_budget : t -> (budget -> budget) -> t
 (** A derived session with a transformed budget; oracle, telemetry, seed,
-    deadline and the expiry latch remain shared with the parent. *)
+    deadline, space store and the expiry latch remain shared with the
+    parent. *)
 
 (** {2 Components} *)
 
@@ -89,6 +94,14 @@ val oracle : t -> Solver.Oracle.t
 val budget : t -> budget
 val seed : t -> int
 val telemetry : t -> Telemetry.t
+
+val spaces : t -> Space.store
+(** The mutation-space store the LLM pipelines pass to every proposal
+    build ({!Specrepair_mutation.Space}: at most two spaces, least
+    recently used evicted first).  A session owns a fresh store unless
+    {!create} was given one; the study gives every row of a domain that
+    domain's store, so a variant's LLM rows share their faulty spec's
+    space and a Multi-Round dialogue's rounds share their base's. *)
 
 (** {2 Deadline} *)
 
@@ -177,11 +190,18 @@ val eval_stats : t -> Alloy.Eval.counters
     {!Alloy.Eval.counters}): implicit-constraint and fact verdicts
     evaluated, and those the instances' memos replayed. *)
 
+val space_stats : t -> Space.stats
+(** Space-store work during this session (delta of {!spaces}'s counters,
+    which may span sessions): spaces built, lookups answered from the
+    store, and evictions.  Every proposal build looks its space up once,
+    so [built + reused] is the session's [proposal_builds]. *)
+
 val telemetry_json : ?extra:(string * string) list -> t -> string
 (** One-line JSON object: [extra] string fields first (escaped), then
     [elapsed_ms], [timed_out], the {!Telemetry.t} counters, the per-phase
     timers, the session-relative oracle stats, a ["sat"] object with the
-    {!sat_stats} solver counters, and an ["eval"] object with the
-    {!eval_stats} counters.  Schema documented in DESIGN.md. *)
+    {!sat_stats} solver counters, an ["eval"] object with the
+    {!eval_stats} counters, and a ["spaces"] object with the
+    {!space_stats} counters.  Schema documented in DESIGN.md. *)
 
 val pp_telemetry : Format.formatter -> t -> unit

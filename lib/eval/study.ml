@@ -27,24 +27,34 @@ let suite_cache : (string, Aunit.test list) Hashtbl.t = Hashtbl.create 18
    across techniques — the cache answers the repeats.  Each (variant,
    technique) row gets its own {!Session.t} around this oracle, so budgets,
    deadlines and telemetry stay per-row while the solving state spans the
-   domain. *)
-let oracle_cache : (string, Specrepair_solver.Oracle.t) Hashtbl.t =
-  Hashtbl.create 18
+   domain.  The domain's mutation-space store sits in the same entry: rows
+   run variant by variant, so a variant's LLM rows share their faulty
+   spec's space (the store keeps two, least recently used out). *)
+type domain_state = {
+  oracle : Specrepair_solver.Oracle.t;
+  spaces : Specrepair_mutation.Space.store;
+}
+
+let domain_cache : (string, domain_state) Hashtbl.t = Hashtbl.create 18
 
 (* Keyed on the solving options too: a simplifying study run must not
    reuse (or poison) the plain run's oracle. *)
-let domain_oracle ?(simplify = false) ?(portfolio = 1)
+let domain_state ?(simplify = false) ?(portfolio = 1)
     (d : Benchmarks.Domains.t) =
   let key = Printf.sprintf "%s|%b|%d" d.name simplify portfolio in
-  match Hashtbl.find_opt oracle_cache key with
-  | Some o -> o
+  match Hashtbl.find_opt domain_cache key with
+  | Some st -> st
   | None ->
-      let o =
-        Specrepair_solver.Oracle.create ~simplify ~portfolio
-          (Benchmarks.Domains.env d)
+      let st =
+        {
+          oracle =
+            Specrepair_solver.Oracle.create ~simplify ~portfolio
+              (Benchmarks.Domains.env d);
+          spaces = Specrepair_mutation.Space.create_store ();
+        }
       in
-      Hashtbl.replace oracle_cache key o;
-      o
+      Hashtbl.replace domain_cache key st;
+      st
 
 let aunit_suite (d : Benchmarks.Domains.t) =
   match Hashtbl.find_opt suite_cache d.name with
@@ -57,7 +67,7 @@ let aunit_suite (d : Benchmarks.Domains.t) =
         | c :: _ -> Specrepair_solver.Bounds.scope_of_command c
         | [] -> Specrepair_solver.Analyzer.default_scope
       in
-      let session = Session.create ~oracle:(domain_oracle d) env in
+      let session = Session.create ~oracle:(domain_state d).oracle env in
       let s = Aunit.generate ~session ~per_kind:4 env ~scope in
       Hashtbl.replace suite_cache d.name s;
       s
@@ -115,12 +125,13 @@ let apply_technique ~session technique (v : Benchmarks.Generate.variant) =
 let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
     ?telemetry ?simplify ?portfolio technique (v : Benchmarks.Generate.variant)
     =
-  (* one session per study row: shared domain oracle, per-technique budget,
-     monotonic clock for [time_ms], stopped before scoring so that the
-     telemetry line's [elapsed_ms] is the row's [time_ms] *)
-  let oracle = domain_oracle ?simplify ?portfolio v.domain in
+  (* one session per study row: shared domain oracle and space store,
+     per-technique budget, monotonic clock for [time_ms], stopped before
+     scoring so that the telemetry line's [elapsed_ms] is the row's
+     [time_ms] *)
+  let { oracle; spaces } = domain_state ?simplify ?portfolio v.domain in
   let session =
-    Session.create ~oracle
+    Session.create ~oracle ~spaces
       ~budget:(budget_for technique budget)
       ~seed ?deadline_ms
       (Benchmarks.Domains.env v.domain)

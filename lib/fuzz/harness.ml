@@ -51,6 +51,7 @@ type report = {
   discrepancies : int;
   corpus : string list;
   contexts_retired : int option;
+  spaces_reused : int option;
 }
 
 (* {2 SAT target} *)
@@ -664,10 +665,19 @@ let check_stream_case c =
 module Llm = Specrepair_llm
 module Learned = Specrepair_eval.Learned
 
+(* [Space] is this library's reference instance space *)
+module Mutation_space = Specrepair_mutation.Space
+
 (* Fuzzed tasks through every profile of the model panel: each sampled
    proposal must be well-typed, must differ from the faulty spec, and must
    respect the guidance blocklist (grown with each accepted proposal so
-   the blocklist property is exercised, not vacuous). *)
+   the blocklist property is exercised, not vacuous).  Each profile's
+   rounds run twice: with a fresh mutation-space store per proposal (as
+   [propose] does), and through one store shared by every profile of the
+   case, about the fuzzed spec and a re-parsed copy of it in turn, each
+   time after the store has taken in the profile's first fresh proposal.
+   The two runs must propose the same specs and leave the generator in
+   the same state. *)
 type panel_case = { n_env : Alloy.Typecheck.env }
 
 let gen_panel_case rng = { n_env = Gen.spec ~with_commands:true rng }
@@ -721,48 +731,83 @@ let check_corrupt_stats rng =
             | _ -> `Fail "tampered statistics file loaded cleanly"
           end)
 
-let check_panel_case rng { n_env = env } =
+let check_panel_case ~spaces rng { n_env = env } =
   match Sys.getenv_opt "SPECREPAIR_FUZZ_CHAOS" with
   | Some "corrupt-stats" -> check_corrupt_stats rng
   | _ ->
-      let task =
-        Llm.Task.make ~spec_id:"fuzz-panel" ~domain:"fuzz"
-          ~faulty:env.Alloy.Typecheck.spec ()
+      let task_of faulty =
+        Llm.Task.make ~spec_id:"fuzz-panel" ~domain:"fuzz" ~faulty ()
       in
-      let check_profile (p : Llm.Model.profile) =
+      let spec = env.Alloy.Typecheck.spec in
+      let task = task_of spec in
+      (* an LLM-written base reaches the store as re-parsed response text;
+         a spec the printer does not round-trip stands in for itself *)
+      let copy =
+        match Alloy.Parser.parse (Alloy.Pretty.spec_to_string spec) with
+        | s when Ast.equal_spec s spec -> task_of s
+        | _ | (exception _) -> task
+      in
+      (* the verdict and the accepted proposals, in order *)
+      let rec rounds name draw blocked k =
+        let stop verdict = (verdict, List.rev blocked) in
+        if k = 0 then stop (Ok ())
+        else
+          let guidance = { Llm.Model.no_guidance with Llm.Model.blocked } in
+          match draw guidance with
+          | None -> stop (Ok ()) (* giving up is allowed *)
+          | Some prop ->
+              if Ast.equal_spec prop spec then
+                stop (Error (name ^ ": proposal equals the faulty spec"))
+              else if List.exists (Ast.equal_spec prop) blocked then
+                stop (Error (name ^ ": proposal violates the blocklist"))
+              else (
+                match Alloy.Typecheck.check_result prop with
+                | Error m -> stop (Error (name ^ ": ill-typed proposal: " ^ m))
+                | Ok _ -> rounds name draw (prop :: blocked) (k - 1))
+      in
+      let check_profile i (p : Llm.Model.profile) =
+        let name = p.Llm.Model.name in
         (* the fuzz harness and the model each have their own splitmix
            stream type; bridge with a seed drawn from the campaign rng *)
-        let prng =
-          Llm.Rng.of_context ~seed:(Rng.int rng 1_000_000)
-            [ "panel"; p.Llm.Model.name ]
+        let seed = Rng.int rng 1_000_000 in
+        let fresh_rng = Llm.Rng.of_context ~seed [ "panel"; name ]
+        and shared_rng = Llm.Rng.of_context ~seed [ "panel"; name ] in
+        let verdict, fresh =
+          rounds name
+            (fun guidance ->
+              Llm.Model.propose p ~rng:fresh_rng ~hints:[] guidance task)
+            [] 3
         in
-        let rec rounds blocked k =
-          if k = 0 then Ok ()
-          else
-            let guidance = { Llm.Model.no_guidance with Llm.Model.blocked } in
-            match Llm.Model.propose p ~rng:prng ~hints:[] guidance task with
-            | None -> Ok () (* giving up is allowed; nothing to verify *)
-            | Some prop ->
-                if Ast.equal_spec prop task.Llm.Task.faulty then
-                  Error (p.Llm.Model.name ^ ": proposal equals the faulty spec")
-                else if List.exists (Ast.equal_spec prop) blocked then
-                  Error (p.Llm.Model.name ^ ": proposal violates the blocklist")
-                else (
-                  match Alloy.Typecheck.check_result prop with
-                  | Error m ->
-                      Error (p.Llm.Model.name ^ ": ill-typed proposal: " ^ m)
-                  | Ok _ -> rounds (prop :: blocked) (k - 1))
+        (* a decoy entry, newer than the spec's: the store must compare
+           specs rather than answer with whatever it built last *)
+        Option.iter
+          (fun decoy -> ignore (Mutation_space.find spaces decoy))
+          (List.nth_opt fresh 0);
+        let task' = if i mod 2 = 0 then task else copy in
+        let _, shared =
+          rounds name
+            (fun guidance ->
+              Llm.Model.proposer ~spaces p ~hints:[] guidance task' shared_rng)
+            [] 3
         in
-        rounds [] 3
+        match verdict with
+        | Error _ -> verdict
+        | Ok () ->
+            if not (List.equal Ast.equal_spec fresh shared) then
+              Error (name ^ ": a shared space store changed the proposals")
+            else if
+              Llm.Rng.next_int64 fresh_rng <> Llm.Rng.next_int64 shared_rng
+            then Error (name ^ ": a shared space store moved the generator")
+            else Ok ()
       in
-      let rec over = function
+      let rec over i = function
         | [] -> `Ok
         | p :: rest -> (
-            match check_profile p with
-            | Ok () -> over rest
+            match check_profile i p with
+            | Ok () -> over (i + 1) rest
             | Error m -> `Fail m)
       in
-      over Llm.Model.panel
+      over 0 Llm.Model.panel
 
 (* Every check is wrapped: an exception is itself a discrepancy (the two
    sides are total on well-typed inputs). *)
@@ -779,7 +824,7 @@ let retypecheck spec =
 let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
   let checks = ref 0 and skipped = ref 0 in
   let discrepancies = ref 0 and corpus = ref [] in
-  let retired = ref 0 in
+  let retired = ref 0 and reused = ref 0 in
   let record name path = ignore name; corpus := path :: !corpus in
   for i = 0 to iters - 1 do
     let rng = Rng.of_context ~seed [ target_name target; "iter"; string_of_int i ] in
@@ -946,7 +991,10 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
                     .Specrepair_benchmarks.Fault.faulty))
     | Panel_target -> (
         let case = gen_panel_case rng in
-        match guard (fun () -> check_panel_case rng case) with
+        let spaces = Mutation_space.create_store () in
+        let outcome = guard (fun () -> check_panel_case ~spaces rng case) in
+        reused := !reused + (Mutation_space.stats spaces).reused;
+        match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
         | `Fail _ ->
@@ -957,6 +1005,7 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
                   | Some env' ->
                       guard (fun () ->
                           check_panel_case
+                            ~spaces:(Mutation_space.create_store ())
                             (Rng.of_context ~seed [ "panel-shrink"; name ])
                             { n_env = env' })
                       <> `Ok
@@ -996,6 +1045,8 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
     corpus = List.rev !corpus;
     contexts_retired =
       (match target with Oracle_target -> Some !retired | _ -> None);
+    spaces_reused =
+      (match target with Panel_target -> Some !reused | _ -> None);
   }
 
 (* {2 JSON summaries} *)
@@ -1003,12 +1054,15 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
 let json_string s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
 
 let report_json r =
+  let count name = function
+    | Some n -> Printf.sprintf "\"%s\":%d," name n
+    | None -> ""
+  in
   Printf.sprintf
-    "{\"target\":%s,\"seed\":%d,\"iters\":%d,\"checks\":%d,\"skipped\":%d,\"discrepancies\":%d,%s\"corpus\":[%s]}"
+    "{\"target\":%s,\"seed\":%d,\"iters\":%d,\"checks\":%d,\"skipped\":%d,\"discrepancies\":%d,%s%s\"corpus\":[%s]}"
     (json_string r.target) r.seed r.iters r.checks r.skipped r.discrepancies
-    (match r.contexts_retired with
-    | Some n -> Printf.sprintf "\"contexts_retired\":%d," n
-    | None -> "")
+    (count "contexts_retired" r.contexts_retired)
+    (count "spaces_reused" r.spaces_reused)
     (String.concat "," (List.map json_string r.corpus))
 
 let summary_json ~corpus_dir ~seed reports =

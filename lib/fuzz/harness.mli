@@ -60,7 +60,11 @@
       profile of the simulated-LLM panel ({!Specrepair_llm.Model.panel}):
       each sampled proposal must be well-typed, must differ from the
       faulty spec, and must respect the guidance blocklist (grown with
-      every accepted proposal, so the property is never vacuous).  Under
+      every accepted proposal, so the property is never vacuous).  The
+      rounds are repeated through one mutation-space store shared by all
+      profiles, about the spec and a re-parsed copy of it, and must
+      propose the same specs and leave the generator in the same state as
+      fresh stores; the summary counts the store's reuses.  Under
       [SPECREPAIR_FUZZ_CHAOS=corrupt-stats] the target instead feeds the
       learned portfolio a tampered statistics file: a pristine save must
       round-trip, and an appended row, flipped digits, or truncation must
@@ -101,6 +105,9 @@ type report = {
   contexts_retired : int option;
       (** oracle target only: solving contexts its oracles retired for
           outgrowing their queries *)
+  spaces_reused : int option;
+      (** panel target only: proposal builds its shared mutation-space
+          stores answered without enumerating *)
 }
 
 val run :

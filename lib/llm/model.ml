@@ -232,12 +232,10 @@ let prior_table profile =
   tbl
 
 let weight ~priors ~hints ~guidance ~assertion_vocab ~sharing_sites
-    ~competence (m : Mutation.Mutate.t) =
+    ~competence (m : Mutation.Mutate.t) size =
   let prior = Option.value ~default:1.0 (Hashtbl.find_opt priors m.op) in
   let w = ref (prior *. competence) in
-  let size_penalty =
-    1. /. sqrt (float_of_int (Location.node_size m.replacement))
-  in
+  let size_penalty = 1. /. sqrt (float_of_int size) in
   w := !w *. size_penalty;
   (* guidance *)
   (match List.assoc_opt m.site guidance.site_boost with
@@ -261,102 +259,104 @@ let weight ~priors ~hints ~guidance ~assertion_vocab ~sharing_sites
 
 (* Everything up to the tempered distribution depends only on the prompt,
    so a self-check loop builds it once and draws from it k times; building
-   reads no randomness, so the draws match k independent [propose] calls. *)
-let proposer profile ~hints guidance (task : Task.t) =
-  match Alloy.Typecheck.check_result task.faulty with
-  | Error _ -> fun _ -> None
-  | Ok env ->
+   reads no randomness, so the draws match k independent [propose] calls.
+   The mutation space depends on the spec alone and comes from [spaces];
+   the prompt's weights are one pass over it, each weight multiplied and
+   its running sum added in the order of a per-mutation weigh, temper and
+   {!Rng.sampler}, so every prefix, and so every draw, is bit-identical to
+   theirs. *)
+let proposer ?(spaces = Mutation.Space.create_store ()) profile ~hints
+    guidance (task : Task.t) =
+  match Mutation.Space.find spaces task.faulty with
+  | None -> fun _ -> None
+  | Some space ->
       let spec = task.faulty in
-      let space = Mutation.Mutate.all_mutations env spec ~with_pool:true () in
-      if space = [] then fun _ -> None
-      else begin
-        let assertion_vocab = assertion_vocabulary task in
-        let sharing_sites = sites_sharing_vocabulary spec assertion_vocab in
-        let competence = lookup profile.domain_competence task.domain 1.0 in
-        let priors = prior_table profile in
-        let base_weights =
-          List.map
-            (fun (m : Mutation.Mutate.t) ->
-              let w =
-                weight ~priors ~hints ~guidance ~assertion_vocab
-                  ~sharing_sites ~competence m
-              in
-              (* Loc hint: strong focus on the named sites *)
-              let w =
-                if List.mem Prompt.Loc hints && task.fault_sites <> [] then
-                  if List.mem m.site task.fault_sites then
-                    (* the hint is line-level: the exact node gets an extra
-                       focus factor *)
-                    if List.mem (m.site, m.path) task.fault_paths then
-                      w *. 24.0
-                    else w *. 8.0
-                  else w *. 0.15
-                else w
-              in
-              (* Fix hint: the described edit family *)
-              let w =
-                if List.mem Prompt.Fix hints && task.fault_classes <> [] then
-                  if List.mem m.op task.fault_classes then w *. 1.25
-                  else w *. 0.55
-                else w
-              in
-              (m, w))
-            space
+      let assertion_vocab = assertion_vocabulary task in
+      let sharing_sites = sites_sharing_vocabulary spec assertion_vocab in
+      let competence = lookup profile.domain_competence task.domain 1.0 in
+      let priors = prior_table profile in
+      (* Loc hint: strong focus on the named sites *)
+      let loc = List.mem Prompt.Loc hints && task.fault_sites <> [] in
+      (* Fix hint: the described edit family *)
+      let fix = List.mem Prompt.Fix hints && task.fault_classes <> [] in
+      (* hints sharpen the model's focus, not just its weights *)
+      let hint_sharpening = if hints = [] then 1.0 else 0.4 in
+      let temp =
+        ((profile.temperature *. hint_sharpening) +. guidance.exploration)
+      in
+      let exponent = 1. /. max 0.1 temp in
+      let mutations = space.Mutation.Space.mutations in
+      let prefix = Array.make (Array.length mutations) 0. in
+      let acc = ref 0. in
+      for i = 0 to Array.length mutations - 1 do
+        let m = mutations.(i) in
+        let w =
+          weight ~priors ~hints ~guidance ~assertion_vocab ~sharing_sites
+            ~competence m space.sizes.(i)
         in
-        (* hints sharpen the model's focus, not just its weights *)
-        let hint_sharpening = if hints = [] then 1.0 else 0.4 in
-        let temp =
-          ((profile.temperature *. hint_sharpening) +. guidance.exploration)
+        let w =
+          if loc then
+            if List.mem m.site task.fault_sites then
+              (* the hint is line-level: the exact node gets an extra focus
+                 factor *)
+              if List.mem (m.site, m.path) task.fault_paths then w *. 24.0
+              else w *. 8.0
+            else w *. 0.15
+          else w
         in
-        let tempered =
-          Rng.sampler
-            (List.map
-               (fun (m, w) -> (m, w ** (1. /. max 0.1 temp)))
-               base_weights)
+        let w =
+          if fix then
+            if List.mem m.op task.fault_classes then w *. 1.25 else w *. 0.55
+          else w
         in
-        let apply_ok spec' =
-          spec' <> spec
-          && (not (List.exists (Ast.equal_spec spec') guidance.blocked))
-          && Alloy.Typecheck.check_result spec' |> Result.is_ok
+        let w = w ** exponent in
+        (* [max 0. w], as {!Rng.sampler} clamps *)
+        acc := !acc +. if 0. >= w then 0. else w;
+        prefix.(i) <- !acc
+      done;
+      let tempered = Rng.of_prefix mutations prefix in
+      let apply_ok spec' =
+        spec' <> spec
+        && (not (List.exists (Ast.equal_spec spec') guidance.blocked))
+        && Alloy.Typecheck.check_result spec' |> Result.is_ok
+      in
+      let attempt rng =
+        let sample_one () = Rng.draw rng tempered in
+        match sample_one () with
+        | None -> None
+        | Some m1 -> (
+            let compound = Rng.float rng < profile.compound_rate in
+            let spec1 =
+              match Mutation.Mutate.apply spec m1 with
+              | s -> Some s
+              | exception _ -> None
+            in
+            match spec1 with
+            | None -> None
+            | Some spec1 ->
+                if not compound then if apply_ok spec1 then Some spec1 else None
+                else
+                  (* second edit at a different location *)
+                  let spec2 =
+                    match sample_one () with
+                    | Some m2
+                      when (m2.site, m2.path) <> (m1.Mutation.Mutate.site, m1.path)
+                      -> (
+                        match Mutation.Mutate.apply spec1 m2 with
+                        | s -> Some s
+                        | exception _ -> None)
+                    | _ -> None
+                  in
+                  let candidate = Option.value ~default:spec1 spec2 in
+                  if apply_ok candidate then Some candidate
+                  else if apply_ok spec1 then Some spec1
+                  else None)
+      in
+      fun rng ->
+        let rec retry n = if n = 0 then None else
+            match attempt rng with Some s -> Some s | None -> retry (n - 1)
         in
-        let attempt rng =
-          let sample_one () = Rng.draw rng tempered in
-          match sample_one () with
-          | None -> None
-          | Some m1 -> (
-              let compound = Rng.float rng < profile.compound_rate in
-              let spec1 =
-                match Mutation.Mutate.apply spec m1 with
-                | s -> Some s
-                | exception _ -> None
-              in
-              match spec1 with
-              | None -> None
-              | Some spec1 ->
-                  if not compound then if apply_ok spec1 then Some spec1 else None
-                  else
-                    (* second edit at a different location *)
-                    let spec2 =
-                      match sample_one () with
-                      | Some m2
-                        when (m2.site, m2.path) <> (m1.Mutation.Mutate.site, m1.path)
-                        -> (
-                          match Mutation.Mutate.apply spec1 m2 with
-                          | s -> Some s
-                          | exception _ -> None)
-                      | _ -> None
-                    in
-                    let candidate = Option.value ~default:spec1 spec2 in
-                    if apply_ok candidate then Some candidate
-                    else if apply_ok spec1 then Some spec1
-                    else None)
-        in
-        fun rng ->
-          let rec retry n = if n = 0 then None else
-              match attempt rng with Some s -> Some s | None -> retry (n - 1)
-          in
-          retry 12
-      end
+        retry 12
 
 let propose profile ~rng ~hints guidance task =
   proposer profile ~hints guidance task rng

@@ -79,6 +79,7 @@ val propose :
     to produce one. *)
 
 val proposer :
+  ?spaces:Mutation.Space.store ->
   profile ->
   hints:Prompt.hint list ->
   guidance ->
@@ -89,7 +90,17 @@ val proposer :
     distribution of one prompt and returns a sampler: each application to
     an [rng] is one {!propose} call.  Building reads no randomness, so k
     draws from one sampler consume [rng] exactly as k {!propose} calls
-    do; a self-check loop builds once and draws k times. *)
+    do; a self-check loop builds once and draws k times.
+
+    The task's mutation space (typecheck, pooled enumeration, replacement
+    sizes) is looked up in [spaces] with {!Mutation.Space.find}, so
+    prompts about a spec the store already holds, physically or
+    structurally, skip the enumeration; the prompt's own weights are
+    then one pass over the space.  The space is a function of the spec
+    alone, so the draws, and the generator state after them, are those
+    of a fresh store.  Without [?spaces] a fresh store is made for the
+    call; the LLM pipelines pass their session's
+    ({!Specrepair_engine.Session.spaces}). *)
 
 val respond : profile -> rng:Rng.t -> guidance -> Prompt.t -> string
 (** Full response text for a prompt: chatter + fenced candidate spec, or a

@@ -133,12 +133,16 @@ let mentally_consistent ~session (env' : Alloy.Typecheck.env) =
 (* Best-of-k internal sampling with the mental check; falls back to the
    first proposal when none self-verifies.  [mental_check:false] (ablation)
    returns the first proposal unfiltered.  The k proposals come from one
-   proposal distribution, built once per loop. *)
+   proposal distribution, built once per loop over the space the session's
+   store holds for the round's base. *)
 let internal_proposal ~session ~mental_check profile rng guidance
     (task : Task.t) =
   let k = if mental_check then profile.Model.self_check_samples else 1 in
   Telemetry.proposal_build (Session.telemetry session);
-  let draw = Model.proposer profile ~hints:[] guidance task in
+  let draw =
+    Model.proposer ~spaces:(Session.spaces session) profile ~hints:[] guidance
+      task
+  in
   let rec go n first =
     if n = 0 then first
     else

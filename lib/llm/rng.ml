@@ -53,6 +53,10 @@ let sampler weighted =
     pairs;
   { items = Array.map fst pairs; prefix }
 
+let of_prefix items prefix =
+  if Array.length items <> Array.length prefix then invalid_arg "Rng.of_prefix";
+  { items; prefix }
+
 let draw t s =
   let n = Array.length s.prefix in
   let total = if n = 0 then 0. else s.prefix.(n - 1) in

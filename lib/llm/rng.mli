@@ -24,6 +24,14 @@ type 'a sampler
 
 val sampler : ('a * float) list -> 'a sampler
 
+val of_prefix : 'a array -> float array -> 'a sampler
+(** [of_prefix items prefix] is the sampler whose [i]th prefix sum is
+    [prefix.(i)]: for weights [w] it equals [sampler] over
+    [(items.(i), w.(i))] when [prefix] holds their running sums, clamped
+    and added left to right as {!sampler} adds them.  Both arrays are
+    shared, not copied.  Raises [Invalid_argument] when their lengths
+    differ. *)
+
 val draw : t -> 'a sampler -> 'a option
 (** Samples proportionally to the weights in O(log n); [None] when all
     weights are zero or the list is empty.  Draws exactly the item, and

@@ -65,7 +65,10 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
     let response =
       Session.time session "llm" (fun () ->
           Telemetry.proposal_build telemetry;
-          let draw = Model.proposer profile ~hints Model.no_guidance task in
+          let draw =
+            Model.proposer ~spaces:(Session.spaces session) profile ~hints
+              Model.no_guidance task
+          in
           let proposal =
             if List.mem Prompt.Pass hints then
               pass_anchored_proposal ~session profile rng task hints draw

@@ -135,6 +135,18 @@ let test_oracle_retires_contexts () =
   Alcotest.(check (option int)) "eval report has no count" None
     e.Harness.contexts_retired
 
+(* The panel campaign's shared mutation-space stores must actually answer
+   proposal builds, and only the panel report carries the count. *)
+let test_panel_reuses_spaces () =
+  let dir = tmp_dir "fuzz-spaces" in
+  let r = Harness.run ~corpus_dir:dir Harness.Panel_target ~seed:11 ~iters:10 () in
+  Alcotest.(check int) "zero discrepancies" 0 r.Harness.discrepancies;
+  Alcotest.(check bool) "spaces reused" true
+    (match r.Harness.spaces_reused with Some n -> n > 0 | None -> false);
+  let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
+  Alcotest.(check (option int)) "eval report has no count" None
+    e.Harness.spaces_reused
+
 let test_report_deterministic () =
   let dir = tmp_dir "fuzz-det" in
   let run () =
@@ -286,6 +298,8 @@ let () =
           Alcotest.test_case "oracle" `Quick (smoke Harness.Oracle_target 25);
           Alcotest.test_case "oracle retires contexts" `Quick
             test_oracle_retires_contexts;
+          Alcotest.test_case "panel reuses spaces" `Quick
+            test_panel_reuses_spaces;
           Alcotest.test_case "eval" `Quick (smoke Harness.Eval_target 40);
           Alcotest.test_case "proof" `Quick (smoke Harness.Proof_target 100);
           Alcotest.test_case "simplify" `Quick

@@ -118,15 +118,36 @@ let test_sampler_matches_linear_scan () =
   List.iteri
     (fun c (label, weighted) ->
       let a = Rng.create (Int64.of_int (c + 1))
-      and b = Rng.create (Int64.of_int (c + 1)) in
+      and b = Rng.create (Int64.of_int (c + 1))
+      and p = Rng.create (Int64.of_int (c + 1)) in
       let sampler = Rng.sampler weighted in
+      (* the running sums the proposer writes, wrapped without a copy *)
+      let prefixed =
+        let acc = ref 0. in
+        Rng.of_prefix
+          (Array.of_list (List.map fst weighted))
+          (Array.of_list
+             (List.map
+                (fun (_, w) ->
+                  acc := !acc +. if 0. >= w then 0. else w;
+                  !acc)
+                weighted))
+      in
       let k = 300 in
       let linear = List.init k (fun _ -> linear_choose a weighted) in
       let drawn = List.init k (fun _ -> Rng.draw b sampler) in
+      let from_prefix = List.init k (fun _ -> Rng.draw p prefixed) in
       Alcotest.(check (list (option int))) (label ^ ": same items") linear drawn;
+      Alcotest.(check (list (option int)))
+        (label ^ ": same items from a prefix array")
+        linear from_prefix;
+      let state = Rng.next_int64 a in
       Alcotest.(check int64)
         (label ^ ": same generator state")
-        (Rng.next_int64 a) (Rng.next_int64 b))
+        state (Rng.next_int64 b);
+      Alcotest.(check int64)
+        (label ^ ": same generator state from a prefix array")
+        state (Rng.next_int64 p))
     cases
 
 let test_shuffle_permutes () =
@@ -240,6 +261,23 @@ let test_loc_hint_focuses () =
    proposals from it.  That must be indistinguishable from k [propose]
    calls: the same proposals, and the generator left in the same state. *)
 
+(* A guidance that exercises every steering input: a site boost, an op
+   boost, a blocklist of the task's own early proposals, and exploration. *)
+let steered_guidance (t : Llm.Task.t) =
+  let blocked =
+    let rng = Rng.of_context ~seed:11 [ "blocked"; t.spec_id ] in
+    List.init 3 (fun _ ->
+        Llm.Model.propose Llm.Model.gpt4 ~rng ~hints:[] Llm.Model.no_guidance
+          t)
+    |> List.filter_map Fun.id
+  in
+  {
+    Llm.Model.site_boost = [ (List.hd (Location.sites t.faulty), 3.0) ];
+    op_boost = [ ("quant-swap", 2.0) ];
+    blocked;
+    exploration = 0.15;
+  }
+
 let test_proposer_matches_propose () =
   let module B = Specrepair_benchmarks in
   let variant_task =
@@ -251,21 +289,7 @@ let test_proposer_matches_propose () =
   let hint_sets = Llm.Prompt.[ []; [ Loc ]; [ Pass ]; [ Loc; Fix ] ] in
   List.iter
     (fun (t : Llm.Task.t) ->
-      let blocked =
-        let rng = Rng.of_context ~seed:11 [ "blocked"; t.spec_id ] in
-        List.init 3 (fun _ ->
-            Llm.Model.propose Llm.Model.gpt4 ~rng ~hints:[]
-              Llm.Model.no_guidance t)
-        |> List.filter_map Fun.id
-      in
-      let steered =
-        {
-          Llm.Model.site_boost = [ (List.hd (Location.sites t.faulty), 3.0) ];
-          op_boost = [ ("quant-swap", 2.0) ];
-          blocked;
-          exploration = 0.15;
-        }
-      in
+      let steered = steered_guidance t in
       List.iter
         (fun (profile : Llm.Model.profile) ->
           List.iteri
@@ -297,6 +321,148 @@ let test_proposer_matches_propose () =
         Llm.Model.panel)
     [ Lazy.force task; variant_task ];
   Alcotest.(check bool) "the draws proposed something" true (!proposals > 0)
+
+(* {2 Mutation-space store}
+
+   A proposal build takes its mutation space from a store, which answers a
+   spec it holds physically or structurally.  The space is a function of
+   the spec alone, so a store warmed by earlier prompts, about an equal
+   but separately parsed spec, must draw exactly what a fresh store
+   draws. *)
+
+module Space = Specrepair_mutation.Space
+
+let reparse spec = Parser.parse (Pretty.spec_to_string spec)
+
+let domain_tasks =
+  lazy
+    (let module B = Specrepair_benchmarks in
+     List.map
+       (fun d -> B.Generate.to_task (B.Generate.variant_at d 0))
+       B.Domains.all)
+
+let check_stats label (st : Space.stats) (built, reused, evicted) =
+  Alcotest.(check (list int))
+    (label ^ ": built, reused, evicted")
+    [ built; reused; evicted ]
+    [ st.built; st.reused; st.evicted ]
+
+let check_specs label store expected =
+  Alcotest.(check bool)
+    (label ^ ": entries, most recently used first")
+    true
+    (List.equal ( == ) (Space.specs store) expected)
+
+let test_warm_store_matches_fresh () =
+  let tasks = Lazy.force domain_tasks in
+  let n = List.length tasks and k = 4 and proposals = ref 0 in
+  let hint_sets =
+    Llm.Prompt.[ []; [ Loc ]; [ Pass ]; [ Loc; Fix ]; [ Loc; Fix; Pass ] ]
+  in
+  List.iteri
+    (fun i (t : Llm.Task.t) ->
+      let copy = reparse t.faulty in
+      Alcotest.(check bool)
+        (t.spec_id ^ ": the copy is equal but not the same spec")
+        true
+        (Ast.equal_spec copy t.faulty && copy != t.faulty);
+      (match (Space.build t.faulty, Typecheck.check_result t.faulty) with
+      | Some space, Ok env ->
+          Alcotest.(check bool)
+            (t.spec_id ^ ": the space is the pooled mutations, in order")
+            true
+            (Array.to_list space.mutations
+            = Specrepair_mutation.Mutate.all_mutations env t.faulty
+                ~with_pool:true ())
+      | _ -> Alcotest.failf "%s: no space" t.spec_id);
+      (* warm the store from the copy and keep it through two evictions,
+         with another domain's spec built first and used last *)
+      let other j = (List.nth tasks ((i + j) mod n)).Llm.Task.faulty in
+      let store = Space.create_store () in
+      List.iter
+        (fun spec -> ignore (Space.find store spec))
+        [ other 1; copy; other 2; copy; other 1 ];
+      check_stats t.spec_id (Space.stats store) (4, 1, 2);
+      check_specs t.spec_id store [ other 1; copy ];
+      let steered = steered_guidance t in
+      let builds = ref 0 in
+      List.iter
+        (fun (profile : Llm.Model.profile) ->
+          List.iteri
+            (fun h hints ->
+              List.iteri
+                (fun g guidance ->
+                  let label =
+                    Printf.sprintf "%s %s hints#%d guidance#%d" t.spec_id
+                      profile.name h g
+                  in
+                  let a = Rng.of_context ~seed:7 [ label ]
+                  and b = Rng.of_context ~seed:7 [ label ] in
+                  let fresh = Llm.Model.proposer profile ~hints guidance t in
+                  let warm =
+                    Llm.Model.proposer ~spaces:store profile ~hints guidance t
+                  in
+                  incr builds;
+                  let xs = List.init k (fun _ -> fresh a) in
+                  let ys = List.init k (fun _ -> warm b) in
+                  proposals := !proposals + List.length (List.filter_map Fun.id ys);
+                  Alcotest.(check bool) (label ^ ": same proposals") true
+                    (List.equal (Option.equal Ast.equal_spec) xs ys);
+                  Alcotest.(check bool) (label ^ ": same generator state") true
+                    (Rng.next_int64 a = Rng.next_int64 b))
+                [ Llm.Model.no_guidance; steered ])
+            hint_sets)
+        Llm.Model.panel;
+      (* every build above was answered by the copy's entry *)
+      check_stats t.spec_id (Space.stats store) (4, 1 + !builds, 2);
+      check_specs t.spec_id store [ copy; other 1 ])
+    tasks;
+  Alcotest.(check bool) "the warm draws proposed something" true
+    (!proposals > 0)
+
+let test_ill_typed_space () =
+  let t =
+    Llm.Task.make ~spec_id:"ill-typed" ~domain:"graphs"
+      ~faulty:(Parser.parse "sig Node {}\nfact { some Missing }\n")
+      ()
+  in
+  Alcotest.(check bool) "the spec does not type-check" true
+    (Result.is_error (Typecheck.check_result t.faulty));
+  let store = Space.create_store () in
+  List.iter
+    (fun label ->
+      let rng = Rng.of_context ~seed:3 [ label ] in
+      Alcotest.(check bool) (label ^ ": fresh store proposes nothing") true
+        (Llm.Model.proposer Llm.Model.gpt4 ~hints:[] Llm.Model.no_guidance t
+           rng
+        = None);
+      Alcotest.(check bool) (label ^ ": warm store proposes nothing") true
+        (Llm.Model.proposer ~spaces:store Llm.Model.gpt4 ~hints:[]
+           Llm.Model.no_guidance t rng
+        = None))
+    [ "first"; "second" ];
+  check_stats "ill-typed" (Space.stats store) (1, 1, 0)
+
+let test_store_is_lru () =
+  let specs =
+    List.map (fun (t : Llm.Task.t) -> t.faulty) (Lazy.force domain_tasks)
+  in
+  let a = List.nth specs 0 and b = List.nth specs 1 and c = List.nth specs 2 in
+  let store = Space.create_store () in
+  let step label spec expected stats =
+    ignore (Space.find store spec);
+    if List.length (Space.specs store) > Space.capacity then
+      Alcotest.failf "%s: %d entries" label (List.length (Space.specs store));
+    check_specs label store expected;
+    check_stats label (Space.stats store) stats
+  in
+  Alcotest.(check int) "capacity" 2 Space.capacity;
+  step "a" a [ a ] (1, 0, 0);
+  step "b" b [ b; a ] (2, 0, 0);
+  step "a again" a [ a; b ] (2, 1, 0);
+  step "c evicts b" c [ c; a ] (3, 1, 1);
+  step "b is rebuilt" b [ b; c ] (4, 1, 2);
+  step "an equal copy of c" (reparse c) [ c; b ] (4, 2, 2)
 
 (* {2 Pipelines} *)
 
@@ -400,6 +566,15 @@ let () =
           Alcotest.test_case "loc hint focuses" `Quick test_loc_hint_focuses;
           Alcotest.test_case "one proposer, k draws" `Quick
             test_proposer_matches_propose;
+        ] );
+      ( "space store",
+        [
+          Alcotest.test_case "warm space store matches fresh" `Quick
+            test_warm_store_matches_fresh;
+          Alcotest.test_case "ill-typed spec built once" `Quick
+            test_ill_typed_space;
+          Alcotest.test_case "bounded, least recently used out" `Quick
+            test_store_is_lru;
         ] );
       ( "pipelines",
         [

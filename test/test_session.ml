@@ -287,6 +287,26 @@ let test_study_line_elapsed_is_row_time () =
           (fun acc f -> acc + Option.get (Json.mem_int f obj))
           0 fields
       in
+      (* every proposal build looks its mutation space up in the domain's
+         store once: built or reused *)
+      (match Json.member "spaces" j with
+      | Some spaces ->
+          List.iter
+            (fun f ->
+              match Json.mem_int f spaces with
+              | Some n when n >= 0 -> ()
+              | _ -> Alcotest.failf "%s: spaces.%s missing or negative" name f)
+            [ "built"; "reused"; "evicted" ];
+          Alcotest.(check int)
+            (name ^ ": spaces built + reused = proposal_builds")
+            (sum j [ "proposal_builds" ])
+            (sum spaces [ "built"; "reused" ]);
+          (match technique with
+          | Eval.Technique.Single _ | Eval.Technique.Multi _ ->
+              if sum j [ "proposal_builds" ] = 0 then
+                Alcotest.failf "%s: no proposal build" name
+          | _ -> ())
+      | None -> Alcotest.failf "%s: spaces object missing" name);
       Alcotest.(check int)
         (name ^ ": verdicts recorded = verdict hits + misses + fallbacks")
         (sum j [ "sat_verdicts"; "unsat_verdicts"; "unknown_verdicts" ])
@@ -321,6 +341,7 @@ let tag = Solver.Analyzer.outcome_verdict
 let check_deltas_nonnegative label session =
   let os = Session.oracle_stats session and ss = Session.sat_stats session in
   let es = Session.eval_stats session in
+  let ps = Session.space_stats session in
   List.iter
     (fun (field, n) ->
       if n < 0 then Alcotest.failf "%s: %s delta is %d" label field n)
@@ -344,6 +365,9 @@ let check_deltas_nonnegative label session =
       ("implicit_memoized", es.implicit_memoized);
       ("facts_evaluated", es.facts_evaluated);
       ("facts_memoized", es.facts_memoized);
+      ("spaces_built", ps.Specrepair_mutation.Space.built);
+      ("spaces_reused", ps.reused);
+      ("spaces_evicted", ps.evicted);
     ]
 
 let test_retirement_invisible () =

@@ -63,6 +63,15 @@ if [ -z "$retired" ] || [ "$retired" -eq 0 ]; then
     exit 1
 fi
 
+# Likewise the panel campaign must have answered proposal builds from its
+# shared mutation-space stores, or the store comparison checked nothing.
+reused=$(grep -o '"target":"panel"[^}]*"spaces_reused":[0-9]*' \
+    "$workdir/summary-1.json" | sed 's/.*://')
+if [ -z "$reused" ] || [ "$reused" -eq 0 ]; then
+    echo "fuzz_smoke: the panel campaign reused no mutation space" >&2
+    exit 1
+fi
+
 # The chaos hook corrupts the DPLL reference on purpose; the harness must
 # notice, shrink, persist a corpus entry, and exit nonzero.
 if SPECREPAIR_FUZZ_CHAOS=drop-clause dune exec bin/specrepair.exe -- fuzz \
@@ -142,4 +151,4 @@ if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $reused mutation spaces reused; chaos hooks caught)"
