@@ -11,6 +11,7 @@ module Repair = Specrepair_repair
 module Llm = Specrepair_llm
 module Benchmarks = Specrepair_benchmarks
 module Eval = Specrepair_eval
+module Json = Specrepair_json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -114,7 +115,7 @@ let parse_cmd =
     let src = read_file file in
     let print_json ds =
       print_endline
-        ("[" ^ String.concat "," (List.map Alloy.Diagnostic.to_json ds) ^ "]")
+        (Json.to_string (Json.List (List.map Alloy.Diagnostic.to_json ds)))
     in
     match Alloy.Frontend.check ~file src with
     | Ok ok ->
@@ -1154,7 +1155,6 @@ let client_cmd =
   in
   let run meth socket tcp payload tool profile seed deadline_ms id raw chaos
       repeat burst simplify portfolio =
-    let module J = Serve.Json in
     let addr =
       match (socket, tcp) with
       | Some path, _ -> Ok (Serve.Client.Unix_sock path)
@@ -1188,50 +1188,56 @@ let client_cmd =
                     | Some f ->
                         Ok
                           (opt_field "chaos" chaos
-                             (fun c -> J.Str c)
-                             [ ("dimacs", J.Str (read_file f)) ]))
+                             (fun c -> Json.Str c)
+                             [ ("dimacs", Json.Str (read_file f)) ]))
                 | `Repair | `Evaluate -> (
                     match payload with
                     | None -> Error (name ^ " needs --file SPEC")
                     | Some f ->
                         let ps =
-                          [ ("source", J.Str (read_file f)); ("file", J.Str f) ]
+                          [
+                            ("source", Json.Str (read_file f));
+                            ("file", Json.Str f);
+                          ]
                         in
                         let ps =
                           if m = `Repair then
-                            opt_field "tool" tool (fun t -> J.Str t) ps
+                            opt_field "tool" tool (fun t -> Json.Str t) ps
                             |> opt_field "seed" seed (fun s ->
-                                   J.Num (float_of_int s))
+                                   Json.int s)
                           else ps
                         in
                         let ps =
-                          opt_field "profile" profile (fun p -> J.Str p) ps
+                          opt_field "profile" profile (fun p -> Json.Str p) ps
                         in
                         let ps =
                           opt_field "deadline_ms" deadline_ms
-                            (fun d -> J.Num d)
+                            (fun d -> Json.Num d)
                             ps
                         in
                         let ps =
-                          if simplify then ps @ [ ("simplify", J.Bool true) ]
+                          if simplify then ps @ [ ("simplify", Json.Bool true) ]
                           else ps
                         in
                         let ps =
                           if portfolio > 1 then
                             ps
-                            @ [ ("portfolio", J.Num (float_of_int portfolio)) ]
+                            @ [
+                                ( "portfolio",
+                                  Json.int portfolio );
+                              ]
                           else ps
                         in
-                        Ok (opt_field "chaos" chaos (fun c -> J.Str c) ps))
+                        Ok (opt_field "chaos" chaos (fun c -> Json.Str c) ps))
               in
               Result.map
                 (fun ps ->
-                  J.to_string
-                    (J.Obj
+                  Json.to_string
+                    (Json.Obj
                        [
-                         ("id", J.Str id);
-                         ("method", J.Str name);
-                         ("params", J.Obj ps);
+                         ("id", Json.Str id);
+                         ("method", Json.Str name);
+                         ("params", Json.Obj ps);
                        ]))
                 params)
     in

@@ -86,25 +86,16 @@ let render ?source d =
 
 (* {2 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"end_line\":%d,\"end_col\":%d,\"message\":\"%s\",\"notes\":[%s]}"
-    (severity_to_string d.severity)
-    (json_escape d.span.Loc.file)
-    d.span.Loc.start_line d.span.Loc.start_col d.span.Loc.end_line
-    d.span.Loc.end_col (json_escape d.message)
-    (String.concat "," (List.map (fun n -> "\"" ^ json_escape n ^ "\"") d.notes))
+  let module Json = Specrepair_json in
+  Json.Obj
+    [
+      ("severity", Json.Str (severity_to_string d.severity));
+      ("file", Json.Str d.span.Loc.file);
+      ("line", Json.int d.span.Loc.start_line);
+      ("col", Json.int d.span.Loc.start_col);
+      ("end_line", Json.int d.span.Loc.end_line);
+      ("end_col", Json.int d.span.Loc.end_col);
+      ("message", Json.Str d.message);
+      ("notes", Json.List (List.map (fun n -> Json.Str n) d.notes));
+    ]

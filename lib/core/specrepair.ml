@@ -99,10 +99,12 @@ module Benchmarks = struct
   module Generate = Specrepair_benchmarks.Generate
 end
 
+(** The one JSON codec: every JSON the system writes or reads. *)
+module Json = Specrepair_json
+
 (** The repair-as-a-service daemon: wire protocol, warm-session registry,
     fork-worker pool, event-loop daemon, and the line client. *)
 module Serve = struct
-  module Json = Specrepair_serve.Json
   module Protocol = Specrepair_serve.Protocol
   module Registry = Specrepair_serve.Registry
   module Handler = Specrepair_serve.Handler

@@ -204,92 +204,85 @@ let space_stats t =
 
 (* {2 JSON serialization} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let telemetry_json ?(extra = []) t =
-  let buf = Buffer.create 512 in
-  let first = ref true in
-  let field name value =
-    if not !first then Buffer.add_char buf ',';
-    first := false;
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape name) value)
-  in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) -> field k (Printf.sprintf "\"%s\"" (json_escape v)))
-    extra;
+  let module Json = Specrepair_json in
+  let ms f = Json.Fixed (3, f) in
+  let obj fields = Json.Obj (List.map (fun (k, n) -> (k, Json.int n)) fields) in
   let m = t.telemetry in
-  field "elapsed_ms" (Printf.sprintf "%.3f" (elapsed_ms t));
-  field "timed_out" (string_of_bool (timed_out t));
-  field "solver_queries" (string_of_int (Telemetry.solver_queries m));
-  field "sat_verdicts" (string_of_int m.Telemetry.sat_verdicts);
-  field "unsat_verdicts" (string_of_int m.Telemetry.unsat_verdicts);
-  field "unknown_verdicts" (string_of_int m.Telemetry.unknown_verdicts);
-  field "instance_queries" (string_of_int m.Telemetry.instance_queries);
-  field "enumerations" (string_of_int m.Telemetry.enumerations);
-  field "candidates_generated" (string_of_int m.Telemetry.candidates_generated);
-  field "candidates_evaluated" (string_of_int m.Telemetry.candidates_evaluated);
-  field "llm_rounds" (string_of_int m.Telemetry.llm_rounds);
-  field "proposal_builds" (string_of_int m.Telemetry.proposal_builds);
-  field "pool_peak" (string_of_int m.Telemetry.pool_peak);
-  field "deadline_checks" (string_of_int m.Telemetry.deadline_checks);
-  field "certified_unsat" (string_of_int m.Telemetry.certified_unsat);
-  field "certificate_failures"
-    (string_of_int m.Telemetry.certificate_failures);
-  let os = oracle_stats t in
-  field "oracle"
-    (Printf.sprintf
-       "{\"verdict_hits\":%d,\"verdict_misses\":%d,\"instance_hits\":%d,\
-        \"instance_misses\":%d,\"fallback_queries\":%d,\
-        \"formulas_translated\":%d,\"formulas_reused\":%d,\"contexts\":%d,\
-        \"contexts_retired\":%d,\"certified\":%d,\"certificate_failures\":%d,\
-        \"definitions\":%d,\"definitions_shared\":%d}"
-       os.Solver.Oracle.verdict_hits os.verdict_misses os.instance_hits
-       os.instance_misses os.fallback_queries os.formulas_translated
-       os.formulas_reused os.contexts os.contexts_retired os.certified
-       os.certificate_failures os.definitions os.definitions_shared);
-  let ss = sat_stats t in
-  field "sat"
-    (Printf.sprintf
-       "{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\
-        \"restarts\":%d,\"reductions\":%d,\"subsumed\":%d,\
-        \"strengthened\":%d,\"vivified\":%d,\"eliminated\":%d}"
-       ss.Solver.Oracle.conflicts ss.decisions ss.propagations ss.restarts
-       ss.reductions ss.subsumed ss.strengthened ss.vivified ss.eliminated);
-  let es = eval_stats t in
-  field "eval"
-    (Printf.sprintf
-       "{\"implicit_evaluated\":%d,\"implicit_memoized\":%d,\
-        \"facts_evaluated\":%d,\"facts_memoized\":%d}"
-       es.Alloy.Eval.implicit_evaluated es.implicit_memoized es.facts_evaluated
-       es.facts_memoized);
-  let ps = space_stats t in
-  field "spaces"
-    (Printf.sprintf "{\"built\":%d,\"reused\":%d,\"evicted\":%d}"
-       ps.Space.built ps.reused ps.evicted);
-  let phase_fields =
-    List.map
-      (fun (phase, ms) ->
-        Printf.sprintf "\"%s\":%.3f" (json_escape phase) ms)
-      (Telemetry.phases m)
-  in
-  field "phases" ("{" ^ String.concat "," phase_fields ^ "}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let os = oracle_stats t
+  and ss = sat_stats t
+  and es = eval_stats t
+  and ps = space_stats t in
+  Json.to_string
+    (Json.Obj
+       (List.map (fun (k, v) -> (k, Json.Str v)) extra
+       @ [
+           ("elapsed_ms", ms (elapsed_ms t));
+           ("timed_out", Json.Bool (timed_out t));
+           ("solver_queries", Json.int (Telemetry.solver_queries m));
+           ("sat_verdicts", Json.int m.Telemetry.sat_verdicts);
+           ("unsat_verdicts", Json.int m.unsat_verdicts);
+           ("unknown_verdicts", Json.int m.unknown_verdicts);
+           ("instance_queries", Json.int m.instance_queries);
+           ("enumerations", Json.int m.enumerations);
+           ("candidates_generated", Json.int m.candidates_generated);
+           ("candidates_evaluated", Json.int m.candidates_evaluated);
+           ("llm_rounds", Json.int m.llm_rounds);
+           ("proposal_builds", Json.int m.proposal_builds);
+           ("pool_peak", Json.int m.pool_peak);
+           ("deadline_checks", Json.int m.deadline_checks);
+           ("certified_unsat", Json.int m.certified_unsat);
+           ("certificate_failures", Json.int m.certificate_failures);
+           ( "oracle",
+             obj
+               [
+                 ("verdict_hits", os.Solver.Oracle.verdict_hits);
+                 ("verdict_misses", os.verdict_misses);
+                 ("instance_hits", os.instance_hits);
+                 ("instance_misses", os.instance_misses);
+                 ("fallback_queries", os.fallback_queries);
+                 ("formulas_translated", os.formulas_translated);
+                 ("formulas_reused", os.formulas_reused);
+                 ("contexts", os.contexts);
+                 ("contexts_retired", os.contexts_retired);
+                 ("certified", os.certified);
+                 ("certificate_failures", os.certificate_failures);
+                 ("definitions", os.definitions);
+                 ("definitions_shared", os.definitions_shared);
+               ] );
+           ( "sat",
+             obj
+               [
+                 ("conflicts", ss.Solver.Oracle.conflicts);
+                 ("decisions", ss.decisions);
+                 ("propagations", ss.propagations);
+                 ("restarts", ss.restarts);
+                 ("reductions", ss.reductions);
+                 ("subsumed", ss.subsumed);
+                 ("strengthened", ss.strengthened);
+                 ("vivified", ss.vivified);
+                 ("eliminated", ss.eliminated);
+               ] );
+           ( "eval",
+             obj
+               [
+                 ("implicit_evaluated", es.Alloy.Eval.implicit_evaluated);
+                 ("implicit_memoized", es.implicit_memoized);
+                 ("facts_evaluated", es.facts_evaluated);
+                 ("facts_memoized", es.facts_memoized);
+               ] );
+           ( "spaces",
+             obj
+               [
+                 ("built", ps.Space.built);
+                 ("reused", ps.reused);
+                 ("evicted", ps.evicted);
+               ] );
+           ( "phases",
+             Json.Obj
+               (List.map (fun (phase, v) -> (phase, ms v)) (Telemetry.phases m))
+           );
+         ]))
 
 let pp_telemetry ppf t =
   Format.fprintf ppf "@[<v>%a@,elapsed: %.3f ms, timed out: %b@,oracle: %a@]"

@@ -197,7 +197,7 @@ val space_stats : t -> Space.stats
     so [built + reused] is the session's [proposal_builds]. *)
 
 val telemetry_json : ?extra:(string * string) list -> t -> string
-(** One-line JSON object: [extra] string fields first (escaped), then
+(** One-line JSON object: [extra] string fields first, then
     [elapsed_ms], [timed_out], the {!Telemetry.t} counters, the per-phase
     timers, the session-relative oracle stats, a ["sat"] object with the
     {!sat_stats} solver counters, an ["eval"] object with the

@@ -87,12 +87,19 @@ module Scheduler = struct
     }
 
   let to_json ~jobs t =
-    Printf.sprintf
-      "{\"jobs\":%d,\"chunks_dispatched\":%d,\"chunks_completed\":%d,\
-       \"rows_completed\":%d,\"retries\":%d,\"workers_spawned\":%d,\
-       \"workers_lost\":%d,\"heartbeat_kills\":%d}"
-      jobs t.chunks_dispatched t.chunks_completed t.rows_completed t.retries
-      t.workers_spawned t.workers_lost t.heartbeat_kills
+    Specrepair_json.Obj
+      (List.map
+         (fun (k, n) -> (k, Specrepair_json.int n))
+         [
+           ("jobs", jobs);
+           ("chunks_dispatched", t.chunks_dispatched);
+           ("chunks_completed", t.chunks_completed);
+           ("rows_completed", t.rows_completed);
+           ("retries", t.retries);
+           ("workers_spawned", t.workers_spawned);
+           ("workers_lost", t.workers_lost);
+           ("heartbeat_kills", t.heartbeat_kills);
+         ])
 
   let pp ppf t =
     Format.fprintf ppf

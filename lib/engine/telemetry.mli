@@ -81,8 +81,8 @@ module Scheduler : sig
   }
 
   val create : unit -> t
-  val to_json : jobs:int -> t -> string
-  (** One-line JSON object (no trailing newline). *)
+  val to_json : jobs:int -> t -> Specrepair_json.t
+  (** The counters as one JSON object, [jobs] first. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -82,64 +82,29 @@ let class_of_variant_id id =
 
 (* {2 Mining} *)
 
-(* Minimal extraction from the session telemetry JSONL: every field we
-   need is either a flat string ("technique":"ATR") or a flat number
-   ("elapsed_ms":12.345) — the schema {!Session.telemetry_json} emits. *)
-let string_field line key =
-  let needle = Printf.sprintf "\"%s\":\"" key in
-  let nl = String.length needle and ll = String.length line in
-  let rec find i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then
-      let start = i + nl in
-      match String.index_from_opt line start '"' with
-      | Some stop -> Some (String.sub line start (stop - start))
-      | None -> None
-    else find (i + 1)
-  in
-  find 0
-
-let number_field line key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nl = String.length needle and ll = String.length line in
-  let rec find i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then begin
-      let start = i + nl in
-      let stop = ref start in
-      while
-        !stop < ll
-        && (match line.[!stop] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-    end
-    else find (i + 1)
-  in
-  find 0
-
 let add_telemetry_line t line =
-  match (string_field line "technique", string_field line "repaired") with
-  | Some technique, Some repaired ->
-      let defect_class =
-        match string_field line "defect_class" with
-        | Some c -> c
-        | None -> (
-            (* pre-panel telemetry carries no class field; recover it from
-               the variant id *)
-            match string_field line "variant_id" with
-            | Some id -> class_of_variant_id id
-            | None -> "unknown")
-      in
-      let time_ms =
-        Option.value (number_field line "elapsed_ms") ~default:0.
-      in
-      observe t ~defect_class ~technique ~repaired:(repaired = "true")
-        ~time_ms
-  | _ -> () (* scheduler summaries, serve events: not study rows *)
+  let module Json = Specrepair_json in
+  match Json.parse line with
+  | Error _ -> () (* a torn or foreign line: nothing to trust in it *)
+  | Ok j -> (
+      match (Json.mem_str "technique" j, Json.mem_str "repaired" j) with
+      | Some technique, Some repaired ->
+          let defect_class =
+            match Json.mem_str "defect_class" j with
+            | Some c -> c
+            | None -> (
+                (* pre-panel telemetry carries no class field; recover it
+                   from the variant id *)
+                match Json.mem_str "variant_id" j with
+                | Some id -> class_of_variant_id id
+                | None -> "unknown")
+          in
+          let time_ms =
+            Option.value (Json.mem_num "elapsed_ms" j) ~default:0.
+          in
+          observe t ~defect_class ~technique ~repaired:(repaired = "true")
+            ~time_ms
+      | _ -> () (* scheduler summaries, serve events: not study rows *))
 
 let of_telemetry_file path =
   let t = empty () in

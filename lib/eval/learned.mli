@@ -53,7 +53,8 @@ val class_of_variant_id : string -> string
 
 val add_telemetry_line : t -> string -> unit
 (** Folds one telemetry JSONL line in; non-study lines (scheduler
-    summaries, serve events) are ignored. *)
+    summaries, serve events) and lines that are not one JSON value (a
+    torn final line) are ignored. *)
 
 val of_telemetry_file : string -> t
 

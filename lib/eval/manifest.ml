@@ -51,16 +51,29 @@ let pending t =
 
 (* {2 Serialization}
 
-   The JSON is fixed-shape, so the parser is a tiny strict scanner for
-   exactly that shape rather than a general JSON reader: every deviation
-   is [Corrupt], including trailing bytes. *)
+   Both directions go through the one JSON codec.  A file is decoded with
+   [Json.parse], matched against the fixed four-key shape, checked, and
+   then re-encoded: unless [to_json] of the decoded manifest is exactly the
+   file's bytes (one trailing newline aside), the file is not something
+   [save] wrote, and it is [Corrupt].  That canonical-form check rejects
+   whitespace, reordered or extra keys, [8.0] for [8], and integers the
+   codec cannot carry exactly. *)
+
+module Json = Specrepair_json
 
 let to_json t =
-  Printf.sprintf
-    "{\"specrepair_manifest\":%d,\"fingerprint\":%S,\"total\":%d,\"completed\":[%s]}"
-    version t.fingerprint t.total
-    (String.concat ","
-       (List.map (fun (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi) t.completed))
+  Json.to_string
+    (Json.Obj
+       [
+         ("specrepair_manifest", Json.int version);
+         ("fingerprint", Json.Str t.fingerprint);
+         ("total", Json.int t.total);
+         ( "completed",
+           Json.List
+             (List.map
+                (fun (lo, hi) -> Json.List [ Json.int lo; Json.int hi ])
+                t.completed) );
+       ])
 
 let save ~dir t =
   let final = path ~dir in
@@ -71,115 +84,59 @@ let save ~dir t =
   close_out oc;
   Sys.rename tmp final
 
-type cursor = { text : string; mutable pos : int }
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-let corrupt c fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Corrupt (Printf.sprintf "%s (at byte %d)" msg c.pos)))
-    fmt
-
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
-
-let expect c s =
-  let n = String.length s in
-  if c.pos + n <= String.length c.text && String.sub c.text c.pos n = s then
-    c.pos <- c.pos + n
-  else corrupt c "expected %S" s
-
-let parse_int c =
-  let start = c.pos in
-  (match peek c with Some '-' -> c.pos <- c.pos + 1 | _ -> ());
-  while match peek c with Some '0' .. '9' -> true | _ -> false do
-    c.pos <- c.pos + 1
-  done;
-  if c.pos = start then corrupt c "expected an integer";
-  match int_of_string_opt (String.sub c.text start (c.pos - start)) with
+let int what v =
+  match Json.to_int v with
   | Some n -> n
-  | None -> corrupt c "integer out of range"
+  | None -> corrupt "%s is not an integer" what
 
-(* Only what [%S] emits: printable ASCII with backslash escapes. *)
-let parse_string c =
-  expect c "\"";
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek c with
-    | None -> corrupt c "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' -> (
-        c.pos <- c.pos + 1;
-        match peek c with
-        | Some (('\\' | '"') as ch) ->
-            Buffer.add_char buf ch;
-            c.pos <- c.pos + 1;
-            go ()
-        | Some 'n' ->
-            Buffer.add_char buf '\n';
-            c.pos <- c.pos + 1;
-            go ()
-        | Some 't' ->
-            Buffer.add_char buf '\t';
-            c.pos <- c.pos + 1;
-            go ()
-        | _ -> corrupt c "unknown escape")
-    | Some ch ->
-        Buffer.add_char buf ch;
-        c.pos <- c.pos + 1;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+let range = function
+  | Json.List [ lo; hi ] -> (int "range start" lo, int "range end" hi)
+  | _ -> corrupt "a completed range is not a [lo,hi] pair"
+
+(* every manifest opens with its version key: anything else is not one *)
+let magic = "{\"specrepair_manifest\":"
 
 let of_json text =
-  let c = { text; pos = 0 } in
-  expect c "{\"specrepair_manifest\":";
-  let v = parse_int c in
-  if v <> version then
-    raise (Corrupt (Printf.sprintf "unknown manifest version %d (want %d)" v version));
-  expect c ",\"fingerprint\":";
-  let fingerprint = parse_string c in
-  expect c ",\"total\":";
-  let total = parse_int c in
-  if total < 0 then corrupt c "negative total";
-  expect c ",\"completed\":[";
-  let ranges = ref [] in
-  (if peek c = Some ']' then c.pos <- c.pos + 1
-   else
-     let rec ranges_loop () =
-       expect c "[";
-       let lo = parse_int c in
-       expect c ",";
-       let hi = parse_int c in
-       expect c "]";
-       ranges := (lo, hi) :: !ranges;
-       match peek c with
-       | Some ',' ->
-           c.pos <- c.pos + 1;
-           ranges_loop ()
-       | _ -> expect c "]"
-     in
-     ranges_loop ());
-  expect c "}";
-  (match peek c with
-  | None -> ()
-  | Some '\n' when c.pos = String.length text - 1 -> ()
-  | Some _ -> corrupt c "trailing bytes after manifest object");
-  let completed = List.rev !ranges in
+  if not (String.starts_with ~prefix:magic text) then
+    corrupt "expected %S (at byte 0)" magic;
+  let t =
+    match Json.parse text with
+    | Error (pos, msg) -> corrupt "%s (at byte %d)" msg pos
+    | Ok
+        (Json.Obj
+          [
+            ("specrepair_manifest", v);
+            ("fingerprint", Json.Str fingerprint);
+            ("total", total);
+            ("completed", Json.List ranges);
+          ]) ->
+        let v = int "version" v in
+        if v <> version then
+          corrupt "unknown manifest version %d (want %d)" v version;
+        let total = int "total" total in
+        if total < 0 then corrupt "negative total";
+        { fingerprint; total; completed = List.map range ranges }
+    | Ok _ ->
+        corrupt
+          "not a manifest object {specrepair_manifest, fingerprint, total, \
+           completed}"
+  in
   let rec check prev = function
     | [] -> ()
     | (lo, hi) :: rest ->
-        if lo < 0 || hi > total || lo >= hi then
-          raise
-            (Corrupt
-               (Printf.sprintf "malformed range [%d, %d) of %d" lo hi total));
+        if lo < 0 || hi > t.total || lo >= hi then
+          corrupt "malformed range [%d, %d) of %d" lo hi t.total;
         if lo < prev then
-          raise
-            (Corrupt
-               (Printf.sprintf "ranges unsorted or overlapping at [%d, %d)" lo
-                  hi));
+          corrupt "ranges unsorted or overlapping at [%d, %d)" lo hi;
         check hi rest
   in
-  check 0 completed;
-  { fingerprint; total; completed }
+  check 0 t.completed;
+  let canonical = to_json t in
+  if text <> canonical && text <> canonical ^ "\n" then
+    corrupt "not in the form save writes";
+  t
 
 let load ~dir =
   let p = path ~dir in

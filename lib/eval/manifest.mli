@@ -37,9 +37,11 @@ val create : fingerprint:string -> total:int -> t
 
 val load : dir:string -> t
 (** Strict parse of [manifest.json].  Raises {!Corrupt} on unreadable or
-    truncated files, unknown versions, missing fields, malformed ranges
-    (unsorted, overlapping, out of bounds) — anything short of a
-    checkpoint this module itself would have written. *)
+    truncated files (the message of a syntax error carries its byte
+    offset), unknown versions, missing fields, malformed ranges (unsorted,
+    overlapping, out of bounds) — anything short of a checkpoint this
+    module itself would have written: the file must be byte for byte the
+    {!to_json} of the manifest it decodes to, plus at most one newline. *)
 
 val save : dir:string -> t -> unit
 (** Atomic replace: serialize to [manifest.json.tmp], then rename over

@@ -278,6 +278,16 @@ let of_csv text =
    and are replayed into the caller's sink as each chunk is merged,
    followed by one final [{"scheduler":…}] summary line. *)
 
+(* the final [{"scheduler":…}] telemetry line of a parallel or streamed run *)
+let scheduler_line ~jobs stats =
+  let module Json = Specrepair_json in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "scheduler",
+           Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats );
+       ])
+
 let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
     ?(jobs = 1) ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
@@ -306,13 +316,7 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
       Scheduler.map ~jobs ~max_retries ?heartbeat_timeout_ms ~progress
         ?emit:telemetry ~f (Array.length work)
     in
-    Option.iter
-      (fun sink ->
-        sink
-          ("{\"scheduler\":"
-          ^ Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats
-          ^ "}"))
-      telemetry;
+    Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
     Option.iter (fun g -> g stats) on_stats;
     progress
       (Printf.sprintf
@@ -382,13 +386,7 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     Scheduler.map_checkpointed ~jobs ~max_retries ?heartbeat_timeout_ms
       ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
   in
-  Option.iter
-    (fun sink ->
-      sink
-        ("{\"scheduler\":"
-        ^ Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats
-        ^ "}"))
-    telemetry;
+  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
   Option.iter (fun g -> g stats) on_stats;
   progress
     (Printf.sprintf

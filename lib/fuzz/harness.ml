@@ -1051,27 +1051,39 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
 
 (* {2 JSON summaries} *)
 
-let json_string s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
+module Json = Specrepair_json
 
-let report_json r =
-  let count name = function
-    | Some n -> Printf.sprintf "\"%s\":%d," name n
-    | None -> ""
-  in
-  Printf.sprintf
-    "{\"target\":%s,\"seed\":%d,\"iters\":%d,\"checks\":%d,\"skipped\":%d,\"discrepancies\":%d,%s%s\"corpus\":[%s]}"
-    (json_string r.target) r.seed r.iters r.checks r.skipped r.discrepancies
-    (count "contexts_retired" r.contexts_retired)
-    (count "spaces_reused" r.spaces_reused)
-    (String.concat "," (List.map json_string r.corpus))
+let report_value r =
+  let count name = function Some n -> [ (name, Json.int n) ] | None -> [] in
+  Json.Obj
+    ([
+       ("target", Json.Str r.target);
+       ("seed", Json.int r.seed);
+       ("iters", Json.int r.iters);
+       ("checks", Json.int r.checks);
+       ("skipped", Json.int r.skipped);
+       ("discrepancies", Json.int r.discrepancies);
+     ]
+    @ count "contexts_retired" r.contexts_retired
+    @ count "spaces_reused" r.spaces_reused
+    @ [ ("corpus", Json.List (List.map (fun p -> Json.Str p) r.corpus)) ])
+
+let report_json r = Json.to_string (report_value r)
 
 let summary_json ~corpus_dir ~seed reports =
   let total = List.fold_left (fun n r -> n + r.discrepancies) 0 reports in
-  Printf.sprintf
-    "{\"fuzz\":{\"seed\":%d,\"corpus_dir\":%s,\"targets\":[%s],\"total_discrepancies\":%d}}"
-    seed (json_string corpus_dir)
-    (String.concat "," (List.map report_json reports))
-    total
+  Json.to_string
+    (Json.Obj
+       [
+         ( "fuzz",
+           Json.Obj
+             [
+               ("seed", Json.int seed);
+               ("corpus_dir", Json.Str corpus_dir);
+               ("targets", Json.List (List.map report_value reports));
+               ("total_discrepancies", Json.int total);
+             ] );
+       ])
 
 (* {2 Corpus replay} *)
 

@@ -4,6 +4,7 @@
    supervision in pool.ml. *)
 
 module Worker = Specrepair_workers.Worker
+module Json = Specrepair_json
 
 type config = {
   socket : string option;
@@ -227,7 +228,7 @@ let run config =
   in
   let status_reply ~id =
     let by_method =
-      Hashtbl.fold (fun k v acc -> (k, Json.Num (float_of_int v)) :: acc)
+      Hashtbl.fold (fun k v acc -> (k, Json.int v) :: acc)
         counters.by_method []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
@@ -235,17 +236,17 @@ let run config =
       (Json.Obj
          [
            ("uptime_ms", Json.Num ((Unix.gettimeofday () -. started) *. 1000.));
-           ("workers", Json.Num (float_of_int (Pool.jobs pool)));
-           ("requests", Json.Num (float_of_int counters.requests));
-           ("ok", Json.Num (float_of_int counters.ok));
-           ("errors", Json.Num (float_of_int counters.errors));
-           ("overloaded", Json.Num (float_of_int counters.overloaded));
-           ("cache_hits", Json.Num (float_of_int counters.cache_hits));
-           ("cache_misses", Json.Num (float_of_int counters.cache_misses));
-           ("worker_respawns", Json.Num (float_of_int (Pool.respawns pool)));
-           ("inflight", Json.Num (float_of_int (Hashtbl.length inflight)));
-           ("queued", Json.Num (float_of_int (List.length !pending)));
-           ("queue_high_water", Json.Num (float_of_int counters.queue_high_water));
+           ("workers", Json.int (Pool.jobs pool));
+           ("requests", Json.int counters.requests);
+           ("ok", Json.int counters.ok);
+           ("errors", Json.int counters.errors);
+           ("overloaded", Json.int counters.overloaded);
+           ("cache_hits", Json.int counters.cache_hits);
+           ("cache_misses", Json.int counters.cache_misses);
+           ("worker_respawns", Json.int (Pool.respawns pool));
+           ("inflight", Json.int (Hashtbl.length inflight));
+           ("queued", Json.int (List.length !pending));
+           ("queue_high_water", Json.int counters.queue_high_water);
            ("by_method", Json.Obj by_method);
          ])
   in
@@ -479,14 +480,14 @@ let run config =
   telemetry
     [
       ("event", Json.Str "shutdown");
-      ("requests", Json.Num (float_of_int counters.requests));
-      ("ok", Json.Num (float_of_int counters.ok));
-      ("errors", Json.Num (float_of_int counters.errors));
-      ("overloaded", Json.Num (float_of_int counters.overloaded));
-      ("cache_hits", Json.Num (float_of_int counters.cache_hits));
-      ("cache_misses", Json.Num (float_of_int counters.cache_misses));
-      ("worker_respawns", Json.Num (float_of_int (Pool.respawns pool)));
-      ("queue_high_water", Json.Num (float_of_int counters.queue_high_water));
+      ("requests", Json.int counters.requests);
+      ("ok", Json.int counters.ok);
+      ("errors", Json.int counters.errors);
+      ("overloaded", Json.int counters.overloaded);
+      ("cache_hits", Json.int counters.cache_hits);
+      ("cache_misses", Json.int counters.cache_misses);
+      ("worker_respawns", Json.int (Pool.respawns pool));
+      ("queue_high_water", Json.int counters.queue_high_water);
     ];
   Option.iter close_out telemetry_oc;
   restore_signals ();

@@ -13,6 +13,7 @@ module Engine = Specrepair_engine
 module Repair = Specrepair_repair
 module Llm = Specrepair_llm
 module Eval = Specrepair_eval
+module Json = Specrepair_json
 
 type warmth = Warm | Cold | Uncached
 
@@ -49,7 +50,7 @@ let spec_error ~id ~source diagnostics =
     ~data:
       [
         ( "diagnostics",
-          Json.List (List.map (fun d -> Json.Raw (Alloy.Diagnostic.to_json d)) diagnostics)
+          Json.List (List.map Alloy.Diagnostic.to_json diagnostics)
         );
       ]
     "specification rejected by the frontend"
@@ -122,8 +123,8 @@ let handle_repair t ~id (p : Protocol.repair_params) =
          [
            ("tool", Json.Str result.Repair.Common.tool);
            ("repaired", Json.Bool result.repaired);
-           ("candidates_tried", Json.Num (float_of_int result.candidates_tried));
-           ("iterations", Json.Num (float_of_int result.iterations));
+           ("candidates_tried", Json.int result.candidates_tried);
+           ("iterations", Json.int result.iterations);
            ("timed_out", Json.Bool result.timed_out);
            ("warm", Json.Bool warm);
            ("spec", Json.Str (Alloy.Pretty.spec_to_string result.final_spec));
@@ -157,7 +158,7 @@ let handle_evaluate t ~id (p : Protocol.evaluate_params) =
       (Json.Obj
          [
            ("passed", Json.Bool passed);
-           ("commands", Json.Num (float_of_int (List.length verdicts)));
+           ("commands", Json.int (List.length verdicts));
            ("timed_out", Json.Bool (Repair.Session.timed_out session));
            ("warm", Json.Bool warm);
            ("verdicts", Json.List verdicts);
@@ -189,8 +190,8 @@ let handle_sat t ~id (p : Protocol.sat_params) =
               (Json.Obj
                  [
                    ("verdict", Json.Str verdict);
-                   ("vars", Json.Num (float_of_int cnf.Sat.Dimacs.num_vars));
-                   ("clauses", Json.Num (float_of_int (List.length cnf.Sat.Dimacs.clauses)));
+                   ("vars", Json.int cnf.Sat.Dimacs.num_vars);
+                   ("clauses", Json.int (List.length cnf.Sat.Dimacs.clauses));
                    ("warm", Json.Bool warm);
                  ])
           in
@@ -215,9 +216,9 @@ let handle t line =
           ( Protocol.ok_reply ~id
               (Json.Obj
                  [
-                   ("sessions", Json.Num (float_of_int (Registry.size t.registry)));
-                   ("cache_hits", Json.Num (float_of_int s.Registry.hits));
-                   ("cache_misses", Json.Num (float_of_int s.Registry.misses));
+                   ("sessions", Json.int (Registry.size t.registry));
+                   ("cache_hits", Json.int s.Registry.hits);
+                   ("cache_misses", Json.int s.Registry.misses);
                  ]),
             Uncached )
       | Protocol.Repair p -> (

@@ -4,6 +4,8 @@
    and the unit tests can exercise every malformed-input path without a
    process tree. *)
 
+module Json = Specrepair_json
+
 type repair_params = {
   source : string;
   file : string;
@@ -208,7 +210,7 @@ let parse_request line =
   | Error (pos, msg) ->
       Error
         (error_reply ~id:"" ~code:Parse_error
-           ~data:[ ("pos", Json.Num (float_of_int pos)) ]
+           ~data:[ ("pos", Json.int pos) ]
            (Printf.sprintf "request is not JSON: %s (byte %d)" msg pos))
   | Ok json -> (
       (* best-effort id recovery, so even malformed requests correlate *)

@@ -84,8 +84,13 @@ val parse_request : string -> (request, string) result
     error-reply line (the client's [id] is echoed when it could be
     recovered from the malformed request). *)
 
-val ok_reply : id:string -> Json.t -> string
-val error_reply : ?data:(string * Json.t) list -> id:string -> code:error_code -> string -> string
+val ok_reply : id:string -> Specrepair_json.t -> string
+val error_reply :
+  ?data:(string * Specrepair_json.t) list ->
+  id:string ->
+  code:error_code ->
+  string ->
+  string
 
 val method_name : call -> string
 (** "repair" | "evaluate" | "sat" | "status". *)

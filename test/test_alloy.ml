@@ -322,6 +322,24 @@ let test_parse_errors () =
   fails "check";
   fails "sig A {} garbage"
 
+let test_diagnostic_json () =
+  let module Json = Specrepair_json in
+  let text = "q\"b\\s\rr\nn\tt\001c" in
+  let d = Diagnostic.error ~notes:[ text; "in fact F" ] Loc.none "%s" text in
+  let line = Json.to_string (Diagnostic.to_json d) in
+  Alcotest.(check bool) "one line" false (String.contains line '\n');
+  match Json.parse line with
+  | Error (pos, msg) -> Alcotest.failf "not JSON (byte %d: %s)" pos msg
+  | Ok j ->
+      Alcotest.(check (option string)) "message" (Some text)
+        (Json.mem_str "message" j);
+      Alcotest.(check (option (list string)))
+        "notes"
+        (Some [ text; "in fact F" ])
+        (Option.bind (Json.member "notes" j) Json.to_list
+        |> Option.map (List.filter_map Json.to_str));
+      Alcotest.(check (option int)) "line" (Some 0) (Json.mem_int "line" j)
+
 let test_lexer_atom_names () =
   let tokens = Lexer.tokenize "Node$0 x' _under" in
   let kinds = Array.to_list (Array.map fst tokens) in
@@ -751,6 +769,7 @@ let () =
           Alcotest.test_case "recursive fun rejected" `Quick
             test_fun_rejects_recursion;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "diagnostic json" `Quick test_diagnostic_json;
           Alcotest.test_case "scope overrides" `Quick test_parse_scope_overrides;
           Alcotest.test_case "default scope" `Quick test_parse_default_scope;
           Alcotest.test_case "anonymous facts" `Quick test_parse_fact_anonymous;

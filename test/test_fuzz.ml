@@ -155,6 +155,37 @@ let test_report_deterministic () =
   in
   Alcotest.(check string) "byte-identical reports" (run ()) (run ())
 
+let test_summary_escapes () =
+  let corpus_dir = "a\\b\"c\nd\te" in
+  let report =
+    {
+      Harness.target = "sat";
+      seed = 1;
+      iters = 1;
+      checks = 1;
+      skipped = 0;
+      discrepancies = 0;
+      corpus = [ Filename.concat corpus_dir "x.cnf" ];
+      contexts_retired = None;
+      spaces_reused = None;
+    }
+  in
+  let module Json = Specrepair_json in
+  match Json.parse (Harness.summary_json ~corpus_dir ~seed:1 [ report ]) with
+  | Error (pos, msg) -> Alcotest.failf "summary is not JSON (byte %d: %s)" pos msg
+  | Ok j ->
+      let fuzz = Option.get (Json.member "fuzz" j) in
+      Alcotest.(check (option string))
+        "corpus dir decoded" (Some corpus_dir)
+        (Json.mem_str "corpus_dir" fuzz);
+      Alcotest.(check (option (list string)))
+        "corpus entries decoded" (Some report.Harness.corpus)
+        (match Option.bind (Json.member "targets" fuzz) Json.to_list with
+        | Some [ r ] ->
+            Option.bind (Json.member "corpus" r) Json.to_list
+            |> Option.map (List.filter_map Json.to_str)
+        | _ -> None)
+
 (* {2 Chaos injection: caught, shrunk, persisted, replayable} *)
 
 let test_chaos_injection () =
@@ -307,6 +338,8 @@ let () =
           Alcotest.test_case "parse" `Quick (smoke Harness.Parse_target 150);
           Alcotest.test_case "deterministic report" `Quick
             test_report_deterministic;
+          Alcotest.test_case "summary escapes strings" `Quick
+            test_summary_escapes;
         ] );
       ( "chaos",
         [

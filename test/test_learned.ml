@@ -36,7 +36,15 @@ let fixture_lines =
         row v "Multi-Round_Auto" true 100.0;
       ])
     [ "graphs_0"; "graphs_1"; "fsm_0"; "fsm_1" ]
-  @ [ "{\"event\":\"scheduler_summary\",\"chunks\":3}" (* must be ignored *) ]
+  @ [
+      "{\"event\":\"scheduler_summary\",\"chunks\":3}" (* must be ignored *);
+      (* a string value holding an escaped quote is mined decoded *)
+      "{\"technique\":\"Multi \\\"x\\\"\",\"repaired\":\"true\",\"defect_class\":\"quant\",\"elapsed_ms\":2.000}";
+      (* the fields without the object around them are not a row *)
+      "\"technique\":\"ATR\",\"repaired\":\"true\",\"defect_class\":\"quant\"";
+      (* a torn final line (the writer died mid-row) is skipped *)
+      "{\"variant_id\":\"graphs_2\",\"technique\":\"ATR\",\"repaired\":\"true\",\"defect_class\":\"quant\",\"elapsed_";
+    ]
 
 let fixture_stats =
   lazy
@@ -92,6 +100,14 @@ let test_non_study_lines_ignored () =
   Learned.add_telemetry_line t "{\"event\":\"serve_request\",\"method\":\"repair\"}";
   Learned.add_telemetry_line t "not json at all";
   Alcotest.(check bool) "still empty" true (Learned.is_empty t)
+
+let test_escaped_strings_decoded () =
+  let t = Lazy.force fixture_stats in
+  match Learned.cell t ~defect_class:"quant" ~technique:"Multi \"x\"" with
+  | None -> Alcotest.fail "escaped technique name not mined"
+  | Some c ->
+      Alcotest.(check int) "attempts" 1 c.Learned.attempts;
+      Alcotest.(check (float 0.001)) "total_ms" 2.0 c.Learned.total_ms
 
 let test_rank_pinned () =
   let t = Lazy.force fixture_stats in
@@ -233,6 +249,8 @@ let () =
           Alcotest.test_case "telemetry counts" `Quick test_mining_counts;
           Alcotest.test_case "non-study lines ignored" `Quick
             test_non_study_lines_ignored;
+          Alcotest.test_case "escaped strings decoded" `Quick
+            test_escaped_strings_decoded;
           Alcotest.test_case "pinned ranking" `Quick test_rank_pinned;
         ] );
       ( "persistence",

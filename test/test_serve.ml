@@ -6,7 +6,7 @@
    clients, chaos worker crashes, and SIGTERM shutdown. *)
 
 module Serve = Specrepair_serve
-module Json = Serve.Json
+module Json = Specrepair_json
 module Protocol = Serve.Protocol
 module Registry = Serve.Registry
 module Handler = Serve.Handler
@@ -80,12 +80,16 @@ let test_json_unicode () =
       Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "surrogate pair parse failed"
 
-let test_json_raw () =
+let test_json_fixed () =
   let s =
     Json.to_string
-      (Json.Obj [ ("d", Json.Raw {|{"x":1}|}); ("k", Json.Num 2.) ])
+      (Json.List
+         [ Json.Fixed (3, 12.3456); Json.Fixed (1, 2.); Json.Fixed (4, 0.5) ])
   in
-  Alcotest.(check string) "raw embedded verbatim" {|{"d":{"x":1},"k":2}|} s
+  Alcotest.(check string) "exact decimals" {|[12.346,2.0,0.5000]|} s;
+  Alcotest.(check bool) "reads back as numbers" true
+    (Json.parse s
+    = Ok (Json.List [ Json.Num 12.346; Json.Num 2.; Json.Num 0.5 ]))
 
 (* {2 Protocol} *)
 
@@ -554,7 +558,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors carry positions" `Quick test_json_errors;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode;
-          Alcotest.test_case "raw embedding" `Quick test_json_raw;
+          Alcotest.test_case "fixed decimals" `Quick test_json_fixed;
         ] );
       ( "protocol",
         [

@@ -12,7 +12,7 @@ module Llm = Specrepair_llm
 module Eval = Specrepair_eval
 module B = Specrepair_benchmarks
 module Mutate = Specrepair_mutation.Mutate
-module Json = Specrepair_serve.Json
+module Json = Specrepair_json
 
 let faulty_src =
   {|

@@ -252,6 +252,17 @@ let test_manifest_roundtrip_and_pending () =
         "ranges survive, sorted, uncoalesced"
         [ (0, 3); (7, 10) ]
         m'.Manifest.completed);
+  (* the codec carries any fingerprint byte for byte: a carriage return,
+     UTF-8 and a control byte included *)
+  List.iter
+    (fun fingerprint ->
+      with_tmpdir (fun dir ->
+          Manifest.save ~dir
+            (Manifest.add (Manifest.create ~fingerprint ~total:4) ~lo:0 ~hi:2);
+          Alcotest.(check string)
+            (Printf.sprintf "fingerprint %S survives" fingerprint)
+            fingerprint (Manifest.load ~dir).Manifest.fingerprint))
+    [ "a\rb"; "caf\xc3\xa9"; "a\001b" ];
   (match Manifest.add m ~lo:2 ~hi:4 with
   | _ -> Alcotest.fail "overlap must be Invalid_argument"
   | exception Invalid_argument _ -> ());
@@ -260,7 +271,12 @@ let test_manifest_roundtrip_and_pending () =
     (Manifest.is_complete m);
   Alcotest.(check (list (pair int int))) "nothing pending" [] (Manifest.pending m)
 
-let expect_corrupt what text =
+let contains sub s =
+  let k = String.length sub and n = String.length s in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+let expect_corrupt ?(naming = "") what text =
   with_tmpdir (fun dir ->
       (match text with
       | Some t ->
@@ -273,7 +289,9 @@ let expect_corrupt what text =
       | exception Manifest.Corrupt msg ->
           Alcotest.(check bool)
             (what ^ ": error names the manifest") true
-            (String.length msg > 0))
+            (String.length msg > 0);
+          if not (contains naming msg) then
+            Alcotest.failf "%s: expected %S in %S" what naming msg)
 
 let test_corrupt_manifests_rejected () =
   let valid =
@@ -283,7 +301,7 @@ let test_corrupt_manifests_rejected () =
   expect_corrupt "missing manifest" None;
   expect_corrupt "empty file" (Some "");
   expect_corrupt "garbage" (Some "totally not json\n");
-  expect_corrupt "truncated mid-write"
+  expect_corrupt "truncated mid-write" ~naming:"(at byte "
     (Some (String.sub valid 0 (String.length valid / 2)));
   expect_corrupt "trailing bytes" (Some (valid ^ "x"));
   expect_corrupt "unknown version"
@@ -300,7 +318,23 @@ let test_corrupt_manifests_rejected () =
        "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[0,4],[3,6]]}");
   expect_corrupt "inverted range"
     (Some
-       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[4,4]]}")
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[4,4]]}");
+  (* valid JSON, but not what [save] writes *)
+  expect_corrupt "whitespace between tokens"
+    (Some
+       "{\"specrepair_manifest\":1, \"fingerprint\":\"fp\",\"total\":8,\"completed\":[[0,4]]}");
+  expect_corrupt "total written as a float"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8.0,\"completed\":[[0,4]]}");
+  expect_corrupt "reordered keys"
+    (Some
+       "{\"specrepair_manifest\":1,\"total\":8,\"fingerprint\":\"fp\",\"completed\":[[0,4]]}");
+  expect_corrupt "extra key"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[0,4]],\"extra\":0}");
+  expect_corrupt "total above 2^53"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":9007199254740993,\"completed\":[[0,4]]}")
 
 let test_tampered_shard_detected () =
   with_tmpdir (fun dir ->

@@ -54,6 +54,20 @@ if ! cmp -s "$workdir/summary-1.json" "$workdir/summary-2.json"; then
     exit 1
 fi
 
+# Each summary line must be JSON a standard parser accepts (whatever the
+# corpus directory is called), not just byte-identical across runs.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$workdir/summary-1.json" <<'EOF_PY' || exit 1
+import json, sys
+with open(sys.argv[1]) as f:
+    for n, line in enumerate(f, 1):
+        try:
+            json.loads(line)
+        except ValueError as e:
+            sys.exit(f"fuzz_smoke: summary line {n} is not JSON: {e}")
+EOF_PY
+fi
+
 # The oracle campaign must have driven its oracles past the context bound:
 # a smoke in which no context was ever retired leaves retirement unchecked.
 retired=$(grep -o '"target":"oracle"[^}]*"contexts_retired":[0-9]*' \
