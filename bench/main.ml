@@ -227,6 +227,8 @@ let () =
             acc.certificate_failures + s.certificate_failures;
           definitions = acc.definitions + s.definitions;
           definitions_shared = acc.definitions_shared + s.definitions_shared;
+          keys_digested = acc.keys_digested + s.keys_digested;
+          keys_reused = acc.keys_reused + s.keys_reused;
         })
       {
         S.Analyzer.Oracle.verdict_hits = 0;
@@ -242,6 +244,8 @@ let () =
         certificate_failures = 0;
         definitions = 0;
         definitions_shared = 0;
+        keys_digested = 0;
+        keys_reused = 0;
       }
       !oracles
   in

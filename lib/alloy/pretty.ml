@@ -234,38 +234,43 @@ let pp_command ppf c =
   pp_scopes ppf (c.cmd_scope, c.cmd_scopes);
   Format.fprintf ppf "@\n"
 
-let pp_spec ppf spec =
-  (match spec.module_name with
+let pp_module ppf = function
   | Some n -> Format.fprintf ppf "module %s@\n@\n" n
-  | None -> ());
+  | None -> ()
+
+let pp_fact ppf f =
+  match f.fact_name with
+  | Some n -> Format.fprintf ppf "@\nfact %s %a@\n" n pp_block f.fact_body
+  | None -> Format.fprintf ppf "@\nfact %a@\n" pp_block f.fact_body
+
+let pp_fun ppf (f : fun_decl) =
+  Format.fprintf ppf "@\nfun %s[%a]: %a {@\n  %a@\n}@\n" f.fun_name pp_decls
+    f.fun_params pp_expr f.fun_result pp_expr f.fun_body
+
+let pp_pred ppf p =
+  match p.pred_params with
+  | [] -> Format.fprintf ppf "@\npred %s %a@\n" p.pred_name pp_block p.pred_body
+  | params ->
+      Format.fprintf ppf "@\npred %s[%a] %a@\n" p.pred_name pp_decls params
+        pp_block p.pred_body
+
+let pp_assert ppf a =
+  Format.fprintf ppf "@\nassert %s %a@\n" a.assert_name pp_block a.assert_body
+
+let pp_commands ppf = function
+  | [] -> ()
+  | commands ->
+      Format.fprintf ppf "@\n";
+      List.iter (pp_command ppf) commands
+
+let pp_spec ppf spec =
+  pp_module ppf spec.module_name;
   List.iter (pp_sig ppf) spec.sigs;
-  List.iter
-    (fun f ->
-      match f.fact_name with
-      | Some n -> Format.fprintf ppf "@\nfact %s %a@\n" n pp_block f.fact_body
-      | None -> Format.fprintf ppf "@\nfact %a@\n" pp_block f.fact_body)
-    spec.facts;
-  List.iter
-    (fun (f : Ast.fun_decl) ->
-      Format.fprintf ppf "@\nfun %s[%a]: %a {@\n  %a@\n}@\n" f.fun_name
-        pp_decls f.fun_params pp_expr f.fun_result pp_expr f.fun_body)
-    spec.funs;
-  List.iter
-    (fun p ->
-      match p.pred_params with
-      | [] ->
-          Format.fprintf ppf "@\npred %s %a@\n" p.pred_name pp_block p.pred_body
-      | params ->
-          Format.fprintf ppf "@\npred %s[%a] %a@\n" p.pred_name pp_decls params
-            pp_block p.pred_body)
-    spec.preds;
-  List.iter
-    (fun a ->
-      Format.fprintf ppf "@\nassert %s %a@\n" a.assert_name pp_block
-        a.assert_body)
-    spec.asserts;
-  (match spec.commands with [] -> () | _ -> Format.fprintf ppf "@\n");
-  List.iter (pp_command ppf) spec.commands
+  List.iter (pp_fact ppf) spec.facts;
+  List.iter (pp_fun ppf) spec.funs;
+  List.iter (pp_pred ppf) spec.preds;
+  List.iter (pp_assert ppf) spec.asserts;
+  pp_commands ppf spec.commands
 
 let expr_to_string e = buffer_with (fun ppf -> pp_expr ppf e)
 let fmla_to_string f = buffer_with (fun ppf -> pp_fmla ppf f)

@@ -183,6 +183,8 @@ let oracle_stats t =
     certificate_failures = s.certificate_failures - b.certificate_failures;
     definitions = s.definitions - b.definitions;
     definitions_shared = s.definitions_shared - b.definitions_shared;
+    keys_digested = s.keys_digested - b.keys_digested;
+    keys_reused = s.keys_reused - b.keys_reused;
   }
 
 let eval_stats t =
@@ -249,6 +251,8 @@ let telemetry_json ?(extra = []) t =
                  ("certificate_failures", os.certificate_failures);
                  ("definitions", os.definitions);
                  ("definitions_shared", os.definitions_shared);
+                 ("keys_digested", os.keys_digested);
+                 ("keys_reused", os.keys_reused);
                ] );
            ( "sat",
              obj

@@ -51,6 +51,7 @@ type report = {
   discrepancies : int;
   corpus : string list;
   contexts_retired : int option;
+  keys_reused : int option;
   spaces_reused : int option;
 }
 
@@ -477,6 +478,32 @@ let check_oracle_stream oracle { o_base; o_candidates } =
 let check_oracle_case case =
   check_oracle_stream (Oracle.create case.o_base) case
 
+(* The campaign's stream opens on a printed and re-parsed copy of the base:
+   the same bytes from nodes no key memo has seen.  The copy is keyed cold
+   and checked against fresh solves like any candidate; when it prints as
+   the base does, the base's own verdict queries must then all be cache
+   hits, whatever the memo holds. *)
+let check_reparsed_then_stream oracle case =
+  let printed = Alloy.Pretty.spec_to_string case.o_base.spec in
+  match Alloy.Typecheck.check_result (Alloy.Parser.parse printed) with
+  | exception Alloy.Diagnostic.Error _ | Error _ ->
+      `Fail "the base does not survive printing and re-parsing"
+  | Ok copy -> (
+      match check_oracle_stream oracle { o_base = copy; o_candidates = [] } with
+      | `Ok ->
+          let solved () =
+            let s = Oracle.stats oracle in
+            s.verdict_misses + s.fallback_queries
+          in
+          let before = solved () in
+          List.iter
+            (fun c -> ignore (Oracle.command_verdict oracle case.o_base c))
+            case.o_base.spec.commands;
+          if Alloy.Pretty.spec_to_string copy.spec = printed && solved () > before
+          then `Fail "a re-parsed copy of the base keyed apart from the base"
+          else check_oracle_stream oracle case
+      | failed -> failed)
+
 (* A single base/candidate pair, used by the shrinker and by corpus replay
    (where the candidate is its own base). *)
 let check_oracle_pair base cand =
@@ -824,7 +851,7 @@ let retypecheck spec =
 let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
   let checks = ref 0 and skipped = ref 0 in
   let discrepancies = ref 0 and corpus = ref [] in
-  let retired = ref 0 and reused = ref 0 in
+  let retired = ref 0 and keys_reused = ref 0 and reused = ref 0 in
   let record name path = ignore name; corpus := path :: !corpus in
   for i = 0 to iters - 1 do
     let rng = Rng.of_context ~seed [ target_name target; "iter"; string_of_int i ] in
@@ -882,8 +909,10 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
     | Oracle_target -> (
         let case = gen_oracle_case rng in
         let oracle = Oracle.create case.o_base in
-        let outcome = guard (fun () -> check_oracle_stream oracle case) in
-        retired := !retired + (Oracle.stats oracle).contexts_retired;
+        let outcome = guard (fun () -> check_reparsed_then_stream oracle case) in
+        let stats = Oracle.stats oracle in
+        retired := !retired + stats.contexts_retired;
+        keys_reused := !keys_reused + stats.keys_reused;
         match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
@@ -1045,6 +1074,8 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
     corpus = List.rev !corpus;
     contexts_retired =
       (match target with Oracle_target -> Some !retired | _ -> None);
+    keys_reused =
+      (match target with Oracle_target -> Some !keys_reused | _ -> None);
     spaces_reused =
       (match target with Panel_target -> Some !reused | _ -> None);
   }
@@ -1065,6 +1096,7 @@ let report_value r =
        ("discrepancies", Json.int r.discrepancies);
      ]
     @ count "contexts_retired" r.contexts_retired
+    @ count "keys_reused" r.keys_reused
     @ count "spaces_reused" r.spaces_reused
     @ [ ("corpus", Json.List (List.map (fun p -> Json.Str p) r.corpus)) ])
 

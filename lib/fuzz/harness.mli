@@ -105,6 +105,9 @@ type report = {
   contexts_retired : int option;
       (** oracle target only: solving contexts its oracles retired for
           outgrowing their queries *)
+  keys_reused : int option;
+      (** oracle target only: declaration digests its oracles' key memos
+          served without printing *)
   spaces_reused : int option;
       (** panel target only: proposal builds its shared mutation-space
           stores answered without enumerating *)

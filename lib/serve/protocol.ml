@@ -82,17 +82,33 @@ let error_reply ?(data = []) ~id ~code message =
        ])
 
 (* Replies are always built by the two constructors above, so the success
-   flag sits in a fixed position right after the escaped id. *)
+   flag sits in a fixed position right after the escaped id: skip the id's
+   string literal (an escaped character never closes it) and read the
+   member that follows.  Nothing after the flag is looked at, so a
+   [result] or error [data] holding an ["ok"] member cannot fool it. *)
 let reply_is_ok line =
-  let marker = "\"ok\":true" in
-  let lm = String.length marker in
   let n = String.length line in
-  let rec find i =
-    if i + lm > n then false
-    else if String.sub line i lm = marker then true
-    else find (i + 1)
+  let has_at i s =
+    let k = String.length s in
+    i + k <= n
+    &&
+    let rec go j = j = k || (line.[i + j] = s.[j] && go (j + 1)) in
+    go 0
   in
-  find 0
+  let rec id_end i =
+    if i >= n then None
+    else
+      match line.[i] with
+      | '\\' -> id_end (i + 2)
+      | '"' -> Some (i + 1)
+      | _ -> id_end (i + 1)
+  in
+  let open_id = {|{"id":"|} in
+  has_at 0 open_id
+  &&
+  match id_end (String.length open_id) with
+  | Some i -> has_at i {|,"ok":true|}
+  | None -> false
 
 let method_name = function
   | Repair _ -> "repair"

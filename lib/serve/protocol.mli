@@ -105,4 +105,5 @@ val cache_key : call -> string option
 
 val reply_is_ok : string -> bool
 (** Does a reply line (in the exact shape built by {!ok_reply} /
-    {!error_reply}) report success? *)
+    {!error_reply}) report success?  Reads the top-level flag at its
+    fixed position after the id, in time linear in the id's length. *)

@@ -18,6 +18,8 @@ type stats = {
   certificate_failures : int;
   definitions : int;
   definitions_shared : int;
+  keys_digested : int;
+  keys_reused : int;
 }
 
 type counters = {
@@ -33,6 +35,8 @@ type counters = {
   mutable c_cert_failures : int;
   mutable c_definitions : int;  (* of retired contexts' clausifiers *)
   mutable c_definitions_shared : int;
+  mutable c_keys_digested : int;
+  mutable c_keys_reused : int;
 }
 
 type sat_stats = {
@@ -80,6 +84,51 @@ type context = {
   cert : cert option;
 }
 
+(* A declaration whose digest the key memo holds, matched by physical
+   identity.  [Fmla] is a formula printed on its own (a fact body or a
+   [run {...}] goal); [Pred_goal] and [Assert_goal] stand for the goal a
+   run or check command builds from the declaration. *)
+type node =
+  | Sigs of Ast.sig_decl list
+  | Fact of Ast.fact_decl
+  | Fun of Ast.fun_decl
+  | Pred of Ast.pred_decl
+  | Assert of Ast.assert_decl
+  | Command of Ast.command
+  | Fmla of Ast.fmla
+  | Pred_goal of Ast.pred_decl
+  | Assert_goal of Ast.assert_decl
+
+(* Nodes are immutable, so a physically equal node prints the same bytes.
+   The structural hash only picks the bucket. *)
+module Memo = Hashtbl.Make (struct
+  type t = node
+
+  let equal a b =
+    match (a, b) with
+    | Sigs x, Sigs y -> x == y
+    | Fact x, Fact y -> x == y
+    | Fun x, Fun y -> x == y
+    | Pred x, Pred y -> x == y
+    | Assert x, Assert y -> x == y
+    | Command x, Command y -> x == y
+    | Fmla x, Fmla y -> x == y
+    | Pred_goal x, Pred_goal y -> x == y
+    | Assert_goal x, Assert_goal y -> x == y
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+(* The key builder: declaration digests by node, the buffer and formatter
+   memo misses are printed with, and the last spec keyed. *)
+type keys = {
+  memo : string Memo.t;
+  buf : Buffer.t;
+  ppf : Format.formatter;
+  mutable last : (Ast.spec * string) option;
+}
+
 type t = {
   base : Alloy.Typecheck.env;
   certify : bool;
@@ -90,6 +139,7 @@ type t = {
   verdicts : (string, verdict) Hashtbl.t;
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
   instances : (string, Alloy.Instance.t list) Hashtbl.t;
+  keys : keys;
   counters : counters;
   spent : spent_counters;
 }
@@ -115,6 +165,14 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
     verdicts = Hashtbl.create 512;
     outcomes = Hashtbl.create 64;
     instances = Hashtbl.create 64;
+    keys =
+      (let buf = Buffer.create 4096 in
+       {
+         memo = Memo.create 256;
+         buf;
+         ppf = Format.formatter_of_buffer buf;
+         last = None;
+       });
     counters =
       {
         c_verdict_hits = 0;
@@ -129,6 +187,8 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
         c_cert_failures = 0;
         c_definitions = 0;
         c_definitions_shared = 0;
+        c_keys_digested = 0;
+        c_keys_reused = 0;
       };
   }
 
@@ -140,13 +200,26 @@ let note_certified t ok =
 let base t = t.base
 
 let compatible t (env : Alloy.Typecheck.env) =
-  env.spec.sigs = t.base.Alloy.Typecheck.spec.sigs
+  let base = t.base.Alloy.Typecheck.spec.sigs in
+  env.spec.sigs == base || env.spec.sigs = base
 
 (* {2 Digest keys}
 
-   All caches are structural: keys are MD5 digests of the deterministic
-   pretty-printer's output, so physically distinct but syntactically equal
-   candidates (the norm for generate-and-validate repair) deduplicate. *)
+   All caches are structural: two specs share a key exactly when they
+   pretty-print to the same bytes, so physically distinct but
+   syntactically equal candidates (the norm for generate-and-validate
+   repair) deduplicate.  A key is built from per-declaration MD5 digests,
+   which the memo keeps by node: a mutation candidate shares every
+   declaration but the edited one with its base ([Location.with_body]),
+   so its key costs one lookup per unchanged declaration and one print of
+   the changed one.
+
+   Equal keys mean equal prints: the spec key fixes the module name, the
+   count of each section and every declaration's printed bytes, and those
+   put together are the printed spec.  Equal prints mean equal keys: every
+   printed declaration starts with its keyword at the start of a line and
+   has no other unindented keyword line, so a printed spec splits into its
+   declarations in exactly one way. *)
 
 let scope_key (scope : Bounds.scope) =
   let overrides =
@@ -155,38 +228,111 @@ let scope_key (scope : Bounds.scope) =
   in
   Printf.sprintf "%d|%s" scope.default (String.concat "," overrides)
 
-let spec_digest (spec : Ast.spec) =
-  Digest.to_hex (Digest.string (Alloy.Pretty.spec_to_string spec))
+let memo_bound = 1024
+
+(* The goal of [run p]: the body, existentially closed over the
+   parameters. *)
+let pred_goal (p : Ast.pred_decl) =
+  match p.pred_params with
+  | [] -> p.pred_body
+  | params -> Ast.Quant (Ast.Qsome, params, p.pred_body)
+
+let print_node ppf = function
+  | Sigs sigs -> List.iter (Alloy.Pretty.pp_sig ppf) sigs
+  | Fact f -> Alloy.Pretty.pp_fact ppf f
+  | Fun f -> Alloy.Pretty.pp_fun ppf f
+  | Pred p -> Alloy.Pretty.pp_pred ppf p
+  | Assert a -> Alloy.Pretty.pp_assert ppf a
+  | Command c -> Alloy.Pretty.pp_command ppf c
+  | Fmla f -> Alloy.Pretty.pp_fmla ppf f
+  | Pred_goal p -> Alloy.Pretty.pp_fmla ppf (pred_goal p)
+  | Assert_goal a -> Alloy.Pretty.pp_fmla ppf (Ast.Not a.assert_body)
+
+(* The digests of [nodes], in order.  Memo misses are printed one after
+   another into the oracle's buffer, flushed after each so the buffer
+   holds each one's exact bytes, and hashed slice by slice from one copy
+   of it: a spec no memo entry knows costs one print, as a whole-spec
+   digest would. *)
+let digests t nodes =
+  let k = t.keys and c = t.counters in
+  Buffer.clear k.buf;
+  let looked =
+    List.map
+      (fun n ->
+        match Memo.find_opt k.memo n with
+        | Some d ->
+            c.c_keys_reused <- c.c_keys_reused + 1;
+            Either.Left d
+        | None ->
+            let off = Buffer.length k.buf in
+            print_node k.ppf n;
+            Format.pp_print_flush k.ppf ();
+            Either.Right (n, off, Buffer.length k.buf - off))
+      nodes
+  in
+  let text = lazy (Buffer.contents k.buf) in
+  List.map
+    (function
+      | Either.Left d -> d
+      | Either.Right (n, off, len) ->
+          let d = Digest.substring (Lazy.force text) off len in
+          if Memo.length k.memo >= memo_bound then Memo.clear k.memo;
+          Memo.replace k.memo n d;
+          c.c_keys_digested <- c.c_keys_digested + 1;
+          d)
+    looked
+
+let digest t node = List.hd (digests t [ node ])
+
+let spec_key t (spec : Ast.spec) =
+  match t.keys.last with
+  | Some (s, key) when s == spec -> key
+  | _ ->
+      let header =
+        Printf.sprintf "%s|%d|%d|%d|%d|%d|"
+          (match spec.module_name with Some n -> "module " ^ n | None -> "-")
+          (List.length spec.facts) (List.length spec.funs)
+          (List.length spec.preds) (List.length spec.asserts)
+          (List.length spec.commands)
+      in
+      let nodes =
+        (Sigs spec.sigs :: List.map (fun f -> Fact f) spec.facts)
+        @ List.map (fun f -> Fun f) spec.funs
+        @ List.map (fun p -> Pred p) spec.preds
+        @ List.map (fun a -> Assert a) spec.asserts
+        @ List.map (fun c -> Command c) spec.commands
+      in
+      let key = Digest.string (String.concat "" (header :: digests t nodes)) in
+      t.keys.last <- Some (spec, key);
+      key
 
 (* Translation of a formula additionally depends on the candidate's
    predicate and function declarations (calls are inlined, function
    applications are grounded), so activation memo keys carry a digest of
-   those declaration sections. *)
-let decls_digest (spec : Ast.spec) =
-  Digest.to_hex
-    (Digest.string
-       (Alloy.Pretty.spec_to_string
-          { Ast.empty_spec with preds = spec.preds; funs = spec.funs }))
+   those declarations. *)
+let decls_key t (spec : Ast.spec) =
+  let nodes =
+    List.map (fun f -> Fun f) spec.funs @ List.map (fun p -> Pred p) spec.preds
+  in
+  Digest.string
+    (String.concat ""
+       (string_of_int (List.length spec.funs) :: "|" :: digests t nodes))
 
-let fmla_key spec f =
-  Digest.to_hex (Digest.string (Alloy.Pretty.fmla_to_string f))
-  ^ "#" ^ decls_digest spec
-
-let command_key (c : Ast.command) =
+let command_key t (c : Ast.command) =
   let kind =
     match c.cmd_kind with
     | Ast.Run_pred n -> "run-pred:" ^ n
     | Ast.Check n -> "check:" ^ n
-    | Ast.Run_fmla f -> "run-fmla:" ^ Alloy.Pretty.fmla_to_string f
+    | Ast.Run_fmla f -> "run-fmla:" ^ digest t (Fmla f)
   in
   Printf.sprintf "%s@%s" kind (scope_key (Bounds.scope_of_command c))
 
 let budget_key = function None -> "-" | Some b -> string_of_int b
 
-let verdict_cache_key ?max_conflicts env c =
+let verdict_cache_key ?max_conflicts t env c =
   Printf.sprintf "%s|%s|%s"
-    (spec_digest env.Alloy.Typecheck.spec)
-    (command_key c) (budget_key max_conflicts)
+    (spec_key t env.Alloy.Typecheck.spec)
+    (command_key t c) (budget_key max_conflicts)
 
 (* {2 Contexts and activation literals} *)
 
@@ -264,21 +410,19 @@ let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
       Hashtbl.add ctx.acts key entry;
       entry
 
-(* Goal formula of a command, in the candidate env.  [None] delegates to the
-   plain analyzer (which raises the canonical error for unknown names). *)
+(* Goal formula of a command, in the candidate env, with the node its
+   digest is memoized under.  [None] delegates to the plain analyzer (which
+   raises the canonical error for unknown names). *)
 let goal_of (env : Alloy.Typecheck.env) (c : Ast.command) =
   match c.cmd_kind with
-  | Ast.Run_fmla f -> Some f
+  | Ast.Run_fmla f -> Some (f, Fmla f)
   | Ast.Run_pred name -> (
       match Ast.find_pred env.spec name with
-      | Some p -> (
-          match p.pred_params with
-          | [] -> Some p.pred_body
-          | params -> Some (Ast.Quant (Ast.Qsome, params, p.pred_body)))
+      | Some p -> Some (pred_goal p, Pred_goal p)
       | None -> None)
   | Ast.Check name -> (
       match Ast.find_assert env.spec name with
-      | Some a -> Some (Ast.Not a.assert_body)
+      | Some a -> Some (Ast.Not a.assert_body, Assert_goal a)
       | None -> None)
 
 let outcome_tag = Analyzer.outcome_verdict
@@ -351,24 +495,23 @@ let retire t key ctx =
   c.c_definitions_shared <-
     c.c_definitions_shared + Tseitin.definitions_shared ctx.ts
 
-let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c goal =
+let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c
+    (goal, goal_node) =
   let scope = Bounds.scope_of_command c in
   let key = scope_key scope in
   let ctx = context_for t key scope in
-  let dd = decls_digest env.spec in
+  let dd = decls_key t env.spec in
+  let facts = env.spec.facts in
   let fact_acts =
-    List.map
-      (fun (fact : Ast.fact_decl) ->
-        let key =
-          "fact:"
-          ^ Digest.to_hex
-              (Digest.string (Alloy.Pretty.fmla_to_string fact.fact_body))
-          ^ "#" ^ dd
-        in
-        activation t ctx env key fact.fact_body)
-      env.spec.facts
+    List.map2
+      (fun (fact : Ast.fact_decl) d ->
+        activation t ctx env ("fact:" ^ d ^ "#" ^ dd) fact.fact_body)
+      facts
+      (digests t (List.map (fun (f : Ast.fact_decl) -> Fmla f.fact_body) facts))
   in
-  let goal_act = activation t ctx env ("goal:" ^ fmla_key env.spec goal) goal in
+  let goal_act =
+    activation t ctx env ("goal:" ^ digest t goal_node ^ "#" ^ dd) goal
+  in
   let assumed = fact_acts @ [ goal_act ] in
   let assumptions = List.map fst assumed in
   let used = List.fold_left (fun n (_, v) -> n + v) ctx.base_vars assumed in
@@ -393,7 +536,7 @@ let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c goal =
 
 let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
     (c : Ast.command) =
-  let key = verdict_cache_key ?max_conflicts env c in
+  let key = verdict_cache_key ?max_conflicts t env c in
   match Hashtbl.find_opt t.verdicts key with
   | Some v ->
       t.counters.c_verdict_hits <- t.counters.c_verdict_hits + 1;
@@ -424,7 +567,8 @@ let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
 
 let run_command ?max_conflicts t (env : Alloy.Typecheck.env) (c : Ast.command)
     =
-  let key = "outcome|" ^ verdict_cache_key ?max_conflicts env c in
+  let vkey = verdict_cache_key ?max_conflicts t env c in
+  let key = "outcome|" ^ vkey in
   match Hashtbl.find_opt t.outcomes key with
   | Some o ->
       t.counters.c_instance_hits <- t.counters.c_instance_hits + 1;
@@ -434,7 +578,6 @@ let run_command ?max_conflicts t (env : Alloy.Typecheck.env) (c : Ast.command)
       let o = analyzer_run ?max_conflicts t env c in
       Hashtbl.add t.outcomes key o;
       (* a fresh outcome also answers future verdict-only queries *)
-      let vkey = verdict_cache_key ?max_conflicts env c in
       if not (Hashtbl.mem t.verdicts vkey) then
         Hashtbl.add t.verdicts vkey (outcome_tag o);
       o
@@ -443,8 +586,8 @@ let enumerate ?(limit = 10) ?max_conflicts t (env : Alloy.Typecheck.env) scope
     f =
   let key =
     Printf.sprintf "enum|%s|%s|%s|%d|%s"
-      (spec_digest env.Alloy.Typecheck.spec)
-      (fmla_key env.Alloy.Typecheck.spec f)
+      (spec_key t env.Alloy.Typecheck.spec)
+      (digest t (Fmla f) ^ "#" ^ decls_key t env.Alloy.Typecheck.spec)
       (scope_key scope) limit (budget_key max_conflicts)
   in
   match Hashtbl.find_opt t.instances key with
@@ -506,6 +649,8 @@ let stats t =
     definitions = c.c_definitions + sum Tseitin.definitions;
     definitions_shared =
       c.c_definitions_shared + sum Tseitin.definitions_shared;
+    keys_digested = c.c_keys_digested;
+    keys_reused = c.c_keys_reused;
   }
 
 let pp_stats fmt t =
@@ -513,8 +658,9 @@ let pp_stats fmt t =
   Format.fprintf fmt
     "verdicts: %d hit / %d solved; instances: %d hit / %d solved; \
      translations: %d fresh / %d reused; fallbacks: %d; contexts: %d live / \
-     %d retired; certified: %d ok / %d failed; definitions: %d / %d shared"
+     %d retired; certified: %d ok / %d failed; definitions: %d / %d shared; \
+     key digests: %d printed / %d reused"
     s.verdict_hits s.verdict_misses s.instance_hits s.instance_misses
     s.formulas_translated s.formulas_reused s.fallback_queries s.contexts
     s.contexts_retired s.certified s.certificate_failures s.definitions
-    s.definitions_shared
+    s.definitions_shared s.keys_digested s.keys_reused

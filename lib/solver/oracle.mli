@@ -66,6 +66,11 @@ type stats = {
   definitions_shared : int;
       (** of those, nodes served by a structurally equal definition the
           context already held *)
+  keys_digested : int;
+      (** declaration digests computed for cache keys: printed and hashed *)
+  keys_reused : int;
+      (** declaration digests served from the key memo, by physical
+          identity *)
 }
 
 val create :
@@ -102,6 +107,15 @@ val base : t -> Alloy.Typecheck.env
 val compatible : t -> Alloy.Typecheck.env -> bool
 (** Does the candidate declare exactly the base's signatures and fields (so
     the shared variable allocation is sound for it)? *)
+
+val spec_key : t -> Alloy.Ast.spec -> string
+(** The digest the verdict, outcome and instance caches file a spec
+    under.  It is built from per-declaration digests the oracle memoizes
+    by physical identity (at most 1,024, dropped together when full), so
+    a candidate sharing all but one declaration with a spec keyed before
+    costs one lookup per shared declaration and one print of the other.
+    Two specs get equal keys exactly when {!Alloy.Pretty.spec_to_string}
+    prints them to the same bytes. *)
 
 val command_verdict :
   ?max_conflicts:int -> t -> Alloy.Typecheck.env -> Alloy.Ast.command -> verdict

@@ -125,15 +125,20 @@ let smoke target iters () =
     (r.Harness.checks + r.Harness.skipped)
 
 (* The oracle campaign's long streams must actually exercise context
-   retirement, and only the oracle report carries the count. *)
+   retirement and serve key digests from the memo, and only the oracle
+   report carries the counts. *)
 let test_oracle_retires_contexts () =
   let dir = tmp_dir "fuzz-retire" in
   let r = Harness.run ~corpus_dir:dir Harness.Oracle_target ~seed:11 ~iters:25 () in
   Alcotest.(check bool) "contexts retired" true
     (match r.Harness.contexts_retired with Some n -> n > 0 | None -> false);
+  Alcotest.(check bool) "key digests reused" true
+    (match r.Harness.keys_reused with Some n -> n > 0 | None -> false);
   let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
   Alcotest.(check (option int)) "eval report has no count" None
-    e.Harness.contexts_retired
+    e.Harness.contexts_retired;
+  Alcotest.(check (option int)) "eval report has no key count" None
+    e.Harness.keys_reused
 
 (* The panel campaign's shared mutation-space stores must actually answer
    proposal builds, and only the panel report carries the count. *)
@@ -167,6 +172,7 @@ let test_summary_escapes () =
       discrepancies = 0;
       corpus = [ Filename.concat corpus_dir "x.cnf" ];
       contexts_retired = None;
+      keys_reused = None;
       spaces_reused = None;
     }
   in

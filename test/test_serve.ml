@@ -171,7 +171,28 @@ let test_protocol_replies () =
   in
   Alcotest.(check bool) "error reply is not ok" false
     (Protocol.reply_is_ok err);
-  check_contains "error code" {|"code":"overloaded"|} err
+  check_contains "error code" {|"code":"overloaded"|} err;
+  (* only the top-level flag counts, wherever else an "ok" member sits *)
+  let err_ok_data =
+    Protocol.error_reply ~id:"c" ~code:Protocol.Internal
+      ~data:[ ("ok", Json.Bool true) ] "boom"
+  in
+  check_contains "data holds an ok member" {|"ok":true|} err_ok_data;
+  Alcotest.(check bool) "error reply with ok data is not ok" false
+    (Protocol.reply_is_ok err_ok_data);
+  let ok_spec =
+    Protocol.ok_reply ~id:"d"
+      (Json.Obj [ ("spec", Json.Str {|fact { "ok":true }|}) ])
+  in
+  Alcotest.(check bool) "ok reply quoting ok:true is ok" true
+    (Protocol.reply_is_ok ok_spec);
+  let err_quoted_id =
+    Protocol.error_reply ~id:{|x","ok":true|} ~code:Protocol.Internal "boom"
+  in
+  Alcotest.(check bool) "error reply whose id quotes ok:true is not ok" false
+    (Protocol.reply_is_ok err_quoted_id);
+  Alcotest.(check bool) "ok reply with an escaped id is ok" true
+    (Protocol.reply_is_ok (Protocol.ok_reply ~id:"a\\\"b" (Json.Obj [])))
 
 (* {2 Registry} *)
 

@@ -228,12 +228,13 @@ let test_certified_repair () =
    session clock stops when the engine returns, before REP / TM / SM
    scoring, so the line's [elapsed_ms] is the row's [time_ms] (to the
    line's three decimals) rather than the row time plus scoring.  The
-   line's oracle object also carries the retirement count and the
-   clausifier's definition counters (shared ones a subset), and it counts
-   the technique's verdict queries only: REP scores through the same
-   domain oracle, so a line built after scoring would book REP's hits and
-   misses to the technique.  Every verdict query the session records is
-   exactly one verdict hit, miss or fallback. *)
+   line's oracle object also carries the retirement count, the key memo's
+   counters and the clausifier's definition counters (shared ones a
+   subset), and it counts the technique's verdict queries only: REP
+   scores through the same domain oracle, so a line built after scoring
+   would book REP's hits and misses to the technique.  Every verdict
+   query the session records is exactly one verdict hit, miss or
+   fallback. *)
 let test_study_line_elapsed_is_row_time () =
   let v = List.hd (B.Generate.sample ~per_domain:1 ()) in
   List.iter
@@ -270,10 +271,13 @@ let test_study_line_elapsed_is_row_time () =
         (Some (Printf.sprintf "%.3f" r.time_ms))
         (Option.map (Printf.sprintf "%.3f") (Json.mem_num "elapsed_ms" j));
       let oracle = Option.get (Json.member "oracle" j) in
-      Alcotest.(check bool)
-        (name ^ ": oracle.contexts_retired present")
-        true
-        (Json.mem_int "contexts_retired" oracle <> None);
+      List.iter
+        (fun field ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: oracle.%s present" name field)
+            true
+            (Json.mem_int field oracle <> None))
+        [ "contexts_retired"; "keys_digested"; "keys_reused" ];
       (match
          ( Json.mem_int "definitions" oracle,
            Json.mem_int "definitions_shared" oracle )
@@ -356,6 +360,8 @@ let check_deltas_nonnegative label session =
       ("certified", os.certified);
       ("definitions", os.definitions);
       ("definitions_shared", os.definitions_shared);
+      ("keys_digested", os.keys_digested);
+      ("keys_reused", os.keys_reused);
       ("conflicts", ss.Solver.Oracle.conflicts);
       ("decisions", ss.decisions);
       ("propagations", ss.propagations);

@@ -552,6 +552,129 @@ let test_oracle_instances_verbatim () =
   let stats = Solver.Oracle.stats oracle in
   Alcotest.(check bool) "instance cache saw hits" true (stats.instance_hits > 0)
 
+(* {2 Oracle keys}
+
+   Cache keys are built from a memo of per-declaration digests matched by
+   physical identity.  Over each domain's ground truth, its sample-1
+   faulty variant, a spread of single mutations of the ground truth (many
+   of them deep inside a declaration, where the memo's structural bucket
+   hash cannot tell them from the original) and printed-and-re-parsed
+   copies (equal bytes, no shared node), one warm oracle's keys must split
+   the specs exactly as their printed bytes do and equal the keys a cold
+   oracle builds; and the warm oracle must answer every candidate's
+   commands with a fresh oracle's verdicts and with exactly the verdict
+   cache hits and misses the printed bytes predict. *)
+
+module Bench = Specrepair_benchmarks
+
+let key_pool (v : Bench.Generate.variant) =
+  let truth = Bench.Domains.env v.domain in
+  let faulty = v.injected.faulty in
+  let mutants = Specrepair_mutation.Mutate.all_mutations truth truth.spec () in
+  let stride = max 1 (List.length mutants / 24) in
+  let mutated =
+    List.filteri (fun i _ -> i mod stride = 0 && i / stride < 24) mutants
+    |> List.filter_map (fun m ->
+           match Specrepair_mutation.Mutate.apply truth.spec m with
+           | spec -> Some spec
+           | exception _ -> None)
+  in
+  let reparse spec = Parser.parse (Pretty.spec_to_string spec) in
+  (truth.spec :: faulty :: mutated) @ [ reparse truth.spec; reparse faulty ]
+  |> List.filter_map (fun spec ->
+         match Typecheck.check_result spec with
+         | Ok env -> Some env
+         | Error _ -> None)
+
+let key_pools =
+  lazy
+    (List.map
+       (fun (v : Bench.Generate.variant) -> (v.domain, key_pool v))
+       (Bench.Generate.sample ~per_domain:1 ()))
+
+let test_oracle_keys_match_prints () =
+  List.iter
+    (fun ((d : Bench.Domains.t), pool) ->
+      let truth = Bench.Domains.env d in
+      let warm = Solver.Oracle.create truth in
+      let keyed =
+        List.map
+          (fun (env : Typecheck.env) ->
+            let key = Solver.Oracle.spec_key warm env.spec in
+            Alcotest.(check string)
+              (d.name ^ ": warm key = cold key")
+              (Solver.Oracle.spec_key (Solver.Oracle.create truth) env.spec)
+              key;
+            (key, Digest.string (Pretty.spec_to_string env.spec)))
+          pool
+      in
+      List.iteri
+        (fun i (ki, pi) ->
+          List.iteri
+            (fun j (kj, pj) ->
+              if i < j && ki = kj <> (pi = pj) then
+                Alcotest.failf "%s: specs %d and %d: keys %s, prints %s" d.name
+                  i j
+                  (if ki = kj then "equal" else "differ")
+                  (if pi = pj then "equal" else "differ"))
+            keyed)
+        keyed)
+    (Lazy.force key_pools)
+
+let test_oracle_keys_warm_equals_fresh () =
+  let label = function
+    | `Sat -> "sat"
+    | `Unsat -> "unsat"
+    | `Unknown -> "unknown"
+  in
+  List.iter
+    (fun ((d : Bench.Domains.t), pool) ->
+      let truth = Bench.Domains.env d in
+      let warm = Solver.Oracle.create truth in
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun (env : Typecheck.env) ->
+          let fresh = Solver.Oracle.create truth in
+          let printed = Pretty.spec_to_string env.spec in
+          let before = Solver.Oracle.stats warm in
+          let want_hits = ref 0 and want_solved = ref 0 in
+          List.iter
+            (fun (c : Ast.command) ->
+              let id =
+                ( printed,
+                  Pretty.spec_to_string { Ast.empty_spec with commands = [ c ] }
+                )
+              in
+              if Hashtbl.mem seen id then incr want_hits
+              else begin
+                Hashtbl.add seen id ();
+                incr want_solved
+              end;
+              let v = Solver.Oracle.command_verdict fresh env c in
+              Alcotest.(check string)
+                (d.name ^ ": warm verdict = fresh oracle's")
+                (label v)
+                (label (Solver.Oracle.command_verdict warm env c));
+              (* the repeat, as [oracle_passes] makes it, is a hit *)
+              incr want_hits;
+              Alcotest.(check string)
+                (d.name ^ ": repeat verdict")
+                (label v)
+                (label (Solver.Oracle.command_verdict warm env c)))
+            env.spec.commands;
+          let after = Solver.Oracle.stats warm in
+          Alcotest.(check (pair int int))
+            (d.name ^ ": verdict hits, solves as the prints predict")
+            (!want_hits, !want_solved)
+            ( after.verdict_hits - before.verdict_hits,
+              after.verdict_misses + after.fallback_queries
+              - before.verdict_misses - before.fallback_queries ))
+        pool;
+      let s = Solver.Oracle.stats warm in
+      if s.keys_reused = 0 then
+        Alcotest.failf "%s: the warm oracle reused no key digest" d.name)
+    (Lazy.force key_pools)
+
 let prop_solver_agrees_with_eval =
   QCheck2.Test.make ~count:150 ~name:"model finder agrees with evaluator"
     ~print:Pretty.fmla_to_string gen_vocab_fmla
@@ -595,6 +718,13 @@ let () =
             test_oracle_matches_fresh;
           Alcotest.test_case "instances served verbatim" `Quick
             test_oracle_instances_verbatim;
+        ] );
+      ( "oracle keys",
+        [
+          Alcotest.test_case "keys split specs as prints do" `Quick
+            test_oracle_keys_match_prints;
+          Alcotest.test_case "warm oracle answers as fresh ones" `Quick
+            test_oracle_keys_warm_equals_fresh;
         ] );
       ( "properties",
         [

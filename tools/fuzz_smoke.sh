@@ -77,6 +77,15 @@ if [ -z "$retired" ] || [ "$retired" -eq 0 ]; then
     exit 1
 fi
 
+# The oracle campaign must also have served declaration digests from its
+# oracles' key memos, or its streams never checked a memoized key.
+keys=$(grep -o '"target":"oracle"[^}]*"keys_reused":[0-9]*' \
+    "$workdir/summary-1.json" | sed 's/.*://')
+if [ -z "$keys" ] || [ "$keys" -eq 0 ]; then
+    echo "fuzz_smoke: the oracle campaign reused no key digest" >&2
+    exit 1
+fi
+
 # Likewise the panel campaign must have answered proposal builds from its
 # shared mutation-space stores, or the store comparison checked nothing.
 reused=$(grep -o '"target":"panel"[^}]*"spaces_reused":[0-9]*' \
@@ -165,4 +174,4 @@ if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $reused mutation spaces reused; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; chaos hooks caught)"
