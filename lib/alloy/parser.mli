@@ -14,9 +14,6 @@
 val parse_surface : ?file:string -> string -> Surface.spec
 (** Parses a complete specification to the located surface AST. *)
 
-val parse_surface_fmla : ?file:string -> string -> Surface.fmla
-val parse_surface_expr : ?file:string -> string -> Surface.expr
-
 val parse : ?file:string -> string -> Ast.spec
 (** [Elab.spec] composed over {!parse_surface}, discarding warnings.
     Use {!Frontend.check} when warnings or declaration spans matter. *)

@@ -9,17 +9,15 @@ val mult_to_string : Ast.mult -> string
 val fmult_to_string : Ast.fmult -> string
 val quant_to_string : Ast.quant -> string
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_fmla : Format.formatter -> Ast.fmla -> unit
-val pp_spec : Format.formatter -> Ast.spec -> unit
 
 (** {2 Declaration printers}
 
-    The pieces {!pp_spec} prints a spec with, in its order: the module
+    The pieces {!spec_to_string} prints a spec with, in its order: the module
     header, then each signature, fact, function, predicate and assertion,
     then a blank line and each command when there are commands.  Printing
     a spec's declarations one after the other with these on one formatter
-    writes exactly the bytes of {!pp_spec}, so a caller can take per-
+    writes exactly the bytes of {!spec_to_string}, so a caller can take per-
     declaration slices of one print.  Each piece ends with a newline. *)
 
 val pp_sig : Format.formatter -> Ast.sig_decl -> unit

@@ -23,8 +23,6 @@ val variant_at : ?seed:int -> Domains.t -> int -> variant
     {!variants}; larger indices extend the domain beyond its Table I
     size (same deterministic derivation, fresh fault streams). *)
 
-val benchmark : ?seed:int -> Domains.benchmark -> variant list
-
 val all : ?seed:int -> unit -> variant list
 (** Both benchmarks; 1,974 variants at the default seed (42). *)
 

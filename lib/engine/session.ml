@@ -90,8 +90,6 @@ let for_spec ?oracle ?certify ?simplify ?portfolio ?budget ?seed ?deadline_ms
 
 let with_budget t f = { t with budget = f t.budget }
 
-let env t = t.env
-let oracle t = t.oracle
 let budget t = t.budget
 let seed t = t.seed
 let telemetry t = t.telemetry
@@ -110,7 +108,6 @@ let expired t =
       else false
 
 let timed_out t = !(t.expiry)
-let deadline_ms t = t.deadline_rel_ms
 
 let elapsed_ms t =
   match !(t.stopped_ms) with
@@ -119,18 +116,6 @@ let elapsed_ms t =
 
 let stop_clock t =
   if !(t.stopped_ms) = None then t.stopped_ms := Some (elapsed_ms t)
-
-(* Clock-reading but latch-preserving: an already-expired session always
-   answers [Some 0.].  The learned portfolio budgets its technique plan
-   against this. *)
-let remaining_ms t =
-  match t.deadline_ns with
-  | None -> None
-  | Some _ when !(t.expiry) -> Some 0.
-  | Some deadline ->
-      Some
-        (Float.max 0.
-           (Int64.to_float (Int64.sub deadline (now_ns ())) /. 1e6))
 
 let time t phase f =
   let t0 = now_ns () in
@@ -288,15 +273,3 @@ let telemetry_json ?(extra = []) t =
            );
          ]))
 
-let pp_telemetry ppf t =
-  Format.fprintf ppf "@[<v>%a@,elapsed: %.3f ms, timed out: %b@,oracle: %a@]"
-    Telemetry.pp t.telemetry (elapsed_ms t) (timed_out t)
-    (fun ppf (s : Solver.Oracle.stats) ->
-      Format.fprintf ppf
-        "%d/%d verdict hits, %d/%d instance hits, %d fallbacks, %d contexts"
-        s.verdict_hits
-        (s.verdict_hits + s.verdict_misses)
-        s.instance_hits
-        (s.instance_hits + s.instance_misses)
-        s.fallback_queries s.contexts)
-    (oracle_stats t)

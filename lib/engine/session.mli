@@ -89,8 +89,6 @@ val with_budget : t -> (budget -> budget) -> t
 
 (** {2 Components} *)
 
-val env : t -> Alloy.Typecheck.env
-val oracle : t -> Solver.Oracle.t
 val budget : t -> budget
 val seed : t -> int
 val telemetry : t -> Telemetry.t
@@ -111,14 +109,6 @@ val expired : t -> bool
 
 val timed_out : t -> bool
 (** Has {!expired} ever answered [true]?  Does not read the clock. *)
-
-val deadline_ms : t -> float option
-(** The configured deadline, relative to session creation. *)
-
-val remaining_ms : t -> float option
-(** Milliseconds left before the deadline ([None] without one, [Some 0.]
-    once expired — the latch is honoured without re-reading the clock).
-    The learned portfolio sizes its technique plan against this. *)
 
 (** {2 Clock} *)
 
@@ -203,5 +193,3 @@ val telemetry_json : ?extra:(string * string) list -> t -> string
     {!sat_stats} solver counters, an ["eval"] object with the
     {!eval_stats} counters, and a ["spaces"] object with the
     {!space_stats} counters.  Schema documented in DESIGN.md. *)
-
-val pp_telemetry : Format.formatter -> t -> unit

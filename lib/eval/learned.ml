@@ -106,19 +106,6 @@ let add_telemetry_line t line =
             ~time_ms
       | _ -> () (* scheduler summaries, serve events: not study rows *))
 
-let of_telemetry_file path =
-  let t = empty () in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      try
-        while true do
-          add_telemetry_line t (input_line ic)
-        done;
-        assert false
-      with End_of_file -> t)
-
 let add_rows t rows =
   List.iter
     (fun (r : Study.spec_result) ->
@@ -126,17 +113,6 @@ let add_rows t rows =
         ~defect_class:(class_of_variant_id r.variant_id)
         ~technique:r.technique ~repaired:(r.rep = 1) ~time_ms:r.time_ms)
     rows
-
-let of_csv_file path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let t = empty () in
-  add_rows t (Study.of_csv content);
-  t
 
 (* {2 Persistence}
 

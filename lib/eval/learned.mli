@@ -47,22 +47,13 @@ val defect_class_of_task : Llm.Task.t -> string
     ["compound"] when more than one fault path is carried, else the class
     of the reverting operator, else ["unknown"]. *)
 
-val class_of_variant_id : string -> string
-(** Re-derives the injected fault's class from a benchmark variant id
-    (memoized); ["unknown"] for foreign ids. *)
-
 val add_telemetry_line : t -> string -> unit
 (** Folds one telemetry JSONL line in; non-study lines (scheduler
     summaries, serve events) and lines that are not one JSON value (a
     torn final line) are ignored. *)
 
-val of_telemetry_file : string -> t
-
 val add_rows : t -> Study.spec_result list -> unit
 (** Study CSV rows; success is [rep = 1]. *)
-
-val of_csv_file : string -> t
-(** {!Study.of_csv} of the file, folded with {!add_rows}. *)
 
 val save : t -> string -> unit
 (** Atomic write (temp + rename) of the digest-protected text format
@@ -71,10 +62,6 @@ val save : t -> string -> unit
 val load : string -> t
 (** Raises {!Corrupt_stats} on a missing/unreadable file, a bad header, a
     malformed row, inconsistent counts, or a digest mismatch. *)
-
-val score : cell -> float
-(** Laplace-smoothed success rate divided by mean cost (ms, floored at
-    1): the expected-value-per-millisecond ordering key. *)
 
 val rank :
   t -> defect_class:string -> Technique.t list -> (Technique.t * float) list

@@ -121,18 +121,6 @@ val write_stream_csv : ?timings:bool -> dir:string -> out_channel -> int
     Fails loudly on an incomplete run; raises {!Manifest.Corrupt} on an
     untrustworthy checkpoint. *)
 
-val stream_fingerprint :
-  ?seed:int ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  source:Corpus_stream.source ->
-  techniques:Technique.t list ->
-  total:int ->
-  unit ->
-  string
-(** The run-parameter fingerprint {!run_stream} stores in the manifest;
-    exposed so operators can pre-check a directory's compatibility. *)
-
 val to_csv : ?timings:bool -> spec_result list -> string
 (** [~timings:false] zeroes the wall-clock [time_ms] column, yielding
     byte-stable output for run-to-run comparisons (default [true]). *)

@@ -25,8 +25,6 @@ val rep_count_in :
   technique:string ->
   benchmark:Specrepair_benchmarks.Domains.benchmark ->
   int
-val mean_tm : Study.spec_result list -> technique:string -> float
-val mean_sm : Study.spec_result list -> technique:string -> float
 val correlation :
   Study.spec_result list -> t1:string -> t2:string -> float * float
 (** Pearson r and p over per-variant match scores ((TM+SM)/2). *)

@@ -27,10 +27,6 @@ val llm_for : Llm.Model.profile -> t list
 val profile_of : t -> Llm.Model.profile option
 (** The panel profile of an LLM technique; [None] for traditional tools. *)
 
-val with_profile : Llm.Model.profile -> t -> t
-(** Re-target an LLM technique at another profile (identity on traditional
-    tools). *)
-
 val name : t -> string
 (** Column label as printed in the tables, e.g. "Single-Round_Loc+Fix".
     Non-default profiles are suffixed: "Multi-Round_Auto@gemini-pro". *)

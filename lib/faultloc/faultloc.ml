@@ -6,12 +6,6 @@ module Ast = Alloy.Ast
 
 type location = { site : Location.site; path : Location.path; score : float }
 
-let pp_location ppf l =
-  Format.fprintf ppf "%s[%s] %.3f"
-    (Location.site_to_string l.site)
-    (Location.path_to_string l.path)
-    l.score
-
 let candidate_locations spec ~sites =
   List.concat_map
     (fun site ->

@@ -24,8 +24,6 @@ type location = {
   score : float;
 }
 
-val pp_location : Format.formatter -> location -> unit
-
 val candidate_locations :
   Alloy.Ast.spec ->
   sites:Mutation.Location.site list ->

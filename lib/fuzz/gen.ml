@@ -190,11 +190,6 @@ let spec ?(with_commands = false) rng =
   in
   attempt 5
 
-(* Concrete Alloy 4.2 text of a generated spec: the parse target's input,
-   and the shape LLM-sim responses take. *)
-let source ?with_commands rng =
-  Alloy.Pretty.source (spec ?with_commands rng).Alloy.Typecheck.spec
-
 (* {2 Scopes} *)
 
 let scope ?(child_caps = true) rng (env : Alloy.Typecheck.env) =

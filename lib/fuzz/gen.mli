@@ -21,11 +21,6 @@ val spec : ?with_commands:bool -> Rng.t -> Alloy.Typecheck.env
     predicate and assertion.  With [with_commands], 1–2 run/check commands
     are attached (the shape the oracle target needs). *)
 
-val source : ?with_commands:bool -> Rng.t -> string
-(** Concrete Alloy 4.2 source of a generated spec
-    ({!Specrepair_alloy.Pretty.source} of {!spec}), the input of the
-    frontend round-trip fuzz target. *)
-
 val scope :
   ?child_caps:bool -> Rng.t -> Alloy.Typecheck.env -> Specrepair_solver.Bounds.scope
 (** Default scope 1–2 with occasional top-signature overrides and (unless

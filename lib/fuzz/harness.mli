@@ -125,13 +125,11 @@ val report_json : report -> string
 val summary_json : corpus_dir:string -> seed:int -> report list -> string
 (** The per-run JSON summary the CLI prints. *)
 
-val replay : string -> (unit, string) result
-(** Re-runs the differential checks on one corpus entry: [.cnf] files go
-    through the SAT cross-check (with their recorded assumptions), a
-    proof-logged solve whose certificate must check, and — when the entry
-    recorded no assumptions — the simplify cross-check; [.als] files through
-    the frontend round-trip plus the model-finder and oracle cross-checks
-    for every command.  [Error] describes the first disagreement. *)
-
 val replay_dir : string -> (string * (unit, string) result) list
-(** {!replay} over {!Corpus.files}. *)
+(** Re-runs the differential checks on every corpus entry
+    ({!Corpus.files}): [.cnf] files go through the SAT cross-check (with
+    their recorded assumptions), a proof-logged solve whose certificate
+    must check, and — when the entry recorded no assumptions — the
+    simplify cross-check; [.als] files through the frontend round-trip
+    plus the model-finder and oracle cross-checks for every command.
+    Each [Error] describes the entry's first disagreement. *)

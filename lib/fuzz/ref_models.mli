@@ -16,9 +16,6 @@ type verdict =
   | No_instance
   | Too_big  (** space exceeds [max_bits]; caller should skip the check *)
 
-val default_max_bits : int
-(** 14: at most 16384 candidate instances per query. *)
-
 val find :
   ?max_bits:int ->
   Alloy.Typecheck.env ->

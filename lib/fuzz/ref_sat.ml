@@ -82,12 +82,3 @@ let solve ?(assumptions = []) (cnf : Dimacs.cnf) =
     | None -> Unsat
     | Some m -> Sat (Array.map (fun v -> v > 0) (Array.sub m 0 (max n 1)))
 
-let model_satisfies model clauses =
-  List.for_all
-    (fun clause ->
-      List.exists
-        (fun l ->
-          let v = model.(Lit.var l) in
-          if Lit.sign l then v else not v)
-        clause)
-    clauses

@@ -19,6 +19,3 @@ type result = Sat of bool array | Unsat
 val solve : ?assumptions:Lit.t list -> Dimacs.cnf -> result
 (** Complete (no budget): always answers.  The model array covers
     [cnf.num_vars] variables, unconstrained ones read [false]. *)
-
-val model_satisfies : bool array -> Lit.t list list -> bool
-(** Does the assignment satisfy every clause? *)

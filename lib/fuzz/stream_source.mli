@@ -18,7 +18,3 @@ val fuzzed : Specrepair_eval.Corpus_stream.source
     applicable mutation from a seeded starting point that changes the
     spec and still type-checks, retrying with a fresh spec (bounded)
     when none qualifies. *)
-
-val variant :
-  seed:int -> int -> Specrepair_benchmarks.Generate.variant
-(** The producer behind {!fuzzed}, exposed for direct use. *)

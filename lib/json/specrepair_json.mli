@@ -43,7 +43,6 @@ val member : string -> t -> t option
 val to_str : t -> string option
 val to_num : t -> float option
 val to_int : t -> int option
-val to_bool : t -> bool option
 val to_list : t -> t list option
 
 val mem_str : string -> t -> string option

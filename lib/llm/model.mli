@@ -39,15 +39,6 @@ val gpt35 : profile
 (** A weaker profile (flatter sampling, more malformed output), matching
     the GPT-3.5 baselines the prior studies compared against. *)
 
-val gemini : profile
-(** Panel member with competence concentrated on ARepair's data-structure
-    domains, low malformed rate, and a taste for compound/structural edits
-    — complements {!llama3}. *)
-
-val llama3 : profile
-(** Panel member with competence concentrated on relational/graph domains,
-    hot sampling and frequent truncation — complements {!gemini}. *)
-
 val panel : profile list
 (** The model panel, in presentation order: [gpt4; gpt35; gemini; llama3].
     Every profile selectable via [--profile] or the serve protocol is

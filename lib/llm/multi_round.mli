@@ -11,7 +11,6 @@ module Session = Specrepair_repair.Session
 
 type feedback = No_feedback | Generic | Auto
 
-val feedback_to_string : feedback -> string
 val all_feedbacks : feedback list
 
 val tool_name : feedback -> string

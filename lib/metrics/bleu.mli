@@ -15,8 +15,5 @@ val sentence_bleu :
 (** In [0, 1]; 1 iff token sequences are identical (for texts of length
     >= [max_n]). *)
 
-val tokens : string -> string list
-(** Whitespace tokenization. *)
-
 val token_match : reference:string -> candidate:string -> float
-(** [sentence_bleu] over {!tokens} of both texts. *)
+(** [sentence_bleu] over the whitespace tokens of both texts. *)

@@ -137,8 +137,6 @@ let of_spec (spec : Ast.spec) =
           spec.asserts
       @ List.map of_command spec.commands )
 
-let rec size (Node (_, kids)) = 1 + List.fold_left (fun n t -> n + size t) 0 kids
-
 (* Flatten a tree to arrays: per node, its label and the ids of its
    children.  Node 0 is the root; ids are preorder. *)
 let annotate t =

@@ -8,11 +8,7 @@
 
 type tree = Node of string * tree list
 
-val of_spec : Specrepair_alloy.Ast.spec -> tree
 val of_fmla : Specrepair_alloy.Ast.fmla -> tree
-val size : tree -> int
-val kernel : ?decay:float -> tree -> tree -> float
-(** Raw (unnormalised) subset-tree kernel value. *)
 
 val similarity : ?decay:float -> tree -> tree -> float
 (** Normalised: [kernel a b / sqrt (kernel a a *. kernel b b)], in [0, 1]. *)

@@ -10,26 +10,6 @@ let site_to_string = function
   | Pred_site n -> Printf.sprintf "pred %s" n
   | Assert_site n -> Printf.sprintf "assert %s" n
 
-(* Sites name the same declarations the type checker blames, so fault
-   locations can be mapped onto the frontend's source spans. *)
-let decl_of_site spec site : Specrepair_alloy.Typecheck.decl =
-  match site with
-  | Fact_site i -> Dfact (i, (List.nth spec.facts i).fact_name)
-  | Pred_site n -> Dpred n
-  | Assert_site n -> Dassert n
-
-let span_of_site spans spec site =
-  match List.assoc_opt (decl_of_site spec site) spans with
-  | Some span when not (Specrepair_alloy.Loc.is_none span) -> Some span
-  | _ -> None
-
-let site_with_span spans spec site =
-  match span_of_site spans spec site with
-  | Some span ->
-      Printf.sprintf "%s (%s)" (site_to_string site)
-        (Specrepair_alloy.Loc.to_string span)
-  | None -> site_to_string site
-
 let path_to_string p = String.concat "." (List.map string_of_int p)
 
 let sites spec =

@@ -15,28 +15,6 @@ type node = F of Ast.fmla | E of Ast.expr
 val site_to_string : site -> string
 val path_to_string : path -> string
 
-val decl_of_site : Ast.spec -> site -> Specrepair_alloy.Typecheck.decl
-(** The type-checker declaration a site lives in, the key into the
-    frontend's span table.  Raises [Not_found] for a dangling fact
-    index. *)
-
-val span_of_site :
-  (Specrepair_alloy.Typecheck.decl * Specrepair_alloy.Loc.span) list ->
-  Ast.spec ->
-  site ->
-  Specrepair_alloy.Loc.span option
-(** Source span of a site, given the span table of the frontend that
-    parsed the spec ({!Specrepair_alloy.Frontend.ok}[.spans]).  [None]
-    when the spec was built programmatically rather than parsed. *)
-
-val site_with_span :
-  (Specrepair_alloy.Typecheck.decl * Specrepair_alloy.Loc.span) list ->
-  Ast.spec ->
-  site ->
-  string
-(** [site_to_string], with the source range appended when known:
-    ["fact#0 (spec.als:3:1-5:2)"]. *)
-
 val sites : Ast.spec -> site list
 (** All constraint bodies, facts first, in declaration order. *)
 
@@ -44,8 +22,6 @@ val body : Ast.spec -> site -> Ast.fmla
 (** Raises [Not_found] if the site does not exist. *)
 
 val with_body : Ast.spec -> site -> Ast.fmla -> Ast.spec
-
-val children : node -> node list
 
 val subnodes : Ast.fmla -> (path * node) list
 (** Preorder traversal of a body, the root at path []. *)

@@ -26,7 +26,6 @@ let at_most k fs =
   else Formula.not_ (at_least (k + 1) fs)
 
 let exactly k fs = Formula.and2 (at_least k fs) (at_most k fs)
-let count_geq fs k = at_least k fs
 
 let compare_const op fs k =
   match op with

@@ -14,8 +14,5 @@ val at_most : int -> Formula.t list -> Formula.t
 
 val exactly : int -> Formula.t list -> Formula.t
 
-val count_geq : Formula.t list -> int -> Formula.t
-(** [count_geq fs k = at_least k fs]; spelled for comparison operators. *)
-
 val compare_const : [ `Lt | `Le | `Eq | `Ne | `Ge | `Gt ] -> Formula.t list -> int -> Formula.t
 (** [compare_const op fs k] holds iff [|{f in fs | f}| op k]. *)

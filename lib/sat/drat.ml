@@ -40,9 +40,6 @@ let create () =
     live = 0;
   }
 
-let n_premises t = t.premises
-let n_proof_clauses t = t.live
-
 let ensure_var t v =
   if v >= t.nvars then begin
     let n = max (v + 1) (max 16 (2 * t.nvars)) in

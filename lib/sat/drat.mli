@@ -48,10 +48,6 @@ val refutes : t -> Lit.t list -> bool
     asks whether the empty clause has effectively been derived — the
     certificate of an unconditional UNSAT. *)
 
-val n_premises : t -> int
-val n_proof_clauses : t -> int
-(** Live [Add]ed clauses (deletions subtracted). *)
-
 (** {2 One-shot checking} *)
 
 val check :

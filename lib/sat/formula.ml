@@ -165,26 +165,3 @@ let vars f =
   go f;
   List.sort Int.compare (Hashtbl.fold (fun v () l -> v :: l) acc [])
 
-let rec pp ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Var v -> Format.fprintf ppf "v%d" v
-  | Not f -> Format.fprintf ppf "!%a" pp_atom f
-  | And fs -> pp_nary ppf "&" fs
-  | Or fs -> pp_nary ppf "|" fs
-  | Iff (a, b) -> Format.fprintf ppf "(%a <=> %a)" pp a pp b
-  | Ite (c, t, e) -> Format.fprintf ppf "(%a ? %a : %a)" pp c pp t pp e
-
-and pp_atom ppf f =
-  match f with
-  | True | False | Var _ | Not _ -> pp ppf f
-  | _ -> Format.fprintf ppf "(%a)" pp f
-
-and pp_nary ppf op fs =
-  Format.pp_print_char ppf '(';
-  Array.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf " %s " op;
-      pp ppf f)
-    fs;
-  Format.pp_print_char ppf ')'

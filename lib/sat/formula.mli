@@ -42,8 +42,6 @@ val size : t -> int
 val vars : t -> int list
 (** Sorted list of distinct variables occurring in the formula. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Phys_tbl : Hashtbl.S with type key = t
 (** Hash table keyed on physical identity of formula nodes; used by
     {!Tseitin} to share definition variables across a DAG. *)

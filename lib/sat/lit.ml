@@ -24,6 +24,4 @@ let of_dimacs i =
   if i = 0 then invalid_arg "Lit.of_dimacs: zero";
   if i > 0 then pos (i - 1) else neg (-i - 1)
 
-let compare = Int.compare
 let equal = Int.equal
-let pp ppf l = Format.fprintf ppf "%d" (to_dimacs l)

@@ -38,6 +38,4 @@ val to_dimacs : t -> int
 val of_dimacs : int -> t
 (** Inverse of {!to_dimacs}.  Raises [Invalid_argument] on zero. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -105,7 +105,6 @@ val set_proof : t -> Proof.sink option -> unit
 val n_conflicts : t -> int
 val n_decisions : t -> int
 val n_propagations : t -> int
-val n_clauses : t -> int
 val n_learnts : t -> int
 
 val n_restarts : t -> int

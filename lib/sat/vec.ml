@@ -2,11 +2,6 @@ type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
 
 let create ~dummy = { data = Array.make 8 dummy; size = 0; dummy }
 
-let make n x ~dummy =
-  let data = Array.make (max n 8) dummy in
-  Array.fill data 0 n x;
-  { data; size = n; dummy }
-
 let length v = v.size
 let is_empty v = v.size = 0
 

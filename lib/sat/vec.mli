@@ -6,8 +6,6 @@
 type 'a t
 
 val create : dummy:'a -> 'a t
-val make : int -> 'a -> dummy:'a -> 'a t
-(** [make n x ~dummy] is a vector of [n] copies of [x]. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

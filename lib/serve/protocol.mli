@@ -77,8 +77,6 @@ type error_code =
   | Shutting_down
   | Internal
 
-val code_to_string : error_code -> string
-
 val parse_request : string -> (request, string) result
 (** Validate one request line.  [Error reply] is a complete, sendable
     error-reply line (the client's [id] is echoed when it could be

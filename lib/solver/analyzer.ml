@@ -5,11 +5,6 @@ module Ast = Alloy.Ast
 type outcome = Sat of Alloy.Instance.t | Unsat | Unknown
 type verdict = [ `Sat | `Unsat | `Unknown ]
 
-let outcome_to_string = function
-  | Sat _ -> "sat"
-  | Unsat -> "unsat"
-  | Unknown -> "unknown"
-
 let outcome_verdict : outcome -> verdict = function
   | Sat _ -> `Sat
   | Unsat -> `Unsat

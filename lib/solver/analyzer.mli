@@ -16,7 +16,6 @@ type verdict = [ `Sat | `Unsat | `Unknown ]
 (** An outcome without its instance — what verdict-only callers (the
     oracle's cache, the fuzzer's cross-checks) compare on. *)
 
-val outcome_to_string : outcome -> string
 val outcome_verdict : outcome -> verdict
 
 val solve_fmla :

@@ -197,8 +197,6 @@ let note_certified t ok =
   else t.counters.c_cert_failures <- t.counters.c_cert_failures + 1;
   match t.on_certify with Some f -> f ok | None -> ()
 
-let base t = t.base
-
 let compatible t (env : Alloy.Typecheck.env) =
   let base = t.base.Alloy.Typecheck.spec.sigs in
   env.spec.sigs == base || env.spec.sigs = base
@@ -653,14 +651,3 @@ let stats t =
     keys_reused = c.c_keys_reused;
   }
 
-let pp_stats fmt t =
-  let s = stats t in
-  Format.fprintf fmt
-    "verdicts: %d hit / %d solved; instances: %d hit / %d solved; \
-     translations: %d fresh / %d reused; fallbacks: %d; contexts: %d live / \
-     %d retired; certified: %d ok / %d failed; definitions: %d / %d shared; \
-     key digests: %d printed / %d reused"
-    s.verdict_hits s.verdict_misses s.instance_hits s.instance_misses
-    s.formulas_translated s.formulas_reused s.fallback_queries s.contexts
-    s.contexts_retired s.certified s.certificate_failures s.definitions
-    s.definitions_shared s.keys_digested s.keys_reused

@@ -102,8 +102,6 @@ val create :
     the solving options — verdicts are solver-path-independent, first
     models are not. *)
 
-val base : t -> Alloy.Typecheck.env
-
 val compatible : t -> Alloy.Typecheck.env -> bool
 (** Does the candidate declare exactly the base's signatures and fields (so
     the shared variable allocation is sound for it)? *)
@@ -165,5 +163,3 @@ val sat_stats : t -> sat_stats
     every incremental context's solver, live or retired, plus the counters
     reported by simplified fresh solves; every field is monotone.  The simplification counters are nonzero only
     when the oracle was created with [~simplify:true]. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -13,7 +13,6 @@ exception Translate_error of string
 type var_env = (string * Matrix.t) list
 (** Quantified variables and predicate parameters in scope. *)
 
-val expr : Bounds.t -> var_env -> Alloy.Ast.expr -> Matrix.t
 val fmla : Bounds.t -> var_env -> Alloy.Ast.fmla -> Formula.t
 
 val spec_fmla : Bounds.t -> Formula.t

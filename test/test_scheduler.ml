@@ -122,10 +122,26 @@ let test_study_parallel_bit_identical () =
      across all twelve techniques, modulo the wall-clock time_ms column *)
   let variants = Lazy.force sample_variants in
   let seq = Eval.Study.run variants in
-  let par = Eval.Study.run_parallel ~jobs:4 variants in
+  let stats = ref None in
+  let par =
+    Eval.Study.run_parallel ~jobs:4 ~on_stats:(fun s -> stats := Some s)
+      variants
+  in
   Alcotest.(check string) "csv byte-identical (timings zeroed)"
     (Eval.Study.to_csv ~timings:false seq)
-    (Eval.Study.to_csv ~timings:false par)
+    (Eval.Study.to_csv ~timings:false par);
+  (* an undisturbed run: every row merged, no chunk requeued *)
+  match !stats with
+  | None -> Alcotest.fail "on_stats never called"
+  | Some s ->
+      Alcotest.(check int) "no retries" 0 s.Sched_stats.retries;
+      Alcotest.(check int) "no worker lost" 0 s.workers_lost;
+      Alcotest.(check int) "every row merged" (List.length par)
+        s.rows_completed;
+      Alcotest.(check bool) "1 <= chunks completed <= chunks dispatched" true
+        (1 <= s.chunks_completed && s.chunks_completed <= s.chunks_dispatched);
+      Alcotest.(check bool) "a worker was spawned" true
+        (s.workers_spawned >= 1)
 
 let test_study_parallel_survives_sigkill () =
   let variants = Lazy.force sample_variants in
