@@ -187,6 +187,8 @@ let space_stats t =
     Space.built = s.built - b.built;
     reused = s.reused - b.reused;
     evicted = s.evicted - b.evicted;
+    lists_built = s.lists_built - b.lists_built;
+    lists_reused = s.lists_reused - b.lists_reused;
   }
 
 (* {2 JSON serialization} *)
@@ -266,6 +268,8 @@ let telemetry_json ?(extra = []) t =
                  ("built", ps.Space.built);
                  ("reused", ps.reused);
                  ("evicted", ps.evicted);
+                 ("lists_built", ps.lists_built);
+                 ("lists_reused", ps.lists_reused);
                ] );
            ( "phases",
              Json.Obj

@@ -95,11 +95,14 @@ val telemetry : t -> Telemetry.t
 
 val spaces : t -> Space.store
 (** The mutation-space store the LLM pipelines pass to every proposal
-    build ({!Specrepair_mutation.Space}: at most two spaces, least
-    recently used evicted first).  A session owns a fresh store unless
-    {!create} was given one; the study gives every row of a domain that
-    domain's store, so a variant's LLM rows share their faulty spec's
-    space and a Multi-Round dialogue's rounds share their base's. *)
+    build and BeAFix reads its depth-1 candidate list from
+    ({!Specrepair_mutation.Space}: at most two spaces and two lists,
+    least recently used evicted first).  A session owns a fresh store
+    unless {!create} was given one; the study gives every row of a
+    domain that domain's store, so a variant's LLM rows share their
+    faulty spec's space and a Multi-Round dialogue's rounds share their
+    base's; a serve registry entry gives every request on its spec the
+    entry's store, so a warm BeAFix request reuses its list. *)
 
 (** {2 Deadline} *)
 
@@ -183,8 +186,10 @@ val eval_stats : t -> Alloy.Eval.counters
 val space_stats : t -> Space.stats
 (** Space-store work during this session (delta of {!spaces}'s counters,
     which may span sessions): spaces built, lookups answered from the
-    store, and evictions.  Every proposal build looks its space up once,
-    so [built + reused] is the session's [proposal_builds]. *)
+    store, and evictions, then candidate lists built and reused.  Every
+    proposal build looks its space up once, so [built + reused] is the
+    session's [proposal_builds]; a BeAFix run that sweeps looks its list
+    up once. *)
 
 val telemetry_json : ?extra:(string * string) list -> t -> string
 (** One-line JSON object: [extra] string fields first, then

@@ -221,16 +221,39 @@ let mutations_with env pools spec site path ~with_pool =
 let mutations_at env spec site path ?(with_pool = false) () =
   mutations_with env (shared_pools env) spec site path ~with_pool
 
-let all_mutations env spec ?sites ?(with_pool = false) () =
+(* A node's mutations with repeated replacements dropped, first kept.  The
+   key is the replacement alone: every mutation of a node shares its site
+   and path, and a key that starts with them spends the polymorphic
+   hash's ten meaningful words there, so all of a node's replacements
+   would share one bucket. *)
+let distinct ms =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun m ->
+      if Hashtbl.mem seen m.replacement then false
+      else begin
+        Hashtbl.add seen m.replacement ();
+        true
+      end)
+    ms
+
+let all_mutations env spec ?sites ?(with_pool = false) ?(unique = false) () =
   let sites = match sites with Some s -> s | None -> Location.sites spec in
   let pools = shared_pools env in
   List.concat_map
     (fun site ->
       let body = Location.body spec site in
       List.concat_map
-        (fun (path, _) -> mutations_with env pools spec site path ~with_pool)
+        (fun (path, _) ->
+          let ms = mutations_with env pools spec site path ~with_pool in
+          if unique then distinct ms else ms)
         (Location.subnodes body))
     sites
+
+let from_pool m =
+  match m.op with
+  | "expr-replace" | "junct-add-and" | "junct-add-or" -> true
+  | _ -> false
 
 let well_typed _env spec =
   match Alloy.Typecheck.check_result spec with Ok _ -> true | Error _ -> false

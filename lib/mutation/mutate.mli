@@ -36,9 +36,19 @@ val all_mutations :
   Ast.spec ->
   ?sites:Location.site list ->
   ?with_pool:bool ->
+  ?unique:bool ->
   unit ->
   t list
-(** Mutations at every node of the given sites (default: all sites). *)
+(** Mutations at every node of the given sites (default: all sites), node
+    by node.  One node can offer the same replacement twice (dropping
+    either of two equal operands); [~unique:true] (default false) keeps
+    only the first of each node's equal replacements.  Mutations at
+    different nodes never repeat each other, provided [sites] has no
+    repeated site. *)
+
+val from_pool : t -> bool
+(** Is the replacement drawn from {!Pool} (an [expr-replace] or an added
+    junct) rather than a structural edit of the node? *)
 
 val well_typed : Specrepair_alloy.Typecheck.env -> Ast.spec -> bool
 (** Does the mutated spec still type-check?  ([apply] can produce arity

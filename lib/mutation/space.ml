@@ -21,50 +21,83 @@ let build spec =
           in
           Some { mutations; sizes })
 
+let build_candidates (env : Alloy.Typecheck.env) ~sites ~with_pool =
+  let plain, pooled =
+    Mutate.all_mutations env env.spec ~sites ~with_pool ~unique:true ()
+    |> List.partition (fun m -> not (Mutate.from_pool m))
+  in
+  plain @ pooled
+
 (* A list is the whole LRU: with two entries a lookup compares at most two
    specs, physically first.  No hashing: a structural hash of a spec
    collides across a domain's variants (they share every signature). *)
-type entry = { spec : Ast.spec; space : t option }
-
-type store = {
-  mutable entries : entry list;  (* most recently used first *)
+type ('k, 'v) lru = {
+  mutable entries : (Ast.spec * 'k * 'v) list;  (* most recently used first *)
   mutable built : int;
   mutable reused : int;
   mutable evicted : int;
 }
 
-type stats = { built : int; reused : int; evicted : int }
-
 let capacity = 2
 
-let create_store () = { entries = []; built = 0; reused = 0; evicted = 0 }
+let lru () = { entries = []; built = 0; reused = 0; evicted = 0 }
 
-let find (store : store) spec =
-  let hit e =
-    store.reused <- store.reused + 1;
-    store.entries <- e :: List.filter (fun e' -> e' != e) store.entries;
-    e.space
+(* The value stored for ([spec], [key]), else [build ()], stored. *)
+let lookup lru spec key build =
+  let hit ((_, _, v) as e) =
+    lru.reused <- lru.reused + 1;
+    lru.entries <- e :: List.filter (fun e' -> e' != e) lru.entries;
+    v
   in
-  match List.find_opt (fun e -> e.spec == spec) store.entries with
+  match List.find_opt (fun (s, k, _) -> s == spec && k = key) lru.entries with
   | Some e -> hit e
   | None -> (
       match
-        List.find_opt (fun e -> Ast.equal_spec e.spec spec) store.entries
+        List.find_opt
+          (fun (s, k, _) -> k = key && Ast.equal_spec s spec)
+          lru.entries
       with
       | Some e -> hit e
       | None ->
-          let space = build spec in
-          store.built <- store.built + 1;
-          let entries = { spec; space } :: store.entries in
-          store.entries <-
+          let v = build () in
+          lru.built <- lru.built + 1;
+          let entries = (spec, key, v) :: lru.entries in
+          lru.entries <-
             (if List.length entries > capacity then begin
-               store.evicted <- store.evicted + 1;
+               lru.evicted <- lru.evicted + 1;
                List.filteri (fun i _ -> i < capacity) entries
              end
              else entries);
-          space)
+          v)
 
-let stats (store : store) =
-  { built = store.built; reused = store.reused; evicted = store.evicted }
+type store = {
+  spaces : (unit, t option) lru;
+  lists : (Location.site list * bool, Mutate.t list) lru;
+}
 
-let specs store = List.map (fun e -> e.spec) store.entries
+type stats = {
+  built : int;
+  reused : int;
+  evicted : int;
+  lists_built : int;
+  lists_reused : int;
+}
+
+let create_store () = { spaces = lru (); lists = lru () }
+
+let find store spec = lookup store.spaces spec () (fun () -> build spec)
+
+let candidates store (env : Alloy.Typecheck.env) ~sites ~with_pool =
+  lookup store.lists env.spec (sites, with_pool) (fun () ->
+      build_candidates env ~sites ~with_pool)
+
+let stats { spaces; lists } =
+  {
+    built = spaces.built;
+    reused = spaces.reused;
+    evicted = spaces.evicted;
+    lists_built = lists.built;
+    lists_reused = lists.reused;
+  }
+
+let specs store = List.map (fun (s, _, _) -> s) store.spaces.entries

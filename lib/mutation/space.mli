@@ -6,7 +6,11 @@
     environment it is built in is the spec's own typecheck result), so a
     {!store} can hand one build to every prompt about a structurally equal
     spec.  What a prompt adds on top (profile, hints, guidance) is weighed
-    by the caller over {!t.mutations}. *)
+    by the caller over {!t.mutations}.
+
+    BeAFix's depth-1 candidate list is kept the same way: it depends on
+    the spec, the swept sites and whether pool replacements are allowed,
+    so a warm serve entry answers a repeated request from its store. *)
 
 module Ast = Specrepair_alloy.Ast
 
@@ -21,16 +25,33 @@ val build : Ast.spec -> t option
 (** The space of a spec; [None] when the spec does not type-check or has
     no mutation. *)
 
+val build_candidates :
+  Specrepair_alloy.Typecheck.env ->
+  sites:Location.site list ->
+  with_pool:bool ->
+  Mutate.t list
+(** BeAFix's depth-1 candidate list over [env.spec] ([env] its own
+    typecheck result): {!Mutate.all_mutations} [~unique:true] at every
+    node of [sites] (which must not repeat a site), the structural edits
+    first and then the pool replacements ({!Mutate.from_pool}), each part
+    in enumeration order.  Cheap edits across every site come before any
+    pool replacement, so one pool-heavy site cannot starve the rest of
+    the budget. *)
+
 (** {2 Store} *)
 
 type store
-(** At most {!capacity} spaces, keyed on their spec, least recently used
-    evicted first.  Not thread-safe; a store belongs to one session (or one
-    study domain, whose rows run one at a time in a process). *)
+(** At most {!capacity} spaces, keyed on their spec, and at most
+    {!capacity} candidate lists, keyed on their spec, sites and
+    [with_pool]; in each, the least recently used is evicted first.  Not
+    thread-safe; a store belongs to one session, one study domain (whose
+    rows run one at a time in a process) or one serve registry entry,
+    and dies with it. *)
 
 val capacity : int
 (** 2: a Single-Round row needs its faulty spec, a Multi-Round dialogue its
-    faulty spec and the base it is hill-climbing. *)
+    faulty spec and the base it is hill-climbing.  A BeAFix request needs
+    one list. *)
 
 val create_store : unit -> store
 
@@ -40,10 +61,27 @@ val find : store -> Ast.spec -> t option
     even when [None], so an ill-typed spec is typechecked once).  Either
     way the entry becomes the most recently used. *)
 
-type stats = { built : int; reused : int; evicted : int }
+val candidates :
+  store ->
+  Specrepair_alloy.Typecheck.env ->
+  sites:Location.site list ->
+  with_pool:bool ->
+  Mutate.t list
+(** {!build_candidates}, looked up like {!find}: a stored list whose spec
+    is physically equal to [env.spec], else {!Ast.equal_spec}, with equal
+    [sites] and [with_pool], else a new build, stored. *)
+
+type stats = {
+  built : int;
+  reused : int;
+  evicted : int;
+  lists_built : int;
+  lists_reused : int;
+}
 (** Lifetime counters: {!find} calls that built a space, {!find} calls
-    answered from the store, and entries evicted at capacity.
-    [built + reused] is the number of {!find} calls. *)
+    answered from the store, and spaces evicted at capacity
+    ([built + reused] is the number of {!find} calls); {!candidates}
+    calls that built a list and that were answered from the store. *)
 
 val stats : store -> stats
 

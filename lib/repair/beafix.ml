@@ -107,33 +107,14 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
     in
     let tried = ref 0 in
     let verify env' = Common.oracle_passes ~max_conflicts session env' in
-    let is_pool_op (m : Mutation.Mutate.t) =
-      match m.op with
-      | "expr-replace" | "junct-add-and" | "junct-add-or" -> true
-      | _ -> false
-    in
     let depth1 =
+      (* candidate stream: depth 1 = single mutations at every node of the
+         suspicious subtrees, kept with the session's spaces; depth 2 =
+         pairs across distinct locations *)
       Session.time session "mutation" (fun () ->
-          (* candidate stream: depth 1 = single mutations at every node of
-             the suspicious subtrees, depth 2 = pairs across distinct
-             locations.  One node can offer the same replacement twice
-             (e.g. dropping either of two equal operands); dedup. *)
-          let seen = Hashtbl.create 64 in
-          Mutation.Mutate.all_mutations env0 env0.spec
+          Mutation.Space.candidates (Session.spaces session) env0
             ~sites:(List.map fst top_locations)
-            ~with_pool:budget.Session.use_pool ()
-          |> List.filter (fun (m : Mutation.Mutate.t) ->
-                 let key = (m.site, m.path, m.replacement) in
-                 if Hashtbl.mem seen key then false
-                 else begin
-                   Hashtbl.add seen key ();
-                   true
-                 end)
-          (* cheap structural edits across every location before any
-             pool-synthesized replacement, so one pool-heavy location cannot
-             starve the rest of the budget *)
-          |> List.stable_sort (fun a b ->
-                 compare (is_pool_op a) (is_pool_op b)))
+            ~with_pool:budget.Session.use_pool)
     in
     Telemetry.candidates_generated telemetry (List.length depth1);
     let try_candidate spec' =

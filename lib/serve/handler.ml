@@ -1,10 +1,11 @@
 (* Request execution inside a serve worker.
 
    The warm state lives here: a bounded LRU mapping request digests to
-   type-checked environments with their incremental oracles (spec
-   requests) or memoized verdicts (sat requests).  A second request for
-   the same source skips the frontend, the translation, and — via the
-   oracle's digest-keyed verdict caches — most of the solving. *)
+   type-checked environments with their incremental oracles and
+   mutation-space stores (spec requests) or memoized verdicts (sat
+   requests).  A second request for the same source skips the frontend,
+   the translation, BeAFix's candidate list and — via the oracle's
+   digest-keyed verdict caches — most of the solving. *)
 
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
@@ -17,9 +18,14 @@ module Json = Specrepair_json
 
 type warmth = Warm | Cold | Uncached
 
-type entry =
-  | Spec of { env : Alloy.Typecheck.env; oracle : Solver.Oracle.t }
-  | Cnf_verdict of string
+(* The store's spaces and candidate lists live and die with the entry *)
+type spec_state = {
+  env : Alloy.Typecheck.env;
+  oracle : Solver.Oracle.t;
+  spaces : Specrepair_mutation.Space.store;
+}
+
+type entry = Spec of spec_state | Cnf_verdict of string
 
 type t = { registry : entry Registry.t }
 
@@ -55,8 +61,8 @@ let spec_error ~id ~source diagnostics =
       ]
     "specification rejected by the frontend"
 
-(* The warm entry for a spec request: frontend-checked env + incremental
-   oracle.  Frontend failures raise a complete reply (they are not cached:
+(* The warm entry for a spec request: frontend-checked env, incremental
+   oracle and space store.  Frontend failures raise a complete reply (they are not cached:
    a bad spec costs a parse on every submission, which is also the honest
    cache_misses accounting). *)
 let spec_entry t ~id ~key ~file ~source ~simplify ~portfolio =
@@ -67,11 +73,12 @@ let spec_entry t ~id ~key ~file ~source ~simplify ~portfolio =
           {
             env = ok.Alloy.Frontend.env;
             oracle = Solver.Oracle.create ~simplify ~portfolio ok.Alloy.Frontend.env;
+            spaces = Specrepair_mutation.Space.create_store ();
           }
     | Error d -> raise (Reply (spec_error ~id ~source [ d ]))
   in
   match Registry.find_or_add t.registry key build with
-  | Spec { env; oracle }, warm -> (env, oracle, warm)
+  | Spec state, warm -> (state, warm)
   | Cnf_verdict _, _ ->
       (* digest namespaces ("spec:"/"cnf:") make this unreachable *)
       raise
@@ -90,12 +97,13 @@ let verdict_str = function
 
 let handle_repair t ~id (p : Protocol.repair_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Repair p)) in
-  let env, oracle, warm =
+  let { env; oracle; spaces }, warm =
     spec_entry t ~id ~key ~file:p.file ~source:p.source ~simplify:p.simplify
       ~portfolio:p.portfolio
   in
   let session =
-    Repair.Session.create ~oracle ~seed:p.seed ?deadline_ms:p.deadline_ms env
+    Repair.Session.create ~oracle ~spaces ~seed:p.seed
+      ?deadline_ms:p.deadline_ms env
   in
   (* validated by Protocol.parse_request against the panel registry *)
   let profile = Option.get (Llm.Model.profile_of_name p.profile) in
@@ -134,12 +142,12 @@ let handle_repair t ~id (p : Protocol.repair_params) =
 
 let handle_evaluate t ~id (p : Protocol.evaluate_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Evaluate p)) in
-  let env, oracle, warm =
+  let { env; oracle; spaces }, warm =
     spec_entry t ~id ~key ~file:p.e_file ~source:p.e_source
       ~simplify:p.e_simplify ~portfolio:p.e_portfolio
   in
   let session =
-    Repair.Session.create ~oracle ?deadline_ms:p.e_deadline_ms env
+    Repair.Session.create ~oracle ~spaces ?deadline_ms:p.e_deadline_ms env
   in
   let verdicts =
     List.map

@@ -1,11 +1,12 @@
-(* Tests for AST locations, the typed expression pool, and mutation
-   operators. *)
+(* Tests for AST locations, the typed expression pool, mutation operators
+   and BeAFix's depth-1 candidate list. *)
 
 open Specrepair_alloy
 module Mutation = Specrepair_mutation
 module Location = Mutation.Location
 module Pool = Mutation.Pool
 module Mutate = Mutation.Mutate
+module Space = Mutation.Space
 
 let spec_src =
   {|
@@ -291,6 +292,106 @@ let test_shared_pools_corpus () =
     (List.length variants >= 50);
   List.iter (fun (id, (e : Typecheck.env)) -> check_per_node id e e.spec) variants
 
+(* {2 BeAFix's depth-1 candidate list}
+
+   The list used to be built by deduplicating the whole enumeration on
+   (site, path, replacement) in a polymorphic hash table, then stable-
+   sorting the structural edits before the pool replacements.  That
+   pipeline is kept here as the reference: the per-node dedup and the
+   partition must give the same list, in the same order. *)
+
+let reference_candidates (env : Typecheck.env) ~sites ~with_pool =
+  let seen = Hashtbl.create 64 in
+  let is_pool_op (m : Mutate.t) =
+    match m.op with
+    | "expr-replace" | "junct-add-and" | "junct-add-or" -> true
+    | _ -> false
+  in
+  Mutate.all_mutations env env.spec ~sites ~with_pool ()
+  |> List.filter (fun (m : Mutate.t) ->
+         let key = (m.site, m.path, m.replacement) in
+         if Hashtbl.mem seen key then false
+         else begin
+           Hashtbl.add seen key ();
+           true
+         end)
+  |> List.stable_sort (fun a b -> compare (is_pool_op a) (is_pool_op b))
+
+(* The sites BeAFix sweeps: constraint roots other than true and false,
+   at most [n] of them in textual order *)
+let beafix_sites spec n =
+  Location.sites spec
+  |> List.filter (fun site ->
+         match Location.body spec site with
+         | Ast.True | Ast.False -> false
+         | _ -> true)
+  |> List.filteri (fun i _ -> i < n)
+
+let test_candidates_match_reference () =
+  let module B = Specrepair_benchmarks in
+  let variants = B.Generate.sample ~seed:7 ~per_domain:3 () in
+  let domains =
+    List.sort_uniq compare
+      (List.map (fun (v : B.Generate.variant) -> v.domain.name) variants)
+  in
+  Alcotest.(check int) "every domain" (List.length B.Domains.all)
+    (List.length domains);
+  let dropped = ref 0 in
+  List.iter
+    (fun (v : B.Generate.variant) ->
+      match Typecheck.check_result v.injected.faulty with
+      | Error _ -> ()
+      | Ok env ->
+          List.iter
+            (fun (n, with_pool) ->
+              let sites = beafix_sites env.spec n in
+              let expected = reference_candidates env ~sites ~with_pool in
+              let got = Space.build_candidates env ~sites ~with_pool in
+              if got <> expected then
+                Alcotest.failf "%s (%d sites, with_pool %b): list differs" v.id
+                  n with_pool;
+              dropped :=
+                !dropped
+                + List.length
+                    (Mutate.all_mutations env env.spec ~sites ~with_pool ())
+                - List.length got)
+            [ (5, false); (5, true); (6, true); (max_int, false) ])
+    variants;
+  (* the dedup has something to do *)
+  Alcotest.(check bool) "some repeats dropped" true (!dropped > 0)
+
+let test_candidates_store () =
+  let e = Lazy.force env in
+  let sites = Location.sites e.spec in
+  let store = Space.create_store () in
+  let lists () =
+    let st = Space.stats store in
+    (st.lists_built, st.lists_reused)
+  in
+  let first = Space.candidates store e ~sites ~with_pool:true in
+  Alcotest.(check (pair int int)) "cold: one build" (1, 0) (lists ());
+  Alcotest.(check bool) "a build is the fresh list" true
+    (first = Space.build_candidates e ~sites ~with_pool:true);
+  Alcotest.(check bool) "a hit is the stored list" true
+    (Space.candidates store e ~sites ~with_pool:true == first);
+  (* a structurally equal spec from a second parse hits too *)
+  let e' = Typecheck.check (Parser.parse spec_src) in
+  Alcotest.(check bool) "a second parse is physically distinct" true
+    (e'.spec != e.spec);
+  Alcotest.(check bool) "an equal spec hits" true
+    (Space.candidates store e' ~sites ~with_pool:true == first);
+  Alcotest.(check (pair int int)) "warm: reuses only" (1, 2) (lists ());
+  (* the sites and the pool switch are part of the key *)
+  let plain = Space.candidates store e ~sites ~with_pool:false in
+  Alcotest.(check bool) "without pool" true
+    (plain = Space.build_candidates e ~sites ~with_pool:false);
+  ignore (Space.candidates store e ~sites:(List.tl sites) ~with_pool:true);
+  Alcotest.(check (pair int int)) "other keys build" (3, 2) (lists ());
+  (* two lists at most: the first key was least recently used *)
+  ignore (Space.candidates store e ~sites ~with_pool:true);
+  Alcotest.(check (pair int int)) "evicted key rebuilds" (4, 2) (lists ());
+  Alcotest.(check int) "no space built" 0 (Space.stats store).built
+
 let () =
   Alcotest.run "mutation"
     [
@@ -323,5 +424,12 @@ let () =
             test_shared_pools_scoped;
           Alcotest.test_case "shared pools over the corpus" `Quick
             test_shared_pools_corpus;
+        ] );
+      ( "candidates",
+        [
+          Alcotest.test_case "equal the reference pipeline" `Quick
+            test_candidates_match_reference;
+          Alcotest.test_case "store hits equal fresh builds" `Quick
+            test_candidates_store;
         ] );
     ]

@@ -281,6 +281,102 @@ let test_handler_errors_and_warmth () =
   let s = Handler.registry_stats h in
   Alcotest.(check int) "registry hits" 2 s.Registry.hits
 
+(* Warm state must never show in a reply: with two entries for 18 specs,
+   every spec is served cold, warm, cold again after its entry was
+   evicted, then warm again, and each reply equals the first once [warm]
+   is normalised, [candidates_tried] included.  BeAFix's candidate list
+   is the state a warm entry keeps here, beside the oracle. *)
+let repair_request ~tool src =
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Str "");
+         ("method", Json.Str "repair");
+         ( "params",
+           Json.Obj
+             [
+               ("source", Json.Str src);
+               ("file", Json.Str "<test>");
+               ("tool", Json.Str tool);
+             ] );
+       ])
+
+let cold_form reply =
+  let hot = {|"warm":true|} and n = String.length reply in
+  let k = String.length hot in
+  let rec go i =
+    if i + k > n then reply
+    else if String.sub reply i k = hot then
+      String.sub reply 0 i ^ {|"warm":false|}
+      ^ String.sub reply (i + k) (n - i - k)
+    else go (i + 1)
+  in
+  go 0
+
+let test_handler_warm_equals_cold () =
+  let module B = Specrepair_benchmarks in
+  let h = Handler.create ~max_sessions:2 in
+  let sources =
+    List.map
+      (fun (v : B.Generate.variant) ->
+        (v.id, Specrepair_alloy.Pretty.source v.injected.faulty))
+      (B.Generate.sample ~seed:11 ~per_domain:1 ())
+  in
+  Alcotest.(check int) "one spec per domain" (List.length B.Domains.all)
+    (List.length sources);
+  let candidates_tried reply =
+    match Json.parse reply with
+    | Ok j ->
+        Option.bind (Json.member "result" j) (Json.mem_int "candidates_tried")
+    | Error _ -> None
+  in
+  let serve ~tool (id, src) expected_warmth =
+    let line = repair_request ~tool src in
+    let reply, warmth = Handler.handle h line in
+    if warmth <> expected_warmth then
+      Alcotest.failf "%s (%s): unexpected warmth" id tool;
+    reply
+  in
+  let check_same ~tool ((id, _) as spec) first warmth =
+    let reply = serve ~tool spec warmth in
+    if cold_form reply <> first then
+      Alcotest.failf "%s (%s): reply differs from the first cold reply:\n%s\n%s"
+        id tool first reply;
+    Alcotest.(check (option int))
+      (id ^ ": candidates_tried") (candidates_tried first)
+      (candidates_tried reply)
+  in
+  let firsts =
+    List.map
+      (fun spec ->
+        let first = serve ~tool:"beafix" spec Handler.Cold in
+        check_contains (fst spec) {|"ok":true|} first;
+        if candidates_tried first = None then
+          Alcotest.failf "%s: no candidates_tried" (fst spec);
+        check_same ~tool:"beafix" spec first Handler.Warm;
+        first)
+      sources
+  in
+  List.iter2
+    (fun spec first ->
+      check_same ~tool:"beafix" spec first Handler.Cold;
+      check_same ~tool:"beafix" spec first Handler.Warm)
+    sources firsts;
+  let s = Handler.registry_stats h in
+  Alcotest.(check bool) "entries were evicted" true
+    (s.Registry.evictions >= List.length sources);
+  (* a portfolio request on a spec whose entry a BeAFix request warmed *)
+  match sources with
+  | spec :: (other :: third :: _) ->
+      ignore (serve ~tool:"beafix" spec Handler.Cold);
+      let first = cold_form (serve ~tool:"portfolio" spec Handler.Warm) in
+      check_same ~tool:"portfolio" spec first Handler.Warm;
+      ignore (serve ~tool:"beafix" other Handler.Cold);
+      ignore (serve ~tool:"beafix" third Handler.Cold);
+      check_same ~tool:"portfolio" spec first Handler.Cold;
+      check_same ~tool:"portfolio" spec first Handler.Warm
+  | _ -> Alcotest.fail "too few specs"
+
 (* {2 Pool} *)
 
 let rec pool_events ?(deadline = 10.) pool =
@@ -594,6 +690,8 @@ let () =
         [
           Alcotest.test_case "errors and warmth" `Quick
             test_handler_errors_and_warmth;
+          Alcotest.test_case "warm replies equal cold ones" `Quick
+            test_handler_warm_equals_cold;
         ] );
       ( "pool",
         [

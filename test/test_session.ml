@@ -148,6 +148,36 @@ let test_telemetry_counters () =
   Alcotest.(check bool) "phase timers recorded" true
     (List.mem_assoc "mutation" (Telemetry.phases t))
 
+(* A BeAFix session handed the store of an earlier one (as a warm serve
+   entry hands it) reads its depth-1 list from there: the telemetry
+   [spaces] object shows a reuse and no build, where the cold session
+   shows the build; the two runs generate and try the same candidates. *)
+let test_warm_candidate_list () =
+  let store = Specrepair_mutation.Space.create_store () in
+  let run env =
+    let session = Session.create ~spaces:store env in
+    let r = Repair.Beafix.repair ~session env in
+    let j = Result.get_ok (Json.parse (Session.telemetry_json session)) in
+    let spaces = Option.get (Json.member "spaces" j) in
+    ( r,
+      Json.mem_int "candidates_generated" j,
+      (Json.mem_int "lists_built" spaces, Json.mem_int "lists_reused" spaces)
+    )
+  in
+  let cold_r, cold_generated, cold_lists = run (Lazy.force faulty_env) in
+  (* a second parse: structurally equal, physically distinct *)
+  let warm_r, warm_generated, warm_lists = run (env_of faulty_src) in
+  Alcotest.(check (pair (option int) (option int)))
+    "cold: one list built" (Some 1, Some 0) cold_lists;
+  Alcotest.(check (pair (option int) (option int)))
+    "warm: one list reused" (Some 0, Some 1) warm_lists;
+  Alcotest.(check (option int)) "same candidates generated" cold_generated
+    warm_generated;
+  Alcotest.(check bool) "same result" true
+    (cold_r.repaired = warm_r.repaired
+    && cold_r.candidates_tried = warm_r.candidates_tried
+    && Ast.equal_spec cold_r.final_spec warm_r.final_spec)
+
 (* The Multi-Round pipeline builds one proposal distribution per round and
    draws its best-of-k self-check proposals from it, so builds never
    outnumber rounds. *)
@@ -300,7 +330,7 @@ let test_study_line_elapsed_is_row_time () =
               match Json.mem_int f spaces with
               | Some n when n >= 0 -> ()
               | _ -> Alcotest.failf "%s: spaces.%s missing or negative" name f)
-            [ "built"; "reused"; "evicted" ];
+            [ "built"; "reused"; "evicted"; "lists_built"; "lists_reused" ];
           Alcotest.(check int)
             (name ^ ": spaces built + reused = proposal_builds")
             (sum j [ "proposal_builds" ])
@@ -374,6 +404,8 @@ let check_deltas_nonnegative label session =
       ("spaces_built", ps.Specrepair_mutation.Space.built);
       ("spaces_reused", ps.reused);
       ("spaces_evicted", ps.evicted);
+      ("lists_built", ps.lists_built);
+      ("lists_reused", ps.lists_reused);
     ]
 
 let test_retirement_invisible () =
@@ -483,6 +515,8 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "counters" `Quick test_telemetry_counters;
+          Alcotest.test_case "warm candidate list" `Quick
+            test_warm_candidate_list;
           Alcotest.test_case "proposal builds per round" `Quick
             test_proposal_builds_per_round;
           Alcotest.test_case "certified repair" `Quick test_certified_repair;
