@@ -294,15 +294,17 @@ let () =
           ())
   in
   let speedup = fresh_ms /. incremental_ms in
-  let sum f =
-    List.fold_left (fun n o -> n + f (S.Analyzer.Oracle.stats o)) 0 !oracles
+  let sum key =
+    List.fold_left
+      (fun n o -> n + Json.Counters.find (S.Analyzer.Oracle.stats o) key)
+      0 !oracles
   in
-  let verdict_hits = sum (fun s -> s.verdict_hits)
-  and verdict_misses = sum (fun s -> s.verdict_misses)
-  and formulas_translated = sum (fun s -> s.formulas_translated)
-  and formulas_reused = sum (fun s -> s.formulas_reused)
-  and contexts = sum (fun s -> s.contexts)
-  and contexts_retired = sum (fun s -> s.contexts_retired) in
+  let verdict_hits = sum "verdict_hits"
+  and verdict_misses = sum "verdict_misses"
+  and formulas_translated = sum "formulas_translated"
+  and formulas_reused = sum "formulas_reused"
+  and contexts = sum "contexts"
+  and contexts_retired = sum "contexts_retired" in
   Printf.printf
     "ORACLE (%d candidates over %d domains, 2 full property checks each)\n\n\
     \  oracle-fresh:       %8.1f ms\n\
@@ -322,9 +324,9 @@ let () =
       ("speedup", dec3 speedup);
       ("verdict_hits", Json.int verdict_hits);
       ("verdict_misses", Json.int verdict_misses);
-      ("instance_hits", Json.int (sum (fun s -> s.instance_hits)));
-      ("instance_misses", Json.int (sum (fun s -> s.instance_misses)));
-      ("fallback_queries", Json.int (sum (fun s -> s.fallback_queries)));
+      ("instance_hits", Json.int (sum "instance_hits"));
+      ("instance_misses", Json.int (sum "instance_misses"));
+      ("fallback_queries", Json.int (sum "fallback_queries"));
       ("formulas_translated", Json.int formulas_translated);
       ("formulas_reused", Json.int formulas_reused);
       ("contexts", Json.int contexts);
@@ -375,7 +377,8 @@ let () =
     List.fold_left
       (fun (c, f) o ->
         let s = S.Analyzer.Oracle.stats o in
-        (c + s.S.Analyzer.Oracle.certified, f + s.certificate_failures))
+        ( c + Json.Counters.find s "certified",
+          f + Json.Counters.find s "certificate_failures" ))
       (0, 0) !cert_oracles
   in
   (* SAT-level microbenchmark: pigeonhole (n+1 pigeons, n holes) *)

@@ -296,25 +296,16 @@ let fact_capacity = 64
 let memo inst = { inst; implicit = []; n_implicit = 0; facts = []; n_facts = 0 }
 let instance m = m.inst
 
-type counters = {
-  implicit_evaluated : int;
-  implicit_memoized : int;
-  facts_evaluated : int;
-  facts_memoized : int;
-}
+module Counters = Specrepair_json.Counters
 
-let implicit_evaluated = ref 0
-let implicit_memoized = ref 0
-let facts_evaluated = ref 0
-let facts_memoized = ref 0
-
-let counters () =
-  {
-    implicit_evaluated = !implicit_evaluated;
-    implicit_memoized = !implicit_memoized;
-    facts_evaluated = !facts_evaluated;
-    facts_memoized = !facts_memoized;
-  }
+let schema = Counters.schema "eval"
+let implicit_evaluated = Counters.counter schema "implicit_evaluated"
+let implicit_memoized = Counters.counter schema "implicit_memoized"
+let facts_evaluated = Counters.counter schema "facts_evaluated"
+let facts_memoized = Counters.counter schema "facts_memoized"
+let totals = Counters.create schema
+let count = Counters.incr totals
+let counters () = Counters.copy totals
 
 let same ~structural a b = a == b || (structural && a = b)
 
@@ -340,14 +331,14 @@ let implicit_verdict env m =
     | None -> find_implicit ~structural:true spec m.implicit
   with
   | Some e ->
-      incr implicit_memoized;
+      count implicit_memoized;
       e.i_verdict
   | None ->
       let v =
         decide (fun () ->
             List.for_all (fun f -> fmla env m.inst [] f) (Implicit.constraints env))
       in
-      incr implicit_evaluated;
+      count implicit_evaluated;
       if m.n_implicit >= implicit_capacity then begin
         m.implicit <- [];
         m.n_implicit <- 0
@@ -369,11 +360,11 @@ let fact_verdict env m body =
   let spec = env.Typecheck.spec in
   match find_fact body spec.preds spec.funs m.facts with
   | Some e ->
-      incr facts_memoized;
+      count facts_memoized;
       e.f_verdict
   | None ->
       let v = decide (fun () -> fmla env m.inst [] body) in
-      incr facts_evaluated;
+      count facts_evaluated;
       if m.n_facts >= fact_capacity then begin
         m.facts <- [];
         m.n_facts <- 0

@@ -58,15 +58,10 @@ val facts_hold_memo : Typecheck.env -> memo -> bool
 (** {!facts_hold} on the memo's instance, replaying memoized verdicts.
     Returns (or raises) exactly what {!facts_hold} would. *)
 
-type counters = {
-  implicit_evaluated : int;  (** implicit-constraint conjunctions evaluated *)
-  implicit_memoized : int;  (** implicit-constraint verdicts replayed *)
-  facts_evaluated : int;  (** fact bodies evaluated *)
-  facts_memoized : int;  (** fact verdicts replayed *)
-}
-
-val counters : unit -> counters
-(** Process-wide totals since start-up; they only grow.  Sessions report
+val counters : unit -> Specrepair_json.Counters.t
+(** Process-wide totals since start-up, schema ["eval"]: implicit-constraint
+    conjunctions evaluated and their verdicts replayed, fact bodies
+    evaluated and their verdicts replayed.  They only grow; sessions report
     their difference over a repair. *)
 
 val pred_sat : Typecheck.env -> Instance.t -> Ast.pred_decl -> bool

@@ -1,6 +1,7 @@
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
 module Space = Specrepair_mutation.Space
+module Counters = Specrepair_json.Counters
 
 type budget = {
   max_depth : int;
@@ -31,27 +32,32 @@ type t = {
   deadline_ns : int64 option;  (* absolute, on the monotonic clock *)
   deadline_rel_ms : float option;
   telemetry : Telemetry.t;
-  oracle_base : Solver.Oracle.stats;  (* snapshot at creation, for deltas *)
-  sat_base : Solver.Oracle.sat_stats;
-  eval_base : Alloy.Eval.counters;
+  phase_ms : (string, float) Hashtbl.t;  (* shared with derived sessions *)
   spaces : Space.store;  (* shared with derived sessions *)
-  spaces_base : Space.stats;
+  bases : Counters.t list;  (* [reported] at creation, for deltas *)
   expiry : bool ref;  (* latched; shared with derived sessions *)
 }
+
+(* The counters a telemetry line reports as the session's delta, in line
+   order, the oracle's first: the oracle and the store may outlive the
+   session, and the evaluator's totals span the process. *)
+let reported oracle spaces =
+  [
+    Solver.Oracle.stats oracle;
+    Solver.Oracle.sat_stats oracle;
+    Alloy.Eval.counters ();
+    Space.stats spaces;
+  ]
 
 let now_ns () = Monotonic_clock.now ()
 
 let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     ?(budget = default_budget) ?(seed = 42) ?deadline_ms
     ?(spaces = Space.create_store ()) env =
-  let telemetry = Telemetry.create () in
   let oracle =
     match oracle with
     | Some o -> o
-    | None ->
-        Solver.Oracle.create ~certify ~simplify ~portfolio
-          ~on_certify:(Telemetry.record_certified telemetry)
-          env
+    | None -> Solver.Oracle.create ~certify ~simplify ~portfolio env
   in
   let started_ns = now_ns () in
   {
@@ -66,12 +72,10 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
         (fun ms -> Int64.add started_ns (Int64.of_float (ms *. 1e6)))
         deadline_ms;
     deadline_rel_ms = deadline_ms;
-    telemetry;
-    oracle_base = Solver.Oracle.stats oracle;
-    sat_base = Solver.Oracle.sat_stats oracle;
-    eval_base = Alloy.Eval.counters ();
+    telemetry = Telemetry.create ();
+    phase_ms = Hashtbl.create 8;
     spaces;
-    spaces_base = Space.stats spaces;
+    bases = reported oracle spaces;
     expiry = ref false;
   }
 
@@ -100,7 +104,7 @@ let expired t =
   | None -> false
   | Some _ when !(t.expiry) -> true
   | Some deadline ->
-      Telemetry.deadline_check t.telemetry;
+      Telemetry.incr t.telemetry Telemetry.deadline_checks;
       if Int64.compare (now_ns ()) deadline >= 0 then begin
         t.expiry := true;
         true
@@ -121,9 +125,14 @@ let time t phase f =
   let t0 = now_ns () in
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.add_phase_ms t.telemetry phase
-        (Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6))
+      let ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
+      Hashtbl.replace t.phase_ms phase
+        (ms +. Option.value ~default:0. (Hashtbl.find_opt t.phase_ms phase)))
     f
+
+let phases t =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.phase_ms []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let command_verdict ?max_conflicts t env cmd =
   let v = Solver.Oracle.command_verdict ?max_conflicts t.oracle env cmd in
@@ -131,149 +140,43 @@ let command_verdict ?max_conflicts t env cmd =
   v
 
 let run_command ?max_conflicts t env cmd =
-  Telemetry.record_instance_query t.telemetry;
+  Telemetry.incr t.telemetry Telemetry.instance_queries;
   Solver.Oracle.run_command ?max_conflicts t.oracle env cmd
 
 let enumerate ?limit ?max_conflicts t env scope f =
-  Telemetry.record_enumeration t.telemetry;
+  Telemetry.incr t.telemetry Telemetry.enumerations;
   Solver.Oracle.enumerate ?limit ?max_conflicts t.oracle env scope f
 
-let sat_stats t =
-  let s = Solver.Oracle.sat_stats t.oracle and b = t.sat_base in
-  {
-    Solver.Oracle.conflicts = s.conflicts - b.conflicts;
-    decisions = s.decisions - b.decisions;
-    propagations = s.propagations - b.propagations;
-    restarts = s.restarts - b.restarts;
-    reductions = s.reductions - b.reductions;
-    subsumed = s.subsumed - b.subsumed;
-    strengthened = s.strengthened - b.strengthened;
-    vivified = s.vivified - b.vivified;
-    eliminated = s.eliminated - b.eliminated;
-  }
-
-let oracle_stats t =
-  let s = Solver.Oracle.stats t.oracle and b = t.oracle_base in
-  {
-    Solver.Oracle.verdict_hits = s.verdict_hits - b.verdict_hits;
-    verdict_misses = s.verdict_misses - b.verdict_misses;
-    instance_hits = s.instance_hits - b.instance_hits;
-    instance_misses = s.instance_misses - b.instance_misses;
-    fallback_queries = s.fallback_queries - b.fallback_queries;
-    formulas_translated = s.formulas_translated - b.formulas_translated;
-    formulas_reused = s.formulas_reused - b.formulas_reused;
-    contexts = s.contexts;
-    contexts_retired = s.contexts_retired - b.contexts_retired;
-    certified = s.certified - b.certified;
-    certificate_failures = s.certificate_failures - b.certificate_failures;
-    definitions = s.definitions - b.definitions;
-    definitions_shared = s.definitions_shared - b.definitions_shared;
-    keys_digested = s.keys_digested - b.keys_digested;
-    keys_reused = s.keys_reused - b.keys_reused;
-  }
-
-let eval_stats t =
-  let s = Alloy.Eval.counters () and b = t.eval_base in
-  {
-    Alloy.Eval.implicit_evaluated = s.implicit_evaluated - b.implicit_evaluated;
-    implicit_memoized = s.implicit_memoized - b.implicit_memoized;
-    facts_evaluated = s.facts_evaluated - b.facts_evaluated;
-    facts_memoized = s.facts_memoized - b.facts_memoized;
-  }
-
-let space_stats t =
-  let s = Space.stats t.spaces and b = t.spaces_base in
-  {
-    Space.built = s.built - b.built;
-    reused = s.reused - b.reused;
-    evicted = s.evicted - b.evicted;
-    lists_built = s.lists_built - b.lists_built;
-    lists_reused = s.lists_reused - b.lists_reused;
-  }
+let deltas t =
+  List.map2
+    (fun base now -> Counters.since ~base now)
+    t.bases
+    (reported t.oracle t.spaces)
 
 (* {2 JSON serialization} *)
 
 let telemetry_json ?(extra = []) t =
   let module Json = Specrepair_json in
   let ms f = Json.Fixed (3, f) in
-  let obj fields = Json.Obj (List.map (fun (k, n) -> (k, Json.int n)) fields) in
-  let m = t.telemetry in
-  let os = oracle_stats t
-  and ss = sat_stats t
-  and es = eval_stats t
-  and ps = space_stats t in
+  let deltas = deltas t in
+  let oracle = List.hd deltas in
+  let certificates key = Json.int (Counters.get oracle key) in
   Json.to_string
     (Json.Obj
        (List.map (fun (k, v) -> (k, Json.Str v)) extra
        @ [
            ("elapsed_ms", ms (elapsed_ms t));
            ("timed_out", Json.Bool (timed_out t));
-           ("solver_queries", Json.int (Telemetry.solver_queries m));
-           ("sat_verdicts", Json.int m.Telemetry.sat_verdicts);
-           ("unsat_verdicts", Json.int m.unsat_verdicts);
-           ("unknown_verdicts", Json.int m.unknown_verdicts);
-           ("instance_queries", Json.int m.instance_queries);
-           ("enumerations", Json.int m.enumerations);
-           ("candidates_generated", Json.int m.candidates_generated);
-           ("candidates_evaluated", Json.int m.candidates_evaluated);
-           ("llm_rounds", Json.int m.llm_rounds);
-           ("proposal_builds", Json.int m.proposal_builds);
-           ("pool_peak", Json.int m.pool_peak);
-           ("deadline_checks", Json.int m.deadline_checks);
-           ("certified_unsat", Json.int m.certified_unsat);
-           ("certificate_failures", Json.int m.certificate_failures);
-           ( "oracle",
-             obj
-               [
-                 ("verdict_hits", os.Solver.Oracle.verdict_hits);
-                 ("verdict_misses", os.verdict_misses);
-                 ("instance_hits", os.instance_hits);
-                 ("instance_misses", os.instance_misses);
-                 ("fallback_queries", os.fallback_queries);
-                 ("formulas_translated", os.formulas_translated);
-                 ("formulas_reused", os.formulas_reused);
-                 ("contexts", os.contexts);
-                 ("contexts_retired", os.contexts_retired);
-                 ("certified", os.certified);
-                 ("certificate_failures", os.certificate_failures);
-                 ("definitions", os.definitions);
-                 ("definitions_shared", os.definitions_shared);
-                 ("keys_digested", os.keys_digested);
-                 ("keys_reused", os.keys_reused);
-               ] );
-           ( "sat",
-             obj
-               [
-                 ("conflicts", ss.Solver.Oracle.conflicts);
-                 ("decisions", ss.decisions);
-                 ("propagations", ss.propagations);
-                 ("restarts", ss.restarts);
-                 ("reductions", ss.reductions);
-                 ("subsumed", ss.subsumed);
-                 ("strengthened", ss.strengthened);
-                 ("vivified", ss.vivified);
-                 ("eliminated", ss.eliminated);
-               ] );
-           ( "eval",
-             obj
-               [
-                 ("implicit_evaluated", es.Alloy.Eval.implicit_evaluated);
-                 ("implicit_memoized", es.implicit_memoized);
-                 ("facts_evaluated", es.facts_evaluated);
-                 ("facts_memoized", es.facts_memoized);
-               ] );
-           ( "spaces",
-             obj
-               [
-                 ("built", ps.Space.built);
-                 ("reused", ps.reused);
-                 ("evicted", ps.evicted);
-                 ("lists_built", ps.lists_built);
-                 ("lists_reused", ps.lists_reused);
-               ] );
+           ("solver_queries", Json.int (Telemetry.solver_queries t.telemetry));
+         ]
+       @ Counters.fields t.telemetry
+       @ [
+           ("certified_unsat", certificates Solver.Oracle.certified);
+           ( "certificate_failures",
+             certificates Solver.Oracle.certificate_failures );
+         ]
+       @ List.map (fun d -> (Counters.name d, Counters.to_json d)) deltas
+       @ [
            ( "phases",
-             Json.Obj
-               (List.map (fun (phase, v) -> (phase, ms v)) (Telemetry.phases m))
-           );
+             Json.Obj (List.map (fun (phase, v) -> (phase, ms v)) (phases t)) );
          ]))
-

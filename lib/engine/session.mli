@@ -26,6 +26,7 @@
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
 module Space = Specrepair_mutation.Space
+module Counters = Specrepair_json.Counters
 
 type budget = {
   max_depth : int;  (** greedy / composition depth *)
@@ -56,10 +57,11 @@ val create :
 (** A fresh session for [env].  Without [?oracle] a new incremental oracle
     is created from [env] (cheap; real work is lazy).  With [~certify:true]
     (default [false]) that oracle cross-checks every UNSAT verdict against
-    an independent DRUP proof checker and reports each outcome into the
-    session's telemetry ([certified_unsat] / [certificate_failures]);
-    ignored when an explicit [?oracle] is supplied — configure certification
-    on the oracle itself in that case.  [~simplify:true] and [~portfolio:n]
+    an independent DRUP proof checker, counting each outcome in the
+    oracle's [certified] / [certificate_failures] (a telemetry line also
+    prints them as [certified_unsat] / [certificate_failures]); ignored
+    when an explicit [?oracle] is supplied — configure certification on
+    the oracle itself in that case.  [~simplify:true] and [~portfolio:n]
     configure the created oracle's verdict-only fresh solves (see
     {!Specrepair_solver.Oracle.create}); like [certify], they are ignored
     when an explicit [?oracle] is supplied.  [?deadline_ms] is relative to
@@ -133,6 +135,10 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f] and adds its wall-clock duration to the
     telemetry phase timer [phase] (also on exception). *)
 
+val phases : t -> (string * float) list
+(** Phase timers in milliseconds, sorted by name; shared with derived
+    sessions. *)
+
 (** {2 Instrumented oracle queries}
 
     Thin wrappers over {!Specrepair_solver.Oracle} that record telemetry.
@@ -165,36 +171,20 @@ val enumerate :
 
 (** {2 Reporting} *)
 
-val oracle_stats : t -> Solver.Oracle.stats
-(** Oracle counters accumulated {e during this session}: the delta against
-    the snapshot taken at session creation (relevant when the oracle is
-    shared across sessions, as in the study).  [contexts] is a gauge and is
-    reported absolute. *)
-
-val sat_stats : t -> Solver.Oracle.sat_stats
-(** SAT-solver work accumulated during this session (same delta semantics
-    as {!oracle_stats}): conflicts, decisions, propagations, restarts and
-    learnt-database reductions across the oracle's solvers, plus the
-    simplifier's subsumed / strengthened / vivified / eliminated counters
-    when simplification is enabled. *)
-
-val eval_stats : t -> Alloy.Eval.counters
-(** Evaluator work during this session (delta of the process-wide
-    {!Alloy.Eval.counters}): implicit-constraint and fact verdicts
-    evaluated, and those the instances' memos replayed. *)
-
-val space_stats : t -> Space.stats
-(** Space-store work during this session (delta of {!spaces}'s counters,
-    which may span sessions): spaces built, lookups answered from the
-    store, and evictions, then candidate lists built and reused.  Every
-    proposal build looks its space up once, so [built + reused] is the
-    session's [proposal_builds]; a BeAFix run that sweeps looks its list
-    up once. *)
+val deltas : t -> Counters.t list
+(** The counters accumulated {e during this session}, one set per schema,
+    in telemetry-line order: the oracle's ({!Solver.Oracle.stats}), the
+    SAT work under it ({!Solver.Oracle.sat_stats}), the evaluator's
+    ({!Alloy.Eval.counters}) and the space store's ({!Space.stats}).
+    Each is the difference against a snapshot taken at session creation
+    (the oracle and the store may be shared across sessions, as in the
+    study; the evaluator's totals are process-wide); gauges, such as the
+    oracle's [contexts], are reported as they are. *)
 
 val telemetry_json : ?extra:(string * string) list -> t -> string
 (** One-line JSON object: [extra] string fields first, then
-    [elapsed_ms], [timed_out], the {!Telemetry.t} counters, the per-phase
-    timers, the session-relative oracle stats, a ["sat"] object with the
-    {!sat_stats} solver counters, an ["eval"] object with the
-    {!eval_stats} counters, and a ["spaces"] object with the
-    {!space_stats} counters.  Schema documented in DESIGN.md. *)
+    [elapsed_ms], [timed_out], [solver_queries], the {!Telemetry.t}
+    counters, the oracle delta's certificate counts as [certified_unsat]
+    and [certificate_failures], one object per set of {!deltas} under its
+    schema's name, and the {!phases} timers.  Schema documented in
+    DESIGN.md. *)

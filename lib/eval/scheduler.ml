@@ -29,10 +29,28 @@
    interface).  A dead or silent worker has its in-flight chunk requeued
    (bounded by [max_retries]) and a replacement is forked. *)
 
-module Telemetry = Specrepair_engine.Telemetry
+module Counters = Specrepair_json.Counters
 module Worker = Specrepair_workers.Worker
 
-type stats = Telemetry.Scheduler.t
+type stats = Counters.t
+
+let schema = Counters.schema "scheduler"
+let counter = Counters.counter schema
+
+(* chunk assignments sent to workers (requeues included), chunks whose
+   result file was merged, and the work items merged *)
+let chunks_dispatched = counter "chunks_dispatched"
+let chunks_completed = counter "chunks_completed"
+let rows_completed = counter "rows_completed"
+
+(* chunk requeues after a worker was lost *)
+let retries = counter "retries"
+
+(* forks (respawns included), workers that died or were killed before
+   finishing, and those killed by the parent for a silent heartbeat *)
+let workers_spawned = counter "workers_spawned"
+let workers_lost = counter "workers_lost"
+let heartbeat_kills = counter "heartbeat_kills"
 
 exception Chunk_failed of { indices : int list; attempts : int; reason : string }
 
@@ -178,7 +196,7 @@ let status_to_string = function
    memory; [keep_dir] controls scratch cleanup. *)
 let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     ~keep_dir ~pending ~total ~on_verified ~f () =
-  let stats = Telemetry.Scheduler.create () in
+  let stats = Counters.create schema in
   let todo = List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 pending in
   if todo = 0 then stats
   else begin
@@ -210,7 +228,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     in
     let requeue_chunk ~reason (c : chunk) =
       c.attempts <- c.attempts + 1;
-      stats.retries <- stats.retries + 1;
+      Counters.incr stats retries;
       if c.attempts > max_retries then
         raise
           (Chunk_failed { indices = chunk_indices c; attempts = c.attempts; reason })
@@ -225,7 +243,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     let live_workers () = Hashtbl.fold (fun _ w acc -> w :: acc) workers [] in
     let spawn () =
       let proc = Worker.spawn (child_main ~dir ~f) in
-      stats.workers_spawned <- stats.workers_spawned + 1;
+      Counters.incr stats workers_spawned;
       let w = { proc; inflight = None; quitting = false } in
       Hashtbl.replace workers proc.pid w;
       w
@@ -234,7 +252,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
       match next_chunk () with
       | Some c ->
           w.inflight <- Some c;
-          stats.chunks_dispatched <- stats.chunks_dispatched + 1;
+          Counters.incr stats chunks_dispatched;
           (* a failed write means the worker is already dead; the reap
              poll will requeue the chunk *)
           ignore
@@ -250,7 +268,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
        to send can never merge a chunk that is also being recomputed. *)
     let retire w ~lost ~reason =
       Hashtbl.remove workers w.proc.pid;
-      if lost then stats.workers_lost <- stats.workers_lost + 1;
+      if lost then Counters.incr stats workers_lost;
       match w.inflight with
       | Some c ->
           w.inflight <- None;
@@ -267,8 +285,8 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
           on_verified c ~path ~rows ~tlines;
           List.iter emit tlines;
           merged := !merged + List.length rows;
-          stats.chunks_completed <- stats.chunks_completed + 1;
-          stats.rows_completed <- stats.rows_completed + List.length rows;
+          Counters.incr stats chunks_completed;
+          Counters.add stats rows_completed (List.length rows);
           let elapsed = now () -. started in
           let rate = float_of_int !merged /. max 1e-9 elapsed in
           let eta = float_of_int (todo - !merged) /. max 1e-9 rate in
@@ -361,7 +379,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
                 w.inflight <> None
                 && Worker.stale w.proc ~timeout:(heartbeat_timeout_ms /. 1000.)
               then begin
-                stats.heartbeat_kills <- stats.heartbeat_kills + 1;
+                Counters.incr stats heartbeat_kills;
                 Worker.kill w.proc;
                 retire w ~lost:true
                   ~reason:
@@ -382,7 +400,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
 
 let map ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
     ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ~f n =
-  if n = 0 then ([||], Telemetry.Scheduler.create ())
+  if n = 0 then ([||], Counters.create schema)
   else begin
     let dir = Filename.temp_dir "specrepair_sched_" "" in
     let results : string option array = Array.make n None in

@@ -12,7 +12,17 @@
     Protocol, heartbeat and retry semantics are documented in DESIGN.md
     ("The work-stealing study scheduler"). *)
 
-type stats = Specrepair_engine.Telemetry.Scheduler.t
+type stats = Specrepair_json.Counters.t
+(** The counters of one run (the parent's view of the work queue), schema
+    ["scheduler"]: chunks dispatched (requeues included) and completed,
+    rows completed, retries, workers spawned (respawns included) and lost,
+    and heartbeat kills.  They belong to the whole run, not to one
+    session; a study prints them as its final [{"scheduler":…}] line. *)
+
+val rows_completed : Specrepair_json.Counters.key
+val chunks_completed : Specrepair_json.Counters.key
+val retries : Specrepair_json.Counters.key
+val workers_lost : Specrepair_json.Counters.key
 
 exception Chunk_failed of { indices : int list; attempts : int; reason : string }
 (** A chunk exhausted its retry budget ([indices] are the work items it

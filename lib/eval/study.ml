@@ -284,9 +284,24 @@ let scheduler_line ~jobs stats =
   Json.to_string
     (Json.Obj
        [
-         ( "scheduler",
-           Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats );
+         ( Json.Counters.name stats,
+           Json.Obj (("jobs", Json.int jobs) :: Json.Counters.fields stats) );
        ])
+
+(* The end of a parallel or streamed run: the [{"scheduler":…}] line, the
+   [on_stats] callback, and one progress line ([rows] prints the rows
+   completed). *)
+let report_stats ~jobs ?telemetry ?on_stats ~progress ~rows stats =
+  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
+  Option.iter (fun g -> g stats) on_stats;
+  let get = Specrepair_json.Counters.get stats in
+  progress
+    (Printf.sprintf
+       "%s from %d worker(s): %d chunks, %d retries, %d workers lost"
+       (rows (get Scheduler.rows_completed))
+       jobs
+       (get Scheduler.chunks_completed)
+       (get Scheduler.retries) (get Scheduler.workers_lost))
 
 let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
@@ -316,13 +331,8 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
       Scheduler.map ~jobs ~max_retries ?heartbeat_timeout_ms ~progress
         ?emit:telemetry ~f (Array.length work)
     in
-    Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
-    Option.iter (fun g -> g stats) on_stats;
-    progress
-      (Printf.sprintf
-         "%d rows from %d worker(s): %d chunks, %d retries, %d workers lost"
-         stats.rows_completed jobs stats.chunks_completed stats.retries
-         stats.workers_lost);
+    report_stats ~jobs ?telemetry ?on_stats ~progress
+      ~rows:(Printf.sprintf "%d rows") stats;
     (* results arrive indexed by work item, i.e. already in the sequential
        run's (variant-major, technique-minor) order: the merged CSV is
        byte-identical to [--jobs 1] modulo the wall-clock [time_ms] *)
@@ -386,14 +396,9 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     Scheduler.map_checkpointed ~jobs ~max_retries ?heartbeat_timeout_ms
       ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
   in
-  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
-  Option.iter (fun g -> g stats) on_stats;
-  progress
-    (Printf.sprintf
-       "%d rows this run (%d total) from %d worker(s): %d chunks, %d retries, \
-        %d workers lost"
-       stats.rows_completed nrows jobs stats.chunks_completed stats.retries
-       stats.workers_lost);
+  report_stats ~jobs ?telemetry ?on_stats ~progress
+    ~rows:(fun n -> Printf.sprintf "%d rows this run (%d total)" n nrows)
+    stats;
   stats
 
 (* The lazy merge: stream the shards of a complete run into [oc] in

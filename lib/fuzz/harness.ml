@@ -4,6 +4,7 @@ module Ast = Alloy.Ast
 module Analyzer = Specrepair_solver.Analyzer
 module Bounds = Specrepair_solver.Bounds
 module Oracle = Specrepair_solver.Oracle
+module Counters = Specrepair_json.Counters
 module Translate = Specrepair_solver.Translate
 module Mutate = Specrepair_mutation.Mutate
 
@@ -493,7 +494,7 @@ let check_reparsed_then_stream oracle case =
       | `Ok ->
           let solved () =
             let s = Oracle.stats oracle in
-            s.verdict_misses + s.fallback_queries
+            Counters.(find s "verdict_misses" + find s "fallback_queries")
           in
           let before = solved () in
           List.iter
@@ -911,8 +912,8 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
         let oracle = Oracle.create case.o_base in
         let outcome = guard (fun () -> check_reparsed_then_stream oracle case) in
         let stats = Oracle.stats oracle in
-        retired := !retired + stats.contexts_retired;
-        keys_reused := !keys_reused + stats.keys_reused;
+        retired := !retired + Counters.find stats "contexts_retired";
+        keys_reused := !keys_reused + Counters.find stats "keys_reused";
         match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
@@ -1022,7 +1023,8 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
         let case = gen_panel_case rng in
         let spaces = Mutation_space.create_store () in
         let outcome = guard (fun () -> check_panel_case ~spaces rng case) in
-        reused := !reused + (Mutation_space.stats spaces).reused;
+        reused :=
+          !reused + Counters.find (Mutation_space.stats spaces) "reused";
         match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks

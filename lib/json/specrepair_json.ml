@@ -281,3 +281,87 @@ let mem_str k v = member k v |> opt_bind to_str
 let mem_int k v = member k v |> opt_bind to_int
 let mem_num k v = member k v |> opt_bind to_num
 let mem_bool k v = member k v |> opt_bind to_bool
+
+(* {2 Named counters} *)
+
+module Counters = struct
+  type kind = Counter | Gauge
+
+  (* Keys are appended while the declaring module initializes; the first
+     [create] seals the schema, so every set has a slot for every key. *)
+  type schema = {
+    name : string;
+    mutable keys : string array;
+    mutable kinds : kind array;
+    mutable sealed : bool;
+  }
+
+  type key = int
+  type t = { schema : schema; v : int array }
+
+  let schema name = { name; keys = [||]; kinds = [||]; sealed = false }
+
+  let declare kind s key =
+    let fail why =
+      invalid_arg (Printf.sprintf "Counters %s.%s: %s" s.name key why)
+    in
+    if s.sealed then fail "declared after the schema's first create";
+    if Array.mem key s.keys then fail "declared twice";
+    s.keys <- Array.append s.keys [| key |];
+    s.kinds <- Array.append s.kinds [| kind |];
+    Array.length s.keys - 1
+
+  let counter s key = declare Counter s key
+  let gauge s key = declare Gauge s key
+
+  let create s =
+    s.sealed <- true;
+    { schema = s; v = Array.make (Array.length s.keys) 0 }
+
+  let incr t k = t.v.(k) <- t.v.(k) + 1
+  let add t k n = t.v.(k) <- t.v.(k) + n
+  let set t k n = t.v.(k) <- n
+  let get t k = t.v.(k)
+
+  let find t key =
+    let rec go i =
+      if i = Array.length t.schema.keys then raise Not_found
+      else if t.schema.keys.(i) = key then t.v.(i)
+      else go (i + 1)
+    in
+    go 0
+
+  let copy t = { t with v = Array.copy t.v }
+
+  let since ~base t =
+    if base.schema != t.schema then
+      invalid_arg ("Counters.since: base is not of schema " ^ t.schema.name);
+    {
+      t with
+      v =
+        Array.mapi
+          (fun i n ->
+            match t.schema.kinds.(i) with
+            | Counter -> n - base.v.(i)
+            | Gauge -> n)
+          t.v;
+    }
+
+  let name t = t.schema.name
+
+  let bindings t =
+    List.init (Array.length t.v) (fun i ->
+        (t.schema.keys.(i), t.schema.kinds.(i), t.v.(i)))
+
+  let fields ?(except = []) t =
+    List.filter_map
+      (fun i ->
+        if List.mem i except then None
+        else Some (t.schema.keys.(i), int t.v.(i)))
+      (List.init (Array.length t.v) Fun.id)
+
+  let to_json t = Obj (fields t)
+
+  (* last: it shadows [Stdlib.max] *)
+  let max t k n = if n > t.v.(k) then t.v.(k) <- n
+end

@@ -138,7 +138,7 @@ let mentally_consistent ~session (env' : Alloy.Typecheck.env) =
 let internal_proposal ~session ~mental_check profile rng guidance
     (task : Task.t) =
   let k = if mental_check then profile.Model.self_check_samples else 1 in
-  Telemetry.proposal_build (Session.telemetry session);
+  Telemetry.(incr (Session.telemetry session) proposal_builds);
   let draw =
     Model.proposer ~spaces:(Session.spaces session) profile ~hints:[] guidance
       task
@@ -189,7 +189,7 @@ let repair ?session ?(profile = Model.gpt4) ?(rounds = 6) ?(hill_climb = true)
       Common.result ~tool:(tool_name fb) ~repaired:false ~timed_out:true base
         ~candidates:(round - 1) ~iterations:(round - 1)
     else begin
-      Telemetry.llm_round telemetry;
+      Telemetry.(incr telemetry llm_rounds);
       let task_r = { task with Task.faulty = base } in
       let prompt =
         { Prompt.task = task_r; hints = []; round; feedback = feedback_text }
@@ -209,7 +209,7 @@ let repair ?session ?(profile = Model.gpt4) ?(rounds = 6) ?(hill_climb = true)
             base base_behaved
             (Some "Your previous answer did not contain a complete, parseable specification.")
       | Some candidate -> (
-          Telemetry.candidate_evaluated telemetry;
+          Telemetry.(incr telemetry candidates_evaluated);
           match Common.env_of_spec candidate with
           | None ->
               loop (round + 1) guidance base base_behaved

@@ -56,7 +56,7 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
     Common.result ~tool:(tool_name setting) ~repaired:false ~timed_out:true
       task.faulty ~candidates:0 ~iterations:0
   else begin
-    Telemetry.llm_round telemetry;
+    Telemetry.(incr telemetry llm_rounds);
     let rng =
       Rng.of_context ~seed:(Session.seed session)
         [ task.spec_id; "single-round"; Prompt.single_setting_to_string setting ]
@@ -64,7 +64,7 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
     let hints = Prompt.hints_of_setting setting in
     let response =
       Session.time session "llm" (fun () ->
-          Telemetry.proposal_build telemetry;
+          Telemetry.(incr telemetry proposal_builds);
           let draw =
             Model.proposer ~spaces:(Session.spaces session) profile ~hints
               Model.no_guidance task
@@ -76,7 +76,7 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
           in
           Model.render_response profile ~rng proposal)
     in
-    Telemetry.candidate_evaluated telemetry;
+    Telemetry.(incr telemetry candidates_evaluated);
     match Extract.spec_of_response response with
     | Some spec ->
         Common.result ~tool:(tool_name setting) ~repaired:true spec

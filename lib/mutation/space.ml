@@ -28,24 +28,38 @@ let build_candidates (env : Alloy.Typecheck.env) ~sites ~with_pool =
   in
   plain @ pooled
 
+module Counters = Specrepair_json.Counters
+
+(* the keys of [stats], described in space.mli *)
+let schema = Counters.schema "spaces"
+let counter = Counters.counter schema
+let built = counter "built"
+let reused = counter "reused"
+let evicted = counter "evicted"
+let lists_built = counter "lists_built"
+let lists_reused = counter "lists_reused"
+
 (* A list is the whole LRU: with two entries a lookup compares at most two
    specs, physically first.  No hashing: a structural hash of a spec
-   collides across a domain's variants (they share every signature). *)
+   collides across a domain's variants (they share every signature).  The
+   store's two LRUs bump one set of counts, each under its own keys. *)
 type ('k, 'v) lru = {
   mutable entries : (Ast.spec * 'k * 'v) list;  (* most recently used first *)
-  mutable built : int;
-  mutable reused : int;
-  mutable evicted : int;
+  counts : Counters.t;
+  on_build : Counters.key;
+  on_reuse : Counters.key;
+  on_evict : Counters.key option;
 }
 
 let capacity = 2
 
-let lru () = { entries = []; built = 0; reused = 0; evicted = 0 }
+let lru counts ~on_build ~on_reuse ~on_evict =
+  { entries = []; counts; on_build; on_reuse; on_evict }
 
 (* The value stored for ([spec], [key]), else [build ()], stored. *)
 let lookup lru spec key build =
   let hit ((_, _, v) as e) =
-    lru.reused <- lru.reused + 1;
+    Counters.incr lru.counts lru.on_reuse;
     lru.entries <- e :: List.filter (fun e' -> e' != e) lru.entries;
     v
   in
@@ -60,11 +74,11 @@ let lookup lru spec key build =
       | Some e -> hit e
       | None ->
           let v = build () in
-          lru.built <- lru.built + 1;
+          Counters.incr lru.counts lru.on_build;
           let entries = (spec, key, v) :: lru.entries in
           lru.entries <-
             (if List.length entries > capacity then begin
-               lru.evicted <- lru.evicted + 1;
+               Option.iter (Counters.incr lru.counts) lru.on_evict;
                List.filteri (fun i _ -> i < capacity) entries
              end
              else entries);
@@ -75,15 +89,14 @@ type store = {
   lists : (Location.site list * bool, Mutate.t list) lru;
 }
 
-type stats = {
-  built : int;
-  reused : int;
-  evicted : int;
-  lists_built : int;
-  lists_reused : int;
-}
-
-let create_store () = { spaces = lru (); lists = lru () }
+let create_store () =
+  let counts = Counters.create schema in
+  {
+    spaces =
+      lru counts ~on_build:built ~on_reuse:reused ~on_evict:(Some evicted);
+    lists =
+      lru counts ~on_build:lists_built ~on_reuse:lists_reused ~on_evict:None;
+  }
 
 let find store spec = lookup store.spaces spec () (fun () -> build spec)
 
@@ -91,13 +104,5 @@ let candidates store (env : Alloy.Typecheck.env) ~sites ~with_pool =
   lookup store.lists env.spec (sites, with_pool) (fun () ->
       build_candidates env ~sites ~with_pool)
 
-let stats { spaces; lists } =
-  {
-    built = spaces.built;
-    reused = spaces.reused;
-    evicted = spaces.evicted;
-    lists_built = lists.built;
-    lists_reused = lists.reused;
-  }
-
+let stats store = Counters.copy store.spaces.counts
 let specs store = List.map (fun (s, _, _) -> s) store.spaces.entries

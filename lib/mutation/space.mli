@@ -71,19 +71,13 @@ val candidates :
     is physically equal to [env.spec], else {!Ast.equal_spec}, with equal
     [sites] and [with_pool], else a new build, stored. *)
 
-type stats = {
-  built : int;
-  reused : int;
-  evicted : int;
-  lists_built : int;
-  lists_reused : int;
-}
-(** Lifetime counters: {!find} calls that built a space, {!find} calls
-    answered from the store, and spaces evicted at capacity
-    ([built + reused] is the number of {!find} calls); {!candidates}
-    calls that built a list and that were answered from the store. *)
-
-val stats : store -> stats
+val stats : store -> Specrepair_json.Counters.t
+(** Lifetime counters, schema ["spaces"]: {!find} calls that built a space
+    ([built]), {!find} calls answered from the store ([reused]) and spaces
+    evicted at capacity ([evicted]), so [built + reused] is the number of
+    {!find} calls; then {!candidates} calls that built a list
+    ([lists_built]) and that were answered from the store
+    ([lists_reused]). *)
 
 val specs : store -> Ast.spec list
 (** The stored entries' specs, most recently used first. *)

@@ -30,14 +30,14 @@ let repair ?session (env0 : Alloy.Typecheck.env) tests =
                 ~with_pool:budget.Session.use_pool ())
             top)
     in
-    Telemetry.candidates_generated telemetry (List.length candidates);
+    Telemetry.record_pool telemetry (List.length candidates);
     List.fold_left
       (fun best m ->
         if !tried >= budget.Session.max_candidates || Session.expired session
         then best
         else begin
           incr tried;
-          Telemetry.candidate_evaluated telemetry;
+          Telemetry.(incr telemetry candidates_evaluated);
           match Common.env_of_spec (Mutation.Mutate.apply env.spec m) with
           | None -> best
           | Some env' ->

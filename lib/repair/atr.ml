@@ -123,7 +123,7 @@ let repair_assert ~session ~tried (env0 : Alloy.Typecheck.env)
               List.map (fun r -> (loc, r)) templates)
             tiers)
   in
-  Telemetry.candidates_generated telemetry (List.length candidate_stream);
+  Telemetry.record_pool telemetry (List.length candidate_stream);
   let rec search = function
     | [] -> None
     | ((site, path), repl) :: rest ->
@@ -137,7 +137,7 @@ let repair_assert ~session ~tried (env0 : Alloy.Typecheck.env)
               if spec' = env0.spec then search rest
               else begin
                 incr tried;
-                Telemetry.candidate_evaluated telemetry;
+                Telemetry.(incr telemetry candidates_evaluated);
                 match Common.env_of_spec spec' with
                 | None -> search rest
                 | Some env' ->
@@ -214,7 +214,7 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
                         | body' -> (
                             let spec' = Location.with_body env.spec site body' in
                             incr tried;
-                            Telemetry.candidate_evaluated telemetry;
+                            Telemetry.(incr telemetry candidates_evaluated);
                             match Common.env_of_spec spec' with
                             | Some env'
                               when Common.oracle_passes ~max_conflicts session

@@ -116,10 +116,10 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
             ~sites:(List.map fst top_locations)
             ~with_pool:budget.Session.use_pool)
     in
-    Telemetry.candidates_generated telemetry (List.length depth1);
+    Telemetry.record_pool telemetry (List.length depth1);
     let try_candidate spec' =
       incr tried;
-      Telemetry.candidate_evaluated telemetry;
+      Telemetry.(incr telemetry candidates_evaluated);
       match Common.env_of_spec spec' with
       | None -> None
       | Some env' ->

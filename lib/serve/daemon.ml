@@ -5,6 +5,7 @@
 
 module Worker = Specrepair_workers.Worker
 module Json = Specrepair_json
+module Counters = Json.Counters
 
 type config = {
   socket : string option;
@@ -48,29 +49,31 @@ type pending = {
   p_origin : Unix.file_descr;
 }
 
-type counters = {
-  mutable requests : int;
-  mutable ok : int;
-  mutable errors : int;
-  mutable overloaded : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable queue_high_water : int;
-  by_method : (string, int) Hashtbl.t;
-}
+(* The daemon's counters, in the order [status] prints them; the shutdown
+   record leaves out the two levels [inflight] and [queued].  Requests by
+   method are keyed by the method's name, so they stay a table. *)
+module Count = struct
+  let schema = Counters.schema "daemon"
+  let counter = Counters.counter schema
+  let requests = counter "requests"
+  let ok = counter "ok"
+  let errors = counter "errors"
+  let overloaded = counter "overloaded"
+  let cache_hits = counter "cache_hits"
+  let cache_misses = counter "cache_misses"
+  let worker_respawns = counter "worker_respawns"
+  let inflight = Counters.gauge schema "inflight"
+  let queued = Counters.gauge schema "queued"
+  let queue_high_water = Counters.gauge schema "queue_high_water"
+end
 
 let run config =
-  let counters =
-    {
-      requests = 0;
-      ok = 0;
-      errors = 0;
-      overloaded = 0;
-      cache_hits = 0;
-      cache_misses = 0;
-      queue_high_water = 0;
-      by_method = Hashtbl.create 8;
-    }
+  let counts = Counters.create Count.schema in
+  let count key = Counters.incr counts key in
+  let by_method = Hashtbl.create 8 in
+  let count_method meth =
+    Hashtbl.replace by_method meth
+      (1 + Option.value (Hashtbl.find_opt by_method meth) ~default:0)
   in
   let started = Unix.gettimeofday () in
   let telemetry_oc =
@@ -180,11 +183,10 @@ let run config =
     | None -> None
     | Some entry ->
         Hashtbl.remove inflight token;
-        if okay then counters.ok <- counters.ok + 1
-        else counters.errors <- counters.errors + 1;
+        count (if okay then Count.ok else Count.errors);
         (match warmth with
-        | Some Handler.Warm -> counters.cache_hits <- counters.cache_hits + 1
-        | Some Handler.Cold -> counters.cache_misses <- counters.cache_misses + 1
+        | Some Handler.Warm -> count Count.cache_hits
+        | Some Handler.Cold -> count Count.cache_misses
         | Some Handler.Uncached | None -> ());
         telemetry
           [
@@ -226,46 +228,40 @@ let run config =
     in
     go ()
   in
+  (* the levels kept elsewhere, read into [counts] before it is printed *)
+  let read_levels () =
+    Counters.set counts Count.worker_respawns (Pool.respawns pool);
+    Counters.set counts Count.inflight (Hashtbl.length inflight);
+    Counters.set counts Count.queued (List.length !pending)
+  in
   let status_reply ~id =
     let by_method =
-      Hashtbl.fold (fun k v acc -> (k, Json.int v) :: acc)
-        counters.by_method []
+      Hashtbl.fold (fun k v acc -> (k, Json.int v) :: acc) by_method []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
+    read_levels ();
     Protocol.ok_reply ~id
       (Json.Obj
-         [
-           ("uptime_ms", Json.Num ((Unix.gettimeofday () -. started) *. 1000.));
-           ("workers", Json.int (Pool.jobs pool));
-           ("requests", Json.int counters.requests);
-           ("ok", Json.int counters.ok);
-           ("errors", Json.int counters.errors);
-           ("overloaded", Json.int counters.overloaded);
-           ("cache_hits", Json.int counters.cache_hits);
-           ("cache_misses", Json.int counters.cache_misses);
-           ("worker_respawns", Json.int (Pool.respawns pool));
-           ("inflight", Json.int (Hashtbl.length inflight));
-           ("queued", Json.int (List.length !pending));
-           ("queue_high_water", Json.int counters.queue_high_water);
-           ("by_method", Json.Obj by_method);
-         ])
+         ([
+            ("uptime_ms", Json.Num ((Unix.gettimeofday () -. started) *. 1000.));
+            ("workers", Json.int (Pool.jobs pool));
+          ]
+         @ Counters.fields counts
+         @ [ ("by_method", Json.Obj by_method) ]))
   in
   let handle_request c line =
-    counters.requests <- counters.requests + 1;
+    count Count.requests;
     match Protocol.parse_request line with
     | Error reply ->
-        counters.errors <- counters.errors + 1;
-        let meth = "invalid" in
-        Hashtbl.replace counters.by_method meth
-          (1 + Option.value (Hashtbl.find_opt counters.by_method meth) ~default:0);
+        count Count.errors;
+        count_method "invalid";
         send_to_fd c.fd reply
     | Ok { id; call } -> (
         let meth = Protocol.method_name call in
-        Hashtbl.replace counters.by_method meth
-          (1 + Option.value (Hashtbl.find_opt counters.by_method meth) ~default:0);
+        count_method meth;
         match call with
         | Protocol.Status ->
-            counters.ok <- counters.ok + 1;
+            count Count.ok;
             send_to_fd c.fd (status_reply ~id)
         | _ ->
             let key = Option.get (Protocol.cache_key call) in
@@ -283,8 +279,8 @@ let run config =
             in
             let accepted = Hashtbl.length inflight + List.length !pending in
             if accepted >= config.max_inflight then begin
-              counters.overloaded <- counters.overloaded + 1;
-              counters.errors <- counters.errors + 1;
+              count Count.overloaded;
+              count Count.errors;
               send_to_fd c.fd
                 (Protocol.error_reply ~id ~code:Protocol.Overloaded
                    (Printf.sprintf "%d request(s) already in flight" accepted))
@@ -298,8 +294,8 @@ let run config =
                 dispatch ~slot ~token ~kill_after_s line
               else if List.length !pending >= config.queue_depth then begin
                 Hashtbl.remove inflight token;
-                counters.overloaded <- counters.overloaded + 1;
-                counters.errors <- counters.errors + 1;
+                count Count.overloaded;
+                count Count.errors;
                 send_to_fd c.fd
                   (Protocol.error_reply ~id ~code:Protocol.Overloaded
                      (Printf.sprintf "queue full (%d waiting)" (List.length !pending)))
@@ -316,8 +312,8 @@ let run config =
                         p_origin = c.fd;
                       };
                     ];
-                counters.queue_high_water <-
-                  max counters.queue_high_water (List.length !pending)
+                Counters.max counts Count.queue_high_water
+                  (List.length !pending)
               end
             end)
   in
@@ -330,8 +326,8 @@ let run config =
           Buffer.add_substring c.inbuf text (i + 1) (String.length text - i - 1);
           let line = String.sub text 0 i in
           if String.length line > config.max_request_bytes then begin
-            counters.requests <- counters.requests + 1;
-            counters.errors <- counters.errors + 1;
+            count Count.requests;
+            count Count.errors;
             send_to_fd c.fd
               (Protocol.error_reply ~id:"" ~code:Protocol.Oversized
                  (Printf.sprintf "request line of %d bytes exceeds the %d-byte limit"
@@ -344,8 +340,8 @@ let run config =
             (* an unterminated line already past the limit: answer once,
                then drop the connection — the daemon will not buffer
                unbounded input *)
-            counters.requests <- counters.requests + 1;
-            counters.errors <- counters.errors + 1;
+            count Count.requests;
+            count Count.errors;
             Buffer.clear c.inbuf;
             Buffer.add_string c.outbuf
               (Protocol.error_reply ~id:"" ~code:Protocol.Oversized
@@ -477,18 +473,11 @@ let run config =
   (match config.socket with
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | None -> ());
+  read_levels ();
   telemetry
-    [
-      ("event", Json.Str "shutdown");
-      ("requests", Json.int counters.requests);
-      ("ok", Json.int counters.ok);
-      ("errors", Json.int counters.errors);
-      ("overloaded", Json.int counters.overloaded);
-      ("cache_hits", Json.int counters.cache_hits);
-      ("cache_misses", Json.int counters.cache_misses);
-      ("worker_respawns", Json.int (Pool.respawns pool));
-      ("queue_high_water", Json.int counters.queue_high_water);
-    ];
+    (("event", Json.Str "shutdown")
+    :: Counters.fields ~except:[ Count.inflight; Count.queued ] counts);
   Option.iter close_out telemetry_oc;
   restore_signals ();
-  Printf.printf "serve: shutdown after %d request(s)\n%!" counters.requests
+  Printf.printf "serve: shutdown after %d request(s)\n%!"
+    (Counters.get counts Count.requests)

@@ -221,12 +221,13 @@ let handle t line =
           (* the daemon answers status itself; a worker only sees it in
              unit tests driving the handler directly *)
           let s = Registry.stats t.registry in
+          let get = Specrepair_json.Counters.get s in
           ( Protocol.ok_reply ~id
               (Json.Obj
                  [
                    ("sessions", Json.int (Registry.size t.registry));
-                   ("cache_hits", Json.int s.Registry.hits);
-                   ("cache_misses", Json.int s.Registry.misses);
+                   ("cache_hits", Json.int (get Registry.hits));
+                   ("cache_misses", Json.int (get Registry.misses));
                  ]),
             Uncached )
       | Protocol.Repair p -> (

@@ -28,4 +28,4 @@ val handle : t -> string -> string * warmth
 (** [handle t line] executes one request line and returns the reply line
     (newline-free) and its warmth. *)
 
-val registry_stats : t -> Registry.stats
+val registry_stats : t -> Specrepair_json.Counters.t

@@ -3,17 +3,21 @@
    (one per request) next to the solving they amortize, so O(n) list
    surgery is the simplest correct structure. *)
 
-type stats = { hits : int; misses : int; evictions : int }
+module Counters = Specrepair_json.Counters
+
+let schema = Counters.schema "registry"
+let hits = Counters.counter schema "hits"
+let misses = Counters.counter schema "misses"
+let evictions = Counters.counter schema "evictions"
 
 type 'a t = {
   max : int;
   mutable entries : (string * 'a) list;  (* most-recently-used first *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  counts : Counters.t;
 }
 
-let create ~max = { max = Stdlib.max 1 max; entries = []; hits = 0; misses = 0; evictions = 0 }
+let create ~max =
+  { max = Stdlib.max 1 max; entries = []; counts = Counters.create schema }
 
 let promote t key value =
   t.entries <- (key, value) :: List.filter (fun (k, _) -> k <> key) t.entries
@@ -21,19 +25,19 @@ let promote t key value =
 let find_or_add t key build =
   match List.assoc_opt key t.entries with
   | Some v ->
-      t.hits <- t.hits + 1;
+      Counters.incr t.counts hits;
       promote t key v;
       (v, true)
   | None ->
-      t.misses <- t.misses + 1;
+      Counters.incr t.counts misses;
       let v = build () in
       promote t key v;
       if List.length t.entries > t.max then begin
         let keep = List.filteri (fun i _ -> i < t.max) t.entries in
-        t.evictions <- t.evictions + (List.length t.entries - t.max);
+        Counters.add t.counts evictions (List.length t.entries - t.max);
         t.entries <- keep
       end;
       (v, false)
 
 let size t = List.length t.entries
-let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions }
+let stats t = Counters.copy t.counts

@@ -11,11 +11,7 @@
 
 type 'a t
 
-type stats = {
-  hits : int;  (** lookups served from the registry *)
-  misses : int;  (** lookups that built a fresh entry *)
-  evictions : int;  (** entries dropped by the LRU bound *)
-}
+module Counters = Specrepair_json.Counters
 
 val create : max:int -> 'a t
 (** [max < 1] is clamped to 1. *)
@@ -27,4 +23,10 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a * bool
     most-recently-used. *)
 
 val size : 'a t -> int
-val stats : 'a t -> stats
+val stats : 'a t -> Counters.t
+(** Snapshot of the registry's counters, schema ["registry"]: lookups
+    served from the registry ([hits]), lookups that built a fresh entry
+    ([misses]) and entries dropped by the LRU bound ([evictions]). *)
+
+val hits : Counters.key
+val misses : Counters.key

@@ -4,65 +4,68 @@ module Ast = Alloy.Ast
 
 type verdict = Analyzer.verdict
 
-type stats = {
-  verdict_hits : int;
-  verdict_misses : int;
-  instance_hits : int;
-  instance_misses : int;
-  fallback_queries : int;
-  formulas_translated : int;
-  formulas_reused : int;
-  contexts : int;
-  contexts_retired : int;
-  certified : int;
-  certificate_failures : int;
-  definitions : int;
-  definitions_shared : int;
-  keys_digested : int;
-  keys_reused : int;
-}
+module Counters = Specrepair_json.Counters
 
-type counters = {
-  mutable c_verdict_hits : int;
-  mutable c_verdict_misses : int;
-  mutable c_instance_hits : int;
-  mutable c_instance_misses : int;
-  mutable c_fallback_queries : int;
-  mutable c_formulas_translated : int;
-  mutable c_formulas_reused : int;
-  mutable c_contexts_retired : int;
-  mutable c_certified : int;
-  mutable c_cert_failures : int;
-  mutable c_definitions : int;  (* of retired contexts' clausifiers *)
-  mutable c_definitions_shared : int;
-  mutable c_keys_digested : int;
-  mutable c_keys_reused : int;
-}
+(* {2 Counters}
 
-type sat_stats = {
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  restarts : int;
-  reductions : int;
-  subsumed : int;
-  strengthened : int;
-  vivified : int;
-  eliminated : int;
-}
+   The oracle's own work, printed as a telemetry line's [oracle] object. *)
+let schema = Counters.schema "oracle"
+let counter = Counters.counter schema
 
-(* Counters of solving work no live context holds: the simplified fresh
-   solves report through {!Analyzer}'s [?stats] callback, and a retired
-   context's solver folds its lifetime counters in as it is dropped (live
-   context solvers are read directly in {!sat_stats}). *)
-type spent_counters = {
-  mutable f_conflicts : int;
-  mutable f_decisions : int;
-  mutable f_propagations : int;
-  mutable f_restarts : int;
-  mutable f_reductions : int;
-  f_sstats : Simplify.stats;
-}
+(* verdicts served from the structural cache, and incremental assumption
+   solves performed *)
+let verdict_hits = counter "verdict_hits"
+let verdict_misses = counter "verdict_misses"
+
+(* instance lists served from the cache, and fresh enumeration solves *)
+let instance_hits = counter "instance_hits"
+let instance_misses = counter "instance_misses"
+
+(* sig-incompatible candidates, fresh-solved *)
+let fallback_queries = counter "fallback_queries"
+
+(* guarded translations performed, and activation literals served from
+   their memo *)
+let formulas_translated = counter "formulas_translated"
+let formulas_reused = counter "formulas_reused"
+
+(* live solving contexts, at most one per distinct scope *)
+let contexts = Counters.gauge schema "contexts"
+
+(* contexts dropped for outgrowing their queries *)
+let contexts_retired = counter "contexts_retired"
+
+(* UNSAT verdicts the proof checker accepted, and those it could not
+   certify *)
+let certified = counter "certified"
+let certificate_failures = counter "certificate_failures"
+
+(* compound circuit nodes clausified in verdict contexts, live or retired
+   ({!Tseitin.definitions}), and of those the nodes served by a
+   structurally equal definition the context already held *)
+let definitions = counter "definitions"
+let definitions_shared = counter "definitions_shared"
+
+(* declaration digests computed for cache keys (printed and hashed), and
+   those served from the key memo by physical identity *)
+let keys_digested = counter "keys_digested"
+let keys_reused = counter "keys_reused"
+
+(* The SAT work under the oracle, printed as the [sat] object: the
+   solvers' search counters, and the simplifier's clauses subsumed,
+   self-subsuming resolutions, literals vivified away and variables
+   eliminated by BVE. *)
+let sat_schema = Counters.schema "sat"
+let sat_counter = Counters.counter sat_schema
+let conflicts = sat_counter "conflicts"
+let decisions = sat_counter "decisions"
+let propagations = sat_counter "propagations"
+let restarts = sat_counter "restarts"
+let reductions = sat_counter "reductions"
+let subsumed = sat_counter "subsumed"
+let strengthened = sat_counter "strengthened"
+let vivified = sat_counter "vivified"
+let eliminated = sat_counter "eliminated"
 
 (* The certification state of one long-lived context: an independent DRUP
    checker mirroring the solver's clause stream step by step.  A failed
@@ -134,33 +137,27 @@ type t = {
   certify : bool;
   simplify : bool;
   portfolio : int;
-  on_certify : (bool -> unit) option;
   contexts : (string, context) Hashtbl.t;
   verdicts : (string, verdict) Hashtbl.t;
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
   instances : (string, Alloy.Instance.t list) Hashtbl.t;
   keys : keys;
-  counters : counters;
-  spent : spent_counters;
+  counts : Counters.t;
+      (* of the oracle schema; [definitions] and [definitions_shared]
+         of retired contexts only *)
+  spent : Counters.t;
+      (* of the sat schema: the work no live context holds, that is the
+         simplified fresh solves (reported through {!Analyzer}'s [?stats]
+         callback) and retired contexts' solvers (live ones are read in
+         {!snapshot}) *)
 }
 
-let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
-    base =
+let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) base =
   {
     base;
     certify;
     simplify;
     portfolio;
-    on_certify;
-    spent =
-      {
-        f_conflicts = 0;
-        f_decisions = 0;
-        f_propagations = 0;
-        f_restarts = 0;
-        f_reductions = 0;
-        f_sstats = Simplify.stats_zero ();
-      };
     contexts = Hashtbl.create 4;
     verdicts = Hashtbl.create 512;
     outcomes = Hashtbl.create 64;
@@ -173,29 +170,14 @@ let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) ?on_certify
          ppf = Format.formatter_of_buffer buf;
          last = None;
        });
-    counters =
-      {
-        c_verdict_hits = 0;
-        c_verdict_misses = 0;
-        c_instance_hits = 0;
-        c_instance_misses = 0;
-        c_fallback_queries = 0;
-        c_formulas_translated = 0;
-        c_formulas_reused = 0;
-        c_contexts_retired = 0;
-        c_certified = 0;
-        c_cert_failures = 0;
-        c_definitions = 0;
-        c_definitions_shared = 0;
-        c_keys_digested = 0;
-        c_keys_reused = 0;
-      };
+    counts = Counters.create schema;
+    spent = Counters.create sat_schema;
   }
 
+let bump t key = Counters.incr t.counts key
+
 let note_certified t ok =
-  if ok then t.counters.c_certified <- t.counters.c_certified + 1
-  else t.counters.c_cert_failures <- t.counters.c_cert_failures + 1;
-  match t.on_certify with Some f -> f ok | None -> ()
+  bump t (if ok then certified else certificate_failures)
 
 let compatible t (env : Alloy.Typecheck.env) =
   let base = t.base.Alloy.Typecheck.spec.sigs in
@@ -252,14 +234,14 @@ let print_node ppf = function
    of it: a spec no memo entry knows costs one print, as a whole-spec
    digest would. *)
 let digests t nodes =
-  let k = t.keys and c = t.counters in
+  let k = t.keys in
   Buffer.clear k.buf;
   let looked =
     List.map
       (fun n ->
         match Memo.find_opt k.memo n with
         | Some d ->
-            c.c_keys_reused <- c.c_keys_reused + 1;
+            bump t keys_reused;
             Either.Left d
         | None ->
             let off = Buffer.length k.buf in
@@ -276,7 +258,7 @@ let digests t nodes =
           let d = Digest.substring (Lazy.force text) off len in
           if Memo.length k.memo >= memo_bound then Memo.clear k.memo;
           Memo.replace k.memo n d;
-          c.c_keys_digested <- c.c_keys_digested + 1;
+          bump t keys_digested;
           d)
     looked
 
@@ -389,10 +371,10 @@ let context_for t key scope =
 let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
   match Hashtbl.find_opt ctx.acts key with
   | Some entry ->
-      t.counters.c_formulas_reused <- t.counters.c_formulas_reused + 1;
+      bump t formulas_reused;
       entry
   | None ->
-      t.counters.c_formulas_translated <- t.counters.c_formulas_translated + 1;
+      bump t formulas_translated;
       let vars_before = Solver.n_vars ctx.solver in
       let bounds = Bounds.with_env ctx.bounds env in
       let fm = Translate.fmla bounds [] f in
@@ -434,13 +416,16 @@ let outcome_tag = Analyzer.outcome_verdict
    a session observes are bit-identical whatever the session's solving
    options (verdicts are solver-path-independent; first models are not). *)
 let record_fresh t (r : Simplify.solve_result) =
-  let f = t.spent in
-  f.f_conflicts <- f.f_conflicts + r.Simplify.conflicts;
-  f.f_decisions <- f.f_decisions + r.Simplify.decisions;
-  f.f_propagations <- f.f_propagations + r.Simplify.propagations;
-  f.f_restarts <- f.f_restarts + r.Simplify.restarts;
-  f.f_reductions <- f.f_reductions + r.Simplify.reductions;
-  Simplify.stats_add f.f_sstats r.Simplify.sstats
+  let add = Counters.add t.spent and st = r.Simplify.sstats in
+  add conflicts r.Simplify.conflicts;
+  add decisions r.Simplify.decisions;
+  add propagations r.Simplify.propagations;
+  add restarts r.Simplify.restarts;
+  add reductions r.Simplify.reductions;
+  add subsumed st.Simplify.subsumed;
+  add strengthened st.Simplify.strengthened;
+  add vivified st.Simplify.vivified;
+  add eliminated st.Simplify.eliminated
 
 let analyzer_run ?simplify ?portfolio ?max_conflicts t env c =
   let stats = record_fresh t in
@@ -479,19 +464,22 @@ let analyzer_run ?simplify ?portfolio ?max_conflicts t env c =
    outcome and instance tables are untouched. *)
 let max_growth = 3
 
+(* The work of a context's solver and clausifier, added into [counts] and
+   [spent] when it retires, and into a snapshot's copies while it lives. *)
+let add_context_work ~counts ~spent ctx =
+  let s = ctx.solver in
+  Counters.add spent conflicts (Solver.n_conflicts s);
+  Counters.add spent decisions (Solver.n_decisions s);
+  Counters.add spent propagations (Solver.n_propagations s);
+  Counters.add spent restarts (Solver.n_restarts s);
+  Counters.add spent reductions (Solver.n_reductions s);
+  Counters.add counts definitions (Tseitin.definitions ctx.ts);
+  Counters.add counts definitions_shared (Tseitin.definitions_shared ctx.ts)
+
 let retire t key ctx =
-  let f = t.spent and s = ctx.solver in
-  f.f_conflicts <- f.f_conflicts + Solver.n_conflicts s;
-  f.f_decisions <- f.f_decisions + Solver.n_decisions s;
-  f.f_propagations <- f.f_propagations + Solver.n_propagations s;
-  f.f_restarts <- f.f_restarts + Solver.n_restarts s;
-  f.f_reductions <- f.f_reductions + Solver.n_reductions s;
+  add_context_work ~counts:t.counts ~spent:t.spent ctx;
   Hashtbl.remove t.contexts key;
-  let c = t.counters in
-  c.c_contexts_retired <- c.c_contexts_retired + 1;
-  c.c_definitions <- c.c_definitions + Tseitin.definitions ctx.ts;
-  c.c_definitions_shared <-
-    c.c_definitions_shared + Tseitin.definitions_shared ctx.ts
+  bump t contexts_retired
 
 let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c
     (goal, goal_node) =
@@ -537,11 +525,11 @@ let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
   let key = verdict_cache_key ?max_conflicts t env c in
   match Hashtbl.find_opt t.verdicts key with
   | Some v ->
-      t.counters.c_verdict_hits <- t.counters.c_verdict_hits + 1;
+      bump t verdict_hits;
       v
   | None ->
       let fresh () =
-        t.counters.c_fallback_queries <- t.counters.c_fallback_queries + 1;
+        bump t fallback_queries;
         outcome_tag
           (analyzer_run ~simplify:t.simplify ~portfolio:t.portfolio
              ?max_conflicts t env c)
@@ -551,7 +539,7 @@ let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
         else
           match goal_of env c with
           | Some goal ->
-              t.counters.c_verdict_misses <- t.counters.c_verdict_misses + 1;
+              bump t verdict_misses;
               solve_incremental ?max_conflicts t env c goal
           | None ->
               (* unknown predicate/assertion: the analyzer raises the
@@ -569,10 +557,10 @@ let run_command ?max_conflicts t (env : Alloy.Typecheck.env) (c : Ast.command)
   let key = "outcome|" ^ vkey in
   match Hashtbl.find_opt t.outcomes key with
   | Some o ->
-      t.counters.c_instance_hits <- t.counters.c_instance_hits + 1;
+      bump t instance_hits;
       o
   | None ->
-      t.counters.c_instance_misses <- t.counters.c_instance_misses + 1;
+      bump t instance_misses;
       let o = analyzer_run ?max_conflicts t env c in
       Hashtbl.add t.outcomes key o;
       (* a fresh outcome also answers future verdict-only queries *)
@@ -590,64 +578,21 @@ let enumerate ?(limit = 10) ?max_conflicts t (env : Alloy.Typecheck.env) scope
   in
   match Hashtbl.find_opt t.instances key with
   | Some insts ->
-      t.counters.c_instance_hits <- t.counters.c_instance_hits + 1;
+      bump t instance_hits;
       insts
   | None ->
-      t.counters.c_instance_misses <- t.counters.c_instance_misses + 1;
+      bump t instance_misses;
       let insts = Analyzer.enumerate ~limit ?max_conflicts env scope f in
       Hashtbl.add t.instances key insts;
       insts
 
 (* {2 Statistics} *)
 
-let sat_stats t =
-  let f = t.spent in
-  let base =
-    {
-      conflicts = f.f_conflicts;
-      decisions = f.f_decisions;
-      propagations = f.f_propagations;
-      restarts = f.f_restarts;
-      reductions = f.f_reductions;
-      subsumed = f.f_sstats.Simplify.subsumed;
-      strengthened = f.f_sstats.Simplify.strengthened;
-      vivified = f.f_sstats.Simplify.vivified;
-      eliminated = f.f_sstats.Simplify.eliminated;
-    }
-  in
-  Hashtbl.fold
-    (fun _ ctx acc ->
-      {
-        acc with
-        conflicts = acc.conflicts + Solver.n_conflicts ctx.solver;
-        decisions = acc.decisions + Solver.n_decisions ctx.solver;
-        propagations = acc.propagations + Solver.n_propagations ctx.solver;
-        restarts = acc.restarts + Solver.n_restarts ctx.solver;
-        reductions = acc.reductions + Solver.n_reductions ctx.solver;
-      })
-    t.contexts base
+let snapshot t =
+  let counts = Counters.copy t.counts and spent = Counters.copy t.spent in
+  Hashtbl.iter (fun _ ctx -> add_context_work ~counts ~spent ctx) t.contexts;
+  Counters.set counts contexts (Hashtbl.length t.contexts);
+  (counts, spent)
 
-(* like {!sat_stats}, the clausifier counters of live contexts are read
-   directly and retired ones were folded in as they were dropped *)
-let stats t =
-  let c = t.counters in
-  let sum f = Hashtbl.fold (fun _ ctx n -> n + f ctx.ts) t.contexts 0 in
-  {
-    verdict_hits = c.c_verdict_hits;
-    verdict_misses = c.c_verdict_misses;
-    instance_hits = c.c_instance_hits;
-    instance_misses = c.c_instance_misses;
-    fallback_queries = c.c_fallback_queries;
-    formulas_translated = c.c_formulas_translated;
-    formulas_reused = c.c_formulas_reused;
-    contexts = Hashtbl.length t.contexts;
-    contexts_retired = c.c_contexts_retired;
-    certified = c.c_certified;
-    certificate_failures = c.c_cert_failures;
-    definitions = c.c_definitions + sum Tseitin.definitions;
-    definitions_shared =
-      c.c_definitions_shared + sum Tseitin.definitions_shared;
-    keys_digested = c.c_keys_digested;
-    keys_reused = c.c_keys_reused;
-  }
-
+let stats t = fst (snapshot t)
+let sat_stats t = snd (snapshot t)

@@ -45,39 +45,12 @@ type t
 
 type verdict = Analyzer.verdict
 
-type stats = {
-  verdict_hits : int;  (** verdict served from the structural cache *)
-  verdict_misses : int;  (** incremental assumption solves performed *)
-  instance_hits : int;  (** instance lists served from the cache *)
-  instance_misses : int;  (** fresh enumeration solves performed *)
-  fallback_queries : int;  (** sig-incompatible candidates, fresh-solved *)
-  formulas_translated : int;  (** guarded translations performed *)
-  formulas_reused : int;  (** activation literals served from memo *)
-  contexts : int;
-      (** live solving contexts (at most one per distinct scope); a gauge *)
-  contexts_retired : int;
-      (** contexts dropped for outgrowing their queries *)
-  certified : int;  (** UNSAT verdicts accepted by the proof checker *)
-  certificate_failures : int;
-      (** UNSAT verdicts the checker could {e not} certify *)
-  definitions : int;
-      (** compound circuit nodes clausified in verdict contexts, live or
-          retired ({!Specrepair_sat.Tseitin.definitions}) *)
-  definitions_shared : int;
-      (** of those, nodes served by a structurally equal definition the
-          context already held *)
-  keys_digested : int;
-      (** declaration digests computed for cache keys: printed and hashed *)
-  keys_reused : int;
-      (** declaration digests served from the key memo, by physical
-          identity *)
-}
+module Counters = Specrepair_json.Counters
 
 val create :
   ?certify:bool ->
   ?simplify:bool ->
   ?portfolio:int ->
-  ?on_certify:(bool -> unit) ->
   Alloy.Typecheck.env ->
   t
 (** A session keyed on the base spec's signature declarations.  Cheap: real
@@ -89,10 +62,8 @@ val create :
     contexts stream each learnt clause into a per-context checker as it is
     derived, and fresh fallback solves are checked from their recorded
     proofs.  Outcomes land in the [certified] / [certificate_failures]
-    counters and, when given, [on_certify] is called with each result
-    (the {!Specrepair_engine} session uses this to count certificates in
-    its telemetry).  Certification roughly doubles solving cost; leave it
-    off on hot paths and on for auditing runs.
+    counters of {!stats}.  Certification roughly doubles solving cost;
+    leave it off on hot paths and on for auditing runs.
 
     [~simplify:true] and [~portfolio:n] route {e verdict-only fresh
     solves} (the sig-incompatible fallback path) through the
@@ -143,23 +114,18 @@ val enumerate :
   Alloy.Instance.t list
 (** Memoized {!Analyzer.enumerate}: same instances, in the same order. *)
 
-val stats : t -> stats
-(** Snapshot of the session counters. *)
+val stats : t -> Counters.t
+(** Snapshot of the oracle's counters, schema ["oracle"]: cache hits and
+    misses, fallback solves, translations, contexts (a gauge) and their
+    retirements, certificates, clausifier definitions and key digests.
+    Each key is declared and described once, in oracle.ml. *)
 
-type sat_stats = {
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  restarts : int;
-  reductions : int;
-  subsumed : int;  (** clauses removed by subsumption *)
-  strengthened : int;  (** self-subsuming resolutions *)
-  vivified : int;  (** literals removed by vivification *)
-  eliminated : int;  (** variables eliminated by BVE *)
-}
+val certified : Counters.key
+val certificate_failures : Counters.key
 
-val sat_stats : t -> sat_stats
-(** Aggregate SAT-solver work under this oracle: the lifetime counters of
-    every incremental context's solver, live or retired, plus the counters
-    reported by simplified fresh solves; every field is monotone.  The simplification counters are nonzero only
-    when the oracle was created with [~simplify:true]. *)
+val sat_stats : t -> Counters.t
+(** Aggregate SAT-solver work under this oracle, schema ["sat"]: the
+    lifetime counters of every incremental context's solver, live or
+    retired, plus those reported by simplified fresh solves; every key is
+    monotone.  The simplification keys are nonzero only when the oracle
+    was created with [~simplify:true]. *)

@@ -139,7 +139,8 @@ let test_rep_oracle_matches_fresh () =
                   ~ground_truth:v.ground_truth ~candidate ))
             (v.ground_truth :: faulty :: mutants)
         in
-        retired := !retired + (Solver.Oracle.stats oracle).contexts_retired;
+        retired := !retired + Specrepair_json.Counters.find (Solver.Oracle.stats oracle)
+                 "contexts_retired";
         scores)
       variants
   in

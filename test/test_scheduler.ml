@@ -6,7 +6,7 @@
 module B = Specrepair_benchmarks
 module Eval = Specrepair_eval
 module Scheduler = Eval.Scheduler
-module Sched_stats = Specrepair_engine.Telemetry.Scheduler
+module Counters = Specrepair_json.Counters
 
 let square ~emit:_ i = string_of_int (i * i)
 
@@ -32,9 +32,11 @@ let test_map_in_order () =
   Array.iteri
     (fun i r -> Alcotest.(check string) "in order" (string_of_int (i * i)) r)
     results;
-  Alcotest.(check int) "no retries" 0 stats.Sched_stats.retries;
-  Alcotest.(check int) "no workers lost" 0 stats.Sched_stats.workers_lost;
-  Alcotest.(check int) "every row merged" 25 stats.Sched_stats.rows_completed
+  Alcotest.(check int) "no retries" 0 (Counters.find stats "retries");
+  Alcotest.(check int) "no workers lost" 0
+    (Counters.find stats "workers_lost");
+  Alcotest.(check int) "every row merged" 25
+    (Counters.find stats "rows_completed")
 
 let test_jobs_exceed_rows () =
   (* more workers than work items degrades gracefully *)
@@ -44,8 +46,8 @@ let test_jobs_exceed_rows () =
     (fun i r -> Alcotest.(check string) "in order" (string_of_int (i * i)) r)
     results;
   Alcotest.(check bool) "spawned at most one worker per row" true
-    (stats.Sched_stats.workers_spawned >= 1
-    && stats.Sched_stats.workers_spawned <= 3)
+    (Counters.find stats "workers_spawned" >= 1
+    && Counters.find stats "workers_spawned" <= 3)
 
 let test_emit_forwarded () =
   let lines = ref [] in
@@ -74,11 +76,11 @@ let test_sigkill_recovery () =
           Alcotest.(check string) "correct row" (string_of_int (i * i)) r)
         results;
       Alcotest.(check bool) "chunk was retried" true
-        (stats.Sched_stats.retries > 0);
+        (Counters.find stats "retries" > 0);
       Alcotest.(check bool) "a worker was lost" true
-        (stats.Sched_stats.workers_lost >= 1);
+        (Counters.find stats "workers_lost" >= 1);
       Alcotest.(check bool) "a replacement was forked" true
-        (stats.Sched_stats.workers_spawned > 3))
+        (Counters.find stats "workers_spawned" > 3))
 
 let test_heartbeat_kills_hung_worker () =
   with_marker (fun mark ->
@@ -94,9 +96,9 @@ let test_heartbeat_kills_hung_worker () =
       in
       Alcotest.(check int) "complete despite the hang" 6 (Array.length results);
       Alcotest.(check bool) "hung worker was killed" true
-        (stats.Sched_stats.heartbeat_kills >= 1);
+        (Counters.find stats "heartbeat_kills" >= 1);
       Alcotest.(check bool) "its chunk was retried" true
-        (stats.Sched_stats.retries > 0))
+        (Counters.find stats "retries" > 0))
 
 let test_retry_exhaustion_names_rows () =
   (* item 3 kills its worker on every attempt: the chunk must exhaust its
@@ -134,14 +136,16 @@ let test_study_parallel_bit_identical () =
   match !stats with
   | None -> Alcotest.fail "on_stats never called"
   | Some s ->
-      Alcotest.(check int) "no retries" 0 s.Sched_stats.retries;
-      Alcotest.(check int) "no worker lost" 0 s.workers_lost;
+      Alcotest.(check int) "no retries" 0 (Counters.find s "retries");
+      Alcotest.(check int) "no worker lost" 0 (Counters.find s "workers_lost");
       Alcotest.(check int) "every row merged" (List.length par)
-        s.rows_completed;
+        (Counters.find s "rows_completed");
+      let n = Counters.find s in
       Alcotest.(check bool) "1 <= chunks completed <= chunks dispatched" true
-        (1 <= s.chunks_completed && s.chunks_completed <= s.chunks_dispatched);
+        (1 <= n "chunks_completed"
+        && n "chunks_completed" <= n "chunks_dispatched");
       Alcotest.(check bool) "a worker was spawned" true
-        (s.workers_spawned >= 1)
+        (n "workers_spawned" >= 1)
 
 let test_study_parallel_survives_sigkill () =
   let variants = Lazy.force sample_variants in
@@ -170,9 +174,9 @@ let test_study_parallel_survives_sigkill () =
   | None -> Alcotest.fail "on_stats never called"
   | Some s ->
       Alcotest.(check bool) "retries > 0 in telemetry" true
-        (s.Sched_stats.retries > 0);
+        (Counters.find s "retries" > 0);
       Alcotest.(check bool) "a worker was lost" true
-        (s.Sched_stats.workers_lost >= 1));
+        (Counters.find s "workers_lost" >= 1));
   (* one telemetry line per row plus the final scheduler summary *)
   let n_rows = List.length seq in
   Alcotest.(check int) "one telemetry line per row + summary" (n_rows + 1)
