@@ -33,11 +33,6 @@ type stats = {
   mutable sweeps_run : int;
 }
 
-val stats_zero : unit -> stats
-
-val stats_add : stats -> stats -> unit
-(** [stats_add acc s] adds [s] into [acc] (telemetry accumulators). *)
-
 type outcome = {
   cnf : Dimacs.cnf;  (** the simplified clause set, over the same variables *)
   unsat : bool;  (** simplification alone refuted the formula *)
