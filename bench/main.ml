@@ -271,6 +271,22 @@ let check_workload ~mk_check () =
         acc candidates)
     0 oracle_workload
 
+(* The oracles' counters summed key by key, in the [oracle] schema's
+   order. *)
+let oracle_totals oracles =
+  let sets =
+    List.map
+      (fun o -> Json.Counters.bindings (S.Analyzer.Oracle.stats o))
+      oracles
+  in
+  match sets with
+  | [] -> []
+  | first :: rest ->
+      List.fold_left
+        (List.map2 (fun (k, n) (_, _, v) -> (k, n + v)))
+        (List.map (fun (k, _, v) -> (k, v)) first)
+        rest
+
 (* the fresh stage rebuilds everything per query: a throwaway session (and
    thus a throwaway oracle) each time *)
 let fresh_check env =
@@ -294,27 +310,15 @@ let () =
           ())
   in
   let speedup = fresh_ms /. incremental_ms in
-  let sum key =
-    List.fold_left
-      (fun n o -> n + Json.Counters.find (S.Analyzer.Oracle.stats o) key)
-      0 !oracles
-  in
-  let verdict_hits = sum "verdict_hits"
-  and verdict_misses = sum "verdict_misses"
-  and formulas_translated = sum "formulas_translated"
-  and formulas_reused = sum "formulas_reused"
-  and contexts = sum "contexts"
-  and contexts_retired = sum "contexts_retired" in
+  let totals = oracle_totals !oracles in
   Printf.printf
     "ORACLE (%d candidates over %d domains, 2 full property checks each)\n\n\
     \  oracle-fresh:       %8.1f ms\n\
     \  oracle-incremental: %8.1f ms\n\
-    \  speedup:            %8.2fx\n\
-    \  verdict cache:      %d hits / %d solved\n\
-    \  translations:       %d fresh / %d reused (%d contexts, %d retired)\n\n%!"
-    n_candidates (List.length oracle_workload) fresh_ms incremental_ms speedup
-    verdict_hits verdict_misses formulas_translated formulas_reused contexts
-    contexts_retired;
+    \  speedup:            %8.2fx\n\n"
+    n_candidates (List.length oracle_workload) fresh_ms incremental_ms speedup;
+  List.iter (fun (k, n) -> Printf.printf "  %-20s %8d\n" k n) totals;
+  print_newline ();
   ( [
       ("sample", Json.int sample_size);
       ("domains", Json.int (List.length oracle_workload));
@@ -322,16 +326,8 @@ let () =
       ("fresh_ms", dec3 fresh_ms);
       ("incremental_ms", dec3 incremental_ms);
       ("speedup", dec3 speedup);
-      ("verdict_hits", Json.int verdict_hits);
-      ("verdict_misses", Json.int verdict_misses);
-      ("instance_hits", Json.int (sum "instance_hits"));
-      ("instance_misses", Json.int (sum "instance_misses"));
-      ("fallback_queries", Json.int (sum "fallback_queries"));
-      ("formulas_translated", Json.int formulas_translated);
-      ("formulas_reused", Json.int formulas_reused);
-      ("contexts", Json.int contexts);
-      ("contexts_retired", Json.int contexts_retired);
-    ],
+    ]
+    @ List.map (fun (k, n) -> (k, Json.int n)) totals,
     [
       fact "fresh and incremental verdicts agree" (fresh_passes = inc_passes);
       positive "candidates";
@@ -373,14 +369,13 @@ let () =
             fun candidate -> S.Repair.Common.oracle_passes session candidate)
           ())
   in
-  let certified, cert_failures =
+  let total key =
     List.fold_left
-      (fun (c, f) o ->
-        let s = S.Analyzer.Oracle.stats o in
-        ( c + Json.Counters.find s "certified",
-          f + Json.Counters.find s "certificate_failures" ))
-      (0, 0) !cert_oracles
+      (fun n o -> n + Json.Counters.get (S.Analyzer.Oracle.stats o) key)
+      0 !cert_oracles
   in
+  let certified = total S.Analyzer.Oracle.certified
+  and cert_failures = total S.Analyzer.Oracle.certificate_failures in
   (* SAT-level microbenchmark: pigeonhole (n+1 pigeons, n holes) *)
   let cnf = S.Sat.Hard_cnf.pigeonhole 6 in
   let solve ?sink () =

@@ -54,27 +54,6 @@ let nonneg_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-(* Solving options shared by [sat], [repair] and [evaluate]. *)
-let simplify_flag =
-  Arg.(
-    value & flag
-    & info [ "simplify" ]
-        ~doc:
-          "Route SAT solving through the proof-preserving simplifier: \
-           preprocessing (subsumption, self-subsuming resolution, \
-           vivification, bounded variable elimination) plus periodic \
-           inprocessing between conflict-budgeted solve chunks.")
-
-let portfolio_arg =
-  Arg.(
-    value
-    & opt positive_int 1
-    & info [ "portfolio" ] ~docv:"N"
-        ~doc:
-          "Race $(docv) diversified solver configurations (seed, restart \
-           schedule, phase polarity, simplification) in forked workers; \
-           the first verdict wins.  $(b,1) (the default) solves in-process.")
-
 (* The simulated-LLM profile, shared by [repair], [evaluate] and
    [hybrid-table].  An [Arg.enum] over the panel registry rejects unknown
    names at parse time (usage error, exit 124) — a typoed profile must
@@ -225,13 +204,10 @@ let repair_cmd =
              $(b,hybrid-table --stats-out) or mined from telemetry).  A \
              tampered or truncated file is rejected loudly.")
   in
-  let run file tool seed deadline_ms telemetry learned stats_file profile
-      simplify portfolio =
+  let run file tool seed deadline_ms telemetry learned stats_file profile =
     match load_env file with
     | env ->
-        let session =
-          Repair.Session.create ~seed ?deadline_ms ~simplify ~portfolio env
-        in
+        let session = Repair.Session.create ~seed ?deadline_ms env in
         let result =
           match tool with
           | `Beafix -> Repair.Beafix.repair ~session env
@@ -291,7 +267,7 @@ let repair_cmd =
     Term.(
       ret
         (const run $ file $ tool $ seed $ deadline_ms $ telemetry $ learned
-       $ stats_file $ profile_arg $ simplify_flag $ portfolio_arg))
+       $ stats_file $ profile_arg))
 
 (* {2 domains} *)
 
@@ -414,8 +390,7 @@ let evaluate_cmd =
              manifest and its shards, then compute only the pending rows.")
   in
   let run sample seed jobs retries quiet what profiles csv_out csv_in
-      artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-      resume =
+      artifacts_dir deadline_ms telemetry_out run_dir resume =
     (* conflicting corpus selections are usage errors, caught before any
        work: the streamed corpus is an index range, a per-domain sample is
        not, and a resumed run's corpus is fixed by its manifest *)
@@ -469,8 +444,8 @@ let evaluate_cmd =
                     (if resume then " (resume)" else "");
                 ignore
                   (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries
-                     ?deadline_ms ?telemetry ~simplify ~portfolio ~techniques
-                     ~progress ~resume ~dir ~total ());
+                     ?deadline_ms ?telemetry ~techniques ~progress ~resume ~dir
+                     ~total ());
                 (* lazy merge of the shards, then the usual renderers *)
                 let buf = Buffer.create 65536 in
                 ignore
@@ -492,8 +467,7 @@ let evaluate_cmd =
                     (List.length variants)
                     (List.length techniques);
                 Eval.Study.run_parallel ~seed ~jobs ~max_retries:retries
-                  ?deadline_ms ?telemetry ~simplify ~portfolio ~techniques
-                  ~progress variants)
+                  ?deadline_ms ?telemetry ~techniques ~progress variants)
       in
       Option.iter close_out telemetry_chan;
       (match csv_out with
@@ -535,12 +509,10 @@ let evaluate_cmd =
     end
   in
   let run sample seed jobs retries quiet what profiles csv_out csv_in
-      artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-      resume =
+      artifacts_dir deadline_ms telemetry_out run_dir resume =
     try
       run sample seed jobs retries quiet what profiles csv_out csv_in
-        artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-        resume
+        artifacts_dir deadline_ms telemetry_out run_dir resume
     with Eval.Manifest.Corrupt msg ->
       Printf.eprintf "evaluate: checkpoint rejected: %s\n%!" msg;
       exit 1
@@ -552,7 +524,7 @@ let evaluate_cmd =
       ret
         (const run $ sample $ seed $ jobs $ retries $ quiet $ what $ profiles
         $ csv_out $ csv_in $ artifacts_dir $ deadline_ms $ telemetry_out
-        $ simplify_flag $ portfolio_arg $ run_dir $ resume))
+        $ run_dir $ resume))
 
 (* {2 hybrid-table} *)
 
@@ -738,7 +710,7 @@ let study_cmd =
           ~doc:"Write scheduler telemetry as JSON lines to FILE")
   in
   let run dir total seed jobs retries resume techniques csv_out quiet
-      deadline_ms telemetry_out simplify portfolio =
+      deadline_ms telemetry_out =
     let techniques =
       if techniques = [] then Eval.Technique.all else techniques
     in
@@ -765,8 +737,7 @@ let study_cmd =
     (try
        ignore
          (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
-            ?telemetry ~simplify ~portfolio ~techniques ~progress ~resume ~dir
-            ~total ())
+            ?telemetry ~techniques ~progress ~resume ~dir ~total ())
      with
      | Eval.Manifest.Corrupt msg ->
          Printf.eprintf "study: checkpoint rejected: %s\n%!" msg;
@@ -789,8 +760,7 @@ let study_cmd =
           a killed run restarts from its manifest with $(b,--resume)")
     Term.(
       const run $ dir $ total $ seed $ jobs $ retries $ resume $ techniques
-      $ csv_out $ quiet $ deadline_ms $ telemetry_out $ simplify_flag
-      $ portfolio_arg)
+      $ csv_out $ quiet $ deadline_ms $ telemetry_out)
 
 (* {2 sat / check-proof} *)
 
@@ -817,6 +787,26 @@ let sat_cmd =
             "Stream a DRUP proof of the run to $(docv); for unsatisfiable \
              inputs the file is a certificate $(b,check-proof) can verify \
              against the CNF.")
+  in
+  let simplify =
+    Arg.(
+      value & flag
+      & info [ "simplify" ]
+          ~doc:
+            "Route SAT solving through the proof-preserving simplifier: \
+             preprocessing (subsumption, self-subsuming resolution, \
+             vivification, bounded variable elimination) plus periodic \
+             inprocessing between conflict-budgeted solve chunks.")
+  in
+  let portfolio =
+    Arg.(
+      value
+      & opt positive_int 1
+      & info [ "portfolio" ] ~docv:"N"
+          ~doc:
+            "Race $(docv) diversified solver configurations (seed, restart \
+             schedule, phase polarity, simplification) in forked workers; \
+             the first verdict wins.  $(b,1) (the default) solves in-process.")
   in
   let run file proof format simplify portfolio =
     match Sat.Dimacs.parse (read_file file) with
@@ -874,7 +864,7 @@ let sat_cmd =
        ~doc:
          "Solve a DIMACS CNF file, optionally logging a DRUP proof of the run")
     Term.(
-      ret (const run $ file $ proof $ format_arg $ simplify_flag $ portfolio_arg))
+      ret (const run $ file $ proof $ format_arg $ simplify $ portfolio))
 
 let check_proof_cmd =
   let module Sat = Specrepair_sat in
@@ -1154,7 +1144,7 @@ let client_cmd =
              (overrides --repeat)")
   in
   let run meth socket tcp payload tool profile seed deadline_ms id raw chaos
-      repeat burst simplify portfolio =
+      repeat burst =
     let addr =
       match (socket, tcp) with
       | Some path, _ -> Ok (Serve.Client.Unix_sock path)
@@ -1215,19 +1205,6 @@ let client_cmd =
                             (fun d -> Json.Num d)
                             ps
                         in
-                        let ps =
-                          if simplify then ps @ [ ("simplify", Json.Bool true) ]
-                          else ps
-                        in
-                        let ps =
-                          if portfolio > 1 then
-                            ps
-                            @ [
-                                ( "portfolio",
-                                  Json.int portfolio );
-                              ]
-                          else ps
-                        in
                         Ok (opt_field "chaos" chaos (fun c -> Json.Str c) ps))
               in
               Result.map
@@ -1279,8 +1256,7 @@ let client_cmd =
     Term.(
       ret
         (const run $ meth $ serve_socket_arg $ serve_tcp_arg $ payload $ tool
-       $ profile $ seed $ deadline_ms $ id $ raw $ chaos $ repeat $ burst
-       $ simplify_flag $ portfolio_arg))
+       $ profile $ seed $ deadline_ms $ id $ raw $ chaos $ repeat $ burst))
 
 let () =
   let info =

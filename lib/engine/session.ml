@@ -51,13 +51,12 @@ let reported oracle spaces =
 
 let now_ns () = Monotonic_clock.now ()
 
-let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
-    ?(budget = default_budget) ?(seed = 42) ?deadline_ms
-    ?(spaces = Space.create_store ()) env =
+let create ?oracle ?(certify = false) ?(budget = default_budget) ?(seed = 42)
+    ?deadline_ms ?(spaces = Space.create_store ()) env =
   let oracle =
     match oracle with
     | Some o -> o
-    | None -> Solver.Oracle.create ~certify ~simplify ~portfolio env
+    | None -> Solver.Oracle.create ~certify env
   in
   let started_ns = now_ns () in
   {
@@ -79,8 +78,7 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     expiry = ref false;
   }
 
-let for_spec ?oracle ?certify ?simplify ?portfolio ?budget ?seed ?deadline_ms
-    spec =
+let for_spec ?oracle ?certify ?budget ?seed ?deadline_ms spec =
   let env =
     match Alloy.Typecheck.check_result spec with
     | Ok env -> env
@@ -90,7 +88,7 @@ let for_spec ?oracle ?certify ?simplify ?portfolio ?budget ?seed ?deadline_ms
            the oracle serves it by fresh-solve fallback, transparently *)
         Alloy.Typecheck.check Alloy.Ast.empty_spec
   in
-  create ?oracle ?certify ?simplify ?portfolio ?budget ?seed ?deadline_ms env
+  create ?oracle ?certify ?budget ?seed ?deadline_ms env
 
 let with_budget t f = { t with budget = f t.budget }
 

@@ -46,8 +46,6 @@ type t
 val create :
   ?oracle:Solver.Oracle.t ->
   ?certify:bool ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   ?budget:budget ->
   ?seed:int ->
   ?deadline_ms:float ->
@@ -61,10 +59,7 @@ val create :
     oracle's [certified] / [certificate_failures] (a telemetry line also
     prints them as [certified_unsat] / [certificate_failures]); ignored
     when an explicit [?oracle] is supplied — configure certification on
-    the oracle itself in that case.  [~simplify:true] and [~portfolio:n]
-    configure the created oracle's verdict-only fresh solves (see
-    {!Specrepair_solver.Oracle.create}); like [certify], they are ignored
-    when an explicit [?oracle] is supplied.  [?deadline_ms] is relative to
+    the oracle itself in that case.  [?deadline_ms] is relative to
     now on the monotonic clock; omitted means no deadline.  [?spaces] is
     the store the LLM pipelines look their proposal spaces up in (see
     {!spaces}); omitted means a fresh, empty one.  Default budget
@@ -73,8 +68,6 @@ val create :
 val for_spec :
   ?oracle:Solver.Oracle.t ->
   ?certify:bool ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   ?budget:budget ->
   ?seed:int ->
   ?deadline_ms:float ->

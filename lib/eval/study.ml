@@ -37,23 +37,17 @@ type domain_state = {
 
 let domain_cache : (string, domain_state) Hashtbl.t = Hashtbl.create 18
 
-(* Keyed on the solving options too: a simplifying study run must not
-   reuse (or poison) the plain run's oracle. *)
-let domain_state ?(simplify = false) ?(portfolio = 1)
-    (d : Benchmarks.Domains.t) =
-  let key = Printf.sprintf "%s|%b|%d" d.name simplify portfolio in
-  match Hashtbl.find_opt domain_cache key with
+let domain_state (d : Benchmarks.Domains.t) =
+  match Hashtbl.find_opt domain_cache d.name with
   | Some st -> st
   | None ->
       let st =
         {
-          oracle =
-            Specrepair_solver.Oracle.create ~simplify ~portfolio
-              (Benchmarks.Domains.env d);
+          oracle = Specrepair_solver.Oracle.create (Benchmarks.Domains.env d);
           spaces = Specrepair_mutation.Space.create_store ();
         }
       in
-      Hashtbl.replace domain_cache key st;
+      Hashtbl.replace domain_cache d.name st;
       st
 
 let aunit_suite (d : Benchmarks.Domains.t) =
@@ -123,13 +117,12 @@ let apply_technique ~session technique (v : Benchmarks.Generate.variant) =
         (Benchmarks.Generate.to_task v) fb
 
 let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
-    ?telemetry ?simplify ?portfolio technique (v : Benchmarks.Generate.variant)
-    =
+    ?telemetry technique (v : Benchmarks.Generate.variant) =
   (* one session per study row: shared domain oracle and space store,
      per-technique budget, monotonic clock for [time_ms], stopped before
      scoring so that the telemetry line's [elapsed_ms] is the row's
      [time_ms] *)
-  let { oracle; spaces } = domain_state ?simplify ?portfolio v.domain in
+  let { oracle; spaces } = domain_state v.domain in
   let session =
     Session.create ~oracle ~spaces
       ~budget:(budget_for technique budget)
@@ -187,18 +180,15 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
   }
 
 let run ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
-    ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(progress = fun _ -> ()) variants =
+    ?telemetry ?(techniques = Technique.all) ?(progress = fun _ -> ())
+    variants =
   let total = List.length variants * List.length techniques in
   let done_count = ref 0 in
   List.concat_map
     (fun v ->
       List.map
         (fun t ->
-          let r =
-            run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
-              t v
-          in
+          let r = run_one ~seed ~budget ?deadline_ms ?telemetry t v in
           incr done_count;
           if !done_count mod 100 = 0 then
             progress
@@ -304,12 +294,11 @@ let report_stats ~jobs ?telemetry ?on_stats ~progress ~rows stats =
        (get Scheduler.retries) (get Scheduler.workers_lost))
 
 let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
-    ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(jobs = 1) ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
+    ?deadline_ms ?telemetry ?(techniques = Technique.all) ?(jobs = 1)
+    ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
     ?(progress = fun _ -> ()) variants =
   if jobs <= 1 then
-    run ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio ~techniques
-      ~progress variants
+    run ~seed ~budget ?deadline_ms ?telemetry ~techniques ~progress variants
   else begin
     let work =
       Array.of_list
@@ -323,9 +312,7 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
     let f ~emit i =
       let v, t = work.(i) in
       let telemetry = if want_telemetry then Some emit else None in
-      row_to_line
-        (run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio t
-           v)
+      row_to_line (run_one ~seed ~budget ?deadline_ms ?telemetry t v)
     in
     let lines, stats =
       Scheduler.map ~jobs ~max_retries ?heartbeat_timeout_ms ~progress
@@ -348,20 +335,17 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
    O(chunk) memory whatever the total.  A killed run resumes from the
    manifest's pending complement. *)
 
-let stream_fingerprint ?(seed = 42) ?(simplify = false) ?(portfolio = 1)
-    ~source ~techniques ~total () =
+let stream_fingerprint ~seed ~source ~techniques ~total =
   Corpus_stream.fingerprint ~source ~seed ~total:(total * List.length techniques)
     ~options:
       [
         "variants=" ^ string_of_int total;
         "techniques=" ^ String.concat "+" (List.map Technique.name techniques);
-        Printf.sprintf "simplify=%b" simplify;
-        Printf.sprintf "portfolio=%d" portfolio;
       ]
 
 let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
-    ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(jobs = 1) ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
+    ?deadline_ms ?telemetry ?(techniques = Technique.all) ?(jobs = 1)
+    ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
     ?(progress = fun _ -> ()) ?(source = Corpus_stream.Injected)
     ?(resume = false) ~dir ~total () =
   if techniques = [] then invalid_arg "Study.run_stream: no techniques";
@@ -369,9 +353,7 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
   let ntech = List.length techniques in
   let tech = Array.of_list techniques in
   let nrows = total * ntech in
-  let fingerprint =
-    stream_fingerprint ~seed ?simplify ?portfolio ~source ~techniques ~total ()
-  in
+  let fingerprint = stream_fingerprint ~seed ~source ~techniques ~total in
   let want_telemetry = Option.is_some telemetry in
   (* worker-local memo: work items are variant-major, so a chunk asks for
      each variant's [ntech] rows consecutively — derive it once, not once
@@ -388,9 +370,7 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
           v
     in
     let telemetry = if want_telemetry then Some emit else None in
-    row_to_line
-      (run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
-         tech.(ti) v)
+    row_to_line (run_one ~seed ~budget ?deadline_ms ?telemetry tech.(ti) v)
   in
   let stats =
     Scheduler.map_checkpointed ~jobs ~max_retries ?heartbeat_timeout_ms

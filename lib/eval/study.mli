@@ -32,8 +32,6 @@ val run_one :
   ?budget:Specrepair_repair.Common.budget ->
   ?deadline_ms:float ->
   ?telemetry:(string -> unit) ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   Technique.t ->
   Benchmarks.Generate.variant ->
   spec_result
@@ -43,25 +41,18 @@ val run :
   ?budget:Specrepair_repair.Common.budget ->
   ?deadline_ms:float ->
   ?telemetry:(string -> unit) ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   ?techniques:Technique.t list ->
   ?progress:(string -> unit) ->
   Benchmarks.Generate.variant list ->
   spec_result list
-(** Row-major: every technique applied to every variant.  [?simplify] and
-    [?portfolio] configure the shared per-domain oracle's verdict-only
-    fresh solves (see {!Specrepair_solver.Oracle.create}); result rows are
-    bit-identical whatever the solving options, because instance-producing
-    queries always take the plain analyzer path. *)
+(** Row-major: every technique applied to every variant, each row on its
+    domain's shared oracle. *)
 
 val run_parallel :
   ?seed:int ->
   ?budget:Specrepair_repair.Common.budget ->
   ?deadline_ms:float ->
   ?telemetry:(string -> unit) ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
@@ -87,8 +78,6 @@ val run_stream :
   ?budget:Specrepair_repair.Common.budget ->
   ?deadline_ms:float ->
   ?telemetry:(string -> unit) ->
-  ?simplify:bool ->
-  ?portfolio:int ->
   ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
@@ -107,8 +96,8 @@ val run_stream :
     [dir] through {!Scheduler.map_checkpointed}.  Memory is O(chunk)
     regardless of [total]; a crashed or [kill -9]ed run restarts with
     [~resume:true] and recomputes only the manifest's pending complement.
-    The checkpoint fingerprint covers source, seed, total, techniques and
-    solving options, so a resume under different parameters is rejected
+    The checkpoint fingerprint covers source, seed, total and techniques,
+    so a resume under different parameters is rejected
     ({!Manifest.Corrupt}).  Progress lines carry rows/s and an ETA; rows
     stream back with {!write_stream_csv}. *)
 

@@ -51,10 +51,22 @@ type report = {
   skipped : int;
   discrepancies : int;
   corpus : string list;
-  contexts_retired : int option;
-  keys_reused : int option;
-  spaces_reused : int option;
+  counts : (string * int) list;
 }
+
+(* The counters a target's summary reports, summed over its iterations:
+   the name printed, and the key of the counter set each iteration
+   reads it from (the oracle's, or the shared mutation-space store's). *)
+let summary_counts = function
+  | Oracle_target ->
+      [
+        ("contexts_retired", "contexts_retired");
+        ("keys_reused", "keys_reused");
+      ]
+  | Panel_target -> [ ("spaces_reused", "reused") ]
+  | Sat_target | Solver_target | Eval_target | Proof_target | Simplify_target
+  | Parse_target | Stream_target ->
+      []
 
 (* {2 SAT target} *)
 
@@ -852,7 +864,13 @@ let retypecheck spec =
 let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
   let checks = ref 0 and skipped = ref 0 in
   let discrepancies = ref 0 and corpus = ref [] in
-  let retired = ref 0 and keys_reused = ref 0 and reused = ref 0 in
+  let summary = summary_counts target in
+  let counts = Array.make (List.length summary) 0 in
+  let tally set =
+    List.iteri
+      (fun i (_, key) -> counts.(i) <- counts.(i) + Counters.find set key)
+      summary
+  in
   let record name path = ignore name; corpus := path :: !corpus in
   for i = 0 to iters - 1 do
     let rng = Rng.of_context ~seed [ target_name target; "iter"; string_of_int i ] in
@@ -911,9 +929,7 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
         let case = gen_oracle_case rng in
         let oracle = Oracle.create case.o_base in
         let outcome = guard (fun () -> check_reparsed_then_stream oracle case) in
-        let stats = Oracle.stats oracle in
-        retired := !retired + Counters.find stats "contexts_retired";
-        keys_reused := !keys_reused + Counters.find stats "keys_reused";
+        tally (Oracle.stats oracle);
         match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
@@ -1023,8 +1039,7 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
         let case = gen_panel_case rng in
         let spaces = Mutation_space.create_store () in
         let outcome = guard (fun () -> check_panel_case ~spaces rng case) in
-        reused :=
-          !reused + Counters.find (Mutation_space.stats spaces) "reused";
+        tally (Mutation_space.stats spaces);
         match outcome with
         | `Skip -> incr skipped
         | `Ok -> incr checks
@@ -1074,12 +1089,7 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
     skipped = !skipped;
     discrepancies = !discrepancies;
     corpus = List.rev !corpus;
-    contexts_retired =
-      (match target with Oracle_target -> Some !retired | _ -> None);
-    keys_reused =
-      (match target with Oracle_target -> Some !keys_reused | _ -> None);
-    spaces_reused =
-      (match target with Panel_target -> Some !reused | _ -> None);
+    counts = List.mapi (fun i (name, _) -> (name, counts.(i))) summary;
   }
 
 (* {2 JSON summaries} *)
@@ -1087,7 +1097,6 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
 module Json = Specrepair_json
 
 let report_value r =
-  let count name = function Some n -> [ (name, Json.int n) ] | None -> [] in
   Json.Obj
     ([
        ("target", Json.Str r.target);
@@ -1097,9 +1106,7 @@ let report_value r =
        ("skipped", Json.int r.skipped);
        ("discrepancies", Json.int r.discrepancies);
      ]
-    @ count "contexts_retired" r.contexts_retired
-    @ count "keys_reused" r.keys_reused
-    @ count "spaces_reused" r.spaces_reused
+    @ List.map (fun (name, n) -> (name, Json.int n)) r.counts
     @ [ ("corpus", Json.List (List.map (fun p -> Json.Str p) r.corpus)) ])
 
 let report_json r = Json.to_string (report_value r)

@@ -102,15 +102,14 @@ type report = {
   skipped : int;  (** instance space exceeded the enumeration cap *)
   discrepancies : int;
   corpus : string list;  (** paths of persisted shrunk failures *)
-  contexts_retired : int option;
-      (** oracle target only: solving contexts its oracles retired for
-          outgrowing their queries *)
-  keys_reused : int option;
-      (** oracle target only: declaration digests its oracles' key memos
-          served without printing *)
-  spaces_reused : int option;
-      (** panel target only: proposal builds its shared mutation-space
-          stores answered without enumerating *)
+  counts : (string * int) list;
+      (** counters summed over the campaign, printed after
+          [discrepancies]: for the oracle target [contexts_retired]
+          (solving contexts its oracles retired for outgrowing their
+          queries) and [keys_reused] (declaration digests their key memos
+          served without printing); for the panel target [spaces_reused]
+          (proposal builds its shared mutation-space stores answered
+          without enumerating); none for the others *)
 }
 
 val run :

@@ -65,14 +65,14 @@ let spec_error ~id ~source diagnostics =
    oracle and space store.  Frontend failures raise a complete reply (they are not cached:
    a bad spec costs a parse on every submission, which is also the honest
    cache_misses accounting). *)
-let spec_entry t ~id ~key ~file ~source ~simplify ~portfolio =
+let spec_entry t ~id ~key ~file ~source =
   let build () =
     match Alloy.Frontend.check ~file source with
     | Ok ok ->
         Spec
           {
             env = ok.Alloy.Frontend.env;
-            oracle = Solver.Oracle.create ~simplify ~portfolio ok.Alloy.Frontend.env;
+            oracle = Solver.Oracle.create ok.Alloy.Frontend.env;
             spaces = Specrepair_mutation.Space.create_store ();
           }
     | Error d -> raise (Reply (spec_error ~id ~source [ d ]))
@@ -98,8 +98,7 @@ let verdict_str = function
 let handle_repair t ~id (p : Protocol.repair_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Repair p)) in
   let { env; oracle; spaces }, warm =
-    spec_entry t ~id ~key ~file:p.file ~source:p.source ~simplify:p.simplify
-      ~portfolio:p.portfolio
+    spec_entry t ~id ~key ~file:p.file ~source:p.source
   in
   let session =
     Repair.Session.create ~oracle ~spaces ~seed:p.seed
@@ -144,7 +143,6 @@ let handle_evaluate t ~id (p : Protocol.evaluate_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Evaluate p)) in
   let { env; oracle; spaces }, warm =
     spec_entry t ~id ~key ~file:p.e_file ~source:p.e_source
-      ~simplify:p.e_simplify ~portfolio:p.e_portfolio
   in
   let session =
     Repair.Session.create ~oracle ~spaces ?deadline_ms:p.e_deadline_ms env

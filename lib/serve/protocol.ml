@@ -13,8 +13,6 @@ type repair_params = {
   profile : string;  (* a Specrepair_llm.Model.panel name *)
   seed : int;
   deadline_ms : float option;
-  simplify : bool;
-  portfolio : int;
   chaos : string option;
 }
 
@@ -23,8 +21,6 @@ type evaluate_params = {
   e_file : string;
   e_profile : string;
   e_deadline_ms : float option;
-  e_simplify : bool;
-  e_portfolio : int;
   e_chaos : string option;
 }
 
@@ -152,12 +148,6 @@ let opt_int obj key ~default =
       | Some n -> n
       | None -> raise (Bad (Invalid_request, "params." ^ key ^ " must be an integer")))
 
-let opt_bool obj key ~default =
-  match Json.member key obj with
-  | None | Some Json.Null -> default
-  | Some (Json.Bool b) -> b
-  | Some _ -> raise (Bad (Invalid_request, "params." ^ key ^ " must be a boolean"))
-
 let opt_pos_ms obj key =
   match Json.member key obj with
   | None | Some Json.Null -> None
@@ -188,9 +178,6 @@ let parse_call ~meth ~params =
              ( Invalid_request,
                Printf.sprintf "params.tool must be one of: %s"
                  (String.concat ", " valid_tools) ));
-      let portfolio = opt_int params "portfolio" ~default:1 in
-      if portfolio < 1 then
-        raise (Bad (Invalid_request, "params.portfolio must be >= 1"));
       Repair
         {
           source = required_str params "source";
@@ -199,22 +186,15 @@ let parse_call ~meth ~params =
           profile = opt_profile params;
           seed = opt_int params "seed" ~default:42;
           deadline_ms = opt_pos_ms params "deadline_ms";
-          simplify = opt_bool params "simplify" ~default:false;
-          portfolio;
           chaos = opt_chaos params;
         }
   | "evaluate" ->
-      let portfolio = opt_int params "portfolio" ~default:1 in
-      if portfolio < 1 then
-        raise (Bad (Invalid_request, "params.portfolio must be >= 1"));
       Evaluate
         {
           e_source = required_str params "source";
           e_file = opt_str params "file" ~default:"<request>";
           e_profile = opt_profile params;
           e_deadline_ms = opt_pos_ms params "deadline_ms";
-          e_simplify = opt_bool params "simplify" ~default:false;
-          e_portfolio = portfolio;
           e_chaos = opt_chaos params;
         }
   | "sat" ->
@@ -259,26 +239,20 @@ let parse_request line =
 
 (* {2 Cache keys}
 
-   Repair and evaluate requests over the same source, solving options and
-   model profile share one warm oracle (the verdict caches are
-   technique-agnostic); sat requests are keyed on the CNF text.  Seed,
-   tool and deadline are per-request session state, not oracle state, so
-   they stay out of the key.  The profile is in the key so a profile
+   Repair and evaluate requests over the same source and model profile
+   share one warm oracle (the verdict caches are technique-agnostic); sat
+   requests are keyed on the CNF text.  Seed, tool and deadline are
+   per-request session state, not oracle state, so they stay out of the
+   key.  The profile is in the key so a profile
    change never lands on a stale warm session: panel members answer from
    their own warm state, not each other's. *)
 
+let spec_key ~profile source =
+  Digest.to_hex (Digest.string ("spec:" ^ profile ^ ":" ^ source))
+
 let cache_key = function
-  | Repair { source; simplify; portfolio; profile; _ } ->
-      Some
-        (Digest.to_hex
-           (Digest.string
-              (Printf.sprintf "spec:%b:%d:%s:%s" simplify portfolio profile
-                 source)))
-  | Evaluate { e_source; e_simplify; e_portfolio; e_profile; _ } ->
-      Some
-        (Digest.to_hex
-           (Digest.string
-              (Printf.sprintf "spec:%b:%d:%s:%s" e_simplify e_portfolio
-                 e_profile e_source)))
+  | Repair { source; profile; _ } -> Some (spec_key ~profile source)
+  | Evaluate { e_source; e_profile; _ } ->
+      Some (spec_key ~profile:e_profile e_source)
   | Sat { dimacs; _ } -> Some (Digest.to_hex (Digest.string ("cnf:" ^ dimacs)))
   | Status -> None

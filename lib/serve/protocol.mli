@@ -9,14 +9,15 @@
     - [repair]: [source] (Alloy source, required), [tool] ("beafix",
       "atr", "multi-round" or "portfolio"; default "beafix"), [profile]
       (a model-panel name from {!Specrepair_llm.Model.panel_names};
-      default "gpt-4"), [seed] (default 42), [deadline_ms], [simplify],
-      [portfolio] (int, default 1), [file] (a display name for
-      diagnostics, default "<request>").
-    - [evaluate]: [source] (required), [profile], [deadline_ms],
-      [simplify], [portfolio], [file] — answers the verdict of every
-      command of the spec through the warm oracle.
+      default "gpt-4"), [seed] (default 42), [deadline_ms], [file] (a
+      display name for diagnostics, default "<request>").
+    - [evaluate]: [source] (required), [profile], [deadline_ms], [file] —
+      answers the verdict of every command of the spec through the warm
+      oracle.
     - [sat]: [dimacs] (a DIMACS CNF, required).
     - [status]: no parameters; answered by the daemon itself.
+
+    A parameter a method does not list is ignored.
 
     All methods but [status] accept a [chaos] string, honoured by workers
     only when the daemon runs with [SPECREPAIR_SERVE_CHAOS=1] in its
@@ -37,8 +38,6 @@ type repair_params = {
   profile : string;  (** validated against {!Specrepair_llm.Model.panel_names} *)
   seed : int;
   deadline_ms : float option;
-  simplify : bool;
-  portfolio : int;
   chaos : string option;
 }
 
@@ -47,8 +46,6 @@ type evaluate_params = {
   e_file : string;
   e_profile : string;
   e_deadline_ms : float option;
-  e_simplify : bool;
-  e_portfolio : int;
   e_chaos : string option;
 }
 
@@ -94,10 +91,10 @@ val method_name : call -> string
 (** "repair" | "evaluate" | "sat" | "status". *)
 
 val cache_key : call -> string option
-(** The warm-state cache key of the request: a digest of the payload, the
-    solving options and the model profile (repair and evaluate requests
-    for the same source, options and profile share one warm oracle; sat
-    requests are keyed on the CNF).  A profile change misses the cache by
+(** The warm-state cache key of the request: a digest of the payload and
+    the model profile (repair and evaluate requests for the same source
+    and profile share one warm oracle; sat requests are keyed on the
+    CNF).  A profile change misses the cache by
     construction — it must never answer from another profile's warm
     session.  [None] for [status]. *)
 

@@ -20,10 +20,6 @@ val outcome_verdict : outcome -> verdict
 
 val solve_fmla :
   ?proof:Specrepair_sat.Proof.sink ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?stats:(Specrepair_sat.Simplify.solve_result -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Bounds.scope ->
@@ -32,27 +28,12 @@ val solve_fmla :
 (** Satisfiability of [facts /\ implicit /\ f] within the scope.  With
     [?proof], the underlying solver logs its run — original clauses and
     derivations — to the sink, making UNSAT outcomes independently
-    checkable (see {!Specrepair_sat.Drat}).
-
-    [~simplify:true] routes the solve through
-    {!Specrepair_sat.Simplify.solve} (proof-preserving pre- and
-    inprocessing; models are reconstructed over the original variables
-    before instance extraction, so [Sat] witnesses remain valid).
-    [~portfolio:n] with [n > 1] races [n] diversified workers through
-    {!Specrepair_sat.Portfolio.solve}; [~certify:true] there makes the
-    parent accept an UNSAT verdict only with a checker-admitted proof.
-    Both keep the proof stream over the same premises the sink already
-    saw, so certification works unchanged.  [?stats], when given, receives
-    the full {!Specrepair_sat.Simplify.solve_result} (solver and
-    simplification counters) of a simplified non-portfolio solve — the
-    oracle aggregates these into session telemetry. *)
+    checkable (see {!Specrepair_sat.Drat}).  Every entry point solves
+    the same way: one {!Specrepair_sat.Solver.t} loaded with the bounds,
+    the spec formula and the goal, solved once. *)
 
 val run_pred :
   ?proof:Specrepair_sat.Proof.sink ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?stats:(Specrepair_sat.Simplify.solve_result -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Bounds.scope ->
@@ -62,10 +43,6 @@ val run_pred :
 
 val check_assert :
   ?proof:Specrepair_sat.Proof.sink ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?stats:(Specrepair_sat.Simplify.solve_result -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Bounds.scope ->
@@ -75,10 +52,6 @@ val check_assert :
 
 val run_command :
   ?proof:Specrepair_sat.Proof.sink ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?stats:(Specrepair_sat.Simplify.solve_result -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Alloy.Ast.command ->

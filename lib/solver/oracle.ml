@@ -51,10 +51,8 @@ let definitions_shared = counter "definitions_shared"
 let keys_digested = counter "keys_digested"
 let keys_reused = counter "keys_reused"
 
-(* The SAT work under the oracle, printed as the [sat] object: the
-   solvers' search counters, and the simplifier's clauses subsumed,
-   self-subsuming resolutions, literals vivified away and variables
-   eliminated by BVE. *)
+(* The SAT work under the oracle, printed as the [sat] object: the search
+   counters of its verdict contexts' solvers. *)
 let sat_schema = Counters.schema "sat"
 let sat_counter = Counters.counter sat_schema
 let conflicts = sat_counter "conflicts"
@@ -62,10 +60,6 @@ let decisions = sat_counter "decisions"
 let propagations = sat_counter "propagations"
 let restarts = sat_counter "restarts"
 let reductions = sat_counter "reductions"
-let subsumed = sat_counter "subsumed"
-let strengthened = sat_counter "strengthened"
-let vivified = sat_counter "vivified"
-let eliminated = sat_counter "eliminated"
 
 (* The certification state of one long-lived context: an independent DRUP
    checker mirroring the solver's clause stream step by step.  A failed
@@ -135,8 +129,6 @@ type keys = {
 type t = {
   base : Alloy.Typecheck.env;
   certify : bool;
-  simplify : bool;
-  portfolio : int;
   contexts : (string, context) Hashtbl.t;
   verdicts : (string, verdict) Hashtbl.t;
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
@@ -146,18 +138,14 @@ type t = {
       (* of the oracle schema; [definitions] and [definitions_shared]
          of retired contexts only *)
   spent : Counters.t;
-      (* of the sat schema: the work no live context holds, that is the
-         simplified fresh solves (reported through {!Analyzer}'s [?stats]
-         callback) and retired contexts' solvers (live ones are read in
-         {!snapshot}) *)
+      (* of the sat schema: retired contexts' solvers (live ones are read
+         in {!snapshot}) *)
 }
 
-let create ?(certify = false) ?(simplify = false) ?(portfolio = 1) base =
+let create ?(certify = false) base =
   {
     base;
     certify;
-    simplify;
-    portfolio;
     contexts = Hashtbl.create 4;
     verdicts = Hashtbl.create 512;
     outcomes = Hashtbl.create 64;
@@ -409,33 +397,13 @@ let outcome_tag = Analyzer.outcome_verdict
 
 (* Fresh (non-incremental) solve, proof-checked when certifying: covers the
    sig-incompatible fallback and instance-producing queries, so an UNSAT
-   answer is certified no matter which path served it.
-
-   [simplify]/[portfolio] are only switched on for verdict-only queries:
-   instance-producing solves stay on the plain analyzer path so the models
-   a session observes are bit-identical whatever the session's solving
-   options (verdicts are solver-path-independent; first models are not). *)
-let record_fresh t (r : Simplify.solve_result) =
-  let add = Counters.add t.spent and st = r.Simplify.sstats in
-  add conflicts r.Simplify.conflicts;
-  add decisions r.Simplify.decisions;
-  add propagations r.Simplify.propagations;
-  add restarts r.Simplify.restarts;
-  add reductions r.Simplify.reductions;
-  add subsumed st.Simplify.subsumed;
-  add strengthened st.Simplify.strengthened;
-  add vivified st.Simplify.vivified;
-  add eliminated st.Simplify.eliminated
-
-let analyzer_run ?simplify ?portfolio ?max_conflicts t env c =
-  let stats = record_fresh t in
-  if not t.certify then
-    Analyzer.run_command ?simplify ?portfolio ~stats ?max_conflicts env c
+   answer is certified no matter which path served it. *)
+let analyzer_run ?max_conflicts t env c =
+  if not t.certify then Analyzer.run_command ?max_conflicts env c
   else begin
     let r = Proof.recorder () in
     let o =
-      Analyzer.run_command ~proof:(Proof.recorder_sink r) ?simplify ?portfolio
-        ~certify:true ~stats ?max_conflicts env c
+      Analyzer.run_command ~proof:(Proof.recorder_sink r) ?max_conflicts env c
     in
     (match o with
     | Analyzer.Unsat ->
@@ -530,9 +498,7 @@ let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
   | None ->
       let fresh () =
         bump t fallback_queries;
-        outcome_tag
-          (analyzer_run ~simplify:t.simplify ~portfolio:t.portfolio
-             ?max_conflicts t env c)
+        outcome_tag (analyzer_run ?max_conflicts t env c)
       in
       let v =
         if not (compatible t env) then fresh ()

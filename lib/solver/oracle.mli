@@ -35,9 +35,13 @@
     non-incremental pipeline — verdicts are solver-path-independent, first
     models are not.
 
-    Candidates whose signature declarations differ from the base (possible
-    for LLM-written candidates, never for mutation-based ones) are detected
-    and served by fresh solves transparently. *)
+    Candidates whose signature declarations differ from the base are
+    detected and served by fresh, certified-when-certifying
+    {!Analyzer.run_command} solves.  The repair engines never produce
+    them (their edits change constraint bodies only), but a caller may
+    pass any spec, and a session anchored on the empty spec
+    ([Session.for_spec] on ill-typed input) sends
+    every candidate there. *)
 
 module Alloy = Specrepair_alloy
 
@@ -47,12 +51,7 @@ type verdict = Analyzer.verdict
 
 module Counters = Specrepair_json.Counters
 
-val create :
-  ?certify:bool ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  Alloy.Typecheck.env ->
-  t
+val create : ?certify:bool -> Alloy.Typecheck.env -> t
 (** A session keyed on the base spec's signature declarations.  Cheap: real
     work happens lazily, per scope, at the first query.
 
@@ -65,13 +64,8 @@ val create :
     counters of {!stats}.  Certification roughly doubles solving cost;
     leave it off on hot paths and on for auditing runs.
 
-    [~simplify:true] and [~portfolio:n] route {e verdict-only fresh
-    solves} (the sig-incompatible fallback path) through the
-    proof-preserving simplifier and the racing portfolio respectively.
-    Instance-producing queries deliberately stay on the plain analyzer
-    path, so the instances a session observes are bit-identical whatever
-    the solving options — verdicts are solver-path-independent, first
-    models are not. *)
+    Every fresh solve, the sig-incompatible fallback included, is a plain
+    {!Analyzer.run_command}. *)
 
 val compatible : t -> Alloy.Typecheck.env -> bool
 (** Does the candidate declare exactly the base's signatures and fields (so
@@ -125,7 +119,5 @@ val certificate_failures : Counters.key
 
 val sat_stats : t -> Counters.t
 (** Aggregate SAT-solver work under this oracle, schema ["sat"]: the
-    lifetime counters of every incremental context's solver, live or
-    retired, plus those reported by simplified fresh solves; every key is
-    monotone.  The simplification keys are nonzero only when the oracle
-    was created with [~simplify:true]. *)
+    lifetime search counters of every incremental context's solver, live
+    or retired; every key is monotone.  Fresh solves are not counted. *)

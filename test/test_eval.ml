@@ -58,24 +58,6 @@ let test_determinism () =
       Alcotest.(check (float 1e-9)) "tm deterministic" x.tm y.tm)
     a b
 
-let test_simplify_bit_identity () =
-  (* The --simplify/--portfolio solving options only reroute the oracle's
-     verdict-only fresh solves; study rows must come out bit-identical. *)
-  let variants = B.Generate.sample ~per_domain:1 () in
-  let t = [ Eval.Technique.BeAFix; Eval.Technique.ATR ] in
-  let plain = Eval.Study.run ~techniques:t variants in
-  let simplified = Eval.Study.run ~techniques:t ~simplify:true variants in
-  List.iter2
-    (fun (x : Eval.Study.spec_result) (y : Eval.Study.spec_result) ->
-      Alcotest.(check string)
-        ("variant id stable for " ^ x.variant_id)
-        x.variant_id y.variant_id;
-      Alcotest.(check string) "technique stable" x.technique y.technique;
-      Alcotest.(check int) "rep identical under --simplify" x.rep y.rep;
-      Alcotest.(check (float 1e-12)) "tm identical" x.tm y.tm;
-      Alcotest.(check (float 1e-12)) "sm identical" x.sm y.sm)
-    plain simplified
-
 let test_csv_roundtrip () =
   let rs = Lazy.force mini_results in
   let rs' = Eval.Study.of_csv (Eval.Study.to_csv rs) in
@@ -256,8 +238,6 @@ let () =
           Alcotest.test_case "similarity of repairs" `Slow
             test_repaired_high_similarity;
           Alcotest.test_case "determinism" `Slow test_determinism;
-          Alcotest.test_case "bit-identical under simplify" `Slow
-            test_simplify_bit_identity;
           Alcotest.test_case "csv round trip" `Slow test_csv_roundtrip;
         ] );
       ( "tables",

@@ -130,15 +130,16 @@ let smoke target iters () =
 let test_oracle_retires_contexts () =
   let dir = tmp_dir "fuzz-retire" in
   let r = Harness.run ~corpus_dir:dir Harness.Oracle_target ~seed:11 ~iters:25 () in
+  Alcotest.(check (list string)) "oracle report's counts"
+    [ "contexts_retired"; "keys_reused" ]
+    (List.map fst r.Harness.counts);
   Alcotest.(check bool) "contexts retired" true
-    (match r.Harness.contexts_retired with Some n -> n > 0 | None -> false);
+    (List.assoc "contexts_retired" r.Harness.counts > 0);
   Alcotest.(check bool) "key digests reused" true
-    (match r.Harness.keys_reused with Some n -> n > 0 | None -> false);
+    (List.assoc "keys_reused" r.Harness.counts > 0);
   let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
-  Alcotest.(check (option int)) "eval report has no count" None
-    e.Harness.contexts_retired;
-  Alcotest.(check (option int)) "eval report has no key count" None
-    e.Harness.keys_reused
+  Alcotest.(check int) "eval report has no count" 0
+    (List.length e.Harness.counts)
 
 (* The panel campaign's shared mutation-space stores must actually answer
    proposal builds, and only the panel report carries the count. *)
@@ -146,11 +147,13 @@ let test_panel_reuses_spaces () =
   let dir = tmp_dir "fuzz-spaces" in
   let r = Harness.run ~corpus_dir:dir Harness.Panel_target ~seed:11 ~iters:10 () in
   Alcotest.(check int) "zero discrepancies" 0 r.Harness.discrepancies;
+  Alcotest.(check (list string)) "panel report's counts" [ "spaces_reused" ]
+    (List.map fst r.Harness.counts);
   Alcotest.(check bool) "spaces reused" true
-    (match r.Harness.spaces_reused with Some n -> n > 0 | None -> false);
+    (List.assoc "spaces_reused" r.Harness.counts > 0);
   let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
-  Alcotest.(check (option int)) "eval report has no count" None
-    e.Harness.spaces_reused
+  Alcotest.(check int) "eval report has no count" 0
+    (List.length e.Harness.counts)
 
 let test_report_deterministic () =
   let dir = tmp_dir "fuzz-det" in
@@ -171,9 +174,7 @@ let test_summary_escapes () =
       skipped = 0;
       discrepancies = 0;
       corpus = [ Filename.concat corpus_dir "x.cnf" ];
-      contexts_retired = None;
-      keys_reused = None;
-      spaces_reused = None;
+      counts = [];
     }
   in
   let module Json = Specrepair_json in

@@ -244,7 +244,6 @@ let test_telemetry_json_parses () =
   check_keys "sat"
     [
       "conflicts"; "decisions"; "propagations"; "restarts"; "reductions";
-      "subsumed"; "strengthened"; "vivified"; "eliminated";
     ]
     (sub "sat");
   check_keys "eval"

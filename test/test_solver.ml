@@ -553,6 +553,89 @@ let test_oracle_instances_verbatim () =
   let stats = Solver.Oracle.stats oracle in
   Alcotest.(check bool) "instance cache saw hits" true (Counters.find stats "instance_hits" > 0)
 
+(* {2 Sig-incompatible fallback}
+
+   Candidates that declare other signatures or fields than the oracle's
+   base cannot share its variable allocation: each first query is a fresh
+   analyzer solve, counted in [fallback_queries], and a repeat is served
+   from the verdict cache.  Mutation-based engines never produce such
+   candidates; an outside caller can. *)
+
+let fallback_candidates =
+  let body =
+    {|
+fact NoSelfLoops {
+  all n: Node | n not in n.edges
+}
+pred hasEdge {
+  some edges
+}
+assert Acyclic {
+  no n: Node | n in n.^edges
+}
+assert NoSelf {
+  no n: Node | n in n.edges
+}
+run hasEdge for 3
+check Acyclic for 3
+check NoSelf for 3
+|}
+  in
+  lazy
+    [
+      (* a field added to the base's sig *)
+      parse_env ("sig Node {\n  edges: set Node,\n  label: lone Node\n}" ^ body);
+      (* a sig added beside it *)
+      parse_env ("sig Node {\n  edges: set Node\n}\nsig Extra {}" ^ body);
+    ]
+
+let test_oracle_fallback () =
+  let base = Lazy.force graph_env in
+  let check_oracle ~certify =
+    let oracle = Solver.Oracle.create ~certify base in
+    let count key = Counters.find (Solver.Oracle.stats oracle) key in
+    let delta key f =
+      let before = count key in
+      let v = f () in
+      (v, count key - before)
+    in
+    let unsat = ref 0 in
+    List.iter
+      (fun (env : Typecheck.env) ->
+        Alcotest.(check bool) "candidate is sig-incompatible" false
+          (Solver.Oracle.compatible oracle env);
+        List.iter
+          (fun c ->
+            let fresh = outcome_tag (Solver.Analyzer.run_command env c) in
+            if fresh = `Unsat then incr unsat;
+            let first, fallbacks =
+              delta "fallback_queries" (fun () ->
+                  Solver.Oracle.command_verdict oracle env c)
+            in
+            Alcotest.(check bool) "fallback verdict = analyzer's" true
+              (first = fresh);
+            Alcotest.(check int) "first query is one fallback" 1 fallbacks;
+            let again, hits =
+              delta "verdict_hits" (fun () ->
+                  Solver.Oracle.command_verdict oracle env c)
+            in
+            Alcotest.(check bool) "repeat = first" true (again = first);
+            Alcotest.(check int) "repeat is one verdict hit" 1 hits)
+          env.spec.commands)
+      (Lazy.force fallback_candidates);
+    Alcotest.(check bool) "some fallback verdict is unsat" true (!unsat > 0);
+    let stats = Solver.Oracle.stats oracle in
+    Alcotest.(check int) "no incremental query" 0
+      (Counters.find stats "verdict_misses");
+    Alcotest.(check int) "certified unsat verdicts"
+      (if certify then !unsat else 0)
+      (Counters.get stats Solver.Oracle.certified);
+    Alcotest.(check int) "no certificate failures" 0
+      (Counters.get stats Solver.Oracle.certificate_failures)
+  in
+  check_oracle ~certify:false;
+  check_oracle ~certify:true
+
 (* {2 Oracle keys}
 
    Cache keys are built from a memo of per-declaration digests matched by
@@ -719,6 +802,8 @@ let () =
             test_oracle_matches_fresh;
           Alcotest.test_case "instances served verbatim" `Quick
             test_oracle_instances_verbatim;
+          Alcotest.test_case "sig-incompatible fallback" `Quick
+            test_oracle_fallback;
         ] );
       ( "oracle keys",
         [
