@@ -430,26 +430,20 @@ let () =
       positive "proof_steps";
     ] )
 
-(* {2 SAT stage: inprocessing and portfolio racing on hard instances}
+(* {2 SAT stage: certified plain solving on hard instances}
 
-   Hard CNF families — pigeonhole, pigeonhole with injected clause
-   redundancy (the shape of Tseitin-translated specifications), and random
-   3-SAT at the satisfiability phase transition — solved three ways: a
-   plain solver, the proof-preserving inprocessing solver
-   (`Sat.Simplify.solve`), and a 4-worker racing portfolio
-   (`Sat.Portfolio.solve`).  All three must agree on every verdict, and
-   every UNSAT instance is re-solved under a proof recorder whose DRUP
-   certificate the independent checker must accept — the speedups are only
-   worth reporting if the proofs still check. *)
+   Hard CNF families — pigeonhole and random 3-SAT at the satisfiability
+   phase transition — solved by the plain CDCL solver.  Every UNSAT
+   instance is re-solved by the same solver under a proof recorder: the
+   re-solve must reach the same verdict, and the independent checker must
+   accept its DRUP certificate. *)
 
 type sat_row = {
   name : string;
   instances : int;
   verdicts : string;
   plain_ms : float;
-  simplify_ms : float;
-  portfolio_ms : float;
-  agree : bool;  (** every mode, the certifying re-solve included *)
+  agree : bool;  (** every certifying re-solve reached the plain verdict *)
   certified : int;
   rejected : int;
 }
@@ -459,30 +453,17 @@ let () =
   let families =
     [
       ("php", [ S.Sat.Hard_cnf.pigeonhole 7 ]);
-      (* heavy clause-level redundancy: the shape subsumption exists for *)
-      ( "php-redundant",
-        [
-          S.Sat.Hard_cnf.with_redundancy ~seed:3 ~copies:64
-            (S.Sat.Hard_cnf.pigeonhole 7);
-        ] );
       (* mixed verdicts near the phase transition, kept small *)
       ( "3sat",
         List.map
           (fun seed ->
             S.Sat.Hard_cnf.random_3sat ~seed ~num_vars:120 ~num_clauses:511)
           [ 11; 12; 13 ] );
-      (* a heavy-tail satisfiable instance just below the transition: the
-         default configuration grinds for many seconds while a scrambled
-         worker finds a model almost immediately — the case racing
-         diversified configurations exists for (the speedup is algorithmic,
-         so it survives even a single-core host) *)
-      ( "3sat-tail",
-        [ S.Sat.Hard_cnf.random_3sat ~seed:17 ~num_vars:300 ~num_clauses:1250 ]
-      );
     ]
   in
-  let plain_solve cnf =
+  let solve ?sink cnf =
     let s = S.Sat.Solver.create () in
+    S.Sat.Solver.set_proof s sink;
     S.Sat.Dimacs.load_into s cnf;
     S.Sat.Solver.solve s
   in
@@ -495,12 +476,9 @@ let () =
      or [None] if the certifying solve changed the verdict *)
   let certify cnf =
     let recorder = S.Sat.Proof.recorder () in
-    let sink = S.Sat.Proof.recorder_sink recorder in
-    List.iter
-      (fun c -> sink (S.Sat.Proof.Input (Array.of_list c)))
-      cnf.S.Sat.Dimacs.clauses;
-    let r = S.Sat.Simplify.solve ~proof:sink cnf in
-    if r.S.Sat.Simplify.result <> S.Sat.Solver.Unsat then None
+    if solve ~sink:(S.Sat.Proof.recorder_sink recorder) cnf
+       <> S.Sat.Solver.Unsat
+    then None
     else
       Some
         (S.Sat.Drat.check
@@ -511,19 +489,8 @@ let () =
   let rows =
     List.map
       (fun (name, cnfs) ->
-        let plain, plain_ms = time_ms (fun () -> List.map plain_solve cnfs) in
-        let simped, simplify_ms =
-          time_ms (fun () ->
-              List.map
-                (fun c -> (S.Sat.Simplify.solve c).S.Sat.Simplify.result)
-                cnfs)
-        in
-        let raced, portfolio_ms =
-          time_ms (fun () ->
-              List.map
-                (fun c ->
-                  (S.Sat.Portfolio.solve ~jobs:4 c).S.Sat.Portfolio.result)
-                cnfs)
+        let plain, plain_ms =
+          time_ms (fun () -> List.map (fun c -> solve c) cnfs)
         in
         let certs =
           List.concat
@@ -537,31 +504,21 @@ let () =
           instances = List.length cnfs;
           verdicts = String.concat "+" (List.map verdict_name plain);
           plain_ms;
-          simplify_ms;
-          portfolio_ms;
-          agree = simped = plain && raced = plain && not (List.mem None certs);
+          agree = not (List.mem None certs);
           certified = List.length (List.filter (( = ) (Some true)) certs);
           rejected = List.length (List.filter (( = ) (Some false)) certs);
         })
       families
   in
-  let simplify_speedup r = r.plain_ms /. r.simplify_ms in
-  let portfolio_speedup r = r.plain_ms /. r.portfolio_ms in
-  let best f = List.fold_left (fun acc r -> max acc (f r)) 0. rows in
   let total f = List.fold_left (fun n r -> n + f r) 0 rows in
-  print_endline
-    "SAT (hard instances: plain vs inprocessing vs 4-worker portfolio)\n";
+  print_endline "SAT (hard instances: plain solve, certified UNSAT)\n";
   List.iter
     (fun r ->
       Printf.printf
-        "  %-14s %d instance(s), %-15s plain %8.1f ms | simplify %8.1f ms \
-         (%.2fx) | portfolio %8.1f ms (%.2fx) | %d certified\n"
-        r.name r.instances r.verdicts r.plain_ms r.simplify_ms
-        (simplify_speedup r) r.portfolio_ms (portfolio_speedup r) r.certified)
+        "  %-6s %d instance(s), %-15s plain %8.1f ms | %d certified\n" r.name
+        r.instances r.verdicts r.plain_ms r.certified)
     rows;
-  Printf.printf
-    "\n  best simplify speedup:  %.2fx\n  best portfolio speedup: %.2fx\n\n%!"
-    (best simplify_speedup) (best portfolio_speedup);
+  print_newline ();
   let family r =
     Json.Obj
       [
@@ -569,10 +526,6 @@ let () =
         ("instances", Json.int r.instances);
         ("verdicts", Json.Str r.verdicts);
         ("plain_ms", dec3 r.plain_ms);
-        ("simplify_ms", dec3 r.simplify_ms);
-        ("portfolio_ms", dec3 r.portfolio_ms);
-        ("simplify_speedup", dec3 (simplify_speedup r));
-        ("portfolio_speedup", dec3 (portfolio_speedup r));
         ("certified_unsat", Json.int r.certified);
       ]
   in
@@ -583,8 +536,6 @@ let () =
   in
   ( [
       ("families", Json.List (List.map family rows));
-      ("best_simplify_speedup", dec3 (best simplify_speedup));
-      ("best_portfolio_speedup", dec3 (best portfolio_speedup));
       ("verdicts_agree", Json.Bool (List.for_all (fun r -> r.agree) rows));
       ("certified_unsat", Json.int (total (fun r -> r.certified)));
       ("certificate_failures", Json.int (total (fun r -> r.rejected)));
@@ -602,8 +553,6 @@ let () =
       holds "verdicts_agree";
       positive "certified_unsat";
       zero "certificate_failures";
-      timed_at_least "best_simplify_speedup" 1.2;
-      timed_at_least "best_portfolio_speedup" 1.5;
     ] )
 
 (* {2 Stream stage: checkpointed corpus streaming, small vs large}

@@ -788,83 +788,34 @@ let sat_cmd =
              inputs the file is a certificate $(b,check-proof) can verify \
              against the CNF.")
   in
-  let simplify =
-    Arg.(
-      value & flag
-      & info [ "simplify" ]
-          ~doc:
-            "Route SAT solving through the proof-preserving simplifier: \
-             preprocessing (subsumption, self-subsuming resolution, \
-             vivification, bounded variable elimination) plus periodic \
-             inprocessing between conflict-budgeted solve chunks.")
-  in
-  let portfolio =
-    Arg.(
-      value
-      & opt positive_int 1
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race $(docv) diversified solver configurations (seed, restart \
-             schedule, phase polarity, simplification) in forked workers; \
-             the first verdict wins.  $(b,1) (the default) solves in-process.")
-  in
-  let run file proof format simplify portfolio =
+  let run file proof format =
     match Sat.Dimacs.parse (read_file file) with
     | exception Sat.Dimacs.Parse_error msg -> `Error (false, msg)
     | cnf ->
         let oc = Option.map open_out_bin proof in
-        let sink = Option.map (Sat.Proof.file_sink format) oc in
-        (* Stats go to stderr so stdout stays byte-identical across solving
-           options (for equal verdicts; models may legitimately differ). *)
-        let emit result value =
-          match result with
-          | Sat.Solver.Sat ->
-              let buf = Buffer.create 64 in
-              for v = 0 to cnf.Sat.Dimacs.num_vars - 1 do
-                Buffer.add_string buf
-                  (Printf.sprintf " %d" (if value v then v + 1 else -(v + 1)))
-              done;
-              Printf.printf "s SATISFIABLE\nv%s 0\n" (Buffer.contents buf)
-          | Sat.Solver.Unsat -> print_endline "s UNSATISFIABLE"
-          | Sat.Solver.Unknown -> print_endline "s UNKNOWN"
-        in
-        let of_model model v =
-          match model with Some m -> v < Array.length m && m.(v) | None -> false
-        in
-        if portfolio > 1 then begin
-          let o = Sat.Portfolio.solve ~jobs:portfolio ~simplify ?proof:sink cnf in
-          Option.iter close_out oc;
-          Printf.eprintf "c portfolio: winner %d of %d worker(s), %d rejected\n"
-            o.Sat.Portfolio.winner o.workers o.rejected;
-          emit o.result (of_model o.model)
-        end
-        else if simplify then begin
-          let r = Sat.Simplify.solve ?proof:sink cnf in
-          Option.iter close_out oc;
-          let st = r.Sat.Simplify.sstats in
-          Printf.eprintf
-            "c simplify: %d subsumed, %d strengthened, %d vivified, %d \
-             eliminated; %d conflicts, %d propagations, %d restarts\n"
-            st.Sat.Simplify.subsumed st.strengthened st.vivified st.eliminated
-            r.Sat.Simplify.conflicts r.propagations r.restarts;
-          emit r.result (of_model r.model)
-        end
-        else begin
-          let s = Sat.Solver.create () in
-          Option.iter (fun sink -> Sat.Solver.set_proof s (Some sink)) sink;
-          Sat.Dimacs.load_into s cnf;
-          let result = Sat.Solver.solve s in
-          Option.iter close_out oc;
-          emit result (Sat.Solver.value s)
-        end;
+        let s = Sat.Solver.create () in
+        Sat.Solver.set_proof s (Option.map (Sat.Proof.file_sink format) oc);
+        Sat.Dimacs.load_into s cnf;
+        let result = Sat.Solver.solve s in
+        Option.iter close_out oc;
+        (match result with
+        | Sat.Solver.Sat ->
+            let buf = Buffer.create 64 in
+            for v = 0 to cnf.Sat.Dimacs.num_vars - 1 do
+              Buffer.add_string buf
+                (Printf.sprintf " %d"
+                   (if Sat.Solver.value s v then v + 1 else -(v + 1)))
+            done;
+            Printf.printf "s SATISFIABLE\nv%s 0\n" (Buffer.contents buf)
+        | Sat.Solver.Unsat -> print_endline "s UNSATISFIABLE"
+        | Sat.Solver.Unknown -> print_endline "s UNKNOWN");
         `Ok ()
   in
   Cmd.v
     (Cmd.info "sat"
        ~doc:
          "Solve a DIMACS CNF file, optionally logging a DRUP proof of the run")
-    Term.(
-      ret (const run $ file $ proof $ format_arg $ simplify $ portfolio))
+    Term.(ret (const run $ file $ proof $ format_arg))
 
 let check_proof_cmd =
   let module Sat = Specrepair_sat in
@@ -911,8 +862,8 @@ let fuzz_cmd =
       & info [ "target" ] ~docv:"TARGET"
           ~doc:
             "Fuzz a single target ($(b,sat), $(b,solver), $(b,oracle), \
-             $(b,eval), $(b,proof), $(b,simplify), $(b,parse), \
-             $(b,stream) or $(b,panel)); default: all nine.")
+             $(b,eval), $(b,proof), $(b,parse), $(b,stream) or \
+             $(b,panel)); default: all eight.")
   in
   let seed =
     Arg.(
@@ -950,7 +901,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: cross-check the \
-          SAT/solver/oracle/eval/proof/simplify/parse/stream/panel stack \
+          SAT/solver/oracle/eval/proof/parse/stream/panel stack \
           against independent reference oracles")
     Term.(const run $ seed $ iters $ target $ corpus_dir)
 

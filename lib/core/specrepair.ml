@@ -16,8 +16,8 @@ module Alloy = struct
 end
 
 (** The SAT substrate: CDCL solver, boolean formulas, Tseitin, cardinality
-    encodings, DIMACS I/O, proof-preserving simplification, the racing
-    portfolio, and hard-instance generators. *)
+    encodings, DIMACS I/O, DRUP proofs and their checker, and hard-instance
+    generators. *)
 module Sat = struct
   module Lit = Specrepair_sat.Lit
   module Solver = Specrepair_sat.Solver
@@ -27,8 +27,6 @@ module Sat = struct
   module Tseitin = Specrepair_sat.Tseitin
   module Card = Specrepair_sat.Card
   module Dimacs = Specrepair_sat.Dimacs
-  module Simplify = Specrepair_sat.Simplify
-  module Portfolio = Specrepair_sat.Portfolio
   module Hard_cnf = Specrepair_sat.Hard_cnf
 end
 

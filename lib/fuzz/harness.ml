@@ -14,7 +14,6 @@ type target =
   | Oracle_target
   | Eval_target
   | Proof_target
-  | Simplify_target
   | Parse_target
   | Stream_target
   | Panel_target
@@ -26,7 +25,6 @@ let all_targets =
     Oracle_target;
     Eval_target;
     Proof_target;
-    Simplify_target;
     Parse_target;
     Stream_target;
     Panel_target;
@@ -38,7 +36,6 @@ let target_name = function
   | Oracle_target -> "oracle"
   | Eval_target -> "eval"
   | Proof_target -> "proof"
-  | Simplify_target -> "simplify"
   | Parse_target -> "parse"
   | Stream_target -> "stream"
   | Panel_target -> "panel"
@@ -64,8 +61,8 @@ let summary_counts = function
         ("keys_reused", "keys_reused");
       ]
   | Panel_target -> [ ("spaces_reused", "reused") ]
-  | Sat_target | Solver_target | Eval_target | Proof_target | Simplify_target
-  | Parse_target | Stream_target ->
+  | Sat_target | Solver_target | Eval_target | Proof_target | Parse_target
+  | Stream_target ->
       []
 
 (* {2 SAT target} *)
@@ -235,78 +232,6 @@ let check_proof_case { p_cnf = cnf; p_assumptions = assumptions; p_format } =
             | Ok () -> `Ok
             | Error m ->
                 `Fail (Printf.sprintf "a logged derivation is not RUP: %s" m)))
-
-(* {2 Simplify target} *)
-
-type simplify_case = {
-  y_cnf : Dimacs.cnf;
-  y_budget : int option;  (** conflict budget for the inprocessing driver *)
-}
-
-let gen_simplify_case rng =
-  let y_cnf = Gen.cnf rng in
-  let y_budget =
-    if Rng.int rng 4 = 0 then Some (Rng.range rng 1 20) else None
-  in
-  { y_cnf; y_budget }
-
-(* One inprocessing solve ([Simplify.solve]) cross-checked three ways: the
-   verdict against the DPLL reference, the reconstructed model against the
-   {e original} clauses (variable elimination must restore what it
-   removed), and the emitted Add/Delete stream against the independent
-   DRUP checker — a conflict derivation for Unsat, plain RUP-ness of every
-   transformation otherwise.  Under
-   [SPECREPAIR_FUZZ_CHAOS=corrupt-simplify] the simplifier strengthens one
-   clause without a justifying proof step, so a correct checker (or the
-   model/verdict comparison) trips a discrepancy. *)
-let check_simplify_case { y_cnf = cnf; y_budget = budget } =
-  let r = Proof.recorder () in
-  let sink = Proof.recorder_sink r in
-  (* [Simplify.solve]'s sink carries Steps only; the premises are ours *)
-  List.iter
-    (fun c -> sink (Proof.Input (Array.of_list c)))
-    cnf.Dimacs.clauses;
-  let res = Simplify.solve ~proof:sink ?max_conflicts:budget cnf in
-  let steps = List.to_seq (Proof.steps r) in
-  let premises = Proof.inputs r in
-  let check_steps ~unsat =
-    let checked =
-      if unsat then Drat.check ~premises steps
-      else Drat.check ~require_conflict:false ~premises steps
-    in
-    match checked with
-    | Ok () -> `Ok
-    | Error m ->
-        `Fail
-          (if unsat then "checker rejected a simplified UNSAT certificate: " ^ m
-           else "a simplification step is not RUP: " ^ m)
-  in
-  match res.Simplify.result with
-  | Solver.Unknown ->
-      if budget = None then `Fail "simplify solve unknown without a budget"
-      else check_steps ~unsat:false
-  | Solver.Unsat -> (
-      match Ref_sat.solve cnf with
-      | Ref_sat.Sat _ -> `Fail "simplified solve unsat where reference says sat"
-      | Ref_sat.Unsat -> check_steps ~unsat:true)
-  | Solver.Sat -> (
-      match Ref_sat.solve cnf with
-      | Ref_sat.Unsat -> `Fail "simplified solve sat where reference says unsat"
-      | Ref_sat.Sat _ -> (
-          match res.Simplify.model with
-          | None -> `Fail "simplified solve sat without a model"
-          | Some m ->
-              let holds l =
-                let v = Lit.var l in
-                v < Array.length m && Bool.equal m.(v) (Lit.sign l)
-              in
-              if
-                not
-                  (List.for_all
-                     (fun cl -> List.exists holds cl)
-                     cnf.Dimacs.clauses)
-              then `Fail "reconstructed model falsifies an original clause"
-              else check_steps ~unsat:false))
 
 (* {2 Parse target} *)
 
@@ -1062,24 +987,6 @@ let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
                     case.n_env.Alloy.Typecheck.spec
                 in
                 Corpus.save_spec ~dir:corpus_dir ~name ~seed shrunk))
-    | Simplify_target -> (
-        let case = gen_simplify_case rng in
-        match guard (fun () -> check_simplify_case case) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let still_fails cnf' =
-                  guard (fun () ->
-                      check_simplify_case { case with y_cnf = cnf' })
-                  <> `Ok
-                in
-                let shrunk =
-                  Shrink.run Shrink.cnf_candidates still_fails case.y_cnf
-                in
-                Corpus.save_cnf ~dir:corpus_dir ~name ~seed ~assumptions:[]
-                  shrunk))
   done;
   {
     target = target_name target;
@@ -1136,26 +1043,16 @@ let replay path =
         let* () =
           check_sat_case { cnf; assumptions; budget = None; split = None }
         in
-        let* () =
-          match
-            guard (fun () ->
-                check_proof_case
-                  { p_cnf = cnf;
-                    p_assumptions = assumptions;
-                    p_format = Proof.Text;
-                  })
-          with
-          | `Ok | `Skip -> Ok ()
-          | `Fail m -> Error m
-        in
-        if assumptions <> [] then Ok ()
-        else
-          match
-            guard (fun () ->
-                check_simplify_case { y_cnf = cnf; y_budget = None })
-          with
-          | `Ok | `Skip -> Ok ()
-          | `Fail m -> Error m)
+        match
+          guard (fun () ->
+              check_proof_case
+                { p_cnf = cnf;
+                  p_assumptions = assumptions;
+                  p_format = Proof.Text;
+                })
+        with
+        | `Ok | `Skip -> Ok ()
+        | `Fail m -> Error m)
     | exception e -> Error (Printexc.to_string e)
   else if Filename.check_suffix path ".als" then
     match Corpus.load_spec path with

@@ -1,7 +1,7 @@
 (** The differential fuzzing campaigns: generate, cross-check, shrink,
     persist.
 
-    Nine targets, each pitting a production component against an
+    Eight targets, each pitting a production component against an
     independent reference:
 
     - [Sat_target] — the CDCL solver vs. the DPLL reference
@@ -30,14 +30,6 @@
       every step otherwise).  Under [SPECREPAIR_FUZZ_CHAOS=drop-clause]
       the proof is tampered with before checking, so a correct checker
       {e rejects} and the hook trips as a discrepancy.
-    - [Simplify_target] — the proof-preserving inprocessing driver
-      ({!Specrepair_sat.Simplify}) vs. the DPLL reference: the verdict
-      must agree, a reconstructed model (variable elimination undone)
-      must satisfy the {e original} clauses, and the emitted Add/Delete
-      stream must be accepted by the DRUP checker against the original
-      CNF as premises.  Under [SPECREPAIR_FUZZ_CHAOS=corrupt-simplify]
-      one clause is strengthened without a justifying proof step, and the
-      checker (or the model/verdict comparison) must trip.
     - [Parse_target] — the frontend ({!Specrepair_alloy.Parser}) vs. the
       pretty printer ({!Specrepair_alloy.Pretty.source}): a generated
       spec's printed source must parse, parse ∘ print must be a fixpoint
@@ -83,7 +75,6 @@ type target =
   | Oracle_target
   | Eval_target
   | Proof_target
-  | Simplify_target
   | Parse_target
   | Stream_target
   | Panel_target
@@ -92,7 +83,7 @@ val all_targets : target list
 
 val target_name : target -> string
 (** CLI spelling: ["sat"], ["solver"], ["oracle"], ["eval"], ["proof"],
-    ["simplify"], ["parse"], ["stream"], ["panel"]. *)
+    ["parse"], ["stream"], ["panel"]. *)
 
 type report = {
   target : string;
@@ -127,8 +118,7 @@ val summary_json : corpus_dir:string -> seed:int -> report list -> string
 val replay_dir : string -> (string * (unit, string) result) list
 (** Re-runs the differential checks on every corpus entry
     ({!Corpus.files}): [.cnf] files go through the SAT cross-check (with
-    their recorded assumptions), a proof-logged solve whose certificate
-    must check, and — when the entry recorded no assumptions — the
-    simplify cross-check; [.als] files through the frontend round-trip
+    their recorded assumptions) and a proof-logged solve whose
+    certificate must check; [.als] files through the frontend round-trip
     plus the model-finder and oracle cross-checks for every command.
     Each [Error] describes the entry's first disagreement. *)

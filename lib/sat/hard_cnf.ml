@@ -56,29 +56,3 @@ let random_3sat ~seed ~num_vars ~num_clauses =
     List.map (fun v -> Lit.make v (rng_bool r)) (distinct [] 3)
   in
   { Dimacs.num_vars; clauses = List.init num_clauses (fun _ -> clause ()) }
-
-let with_redundancy ~seed ~copies cnf =
-  if copies < 0 then invalid_arg "Hard_cnf.with_redundancy";
-  let r = rng_create seed in
-  let redundant c =
-    List.init copies (fun _ ->
-        if rng_bool r then c (* a verbatim duplicate *)
-        else begin
-          (* a strict superset: pad with literals over fresh-ish variables,
-             avoiding complements of literals already in the clause (the
-             simplifier drops tautologies outright, which would make the
-             padding free instead of costly) *)
-          let extra = 1 + rng_int r 3 in
-          let pad =
-            List.init extra (fun _ ->
-                Lit.make (rng_int r cnf.Dimacs.num_vars) (rng_bool r))
-          in
-          let clashes l = List.mem (Lit.negate l) c || List.mem l c in
-          c @ List.filter (fun l -> not (clashes l)) pad
-        end)
-  in
-  {
-    cnf with
-    Dimacs.clauses =
-      List.concat_map (fun c -> c :: redundant c) cnf.Dimacs.clauses;
-  }

@@ -10,10 +10,3 @@ val random_3sat : seed:int -> num_vars:int -> num_clauses:int -> Dimacs.cnf
 (** Uniform random 3-SAT; at a clause/variable ratio near 4.26 the
     instances sit at the satisfiability phase transition, where both SAT
     and UNSAT answers are expensive.  Deterministic in [seed]. *)
-
-val with_redundancy : seed:int -> copies:int -> Dimacs.cnf -> Dimacs.cnf
-(** [with_redundancy ~seed ~copies cnf] interleaves each clause with
-    [copies] redundant companions — verbatim duplicates and strict
-    supersets — preserving (un)satisfiability.  Models the clause-level
-    redundancy of Tseitin-translated specifications; subsumption strips
-    the companions, a plain solver drags them through every propagation. *)

@@ -70,10 +70,3 @@ let remove_max t =
     sift_down t 0
   end;
   top
-
-let rebuild t vars =
-  Vec.clear t.heap;
-  for i = 0 to Vec.length t.indices - 1 do
-    Vec.set t.indices i (-1)
-  done;
-  List.iter (insert t) vars

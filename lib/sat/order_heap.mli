@@ -22,5 +22,3 @@ val remove_max : t -> int
 
 val is_empty : t -> bool
 val size : t -> int
-val rebuild : t -> int list -> unit
-(** [rebuild h vars] resets the heap to exactly [vars]. *)

@@ -31,8 +31,6 @@ type t = {
   mutable conflict_assumps : int list;
       (* assumptions involved in the last assumption-level Unsat *)
   mutable proof : Proof.sink option;
-  mutable restart_base : int; (* conflicts per Luby restart unit *)
-  mutable on_restart : (unit -> unit) option;
   (* statistics *)
   mutable conflicts : int;
   mutable decisions : int;
@@ -44,6 +42,7 @@ type t = {
 type result = Sat | Unsat | Unknown
 
 let var_decay = 1. /. 0.95
+let restart_base = 100. (* conflicts per Luby restart unit *)
 let clause_decay = 1. /. 0.999
 
 let create () =
@@ -70,8 +69,6 @@ let create () =
         root_level = 0;
         conflict_assumps = [];
         proof = None;
-        restart_base = 100;
-        on_restart = None;
         conflicts = 0;
         decisions = 0;
         propagations = 0;
@@ -90,33 +87,6 @@ let n_clauses s = Vec.length s.clauses
 let n_learnts s = Vec.length s.learnts
 let n_restarts s = s.restarts
 let n_reductions s = s.reductions
-
-(* {2 Diversification knobs (portfolio solving)} *)
-
-let set_restart_base s n =
-  if n < 1 then invalid_arg "Solver.set_restart_base";
-  s.restart_base <- n
-
-let set_on_restart s f = s.on_restart <- f
-
-let randomize s ~seed =
-  (* xorshift over the saved phases and a small activity jitter: enough to
-     send an otherwise-identical solver down a different part of the search
-     tree, without touching clause state or the proof stream invariants *)
-  let state = ref (if seed = 0 then 0x9E3779B9 else seed land max_int) in
-  let next () =
-    let x = !state in
-    let x = x lxor ((x lsl 13) land max_int) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor ((x lsl 17) land max_int) in
-    state := x;
-    x
-  in
-  for v = 0 to s.nvars - 1 do
-    s.polarity.(v) <- next () land 1 = 1;
-    s.activity.(v) <- float_of_int (next () land 0xffff) *. 1e-6
-  done;
-  Order_heap.rebuild s.order (List.init s.nvars Fun.id)
 
 (* {2 Proof logging}
 
@@ -594,10 +564,9 @@ let solve ?(assumptions = []) ?max_conflicts s =
              | Some b when s.conflicts >= b -> raise Exit
              | _ -> ());
              let restart_budget =
-               int_of_float (float_of_int s.restart_base *. luby 2. !restart)
+               int_of_float (restart_base *. luby 2. !restart)
              in
              incr restart;
-             (match s.on_restart with Some f -> f () | None -> ());
              result := search s ~max_learnts ~restart_budget ~conflict_limit
            done
          with Exit -> result := Unknown);
@@ -610,15 +579,6 @@ let solve ?(assumptions = []) ?max_conflicts s =
   end
 
 let unsat_assumptions s = List.map Lit.of_int s.conflict_assumps
-
-let root_units s =
-  (* literals fixed by level-0 propagation; the trail prefix below the
-     first decision (the whole trail when no decision is open) *)
-  let bound =
-    if Vec.length s.trail_lim = 0 then Vec.length s.trail
-    else Vec.get s.trail_lim 0
-  in
-  List.init bound (fun i -> Lit.of_int (Vec.get s.trail i))
 
 let value s v = if v < s.nvars then s.assigns.(v) = 1 else false
 let lit_value s l = value_lit s (Lit.to_int l) = 1

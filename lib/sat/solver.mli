@@ -61,31 +61,6 @@ val lit_value : t -> Lit.t -> bool
 val model : t -> bool array
 (** Snapshot of the full model after [Sat]. *)
 
-val root_units : t -> Lit.t list
-(** Literals fixed at decision level 0 (permanently implied by the clause
-    set), in trail order.  Useful between budgeted [solve] calls: an
-    inprocessing loop harvests these as unit clauses before
-    re-simplifying. *)
-
-(** {2 Diversification}
-
-    Knobs that change the order the search space is explored without
-    changing the answer — the portfolio racer gives each worker a
-    different configuration. *)
-
-val set_restart_base : t -> int -> unit
-(** Conflicts per Luby restart unit (default 100). *)
-
-val randomize : t -> seed:int -> unit
-(** Scrambles the saved phases and applies a small activity jitter,
-    deterministically in [seed].  Call after loading clauses and before
-    the first [solve]. *)
-
-val set_on_restart : t -> (unit -> unit) option -> unit
-(** Callback invoked at every restart boundary of a [solve] call; portfolio
-    workers use it to emit protocol heartbeats from inside a long solve.
-    Must not touch the solver. *)
-
 (** {2 Proof logging} *)
 
 val set_proof : t -> Proof.sink option -> unit

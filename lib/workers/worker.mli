@@ -1,5 +1,5 @@
 (** Forked worker processes: the one process substrate under the study
-    scheduler, the racing SAT portfolio and the daemon's serving pool.
+    scheduler, the daemon's serving pool and the client's [burst].
 
     A worker is a forked child joined to its parent by a command pipe
     and a message pipe, both carrying '\n'-terminated lines.  The child

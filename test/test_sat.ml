@@ -459,7 +459,7 @@ let test_order_heap () =
   Alcotest.(check (list int)) "max-activity order" [ 2; 4; 0; 3; 1 ] order;
   Alcotest.(check bool) "empty after drain" true (Order_heap.is_empty h);
   (* increase restores order *)
-  Order_heap.rebuild h [ 0; 1; 2 ];
+  List.iter (Order_heap.insert h) [ 0; 1; 2 ];
   activities.(1) <- 100.;
   Order_heap.increase h 1;
   Alcotest.(check int) "bumped var first" 1 (Order_heap.remove_max h)

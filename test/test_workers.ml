@@ -1,5 +1,5 @@
 (* Tests for the fork-worker substrate shared by the study scheduler, the
-   SAT portfolio and the serve pool: line framing, exit statuses, kill -9,
+   serve pool and the client's burst: line framing, exit statuses, kill -9,
    heartbeat staleness, descriptor hygiene, writes into a dead worker, the
    SIGPIPE guard, and reads under a readable set a respawn made stale. *)
 

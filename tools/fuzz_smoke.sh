@@ -8,10 +8,9 @@
 # locally via `specrepair fuzz --iters 500` — but every discrepancy
 # class the harness knows (SAT verdicts, models, unsat cores, budget
 # behaviour, model-finder vs enumeration, oracle coherence, pinned
-# translation vs evaluation, DRUP certificate checking, proof-preserving
-# simplification, frontend print/parse round-trips, streaming-corpus
-# split invariance, model-panel proposal contracts) is exercised on
-# every run.
+# translation vs evaluation, DRUP certificate checking, frontend
+# print/parse round-trips, streaming-corpus split invariance,
+# model-panel proposal contracts) is exercised on every run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,7 +35,6 @@ for pass in 1 2; do
         run oracle "$iters"
         run eval "$iters"
         run proof "$iters"
-        run simplify "$iters"
         run parse "$iters"
         run stream "$iters"
         run panel "$iters"
@@ -122,21 +120,6 @@ if ! ls "$workdir/chaos-proof"/*.cnf >/dev/null 2>&1; then
     exit 1
 fi
 
-# A third hook strengthens one clause inside the simplifier without
-# emitting the justifying proof step: the independent checker (or the
-# verdict/model comparison) must notice and fail the run.
-if SPECREPAIR_FUZZ_CHAOS=corrupt-simplify dune exec bin/specrepair.exe -- fuzz \
-    --target simplify --iters 50 --seed "$seed" \
-    --corpus-dir "$workdir/chaos-simplify" \
-    > "$workdir/chaos-simplify.json" 2>&1; then
-    echo "fuzz_smoke: unjustified simplification was not detected" >&2
-    exit 1
-fi
-if ! ls "$workdir/chaos-simplify"/*.cnf >/dev/null 2>&1; then
-    echo "fuzz_smoke: simplify chaos run persisted no corpus entry" >&2
-    exit 1
-fi
-
 # The parse chaos hook corrupts one token of each printed spec; the
 # frontend must reject every corrupted source with a diagnostic placed
 # exactly at the corruption.  Unlike the hooks above, correct behaviour
@@ -167,11 +150,11 @@ fi
 if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$FUZZ_ARTIFACTS_DIR"
     cp "$workdir/summary-1.json" "$FUZZ_ARTIFACTS_DIR/fuzz_summary.json"
-    for c in chaos chaos-proof chaos-simplify chaos-parse chaos-panel; do
+    for c in chaos chaos-proof chaos-parse chaos-panel; do
         if [ -s "$workdir/$c.json" ]; then
             cp "$workdir/$c.json" "$FUZZ_ARTIFACTS_DIR/fuzz_$c.json"
         fi
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/simplify/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; chaos hooks caught)"
