@@ -149,22 +149,20 @@ let analyze_cmd =
 
 (* {2 repair} *)
 
+(* "Repair engine: beafix, atr, multi-round, or portfolio" *)
+let tool_doc =
+  match List.rev_map fst Eval.Portfolio.tools with
+  | last :: rest ->
+      Printf.sprintf "Repair engine: %s, or %s"
+        (String.concat ", " (List.rev rest))
+        last
+  | [] -> "Repair engine"
+
 let repair_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let tool =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("beafix", `Beafix);
-               ("atr", `Atr);
-               ("multi-round", `Multi);
-               ("portfolio", `Portfolio);
-             ])
-          `Beafix
-      & info [ "tool" ]
-          ~doc:"Repair engine: beafix, atr, multi-round, or portfolio")
+    let names = List.map (fun (name, _) -> (name, name)) Eval.Portfolio.tools in
+    Arg.(value & opt (enum names) "beafix" & info [ "tool" ] ~doc:tool_doc)
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ]) in
   let deadline_ms =
@@ -182,72 +180,51 @@ let repair_cmd =
       & info [ "telemetry" ]
           ~doc:"Print the session's telemetry as one JSON line on stderr")
   in
-  let learned =
-    Arg.(
-      value & flag
-      & info [ "learned" ]
-          ~doc:
-            "With $(b,--tool portfolio): order the runnable techniques by \
-             the mined statistics in $(b,--stats) (expected value per \
-             millisecond for the task's defect class) and race the top of \
-             the ranking under the deadline.  Without statistics for the \
-             class the static ATR $(i,then) Multi-Round pipeline runs \
-             unchanged.")
-  in
   let stats_file =
     Arg.(
       value
       & opt (some file) None
       & info [ "stats" ] ~docv:"FILE"
           ~doc:
-            "Learned-portfolio statistics file (written by \
-             $(b,hybrid-table --stats-out) or mined from telemetry).  A \
-             tampered or truncated file is rejected loudly.")
+            "With $(b,--tool portfolio): order the runnable techniques by \
+             the mined statistics in $(docv) (expected value per \
+             millisecond for the task's defect class) and race the top of \
+             the ranking under the deadline.  Without statistics for the \
+             class the static ATR $(i,then) Multi-Round pipeline runs \
+             unchanged.  The file is written by $(b,hybrid-table \
+             --stats-out) or mined from telemetry; a tampered or \
+             truncated one is rejected loudly.")
   in
-  let run file tool seed deadline_ms telemetry learned stats_file profile =
+  let run file tool seed deadline_ms telemetry stats_file profile =
     match load_env file with
     | env ->
         let session = Repair.Session.create ~seed ?deadline_ms env in
+        let task =
+          Llm.Task.make ~spec_id:file ~domain:"cli"
+            ~faulty:env.Alloy.Typecheck.spec ()
+        in
         let result =
-          match tool with
-          | `Beafix -> Repair.Beafix.repair ~session env
-          | `Atr -> Repair.Atr.repair ~session env
-          | `Multi ->
-              let task =
-                Llm.Task.make ~spec_id:file ~domain:"cli"
-                  ~faulty:env.Alloy.Typecheck.spec ()
+          match (tool, stats_file) with
+          | "portfolio", Some path ->
+              let stats =
+                try Eval.Learned.load path
+                with Eval.Learned.Corrupt_stats msg ->
+                  Printf.eprintf "repair: statistics rejected: %s\n%!" msg;
+                  exit 1
               in
-              Llm.Multi_round.repair ~session ~profile task
-                Llm.Multi_round.Generic
-          | `Portfolio ->
-              let task =
-                Llm.Task.make ~spec_id:file ~domain:"cli"
-                  ~faulty:env.Alloy.Typecheck.spec ()
+              let o =
+                Eval.Portfolio.repair_learned ~session ~profile ~stats task
               in
-              if learned || Option.is_some stats_file then begin
-                let stats =
-                  match stats_file with
-                  | None -> None
-                  | Some path -> (
-                      try Some (Eval.Learned.load path)
-                      with Eval.Learned.Corrupt_stats msg ->
-                        Printf.eprintf "repair: statistics rejected: %s\n%!"
-                          msg;
-                        exit 1)
-                in
-                let o =
-                  Eval.Portfolio.repair_learned ~session ~profile ?stats task
-                in
-                Printf.eprintf "plan: class %s, %s%s\n%!"
-                  o.Eval.Portfolio.chosen_plan.Eval.Portfolio.defect_class
-                  (if o.chosen_plan.Eval.Portfolio.learned then "learned"
-                   else "cold start (static pipeline)")
-                  (match o.attempted with
-                  | [] -> ""
-                  | ts -> "; attempted " ^ String.concat ", " ts);
-                o.Eval.Portfolio.result
-              end
-              else fst (Eval.Portfolio.repair ~session ~profile task)
+              Printf.eprintf "plan: class %s, %s%s\n%!"
+                o.Eval.Portfolio.chosen_plan.Eval.Portfolio.defect_class
+                (if o.chosen_plan.Eval.Portfolio.learned then "learned"
+                 else "cold start (static pipeline)")
+                (match o.attempted with
+                | [] -> ""
+                | ts -> "; attempted " ^ String.concat ", " ts);
+              o.Eval.Portfolio.result
+          | _ ->
+              (List.assoc tool Eval.Portfolio.tools) ~session ~profile env task
         in
         Format.printf
           "tool: %s@.repaired: %b@.candidates tried: %d@.timed out: %b@.@.%s"
@@ -266,8 +243,8 @@ let repair_cmd =
        ~doc:"Repair a faulty specification against its own commands")
     Term.(
       ret
-        (const run $ file $ tool $ seed $ deadline_ms $ telemetry $ learned
-       $ stats_file $ profile_arg))
+        (const run $ file $ tool $ seed $ deadline_ms $ telemetry $ stats_file
+       $ profile_arg))
 
 (* {2 domains} *)
 
@@ -391,21 +368,8 @@ let evaluate_cmd =
   in
   let run sample seed jobs retries quiet what profiles csv_out csv_in
       artifacts_dir deadline_ms telemetry_out run_dir resume =
-    (* conflicting corpus selections are usage errors, caught before any
-       work: the streamed corpus is an index range, a per-domain sample is
-       not, and a resumed run's corpus is fixed by its manifest *)
     if resume && Option.is_none run_dir then
       `Error (true, "--resume requires --run-dir (the checkpoint to resume)")
-    else if Option.is_some sample && resume then
-      `Error
-        ( true,
-          "--sample cannot be combined with --resume: the resumed corpus is \
-           fixed by the run directory's manifest" )
-    else if Option.is_some sample && Option.is_some run_dir then
-      `Error
-        ( true,
-          "--sample cannot be combined with --run-dir: streamed runs index \
-           the full corpus" )
     else begin
       (* the paper's twelve-technique roster unless profiles widen it: the
          four traditional engines plus each requested profile's LLM
@@ -429,45 +393,48 @@ let evaluate_cmd =
         if quiet then fun _ -> () else fun msg -> Printf.eprintf "  %s\n%!" msg
       in
       let results =
-        match csv_in with
-        | Some path -> Eval.Study.of_csv (read_file path)
-        | None -> (
-            match run_dir with
-            | Some dir ->
-                let total = Eval.Corpus_stream.natural_total () in
-                if not quiet then
-                  Printf.eprintf
-                    "streaming %d variants x %d techniques into %s%s...\n%!"
-                    total
-                    (List.length techniques)
-                    dir
-                    (if resume then " (resume)" else "");
-                ignore
-                  (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries
-                     ?deadline_ms ?telemetry ~techniques ~progress ~resume ~dir
-                     ~total ());
-                (* lazy merge of the shards, then the usual renderers *)
-                let buf = Buffer.create 65536 in
-                ignore
-                  (Eval.Scheduler.fold_shards ~dir
-                     (fun n _i line ->
-                       Buffer.add_string buf line;
-                       Buffer.add_char buf '\n';
-                       n + 1)
-                     0);
-                Eval.Study.of_csv (Buffer.contents buf)
-            | None ->
-                let variants =
-                  match sample with
-                  | Some n -> Benchmarks.Generate.sample ~seed ~per_domain:n ()
-                  | None -> Benchmarks.Generate.all ~seed ()
-                in
-                if not quiet then
-                  Printf.eprintf "running %d variants x %d techniques...\n%!"
-                    (List.length variants)
-                    (List.length techniques);
-                Eval.Study.run_parallel ~seed ~jobs ~max_retries:retries
-                  ?deadline_ms ?telemetry ~techniques ~progress variants)
+        match (csv_in, run_dir) with
+        | Some path, _ -> Eval.Study.of_csv (read_file path)
+        | None, Some dir ->
+            (* a sample is streamed as a list source whose name records
+               its size, so the checkpoint fingerprint covers it *)
+            let source, total =
+              match sample with
+              | None ->
+                  ( Eval.Corpus_stream.Injected,
+                    Eval.Corpus_stream.natural_total () )
+              | Some n ->
+                  let variants =
+                    Benchmarks.Generate.sample ~seed ~per_domain:n ()
+                  in
+                  ( Eval.Corpus_stream.of_variants
+                      ~name:(Printf.sprintf "injected-sample-%d" n)
+                      variants,
+                    List.length variants )
+            in
+            if not quiet then
+              Printf.eprintf
+                "streaming %d variants x %d techniques into %s%s...\n%!" total
+                (List.length techniques)
+                dir
+                (if resume then " (resume)" else "");
+            ignore
+              (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries
+                 ?deadline_ms ?telemetry ~techniques ~progress ~source ~resume
+                 ~dir ~total ());
+            Eval.Study.read_stream ~dir
+        | None, None ->
+            let variants =
+              match sample with
+              | Some n -> Benchmarks.Generate.sample ~seed ~per_domain:n ()
+              | None -> Benchmarks.Generate.all ~seed ()
+            in
+            if not quiet then
+              Printf.eprintf "running %d variants x %d techniques...\n%!"
+                (List.length variants)
+                (List.length techniques);
+            Eval.Study.run ~seed ~jobs ~max_retries:retries ?deadline_ms
+              ?telemetry ~techniques ~progress variants
       in
       Option.iter close_out telemetry_chan;
       (match csv_out with
@@ -734,23 +701,32 @@ let study_cmd =
       Printf.eprintf "study: %d variants x %d techniques -> %s%s\n%!" total
         (List.length techniques) dir
         (if resume then " (resume)" else "");
-    (try
-       ignore
-         (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
-            ?telemetry ~techniques ~progress ~resume ~dir ~total ())
-     with
-     | Eval.Manifest.Corrupt msg ->
-         Printf.eprintf "study: checkpoint rejected: %s\n%!" msg;
-         exit 1
-     | Failure msg ->
-         Printf.eprintf "study: %s\n%!" msg;
-         exit 1);
-    Option.iter close_out telemetry_chan;
     let csv = Option.value csv_out ~default:(Filename.concat dir "results.csv") in
-    let oc = open_out csv in
-    let rows = Eval.Study.write_stream_csv ~dir oc in
-    close_out oc;
-    Printf.printf "study: %d rows -> %s\n%!" rows csv
+    (* the CSV appears only once the merge has verified every row *)
+    let tmp = csv ^ ".tmp" in
+    let reject msg =
+      if Sys.file_exists tmp then Sys.remove tmp;
+      Printf.eprintf "study: %s\n%!" msg;
+      exit 1
+    in
+    match
+      ignore
+        (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
+           ?telemetry ~techniques ~progress ~resume ~dir ~total ());
+      Option.iter close_out telemetry_chan;
+      let oc = open_out tmp in
+      let rows =
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> Eval.Study.write_stream_csv ~dir oc)
+      in
+      Sys.rename tmp csv;
+      rows
+    with
+    | rows -> Printf.printf "study: %d rows -> %s\n%!" rows csv
+    | exception Eval.Manifest.Corrupt msg ->
+        reject ("checkpoint rejected: " ^ msg)
+    | exception Failure msg -> reject msg
   in
   Cmd.v
     (Cmd.info "study"
@@ -1036,8 +1012,7 @@ let client_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "tool" ]
-          ~doc:"Repair engine: beafix, atr, multi-round, or portfolio")
+      & info [ "tool" ] ~doc:tool_doc)
   in
   let profile =
     (* a plain string, validated daemon-side: the client forwards the

@@ -51,6 +51,10 @@ let variant ?(source = Injected) ~seed i =
   | Injected -> injected ~seed i
   | Custom { produce; _ } -> produce ~seed i
 
+let of_variants ~name variants =
+  let variants = Array.of_list variants in
+  Custom { name; produce = (fun ~seed:_ i -> variants.(i)) }
+
 let iter ?source ~seed ~lo ~hi f =
   for i = lo to hi - 1 do
     f i (variant ?source ~seed i)

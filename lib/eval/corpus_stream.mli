@@ -38,6 +38,11 @@ val variant : ?source:source -> seed:int -> int -> Benchmarks.Generate.variant
 (** The variant at a global index.  Deterministic in
     [(source, seed, index)]; derived on every call, never cached. *)
 
+val of_variants : name:string -> Benchmarks.Generate.variant list -> source
+(** A [Custom] source over a materialized list: index [i] is its [i]-th
+    element (the seed is the list's, not the source's).  [name] must
+    identify the list — it is all the run fingerprint sees of it. *)
+
 val iter :
   ?source:source ->
   seed:int ->

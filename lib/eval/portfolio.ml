@@ -47,6 +47,21 @@ let repair ?session ?(profile = Llm.Model.gpt4) (task : Llm.Task.t) =
         (combined, if mr.repaired then Llm_finished else Unrepaired)
       end
 
+(* {2 Single-spec repair tools} *)
+
+let tools =
+  [
+    ( "beafix",
+      fun ~session ~profile:_ env _task -> Repair.Beafix.repair ~session env );
+    ( "atr",
+      fun ~session ~profile:_ env _task -> Repair.Atr.repair ~session env );
+    ( "multi-round",
+      fun ~session ~profile _env task ->
+        Llm.Multi_round.repair ~session ~profile task Llm.Multi_round.Generic );
+    ( "portfolio",
+      fun ~session ~profile _env task -> fst (repair ~session ~profile task) );
+  ]
+
 (* {2 Learned ordering} *)
 
 type plan = {

@@ -24,6 +24,20 @@ val repair :
     created from the task's faulty spec, identically for every profile and
     entry point (pinned by test against an explicit session). *)
 
+(** {2 Single-spec repair tools} *)
+
+val tools :
+  (string
+  * (session:Specrepair_repair.Session.t ->
+    profile:Llm.Model.profile ->
+    Specrepair_alloy.Typecheck.env ->
+    Llm.Task.t ->
+    Common.result))
+  list
+(** The engines a single-spec repair request can name, in menu order:
+    [repair --tool] and the daemon's [params.tool] both read this table.
+    Each takes the spec's env and a task over the same faulty spec. *)
+
 (** {2 Learned ordering} *)
 
 type plan = {

@@ -18,15 +18,13 @@
        ERR <id> <message>         deterministic evaluation error; exiting
 
    A worker publishes each finished chunk by writing `chunk_<id>.tmp` in
-   the run's scratch directory and renaming it to `chunk_<id>.res` — the
-   rename is atomic, so the parent never observes a torn file.  The file
-   carries `R <index> <result>` lines plus `T <line>` sideband lines
-   (telemetry), and the parent cross-checks received vs expected row
-   counts before merging.
-
-   {!map} merges rows into memory; {!map_checkpointed} keeps each
-   verified chunk as a shard recorded in a checkpoint manifest (see the
-   interface).  A dead or silent worker has its in-flight chunk requeued
+   the run directory and renaming it to `chunk_<id>.res` — the rename is
+   atomic, so the parent never observes a torn file.  The file carries
+   `R <index> <result>` lines plus `T <line>` sideband lines (telemetry),
+   and the parent cross-checks received vs expected row counts before
+   keeping the chunk as a shard recorded in the checkpoint manifest (see
+   the interface).  Rows never enter parent memory; {!fold_shards} reads
+   them back.  A dead or silent worker has its in-flight chunk requeued
    (bounded by [max_retries]) and a replacement is forked. *)
 
 module Counters = Specrepair_json.Counters
@@ -189,15 +187,83 @@ let status_to_string = function
   | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
 
-(* The shared scheduling loop.  [pending] is the sorted list of row
-   ranges still to compute out of [0, total); [on_verified] consumes each
-   cross-checked chunk result file (its path still present) and either
-   keeps it (checkpoint mode renames it to a shard) or folds it into
-   memory; [keep_dir] controls scratch cleanup. *)
-let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-    ~keep_dir ~pending ~total ~on_verified ~f () =
+(* Verify that the shard backing a completed range still parses and
+   covers exactly its rows; anything less means the checkpoint lies. *)
+let verify_shard ~dir ~total (lo, hi) =
+  let path = shard_path dir ~lo ~hi in
+  match parse_res_file ~max_index:total path with
+  | None ->
+      raise
+        (Manifest.Corrupt
+           (Printf.sprintf
+              "manifest records [%d, %d) complete but %s is missing or torn" lo
+              hi path))
+  | Some (rows, _) ->
+      if not (rows_cover ~lo ~hi rows) then
+        raise
+          (Manifest.Corrupt
+             (Printf.sprintf "%s does not cover its recorded range [%d, %d)"
+                path lo hi))
+
+(* Leftover chunk files (a crash between a worker's rename and the
+   parent's checkpoint) are recomputed, never trusted. *)
+let sweep_stray_chunks dir =
+  Array.iter
+    (fun f ->
+      if String.length f >= 6 && String.sub f 0 6 = "chunk_" then
+        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (Sys.readdir dir)
+
+(* The run's starting manifest: the validated checkpoint on [~resume],
+   otherwise a fresh one — refused over a directory that already holds
+   completed rows. *)
+let open_manifest ~resume ~dir ~fingerprint n =
+  if resume then begin
+    let m = Manifest.load ~dir in
+    if m.Manifest.fingerprint <> fingerprint then
+      raise
+        (Manifest.Corrupt
+           (Printf.sprintf
+              "run parameters changed: manifest fingerprint %S, expected %S"
+              m.Manifest.fingerprint fingerprint));
+    if m.Manifest.total <> n then
+      raise
+        (Manifest.Corrupt
+           (Printf.sprintf "manifest total %d, expected %d" m.Manifest.total
+              n));
+    List.iter (verify_shard ~dir ~total:n) m.Manifest.completed;
+    m
+  end
+  else begin
+    (match Manifest.load ~dir with
+    | exception Manifest.Corrupt _ -> ()
+    | m when Manifest.rows_done m > 0 ->
+        failwith
+          (Printf.sprintf
+             "Scheduler.map_checkpointed: %s already holds a checkpoint with \
+              %d completed rows; pass ~resume:true to continue it or use a \
+              fresh directory"
+             dir (Manifest.rows_done m))
+    | _ -> ());
+    let m = Manifest.create ~fingerprint ~total:n in
+    Manifest.save ~dir m;
+    m
+  end
+
+let map_checkpointed ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
+    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
+    ~fingerprint ~f n =
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let manifest = ref (open_manifest ~resume ~dir ~fingerprint n) in
+  if resume then
+    progress
+      (Printf.sprintf "resuming: %d/%d rows already checkpointed"
+         (Manifest.rows_done !manifest) n);
+  sweep_stray_chunks dir;
+  let crash_after = chaos_crash_after () in
   let stats = Counters.create schema in
-  let todo = List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 pending in
+  let pending = Manifest.pending !manifest in
+  let todo = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 pending in
   if todo = 0 then stats
   else begin
     let jobs = max 1 (min jobs todo) in
@@ -278,14 +344,22 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     let merged = ref 0 in
     let merge_chunk w (c : chunk) ~reported =
       let path = res_path dir c.id in
-      let parsed = parse_res_file ~max_index:total path in
+      let parsed = parse_res_file ~max_index:n path in
       match parsed with
       | Some (rows, tlines)
         when reported = List.length rows && rows_cover ~lo:c.lo ~hi:c.hi rows ->
-          on_verified c ~path ~rows ~tlines;
+          (* shard first, checkpoint second: the manifest only ever vouches
+             for a shard that is already in place *)
+          Sys.rename path (shard_path dir ~lo:c.lo ~hi:c.hi);
+          manifest := Manifest.add !manifest ~lo:c.lo ~hi:c.hi;
+          Manifest.save ~dir !manifest;
+          Counters.incr stats chunks_completed;
+          (match crash_after with
+          | Some k when Counters.get stats chunks_completed >= k ->
+              Unix.kill (Unix.getpid ()) Sys.sigkill
+          | _ -> ());
           List.iter emit tlines;
           merged := !merged + List.length rows;
-          Counters.incr stats chunks_completed;
           Counters.add stats rows_completed (List.length rows);
           let elapsed = now () -. started in
           let rate = float_of_int !merged /. max 1e-9 elapsed in
@@ -330,14 +404,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     in
     let cleanup () =
       List.iter (fun w -> Worker.kill w.proc) (live_workers ());
-      Hashtbl.reset workers;
-      if not keep_dir then (
-        try
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-            (Sys.readdir dir);
-          Unix.rmdir dir
-        with Sys_error _ | Unix.Unix_error _ -> ())
+      Hashtbl.reset workers
     in
     Worker.with_sigpipe_ignored @@ fun () ->
     Fun.protect ~finally:cleanup (fun () ->
@@ -397,128 +464,6 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
         Hashtbl.reset workers;
         stats)
   end
-
-let map ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
-    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ~f n =
-  if n = 0 then ([||], Counters.create schema)
-  else begin
-    let dir = Filename.temp_dir "specrepair_sched_" "" in
-    let results : string option array = Array.make n None in
-    let on_verified _c ~path ~rows ~tlines:_ =
-      List.iter (fun (i, r) -> results.(i) <- Some r) rows;
-      try Sys.remove path with Sys_error _ -> ()
-    in
-    let stats =
-      run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-        ~keep_dir:false
-        ~pending:[ (0, n) ]
-        ~total:n ~on_verified ~f ()
-    in
-    ( Array.mapi
-        (fun i r ->
-          match r with
-          | Some line -> line
-          | None ->
-              raise
-                (Chunk_failed
-                   {
-                     indices = [ i ];
-                     attempts = 0;
-                     reason = "internal: row never merged";
-                   }))
-        results,
-      stats )
-  end
-
-(* {2 Checkpointed streaming mode} *)
-
-(* Verify that the shard backing a completed range still parses and
-   covers exactly its rows; anything less means the checkpoint lies. *)
-let verify_shard ~dir ~total (lo, hi) =
-  let path = shard_path dir ~lo ~hi in
-  match parse_res_file ~max_index:total path with
-  | None ->
-      raise
-        (Manifest.Corrupt
-           (Printf.sprintf
-              "manifest records [%d, %d) complete but %s is missing or torn" lo
-              hi path))
-  | Some (rows, _) ->
-      if not (rows_cover ~lo ~hi rows) then
-        raise
-          (Manifest.Corrupt
-             (Printf.sprintf "%s does not cover its recorded range [%d, %d)"
-                path lo hi))
-
-(* Leftover chunk files (a crash between a worker's rename and the
-   parent's checkpoint) are recomputed, never trusted. *)
-let sweep_stray_chunks dir =
-  Array.iter
-    (fun f ->
-      if String.length f >= 6 && String.sub f 0 6 = "chunk_" then
-        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir)
-
-let map_checkpointed ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
-    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
-    ~fingerprint ~f n =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let manifest =
-    if resume then begin
-      let m = Manifest.load ~dir in
-      if m.Manifest.fingerprint <> fingerprint then
-        raise
-          (Manifest.Corrupt
-             (Printf.sprintf
-                "run parameters changed: manifest fingerprint %S, expected %S"
-                m.Manifest.fingerprint fingerprint));
-      if m.Manifest.total <> n then
-        raise
-          (Manifest.Corrupt
-             (Printf.sprintf "manifest total %d, expected %d" m.Manifest.total n));
-      List.iter (verify_shard ~dir ~total:n) m.Manifest.completed;
-      progress
-        (Printf.sprintf "resuming: %d/%d rows already checkpointed"
-           (Manifest.rows_done m) n);
-      ref m
-    end
-    else begin
-      (match Manifest.load ~dir with
-      | exception Manifest.Corrupt _ -> ()
-      | m when Manifest.rows_done m > 0 ->
-          failwith
-            (Printf.sprintf
-               "Scheduler.map_checkpointed: %s already holds a checkpoint with \
-                %d completed rows; pass ~resume:true to continue it or use a \
-                fresh directory"
-               dir (Manifest.rows_done m))
-      | _ -> ());
-      let m = Manifest.create ~fingerprint ~total:n in
-      Manifest.save ~dir m;
-      ref m
-    end
-  in
-  sweep_stray_chunks dir;
-  let crash_after = chaos_crash_after () in
-  let completed_this_run = ref 0 in
-  let on_verified (c : chunk) ~path ~rows:_ ~tlines:_ =
-    (* shard first, checkpoint second: the manifest only ever vouches for
-       a shard that is already in place *)
-    Sys.rename path (shard_path dir ~lo:c.lo ~hi:c.hi);
-    manifest := Manifest.add !manifest ~lo:c.lo ~hi:c.hi;
-    Manifest.save ~dir !manifest;
-    incr completed_this_run;
-    match crash_after with
-    | Some k when !completed_this_run >= k ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ()
-  in
-  let pending = Manifest.pending !manifest in
-  let stats =
-    run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-      ~keep_dir:true ~pending ~total:n ~on_verified ~f ()
-  in
-  stats
 
 let fold_shards ~dir f acc =
   let m = Manifest.load ~dir in

@@ -28,30 +28,6 @@ exception Chunk_failed of { indices : int list; attempts : int; reason : string 
 (** A chunk exhausted its retry budget ([indices] are the work items it
     carried), or a worker reported a deterministic evaluation error. *)
 
-val map :
-  jobs:int ->
-  ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
-  ?progress:(string -> unit) ->
-  ?emit:(string -> unit) ->
-  f:(emit:(string -> unit) -> int -> string) ->
-  int ->
-  string array * stats
-(** [map ~jobs ~f n] evaluates [f i] for every [i < n] across [jobs]
-    forked workers and returns the results in index order, plus the
-    scheduler's counters.  [f] runs in the worker process; it must return
-    a single line (no ['\n']) and may call its [emit] argument with
-    sideband lines (telemetry) that the parent forwards to [?emit] when
-    the chunk is merged.  [f] must be deterministic: a retried chunk
-    re-evaluates its items from scratch.
-
-    [?max_retries] (default 2) bounds requeues per chunk; exhausting it
-    raises {!Chunk_failed} naming the offending work items.
-    [?heartbeat_timeout_ms] (default 300_000) is how long a worker may go
-    without finishing an item before the parent presumes it hung and
-    kills it.  [jobs] is clamped to [n]; [jobs <= 1] still forks (use the
-    caller's sequential path to avoid forking entirely). *)
-
 val map_checkpointed :
   jobs:int ->
   ?max_retries:int ->
@@ -64,13 +40,28 @@ val map_checkpointed :
   f:(emit:(string -> unit) -> int -> string) ->
   int ->
   stats
-(** The streaming twin of {!map}: same worker pool, chunk protocol and
-    fault tolerance, but results never enter parent memory.  Each
-    verified chunk is kept as a result shard [shard_<lo>_<hi>.res] in
-    [dir] and its range recorded in the atomically-replaced checkpoint
-    manifest [dir/manifest.json] ({!Manifest}) — shard rename first,
-    manifest second, so the manifest only ever vouches for shards that
-    exist.  Parent memory is O(jobs + pending ranges) whatever [n].
+(** [map_checkpointed ~jobs ~dir ~fingerprint ~f n] evaluates [f i] for
+    every [i < n] across [jobs] forked workers, plus the scheduler's
+    counters.  [f] runs in the worker process; it must return a single
+    line (no ['\n']) and may call its [emit] argument with sideband lines
+    (telemetry) that the parent forwards to [?emit] when the chunk is
+    merged.  [f] must be deterministic: a retried chunk re-evaluates its
+    items from scratch.
+
+    [?max_retries] (default 2) bounds requeues per chunk; exhausting it
+    raises {!Chunk_failed} naming the offending work items.
+    [?heartbeat_timeout_ms] (default 300_000) is how long a worker may go
+    without finishing an item before the parent presumes it hung and
+    kills it.  [jobs] is clamped to the pending rows; [jobs <= 1] still
+    forks (use the caller's sequential path to avoid forking entirely).
+
+    Results never enter parent memory.  Each verified chunk is kept as a
+    result shard [shard_<lo>_<hi>.res] in [dir] and its range recorded in
+    the atomically-replaced checkpoint manifest [dir/manifest.json]
+    ({!Manifest}) — shard rename first, manifest second, so the manifest
+    only ever vouches for shards that exist.  Parent memory is O(jobs +
+    pending ranges) whatever [n].  [dir] is created if absent and never
+    removed: it is the caller's.
 
     With [~resume:true] the manifest is loaded, validated against
     [fingerprint] and [n], every recorded shard re-checked, and only the

@@ -179,8 +179,7 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
     time_ms = elapsed;
   }
 
-let run ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
-    ?telemetry ?(techniques = Technique.all) ?(progress = fun _ -> ())
+let run_sequential ~seed ~budget ?deadline_ms ?telemetry ~techniques ~progress
     variants =
   let total = List.length variants * List.length techniques in
   let done_count = ref 0 in
@@ -257,18 +256,21 @@ let of_csv text =
       if line = "" || line = header then None else Some (row_of_line line))
     (String.split_on_char '\n' text)
 
-(* {2 Parallel runner}
+(* {2 Streaming runner}
 
-   Fans the (variant, technique) rows out over {!Scheduler} worker
-   processes: the parent keeps a chunked work queue, workers pull chunks
-   over a pipe and publish each finished chunk atomically, and a worker
-   that dies mid-chunk costs one chunk of recompute (bounded retries),
-   not the study.  Safe because every row is deterministic and workers
-   share nothing; per-row telemetry lines ride along in the chunk files
-   and are replayed into the caller's sink as each chunk is merged,
-   followed by one final [{"scheduler":…}] summary line. *)
+   Every multi-process study goes through here.  The corpus is a
+   {!Corpus_stream} index range (variants derived on demand in the
+   workers) and the results live as checkpointed shards in a run
+   directory ({!Scheduler.map_checkpointed}): a worker that dies
+   mid-chunk costs one chunk of recompute (bounded retries), a killed
+   run resumes from the manifest's pending complement, and both sides of
+   the study are O(chunk) memory whatever the total.  Safe because every
+   row is deterministic and workers share nothing; per-row telemetry
+   lines ride along in the chunk files and are replayed into the
+   caller's sink as each chunk is merged, followed by one final
+   [{"scheduler":…}] summary line. *)
 
-(* the final [{"scheduler":…}] telemetry line of a parallel or streamed run *)
+(* the final [{"scheduler":…}] telemetry line of a multi-process run *)
 let scheduler_line ~jobs stats =
   let module Json = Specrepair_json in
   Json.to_string
@@ -277,63 +279,6 @@ let scheduler_line ~jobs stats =
          ( Json.Counters.name stats,
            Json.Obj (("jobs", Json.int jobs) :: Json.Counters.fields stats) );
        ])
-
-(* The end of a parallel or streamed run: the [{"scheduler":…}] line, the
-   [on_stats] callback, and one progress line ([rows] prints the rows
-   completed). *)
-let report_stats ~jobs ?telemetry ?on_stats ~progress ~rows stats =
-  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
-  Option.iter (fun g -> g stats) on_stats;
-  let get = Specrepair_json.Counters.get stats in
-  progress
-    (Printf.sprintf
-       "%s from %d worker(s): %d chunks, %d retries, %d workers lost"
-       (rows (get Scheduler.rows_completed))
-       jobs
-       (get Scheduler.chunks_completed)
-       (get Scheduler.retries) (get Scheduler.workers_lost))
-
-let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
-    ?deadline_ms ?telemetry ?(techniques = Technique.all) ?(jobs = 1)
-    ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
-    ?(progress = fun _ -> ()) variants =
-  if jobs <= 1 then
-    run ~seed ~budget ?deadline_ms ?telemetry ~techniques ~progress variants
-  else begin
-    let work =
-      Array.of_list
-        (List.concat_map
-           (fun v -> List.map (fun t -> (v, t)) techniques)
-           variants)
-    in
-    let want_telemetry = Option.is_some telemetry in
-    (* runs in the worker process; the row's telemetry line goes through
-       the chunk file's sideband channel *)
-    let f ~emit i =
-      let v, t = work.(i) in
-      let telemetry = if want_telemetry then Some emit else None in
-      row_to_line (run_one ~seed ~budget ?deadline_ms ?telemetry t v)
-    in
-    let lines, stats =
-      Scheduler.map ~jobs ~max_retries ?heartbeat_timeout_ms ~progress
-        ?emit:telemetry ~f (Array.length work)
-    in
-    report_stats ~jobs ?telemetry ?on_stats ~progress
-      ~rows:(Printf.sprintf "%d rows") stats;
-    (* results arrive indexed by work item, i.e. already in the sequential
-       run's (variant-major, technique-minor) order: the merged CSV is
-       byte-identical to [--jobs 1] modulo the wall-clock [time_ms] *)
-    Array.to_list (Array.map row_of_line lines)
-  end
-
-(* {2 Streaming runner}
-
-   The million-variant mode: the corpus is a {!Corpus_stream} index range
-   (variants derived on demand in the workers, never materialized) and the
-   results live as checkpointed shards in a run directory
-   ({!Scheduler.map_checkpointed}), so both sides of the study are
-   O(chunk) memory whatever the total.  A killed run resumes from the
-   manifest's pending complement. *)
 
 let stream_fingerprint ~seed ~source ~techniques ~total =
   Corpus_stream.fingerprint ~source ~seed ~total:(total * List.length techniques)
@@ -345,7 +290,7 @@ let stream_fingerprint ~seed ~source ~techniques ~total =
 
 let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?(techniques = Technique.all) ?(jobs = 1)
-    ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
+    ?(max_retries = 2) ?on_stats
     ?(progress = fun _ -> ()) ?(source = Corpus_stream.Injected)
     ?(resume = false) ~dir ~total () =
   if techniques = [] then invalid_arg "Study.run_stream: no techniques";
@@ -373,30 +318,34 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     row_to_line (run_one ~seed ~budget ?deadline_ms ?telemetry tech.(ti) v)
   in
   let stats =
-    Scheduler.map_checkpointed ~jobs ~max_retries ?heartbeat_timeout_ms
-      ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
+    Scheduler.map_checkpointed ~jobs ~max_retries ~progress ?emit:telemetry
+      ~resume ~dir ~fingerprint ~f nrows
   in
-  report_stats ~jobs ?telemetry ?on_stats ~progress
-    ~rows:(fun n -> Printf.sprintf "%d rows this run (%d total)" n nrows)
-    stats;
+  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
+  Option.iter (fun g -> g stats) on_stats;
+  let get = Specrepair_json.Counters.get stats in
+  progress
+    (Printf.sprintf
+       "%d rows this run (%d total) from %d worker(s): %d chunks, %d retries, \
+        %d workers lost"
+       (get Scheduler.rows_completed)
+       nrows jobs
+       (get Scheduler.chunks_completed)
+       (get Scheduler.retries) (get Scheduler.workers_lost));
   stats
 
-(* The lazy merge: stream the shards of a complete run into [oc] in
-   global row order, one shard in memory at a time.  [~timings:false]
-   re-normalizes each row through the CSV codec to zero [time_ms], the
-   same byte-stability contract as {!to_csv}.
+(* The verified merge: the rows of a complete run in global row order,
+   one shard in memory at a time, each with its CSV line.
 
    Every row is re-parsed on the way through — the scheduler's shard
    verification checks the framing (indices, coverage), but only this
    layer knows the payload is a study row, and a shard truncated inside
-   a payload would otherwise slip into the merged CSV.  An unparsable
+   a payload would otherwise slip into the merged rows.  An unparsable
    row means a shard changed after it was checkpointed: that is a
    corrupt checkpoint, reported as such. *)
-let write_stream_csv ?(timings = true) ~dir oc =
-  output_string oc header;
-  output_char oc '\n';
+let fold_stream ~dir f acc =
   Scheduler.fold_shards ~dir
-    (fun count i line ->
+    (fun acc i line ->
       let row =
         try row_of_line line
         with Failure msg ->
@@ -407,7 +356,53 @@ let write_stream_csv ?(timings = true) ~dir oc =
                    modified after checkpointing"
                   dir i msg))
       in
+      f acc line row)
+    acc
+
+(* [~timings:false] re-normalizes each row through the CSV codec to zero
+   [time_ms], the same byte-stability contract as {!to_csv}. *)
+let write_stream_csv ?(timings = true) ~dir oc =
+  output_string oc header;
+  output_char oc '\n';
+  fold_stream ~dir
+    (fun count line row ->
       output_string oc (if timings then line else row_to_line ~timings row);
       output_char oc '\n';
       count + 1)
     0
+
+let read_stream ~dir =
+  List.rev (fold_stream ~dir (fun acc _ row -> row :: acc) [])
+
+(* The scratch run directory of a multi-process {!run}: flat (manifest,
+   shards, stray chunk files), so emptying it is one [readdir]. *)
+let remove_run_dir dir =
+  try
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir);
+    Unix.rmdir dir
+  with Sys_error _ | Unix.Unix_error _ -> ()
+
+(* With [jobs > 1] the variant list is streamed like any other corpus
+   (a [Custom] source over it) into a scratch run directory and read
+   back through the verified merge: row order is the sequential run's,
+   so the CSV is byte-identical to [jobs = 1] modulo [time_ms]. *)
+let run ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
+    ?telemetry ?(techniques = Technique.all) ?(jobs = 1) ?max_retries ?on_stats
+    ?(progress = fun _ -> ()) variants =
+  if jobs <= 1 || variants = [] || techniques = [] then
+    run_sequential ~seed ~budget ?deadline_ms ?telemetry ~techniques ~progress
+      variants
+  else begin
+    let dir = Filename.temp_dir "specrepair_study_" "" in
+    Fun.protect
+      ~finally:(fun () -> remove_run_dir dir)
+      (fun () ->
+        ignore
+          (run_stream ~seed ~budget ?deadline_ms ?telemetry ~techniques ~jobs
+             ?max_retries ?on_stats ~progress
+             ~source:(Corpus_stream.of_variants ~name:"variants" variants)
+             ~dir ~total:(List.length variants) ());
+        read_stream ~dir)
+  end

@@ -42,36 +42,26 @@ val run :
   ?deadline_ms:float ->
   ?telemetry:(string -> unit) ->
   ?techniques:Technique.t list ->
-  ?progress:(string -> unit) ->
-  Benchmarks.Generate.variant list ->
-  spec_result list
-(** Row-major: every technique applied to every variant, each row on its
-    domain's shared oracle. *)
-
-val run_parallel :
-  ?seed:int ->
-  ?budget:Specrepair_repair.Common.budget ->
-  ?deadline_ms:float ->
-  ?telemetry:(string -> unit) ->
-  ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
   ?on_stats:(Scheduler.stats -> unit) ->
   ?progress:(string -> unit) ->
   Benchmarks.Generate.variant list ->
   spec_result list
-(** Like {!run} but fanned out over [jobs] forked workers through the
-    fault-tolerant {!Scheduler}: dynamic chunked work queue, per-chunk
-    atomic result files, dead workers respawned and their in-flight chunk
-    requeued up to [?max_retries] (default 2) times before
-    {!Scheduler.Chunk_failed} names the offending rows.  Results come
-    back in the sequential run's order, so the CSV is byte-identical to
-    [jobs = 1] except for the wall-clock [time_ms] column.  Worker
-    telemetry lines are replayed into [?telemetry] as each chunk is
-    merged (every row exactly once), followed by one final
-    [{"scheduler":…}] summary line; [?on_stats] receives the scheduler's
-    counters after the merge. *)
+(** Row-major: every technique applied to every variant, each row on its
+    domain's shared oracle.  [jobs] (default 1) runs in this process.
+    [jobs > 1] is {!run_stream} over the list: the rows fan out over
+    forked workers through the checkpointed {!Scheduler} into a scratch
+    run directory, come back through the same verified merge as
+    {!read_stream}, and the directory is removed on success and on
+    failure.  A dead worker's in-flight chunk is requeued up to
+    [?max_retries] (default 2) times before {!Scheduler.Chunk_failed}
+    names the offending rows.  Results come back in the sequential
+    run's order, so the CSV is byte-identical to [jobs = 1] except for
+    the wall-clock [time_ms] column.  Worker telemetry lines are
+    replayed into [?telemetry] as each chunk is merged (every row
+    exactly once), followed by one final [{"scheduler":…}] summary line;
+    [?on_stats] receives the scheduler's counters. *)
 
 val run_stream :
   ?seed:int ->
@@ -81,7 +71,6 @@ val run_stream :
   ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
   ?on_stats:(Scheduler.stats -> unit) ->
   ?progress:(string -> unit) ->
   ?source:Corpus_stream.source ->
@@ -99,7 +88,7 @@ val run_stream :
     The checkpoint fingerprint covers source, seed, total and techniques,
     so a resume under different parameters is rejected
     ({!Manifest.Corrupt}).  Progress lines carry rows/s and an ETA; rows
-    stream back with {!write_stream_csv}. *)
+    stream back with {!write_stream_csv} or {!read_stream}. *)
 
 val write_stream_csv : ?timings:bool -> dir:string -> out_channel -> int
 (** Lazily merge a {e complete} streamed run into one CSV (header plus
@@ -109,6 +98,11 @@ val write_stream_csv : ?timings:bool -> dir:string -> out_channel -> int
     [~timings:false] zeroes it on both sides, making the equality exact.
     Fails loudly on an incomplete run; raises {!Manifest.Corrupt} on an
     untrustworthy checkpoint. *)
+
+val read_stream : dir:string -> spec_result list
+(** The rows of a {e complete} streamed run in corpus order, through the
+    same verified merge as {!write_stream_csv}: an unparsable row raises
+    {!Manifest.Corrupt}. *)
 
 val to_csv : ?timings:bool -> spec_result list -> string
 (** [~timings:false] zeroes the wall-clock [time_ms] column, yielding

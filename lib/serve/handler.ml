@@ -106,23 +106,14 @@ let handle_repair t ~id (p : Protocol.repair_params) =
   in
   (* validated by Protocol.parse_request against the panel registry *)
   let profile = Option.get (Llm.Model.profile_of_name p.profile) in
+  let task =
+    Llm.Task.make ~spec_id:p.file ~domain:"serve"
+      ~faulty:env.Alloy.Typecheck.spec ()
+  in
+  (* the tool name is validated by Protocol.parse_request against the same
+     table *)
   let result =
-    match p.tool with
-    | "beafix" -> Repair.Beafix.repair ~session env
-    | "atr" -> Repair.Atr.repair ~session env
-    | "multi-round" ->
-        let task =
-          Llm.Task.make ~spec_id:p.file ~domain:"serve"
-            ~faulty:env.Alloy.Typecheck.spec ()
-        in
-        Llm.Multi_round.repair ~session ~profile task Llm.Multi_round.Generic
-    | "portfolio" ->
-        let task =
-          Llm.Task.make ~spec_id:p.file ~domain:"serve"
-            ~faulty:env.Alloy.Typecheck.spec ()
-        in
-        fst (Eval.Portfolio.repair ~session ~profile task)
-    | _ -> assert false (* validated by Protocol.parse_request *)
+    (List.assoc p.tool Eval.Portfolio.tools) ~session ~profile env task
   in
   let reply =
     Protocol.ok_reply ~id

@@ -112,7 +112,7 @@ let method_name = function
   | Sat _ -> "sat"
   | Status -> "status"
 
-let valid_tools = [ "beafix"; "atr"; "multi-round"; "portfolio" ]
+let valid_tools = List.map fst Specrepair_eval.Portfolio.tools
 
 let valid_profiles = Specrepair_llm.Model.panel_names
 

@@ -134,7 +134,7 @@ let test_parallel_matches_sequential () =
   let variants = B.Generate.sample ~per_domain:1 () in
   let techniques = [ Eval.Technique.BeAFix ] in
   let seq = Eval.Study.run ~techniques variants in
-  let par = Eval.Study.run_parallel ~techniques ~jobs:2 variants in
+  let par = Eval.Study.run ~techniques ~jobs:2 variants in
   let key (r : Eval.Study.spec_result) = (r.variant_id, r.technique, r.rep) in
   Alcotest.(check bool) "same outcomes" true
     (List.sort compare (List.map key seq) = List.sort compare (List.map key par))

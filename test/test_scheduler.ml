@@ -1,7 +1,8 @@
 (* Tests for the fault-tolerant work-stealing scheduler and the parallel
    study runner built on it: result completeness and ordering, worker-death
-   recovery (SIGKILL mid-run), heartbeat kills, bounded retries, and the
-   byte-identity of parallel study CSVs with the sequential run. *)
+   recovery (SIGKILL mid-run), heartbeat kills, bounded retries, the
+   byte-identity of parallel study CSVs with the sequential run, and the
+   parallel study's scratch directory. *)
 
 module B = Specrepair_benchmarks
 module Eval = Specrepair_eval
@@ -26,8 +27,34 @@ let with_marker k =
     ~finally:(fun () -> if Sys.file_exists mark then Sys.remove mark)
     (fun () -> k mark)
 
+(* Remove a flat directory and its files. *)
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* A checkpointed run into a fresh directory, its rows read back in index
+   order (the directory is removed afterwards, also on failure). *)
+let map ~jobs ?max_retries ?heartbeat_timeout_ms ?emit ~f n =
+  let dir = Filename.temp_dir "specrepair_sched_test_" "" in
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      let stats =
+        Scheduler.map_checkpointed ~jobs ?max_retries ?heartbeat_timeout_ms
+          ?emit ~dir ~fingerprint:"test" ~f n
+      in
+      let rows =
+        Scheduler.fold_shards ~dir
+          (fun acc i r ->
+            Alcotest.(check int) "rows fold in index order" (List.length acc)
+              i;
+            r :: acc)
+          []
+      in
+      (Array.of_list (List.rev rows), stats))
+
 let test_map_in_order () =
-  let results, stats = Scheduler.map ~jobs:4 ~f:square 25 in
+  let results, stats = map ~jobs:4 ~f:square 25 in
   Alcotest.(check int) "all results" 25 (Array.length results);
   Array.iteri
     (fun i r -> Alcotest.(check string) "in order" (string_of_int (i * i)) r)
@@ -40,7 +67,7 @@ let test_map_in_order () =
 
 let test_jobs_exceed_rows () =
   (* more workers than work items degrades gracefully *)
-  let results, stats = Scheduler.map ~jobs:16 ~f:square 3 in
+  let results, stats = map ~jobs:16 ~f:square 3 in
   Alcotest.(check int) "all results" 3 (Array.length results);
   Array.iteri
     (fun i r -> Alcotest.(check string) "in order" (string_of_int (i * i)) r)
@@ -52,7 +79,7 @@ let test_jobs_exceed_rows () =
 let test_emit_forwarded () =
   let lines = ref [] in
   let results, _ =
-    Scheduler.map ~jobs:2
+    map ~jobs:2
       ~emit:(fun l -> lines := l :: !lines)
       ~f:(fun ~emit i ->
         emit (Printf.sprintf "side-%d" i);
@@ -68,7 +95,7 @@ let test_emit_forwarded () =
 let test_sigkill_recovery () =
   with_marker (fun mark ->
       let results, stats =
-        Scheduler.map ~jobs:3 ~f:(kill_once ~mark ~item:7 square) 20
+        map ~jobs:3 ~f:(kill_once ~mark ~item:7 square) 20
       in
       Alcotest.(check int) "complete despite the kill" 20 (Array.length results);
       Array.iteri
@@ -92,7 +119,7 @@ let test_heartbeat_kills_hung_worker () =
         string_of_int i
       in
       let results, stats =
-        Scheduler.map ~jobs:2 ~heartbeat_timeout_ms:500. ~f:hang_once 6
+        map ~jobs:2 ~heartbeat_timeout_ms:500. ~f:hang_once 6
       in
       Alcotest.(check int) "complete despite the hang" 6 (Array.length results);
       Alcotest.(check bool) "hung worker was killed" true
@@ -107,7 +134,7 @@ let test_retry_exhaustion_names_rows () =
     if i = 3 then Unix.kill (Unix.getpid ()) Sys.sigkill;
     string_of_int i
   in
-  match Scheduler.map ~jobs:4 ~max_retries:1 ~f:always_kill 4 with
+  match map ~jobs:4 ~max_retries:1 ~f:always_kill 4 with
   | _ -> Alcotest.fail "expected Chunk_failed"
   | exception Scheduler.Chunk_failed { indices; attempts; reason } ->
       Alcotest.(check bool) "names the offending row" true
@@ -126,7 +153,7 @@ let test_study_parallel_bit_identical () =
   let seq = Eval.Study.run variants in
   let stats = ref None in
   let par =
-    Eval.Study.run_parallel ~jobs:4 ~on_stats:(fun s -> stats := Some s)
+    Eval.Study.run ~jobs:4 ~on_stats:(fun s -> stats := Some s)
       variants
   in
   Alcotest.(check string) "csv byte-identical (timings zeroed)"
@@ -162,7 +189,7 @@ let test_study_parallel_survives_sigkill () =
             Unix.putenv "SPECREPAIR_SCHED_KILL_ITEM" "";
             Unix.putenv "SPECREPAIR_SCHED_KILL_MARK" "")
           (fun () ->
-            Eval.Study.run_parallel ~jobs:4 ~techniques
+            Eval.Study.run ~jobs:4 ~techniques
               ~telemetry:(fun l -> telemetry_lines := l :: !telemetry_lines)
               ~on_stats:(fun s -> stats := Some s)
               variants))
@@ -184,6 +211,42 @@ let test_study_parallel_survives_sigkill () =
   let summary = List.hd !telemetry_lines in
   Alcotest.(check bool) "summary is the scheduler line" true
     (String.length summary >= 14 && String.sub summary 0 14 = "{\"scheduler\":{")
+
+(* A parallel study's rows live in a scratch run directory under the temp
+   directory; it must be gone afterwards, whether the run completed or
+   ended in Chunk_failed. *)
+let test_study_parallel_removes_scratch () =
+  let tmp = Filename.temp_dir "specrepair_sched_tmpdir_" "" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      remove_dir tmp)
+    (fun () ->
+      let variants = [ List.hd (Lazy.force sample_variants) ] in
+      let techniques = [ Eval.Technique.ATR; Eval.Technique.BeAFix ] in
+      let rows = Eval.Study.run ~jobs:2 ~techniques variants in
+      Alcotest.(check int) "every row" 2 (List.length rows);
+      Alcotest.(check (array string)) "nothing left after success" [||]
+        (Sys.readdir tmp);
+      (* the marker's directory does not exist, so every attempt at row 1
+         kills its worker *)
+      Unix.putenv "SPECREPAIR_SCHED_KILL_ITEM" "1";
+      Unix.putenv "SPECREPAIR_SCHED_KILL_MARK"
+        (Filename.concat tmp "missing/mark");
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "SPECREPAIR_SCHED_KILL_ITEM" "";
+          Unix.putenv "SPECREPAIR_SCHED_KILL_MARK" "")
+        (fun () ->
+          match Eval.Study.run ~jobs:2 ~max_retries:0 ~techniques variants with
+          | _ -> Alcotest.fail "expected Chunk_failed"
+          | exception Scheduler.Chunk_failed { indices; _ } ->
+              Alcotest.(check bool) "names the killed row" true
+                (List.mem 1 indices));
+      Alcotest.(check (array string)) "nothing left after Chunk_failed" [||]
+        (Sys.readdir tmp))
 
 (* {2 Strict CSV parsing} *)
 
@@ -242,6 +305,8 @@ let () =
             test_study_parallel_bit_identical;
           Alcotest.test_case "survives sigkill" `Slow
             test_study_parallel_survives_sigkill;
+          Alcotest.test_case "scratch dir removed" `Slow
+            test_study_parallel_removes_scratch;
         ] );
       ( "csv",
         [

@@ -257,7 +257,7 @@ let test_telemetry_json_parses () =
     (sub "spaces");
   let lines = ref [] in
   ignore
-    (Eval.Study.run_parallel ~jobs:2
+    (Eval.Study.run ~jobs:2
        ~telemetry:(fun l -> lines := l :: !lines)
        ~techniques:[ Eval.Technique.ATR ]
        [ List.hd (B.Generate.sample ~per_domain:1 ()) ]);

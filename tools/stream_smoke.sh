@@ -5,7 +5,8 @@
 # require the merged CSV to be identical — modulo the wall-clock time_ms
 # column — to an uninterrupted run.  Also checks that resuming a
 # directory with no checkpoint fails loudly instead of silently starting
-# fresh.
+# fresh, and that resuming over a tampered shard is rejected without
+# writing a CSV.
 #
 # Everything gated here is deterministic (row identity, manifest shape,
 # exit codes), so the script behaves the same under CI=1 and locally.
@@ -74,6 +75,28 @@ if "$exe" study --dir "$workdir/nothing" --total "$total" \
     exit 1
 fi
 
+# 6. A shard whose row payload was altered after checkpointing keeps its
+#    framing, so only the merge can catch it: the resume must exit 1 with
+#    "checkpoint rejected" and write no results.csv.
+mkdir "$workdir/tampered"
+cp "$workdir/clean/manifest.json" "$workdir/clean"/shard_*.res "$workdir/tampered/"
+shard=$(ls "$workdir/tampered"/shard_*.res | head -1)
+sed '1s/,[^,]*,[^,]*$//' "$shard" > "$workdir/tampered.res"
+mv "$workdir/tampered.res" "$shard"
+status=0
+"$exe" study --dir "$workdir/tampered" --total "$total" --jobs "$jobs" \
+    --technique ATR --seed "$seed" --quiet --resume \
+    >/dev/null 2>"$workdir/tampered.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'checkpoint rejected' "$workdir/tampered.err"; then
+    echo "stream_smoke: a tampered shard was not rejected (exit $status):" >&2
+    cat "$workdir/tampered.err" >&2
+    exit 1
+fi
+if [ -f "$workdir/tampered/results.csv" ]; then
+    echo "stream_smoke: a rejected resume wrote results.csv" >&2
+    exit 1
+fi
+
 if [ -n "${STREAM_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$STREAM_ARTIFACTS_DIR"
     cp "$workdir/crashed/manifest.json" "$STREAM_ARTIFACTS_DIR/"
@@ -82,4 +105,4 @@ if [ -n "${STREAM_ARTIFACTS_DIR:-}" ]; then
     cp "$workdir/clean/results.csv" "$STREAM_ARTIFACTS_DIR/results_clean.csv"
 fi
 
-echo "stream_smoke: ok ($total rows x $jobs jobs; killed after first chunk, resumed, merged CSV identical modulo time_ms)"
+echo "stream_smoke: ok ($total rows x $jobs jobs; killed after first chunk, resumed, merged CSV identical modulo time_ms; tampered shard rejected)"
