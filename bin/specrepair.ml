@@ -827,19 +827,16 @@ let check_proof_cmd =
 
 let fuzz_cmd =
   let module Fuzz = Specrepair_fuzz.Harness in
+  let names = List.map Fuzz.target_name Fuzz.all_targets in
   let target =
-    let target_conv =
-      Arg.enum
-        (List.map (fun t -> (Fuzz.target_name t, t)) Fuzz.all_targets)
-    in
     Arg.(
       value
-      & opt (some target_conv) None
+      & opt (some (enum (List.combine names Fuzz.all_targets))) None
       & info [ "target" ] ~docv:"TARGET"
           ~doc:
-            "Fuzz a single target ($(b,sat), $(b,solver), $(b,oracle), \
-             $(b,eval), $(b,proof), $(b,parse), $(b,stream) or \
-             $(b,panel)); default: all eight.")
+            (Printf.sprintf
+               "Fuzz a single target, %s; default: every target."
+               (doc_alts names)))
   in
   let seed =
     Arg.(
@@ -866,19 +863,16 @@ let fuzz_cmd =
       List.map (fun t -> Fuzz.run ~corpus_dir t ~seed ~iters ()) targets
     in
     print_endline (Fuzz.summary_json ~corpus_dir ~seed reports);
-    let total =
-      List.fold_left
-        (fun n (r : Fuzz.report) -> n + r.discrepancies)
-        0 reports
-    in
-    if total > 0 then exit 1
+    if List.exists (fun (r : Fuzz.report) -> r.discrepancies > 0) reports then
+      exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differential fuzzing: cross-check the \
-          SAT/solver/oracle/eval/proof/parse/stream/panel stack \
-          against independent reference oracles")
+         (Printf.sprintf
+            "Differential fuzzing: cross-check the %s stack against \
+             independent reference oracles"
+            (String.concat "/" names)))
     Term.(const run $ seed $ iters $ target $ corpus_dir)
 
 (* {2 serve / client} *)

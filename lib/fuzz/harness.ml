@@ -8,37 +8,20 @@ module Counters = Specrepair_json.Counters
 module Translate = Specrepair_solver.Translate
 module Mutate = Specrepair_mutation.Mutate
 
-type target =
-  | Sat_target
-  | Solver_target
-  | Oracle_target
-  | Eval_target
-  | Proof_target
-  | Parse_target
-  | Stream_target
-  | Panel_target
+(* What one check found.  [`Skip] is an iteration the reference cannot
+   decide (an instance space beyond the enumeration cap); [`Fail] is a
+   discrepancy. *)
+type outcome = [ `Ok | `Skip | `Fail of string ]
 
-let all_targets =
-  [
-    Sat_target;
-    Solver_target;
-    Oracle_target;
-    Eval_target;
-    Proof_target;
-    Parse_target;
-    Stream_target;
-    Panel_target;
-  ]
+(* Every check is wrapped: an exception is itself a discrepancy (the two
+   sides are total on well-typed inputs). *)
+let guard f : outcome =
+  match f () with
+  | r -> r
+  | exception e -> `Fail (Printf.sprintf "exception: %s" (Printexc.to_string e))
 
-let target_name = function
-  | Sat_target -> "sat"
-  | Solver_target -> "solver"
-  | Oracle_target -> "oracle"
-  | Eval_target -> "eval"
-  | Proof_target -> "proof"
-  | Parse_target -> "parse"
-  | Stream_target -> "stream"
-  | Panel_target -> "panel"
+(* Sequencing of checks: the first failure stops the chain. *)
+let ( let* ) (r : outcome) f = match r with `Fail _ -> r | `Ok | `Skip -> f ()
 
 type report = {
   target : string;
@@ -51,19 +34,61 @@ type report = {
   counts : (string * int) list;
 }
 
-(* The counters a target's summary reports, summed over its iterations:
-   the name printed, and the key of the counter set each iteration
-   reads it from (the oracle's, or the shared mutation-space store's). *)
-let summary_counts = function
-  | Oracle_target ->
-      [
-        ("contexts_retired", "contexts_retired");
-        ("keys_reused", "keys_reused");
-      ]
-  | Panel_target -> [ ("spaces_reused", "reused") ]
-  | Sat_target | Solver_target | Eval_target | Proof_target | Parse_target
-  | Stream_target ->
-      []
+(* {2 Targets} *)
+
+(* Where a failing iteration's shrunk input is persisted. *)
+type entry = { dir : string; seed : int; name : string }
+
+let save_cnf e ~assumptions cnf =
+  Corpus.save_cnf ~dir:e.dir ~name:e.name ~seed:e.seed ~assumptions cnf
+
+let save_spec e spec = Corpus.save_spec ~dir:e.dir ~name:e.name ~seed:e.seed spec
+
+(* Shrink [spec] over candidates that still type-check and on which
+   [fails] still holds. *)
+let shrink_spec fails spec =
+  Shrink.run Shrink.spec_candidates
+    (fun spec' ->
+      match Alloy.Typecheck.check_result spec' with
+      | Ok env -> fails env
+      | Error _ -> false)
+    spec
+
+(* One iteration: its guarded outcome, what it adds to the summary
+   counters, and the shrink-and-persist step a failure runs. *)
+type iteration = { outcome : outcome; tallies : int list; persist : unit -> string }
+
+type target = {
+  name : string;
+  counters : string list;  (** the summary counters, in print order *)
+  iterate : entry -> Rng.t -> iteration;
+}
+
+let target_name t = t.name
+
+(* A target from its generator, its check and its shrink-and-persist
+   step.  Both the check and [persist]'s [fails] (does a shrunk case still
+   fail?) run on the iteration's stream.  [counts] reads the summary
+   counters off a case after its check, whatever the check did: the
+   counter set, and for each printed name the key it is read from. *)
+let target ?counts name ~gen ~check ~persist =
+  let counters, tally =
+    match counts with
+    | None -> ([], fun _ -> [])
+    | Some (stats, keys) ->
+        ( List.map fst keys,
+          fun case ->
+            let set = stats case in
+            List.map (fun (_, key) -> Counters.find set key) keys )
+  in
+  let iterate entry rng =
+    let case = gen rng in
+    let outcome = guard (fun () -> check rng case) in
+    let tallies = tally case in
+    let fails case' = guard (fun () -> check rng case') <> `Ok in
+    { outcome; tallies; persist = (fun () -> persist entry ~fails case) }
+  in
+  { name; counters; iterate }
 
 (* {2 SAT target} *)
 
@@ -97,27 +122,26 @@ let drop n xs = List.filteri (fun i _ -> i >= n) xs
 let verify_solve s cnf assumptions result ~budgeted =
   match ((result : Solver.result), Ref_sat.solve ~assumptions cnf) with
   | Solver.Unknown, _ ->
-      if budgeted then Ok ()
-      else Error "solver returned unknown without a conflict budget"
-  | Solver.Sat, Ref_sat.Unsat -> Error "solver sat where reference says unsat"
-  | Solver.Unsat, Ref_sat.Sat _ -> Error "solver unsat where reference says sat"
+      if budgeted then `Ok
+      else `Fail "solver returned unknown without a conflict budget"
+  | Solver.Sat, Ref_sat.Unsat -> `Fail "solver sat where reference says unsat"
+  | Solver.Unsat, Ref_sat.Sat _ -> `Fail "solver unsat where reference says sat"
   | Solver.Sat, Ref_sat.Sat _ ->
       let holds l = Solver.lit_value s l in
       if
         not
           (List.for_all (fun cl -> List.exists holds cl) cnf.Dimacs.clauses)
-      then Error "solver model falsifies a clause"
+      then `Fail "solver model falsifies a clause"
       else if not (List.for_all holds assumptions) then
-        Error "solver model violates an assumption"
-      else Ok ()
+        `Fail "solver model violates an assumption"
+      else `Ok
   | Solver.Unsat, Ref_sat.Unsat ->
       let core = Solver.unsat_assumptions s in
       if List.for_all (fun l -> List.exists (Lit.equal l) assumptions) core
-      then Ok ()
-      else Error "unsat core mentions a non-assumption literal"
+      then `Ok
+      else `Fail "unsat core mentions a non-assumption literal"
 
 let check_sat_case (c : sat_case) =
-  let ( let* ) = Result.bind in
   let s = Solver.create () in
   ignore (Solver.new_vars s c.cnf.Dimacs.num_vars);
   let clauses = c.cnf.Dimacs.clauses in
@@ -131,7 +155,7 @@ let check_sat_case (c : sat_case) =
   List.iter (Solver.add_clause s) prefix;
   let* () =
     match c.split with
-    | None -> Ok ()
+    | None -> `Ok
     | Some _ ->
         let sub = { c.cnf with Dimacs.clauses = prefix } in
         verify_solve s sub c.assumptions
@@ -147,12 +171,20 @@ let check_sat_case (c : sat_case) =
   | Solver.Unsat, _ :: _ -> (
       match Ref_sat.solve c.cnf with
       | Ref_sat.Sat _ ->
-          if not (Solver.ok s) then Error "assumption-unsat flipped ok to false"
+          if not (Solver.ok s) then `Fail "assumption-unsat flipped ok to false"
           else if Solver.solve s <> Solver.Sat then
-            Error "solver no longer sat after an assumption-unsat call"
-          else Ok ()
-      | Ref_sat.Unsat -> Ok ())
-  | _ -> Ok ()
+            `Fail "solver no longer sat after an assumption-unsat call"
+          else `Ok
+      | Ref_sat.Unsat -> `Ok)
+  | _ -> `Ok
+
+let sat =
+  target "sat" ~gen:gen_sat_case ~check:(Fun.const check_sat_case)
+    ~persist:(fun e ~fails case ->
+      save_cnf e ~assumptions:case.assumptions
+        (Shrink.run Shrink.cnf_candidates
+           (fun cnf -> fails { case with cnf })
+           case.cnf))
 
 (* {2 Proof target} *)
 
@@ -233,12 +265,17 @@ let check_proof_case { p_cnf = cnf; p_assumptions = assumptions; p_format } =
             | Error m ->
                 `Fail (Printf.sprintf "a logged derivation is not RUP: %s" m)))
 
+let proof =
+  target "proof" ~gen:gen_proof_case ~check:(Fun.const check_proof_case)
+    ~persist:(fun e ~fails case ->
+      save_cnf e ~assumptions:case.p_assumptions
+        (Shrink.run Shrink.cnf_candidates
+           (fun p_cnf -> fails { case with p_cnf })
+           case.p_cnf))
+
 (* {2 Parse target} *)
 
-type parse_case = { r_spec : Ast.spec }
-
-let gen_parse_case rng =
-  { r_spec = (Gen.spec ~with_commands:true rng).Alloy.Typecheck.spec }
+let gen_parse_case rng = (Gen.spec ~with_commands:true rng).Alloy.Typecheck.spec
 
 (* Byte offset of a 1-based (line, col) position in [src]. *)
 let byte_offset src line col =
@@ -275,7 +312,7 @@ let corrupt_one_token rng src =
    corrupted token — unlike the other chaos hooks, a correct frontend
    makes the chaos campaign {e pass}, because rejection is the desired
    behaviour. *)
-let check_parse_case rng { r_spec = spec0 } =
+let check_parse_case rng spec0 =
   let printed = Alloy.Pretty.source spec0 in
   match Alloy.Parser.parse printed with
   | exception Alloy.Diagnostic.Error d ->
@@ -316,6 +353,13 @@ let check_parse_case rng { r_spec = spec0 } =
                                 "rejection does not point at the corrupted token"))
                 | _ -> `Ok)))
 
+let parse =
+  target "parse" ~gen:gen_parse_case ~check:check_parse_case
+    ~persist:(fun e ~fails spec ->
+      (* only shrinks that still type-check, so the persisted entry
+         reproduces the round-trip failure and not a typing one *)
+      save_spec e (shrink_spec (fun env -> fails env.Alloy.Typecheck.spec) spec))
+
 (* {2 Model-finder target} *)
 
 type solver_case = {
@@ -354,6 +398,35 @@ let check_solver_case { s_env = env; s_scope = scope; s_goal = goal } =
           `Fail "analyzer unsat but exhaustive enumeration found an instance"
       | Analyzer.Unsat, Ref_models.No_instance -> `Ok
       | Analyzer.Unsat, Ref_models.Too_big -> assert false)
+
+(* [env]'s spec with [goal] as its one command: how a failing goal is
+   persisted. *)
+let spec_with_goal env (scope : Bounds.scope) goal =
+  {
+    env.Alloy.Typecheck.spec with
+    Ast.commands =
+      [
+        {
+          Ast.cmd_kind = Ast.Run_fmla goal;
+          cmd_scope = scope.Bounds.default;
+          cmd_scopes = scope.Bounds.overrides;
+        };
+      ];
+  }
+
+let solver =
+  target "solver" ~gen:gen_solver_case ~check:(Fun.const check_solver_case)
+    ~persist:(fun e ~fails case ->
+      let fails_with s_env s_goal = fails { case with s_env; s_goal } in
+      let goal =
+        Shrink.run Shrink.fmla_candidates (fails_with case.s_env) case.s_goal
+      in
+      let env =
+        shrink_spec (fun env -> fails_with env goal) case.s_env.spec
+        |> Alloy.Typecheck.check_result
+        |> Result.value ~default:case.s_env
+      in
+      save_spec e (spec_with_goal env case.s_scope goal))
 
 (* {2 Oracle target} *)
 
@@ -446,6 +519,31 @@ let check_reparsed_then_stream oracle case =
    (where the candidate is its own base). *)
 let check_oracle_pair base cand =
   check_oracle_case { o_base = base; o_candidates = [ cand ] }
+
+let oracle =
+  target "oracle"
+    ~gen:(fun rng ->
+      let case = gen_oracle_case rng in
+      (case, Oracle.create case.o_base))
+    ~check:(fun _ (case, oracle) -> check_reparsed_then_stream oracle case)
+    ~counts:
+      ( (fun (_, oracle) -> Oracle.stats oracle),
+        [
+          ("contexts_retired", "contexts_retired"); ("keys_reused", "keys_reused");
+        ] )
+    ~persist:(fun e ~fails:_ (case, _) ->
+      (* find a single failing base/candidate pair, then shrink the
+         candidate while the pair keeps failing *)
+      let pair_fails cand =
+        guard (fun () -> check_oracle_pair case.o_base cand) <> `Ok
+      in
+      save_spec e
+        (match List.find_opt pair_fails (case.o_base :: case.o_candidates) with
+        | None ->
+            (* only reproducible with the full interleaving; persist the
+               base unshrunk *)
+            case.o_base.spec
+        | Some cand -> shrink_spec pair_fails cand.spec))
 
 (* {2 Eval target} *)
 
@@ -544,20 +642,15 @@ let check_eval_case { e_env = env; e_scope = scope; e_inst = inst; e_goal = goal
       `Fail "pinned translation disagrees with facts_hold on facts+implicit"
     else check_memo env inst
 
-(* {2 Campaign driver} *)
-
-let spec_with_goal env (scope : Bounds.scope) goal =
-  {
-    env.Alloy.Typecheck.spec with
-    Ast.commands =
-      [
-        {
-          Ast.cmd_kind = Ast.Run_fmla goal;
-          cmd_scope = scope.Bounds.default;
-          cmd_scopes = scope.Bounds.overrides;
-        };
-      ];
-  }
+let eval =
+  target "eval" ~gen:gen_eval_case ~check:(Fun.const check_eval_case)
+    ~persist:(fun e ~fails case ->
+      let goal =
+        Shrink.run Shrink.fmla_candidates
+          (fun e_goal -> fails { case with e_goal })
+          case.e_goal
+      in
+      save_spec e (spec_with_goal case.e_env case.e_scope goal))
 
 (* {2 Stream target} *)
 
@@ -618,12 +711,23 @@ let check_stream_case c =
   in
   let parts = segments bounds in
   if parts <> whole then
-    Error
+    `Fail
       (Printf.sprintf "split at [%s] yields different rows than the unsplit range"
          (String.concat ";" (List.map string_of_int c.w_splits)))
   else if stream_rows ~source:c.w_source ~seed:c.w_seed c.w_lo c.w_hi <> whole
-  then Error "the same range streamed twice differs (nondeterministic producer)"
-  else Ok ()
+  then `Fail "the same range streamed twice differs (nondeterministic producer)"
+  else `Ok
+
+let stream =
+  target "stream" ~gen:gen_stream_case ~check:(Fun.const check_stream_case)
+    ~persist:(fun e ~fails:_ case ->
+      (* range splits have no shrink lattice; persist the first row's
+         faulty spec so the producer bug is replayable *)
+      let v =
+        Corpus_stream.variant ~source:case.w_source ~seed:case.w_seed case.w_lo
+      in
+      save_spec e
+        v.Specrepair_benchmarks.Generate.injected.Specrepair_benchmarks.Fault.faulty)
 
 (* {2 Panel target} *)
 
@@ -643,10 +747,6 @@ module Mutation_space = Specrepair_mutation.Space
    time after the store has taken in the profile's first fresh proposal.
    The two runs must propose the same specs and leave the generator in
    the same state. *)
-type panel_case = { n_env : Alloy.Typecheck.env }
-
-let gen_panel_case rng = { n_env = Gen.spec ~with_commands:true rng }
-
 let read_all path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -696,7 +796,7 @@ let check_corrupt_stats rng =
             | _ -> `Fail "tampered statistics file loaded cleanly"
           end)
 
-let check_panel_case ~spaces rng { n_env = env } =
+let check_panel_case ~spaces rng (env : Alloy.Typecheck.env) =
   match Sys.getenv_opt "SPECREPAIR_FUZZ_CHAOS" with
   | Some "corrupt-stats" -> check_corrupt_stats rng
   | _ ->
@@ -774,229 +874,52 @@ let check_panel_case ~spaces rng { n_env = env } =
       in
       over 0 Llm.Model.panel
 
-(* Every check is wrapped: an exception is itself a discrepancy (the two
-   sides are total on well-typed inputs). *)
-let guard f =
-  match f () with
-  | r -> r
-  | exception e -> `Fail (Printf.sprintf "exception: %s" (Printexc.to_string e))
+let panel =
+  target "panel"
+    ~gen:(fun rng ->
+      let env = Gen.spec ~with_commands:true rng in
+      (env, Mutation_space.create_store ()))
+    ~check:(fun rng (env, spaces) -> check_panel_case ~spaces rng env)
+    ~counts:((fun (_, spaces) -> Mutation_space.stats spaces), [ ("spaces_reused", "reused") ])
+    ~persist:(fun e ~fails:_ ((env : Alloy.Typecheck.env), _) ->
+      let fails env' =
+        guard (fun () ->
+            check_panel_case
+              ~spaces:(Mutation_space.create_store ())
+              (Rng.of_context ~seed:e.seed [ "panel-shrink"; e.name ])
+              env')
+        <> `Ok
+      in
+      save_spec e (shrink_spec fails env.spec))
 
-let retypecheck spec =
-  match Alloy.Typecheck.check_result spec with
-  | Ok env -> Some env
-  | Error _ -> None
+(* {2 Campaign driver} *)
 
-let run ?(corpus_dir = "artifacts/fuzz") target ~seed ~iters () =
-  let checks = ref 0 and skipped = ref 0 in
-  let discrepancies = ref 0 and corpus = ref [] in
-  let summary = summary_counts target in
-  let counts = Array.make (List.length summary) 0 in
-  let tally set =
-    List.iteri
-      (fun i (_, key) -> counts.(i) <- counts.(i) + Counters.find set key)
-      summary
-  in
-  let record name path = ignore name; corpus := path :: !corpus in
+let all_targets = [ sat; solver; oracle; eval; proof; parse; stream; panel ]
+
+let run ?(corpus_dir = "artifacts/fuzz") t ~seed ~iters () =
+  let checks = ref 0 and skipped = ref 0 and corpus = ref [] in
+  let counts = Array.make (List.length t.counters) 0 in
   for i = 0 to iters - 1 do
-    let rng = Rng.of_context ~seed [ target_name target; "iter"; string_of_int i ] in
-    let name = Printf.sprintf "%s-s%d-i%04d" (target_name target) seed i in
-    let fail_and_persist persist = incr discrepancies; record name (persist ()) in
-    match target with
-    | Sat_target -> (
-        let case = gen_sat_case rng in
-        match guard (fun () -> match check_sat_case case with Ok () -> `Ok | Error m -> `Fail m) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let still_fails cnf' =
-                  guard (fun () ->
-                      match check_sat_case { case with cnf = cnf' } with
-                      | Ok () -> `Ok
-                      | Error m -> `Fail m)
-                  <> `Ok
-                in
-                let shrunk = Shrink.run Shrink.cnf_candidates still_fails case.cnf in
-                Corpus.save_cnf ~dir:corpus_dir ~name ~seed
-                  ~assumptions:case.assumptions shrunk))
-    | Solver_target -> (
-        let case = gen_solver_case rng in
-        match guard (fun () -> check_solver_case case) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let fails_with env' goal' =
-                  guard (fun () ->
-                      check_solver_case { case with s_env = env'; s_goal = goal' })
-                  <> `Ok
-                in
-                let goal =
-                  Shrink.run Shrink.fmla_candidates
-                    (fun g -> fails_with case.s_env g)
-                    case.s_goal
-                in
-                let env =
-                  Shrink.run Shrink.spec_candidates
-                    (fun spec' ->
-                      match retypecheck spec' with
-                      | Some env' -> fails_with env' goal
-                      | None -> false)
-                    case.s_env.Alloy.Typecheck.spec
-                  |> retypecheck
-                  |> Option.value ~default:case.s_env
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed
-                  (spec_with_goal env case.s_scope goal)))
-    | Oracle_target -> (
-        let case = gen_oracle_case rng in
-        let oracle = Oracle.create case.o_base in
-        let outcome = guard (fun () -> check_reparsed_then_stream oracle case) in
-        tally (Oracle.stats oracle);
-        match outcome with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                (* find a single failing base/candidate pair, then shrink
-                   the candidate while the pair keeps failing *)
-                let pair_fails cand =
-                  guard (fun () -> check_oracle_pair case.o_base cand) <> `Ok
-                in
-                let culprit =
-                  List.find_opt pair_fails (case.o_base :: case.o_candidates)
-                in
-                let spec =
-                  match culprit with
-                  | None ->
-                      (* only reproducible with the full interleaving;
-                         persist the base unshrunk *)
-                      case.o_base.Alloy.Typecheck.spec
-                  | Some cand ->
-                      Shrink.run Shrink.spec_candidates
-                        (fun spec' ->
-                          match retypecheck spec' with
-                          | Some env' -> pair_fails env'
-                          | None -> false)
-                        cand.Alloy.Typecheck.spec
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed spec))
-    | Proof_target -> (
-        let case = gen_proof_case rng in
-        match guard (fun () -> check_proof_case case) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let still_fails cnf' =
-                  guard (fun () -> check_proof_case { case with p_cnf = cnf' })
-                  <> `Ok
-                in
-                let shrunk =
-                  Shrink.run Shrink.cnf_candidates still_fails case.p_cnf
-                in
-                Corpus.save_cnf ~dir:corpus_dir ~name ~seed
-                  ~assumptions:case.p_assumptions shrunk))
-    | Eval_target -> (
-        let case = gen_eval_case rng in
-        match guard (fun () -> check_eval_case case) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let goal =
-                  Shrink.run Shrink.fmla_candidates
-                    (fun g ->
-                      guard (fun () -> check_eval_case { case with e_goal = g })
-                      <> `Ok)
-                    case.e_goal
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed
-                  (spec_with_goal case.e_env case.e_scope goal)))
-    | Parse_target -> (
-        let case = gen_parse_case rng in
-        match guard (fun () -> check_parse_case rng case) with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let still_fails spec' =
-                  (* only consider shrinks that still type-check, so the
-                     persisted entry reproduces the round-trip failure and
-                     not a typing one *)
-                  match retypecheck spec' with
-                  | Some _ ->
-                      guard (fun () -> check_parse_case rng { r_spec = spec' })
-                      <> `Ok
-                  | None -> false
-                in
-                let shrunk =
-                  Shrink.run Shrink.spec_candidates still_fails case.r_spec
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed shrunk))
-    | Stream_target -> (
-        let case = gen_stream_case rng in
-        match
-          guard (fun () ->
-              match check_stream_case case with Ok () -> `Ok | Error m -> `Fail m)
-        with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                (* range splits have no shrink lattice; persist the first
-                   row's faulty spec so the producer bug is replayable *)
-                let v =
-                  Corpus_stream.variant ~source:case.w_source ~seed:case.w_seed
-                    case.w_lo
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed
-                  v.Specrepair_benchmarks.Generate.injected
-                    .Specrepair_benchmarks.Fault.faulty))
-    | Panel_target -> (
-        let case = gen_panel_case rng in
-        let spaces = Mutation_space.create_store () in
-        let outcome = guard (fun () -> check_panel_case ~spaces rng case) in
-        tally (Mutation_space.stats spaces);
-        match outcome with
-        | `Skip -> incr skipped
-        | `Ok -> incr checks
-        | `Fail _ ->
-            incr checks;
-            fail_and_persist (fun () ->
-                let still_fails spec' =
-                  match retypecheck spec' with
-                  | Some env' ->
-                      guard (fun () ->
-                          check_panel_case
-                            ~spaces:(Mutation_space.create_store ())
-                            (Rng.of_context ~seed [ "panel-shrink"; name ])
-                            { n_env = env' })
-                      <> `Ok
-                  | None -> false
-                in
-                let shrunk =
-                  Shrink.run Shrink.spec_candidates still_fails
-                    case.n_env.Alloy.Typecheck.spec
-                in
-                Corpus.save_spec ~dir:corpus_dir ~name ~seed shrunk))
+    let rng = Rng.of_context ~seed [ t.name; "iter"; string_of_int i ] in
+    let name = Printf.sprintf "%s-s%d-i%04d" t.name seed i in
+    let it = t.iterate { dir = corpus_dir; seed; name } rng in
+    List.iteri (fun k n -> counts.(k) <- counts.(k) + n) it.tallies;
+    match it.outcome with
+    | `Skip -> incr skipped
+    | `Ok -> incr checks
+    | `Fail _ ->
+        incr checks;
+        corpus := it.persist () :: !corpus
   done;
   {
-    target = target_name target;
+    target = t.name;
     seed;
     iters;
     checks = !checks;
     skipped = !skipped;
-    discrepancies = !discrepancies;
+    discrepancies = List.length !corpus;
     corpus = List.rev !corpus;
-    counts = List.mapi (fun i (name, _) -> (name, counts.(i))) summary;
+    counts = List.combine t.counters (Array.to_list counts);
   }
 
 (* {2 JSON summaries} *)
@@ -1036,59 +959,43 @@ let summary_json ~corpus_dir ~seed reports =
 (* {2 Corpus replay} *)
 
 let replay path =
-  let ( let* ) = Result.bind in
   if Filename.check_suffix path ".cnf" then
     match Corpus.load_cnf path with
-    | cnf, assumptions -> (
+    | exception e -> `Fail (Printexc.to_string e)
+    | cnf, assumptions ->
         let* () =
-          check_sat_case { cnf; assumptions; budget = None; split = None }
-        in
-        match
           guard (fun () ->
-              check_proof_case
-                { p_cnf = cnf;
-                  p_assumptions = assumptions;
-                  p_format = Proof.Text;
-                })
-        with
-        | `Ok | `Skip -> Ok ()
-        | `Fail m -> Error m)
-    | exception e -> Error (Printexc.to_string e)
+              check_sat_case { cnf; assumptions; budget = None; split = None })
+        in
+        guard (fun () ->
+            check_proof_case
+              { p_cnf = cnf; p_assumptions = assumptions; p_format = Proof.Text })
   else if Filename.check_suffix path ".als" then
     match Corpus.load_spec path with
-    | exception e -> Error (Printexc.to_string e)
+    | exception e -> `Fail (Printexc.to_string e)
     | env ->
+        (* every spec entry also round-trips through the frontend *)
         let* () =
-          (* every spec entry also round-trips through the frontend *)
-          match
-            guard (fun () ->
-                check_parse_case
-                  (Rng.of_context ~seed:0 [ "replay"; path ])
-                  { r_spec = env.Alloy.Typecheck.spec })
-          with
-          | `Ok | `Skip -> Ok ()
-          | `Fail m -> Error m
+          guard (fun () ->
+              check_parse_case
+                (Rng.of_context ~seed:0 [ "replay"; path ])
+                env.Alloy.Typecheck.spec)
         in
         List.fold_left
           (fun acc (c : Ast.command) ->
             let* () = acc in
-            let* () =
-              match guard (fun () -> check_oracle_pair env env) with
-              | `Ok | `Skip -> Ok ()
-              | `Fail m -> Error m
-            in
+            let* () = guard (fun () -> check_oracle_pair env env) in
             match c.Ast.cmd_kind with
-            | Ast.Run_fmla f -> (
-                let scope = Bounds.scope_of_command c in
-                match
-                  guard (fun () ->
-                      check_solver_case { s_env = env; s_scope = scope; s_goal = f })
-                with
-                | `Ok | `Skip -> Ok ()
-                | `Fail m -> Error m)
-            | Ast.Run_pred _ | Ast.Check _ -> Ok ())
-          (Ok ()) env.Alloy.Typecheck.spec.commands
-  else Error (Printf.sprintf "unknown corpus entry kind: %s" path)
+            | Ast.Run_fmla f ->
+                let s_scope = Bounds.scope_of_command c in
+                guard (fun () ->
+                    check_solver_case { s_env = env; s_scope; s_goal = f })
+            | Ast.Run_pred _ | Ast.Check _ -> `Ok)
+          `Ok env.Alloy.Typecheck.spec.commands
+  else `Fail (Printf.sprintf "unknown corpus entry kind: %s" path)
 
 let replay_dir dir =
-  List.map (fun path -> (path, replay path)) (Corpus.files dir)
+  List.map
+    (fun path ->
+      (path, match replay path with `Fail m -> Error m | `Ok | `Skip -> Ok ()))
+    (Corpus.files dir)

@@ -129,7 +129,7 @@ let smoke target iters () =
    report carries the counts. *)
 let test_oracle_retires_contexts () =
   let dir = tmp_dir "fuzz-retire" in
-  let r = Harness.run ~corpus_dir:dir Harness.Oracle_target ~seed:11 ~iters:25 () in
+  let r = Harness.run ~corpus_dir:dir Harness.oracle ~seed:11 ~iters:25 () in
   Alcotest.(check (list string)) "oracle report's counts"
     [ "contexts_retired"; "keys_reused" ]
     (List.map fst r.Harness.counts);
@@ -137,7 +137,7 @@ let test_oracle_retires_contexts () =
     (List.assoc "contexts_retired" r.Harness.counts > 0);
   Alcotest.(check bool) "key digests reused" true
     (List.assoc "keys_reused" r.Harness.counts > 0);
-  let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
+  let e = Harness.run ~corpus_dir:dir Harness.eval ~seed:11 ~iters:1 () in
   Alcotest.(check int) "eval report has no count" 0
     (List.length e.Harness.counts)
 
@@ -145,13 +145,13 @@ let test_oracle_retires_contexts () =
    proposal builds, and only the panel report carries the count. *)
 let test_panel_reuses_spaces () =
   let dir = tmp_dir "fuzz-spaces" in
-  let r = Harness.run ~corpus_dir:dir Harness.Panel_target ~seed:11 ~iters:10 () in
+  let r = Harness.run ~corpus_dir:dir Harness.panel ~seed:11 ~iters:10 () in
   Alcotest.(check int) "zero discrepancies" 0 r.Harness.discrepancies;
   Alcotest.(check (list string)) "panel report's counts" [ "spaces_reused" ]
     (List.map fst r.Harness.counts);
   Alcotest.(check bool) "spaces reused" true
     (List.assoc "spaces_reused" r.Harness.counts > 0);
-  let e = Harness.run ~corpus_dir:dir Harness.Eval_target ~seed:11 ~iters:1 () in
+  let e = Harness.run ~corpus_dir:dir Harness.eval ~seed:11 ~iters:1 () in
   Alcotest.(check int) "eval report has no count" 0
     (List.length e.Harness.counts)
 
@@ -159,7 +159,7 @@ let test_report_deterministic () =
   let dir = tmp_dir "fuzz-det" in
   let run () =
     Harness.report_json
-      (Harness.run ~corpus_dir:dir Harness.Sat_target ~seed:5 ~iters:60 ())
+      (Harness.run ~corpus_dir:dir Harness.sat ~seed:5 ~iters:60 ())
   in
   Alcotest.(check string) "byte-identical reports" (run ()) (run ())
 
@@ -201,7 +201,7 @@ let test_chaos_injection () =
   let r =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "SPECREPAIR_FUZZ_CHAOS" "")
-      (fun () -> Harness.run ~corpus_dir:dir Harness.Sat_target ~seed:42 ~iters:50 ())
+      (fun () -> Harness.run ~corpus_dir:dir Harness.sat ~seed:42 ~iters:50 ())
   in
   Alcotest.(check bool) "injected fault detected" true
     (r.Harness.discrepancies > 0);
@@ -236,7 +236,7 @@ let test_chaos_proof_rejection () =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "SPECREPAIR_FUZZ_CHAOS" "")
       (fun () ->
-        Harness.run ~corpus_dir:dir Harness.Proof_target ~seed:42 ~iters:50 ())
+        Harness.run ~corpus_dir:dir Harness.proof ~seed:42 ~iters:50 ())
   in
   Alcotest.(check bool) "tampered certificates rejected" true
     (r.Harness.discrepancies > 0);
@@ -261,7 +261,7 @@ let test_chaos_parse_rejection () =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "SPECREPAIR_FUZZ_CHAOS" "")
       (fun () ->
-        Harness.run ~corpus_dir:dir Harness.Parse_target ~seed:42 ~iters:60 ())
+        Harness.run ~corpus_dir:dir Harness.parse ~seed:42 ~iters:60 ())
   in
   Alcotest.(check int) "every corrupted source rejected with a position" 0
     r.Harness.discrepancies;
@@ -306,16 +306,16 @@ let () =
         ] );
       ( "campaigns",
         [
-          Alcotest.test_case "sat" `Quick (smoke Harness.Sat_target 150);
-          Alcotest.test_case "solver" `Quick (smoke Harness.Solver_target 40);
-          Alcotest.test_case "oracle" `Quick (smoke Harness.Oracle_target 25);
+          Alcotest.test_case "sat" `Quick (smoke Harness.sat 150);
+          Alcotest.test_case "solver" `Quick (smoke Harness.solver 40);
+          Alcotest.test_case "oracle" `Quick (smoke Harness.oracle 25);
           Alcotest.test_case "oracle retires contexts" `Quick
             test_oracle_retires_contexts;
           Alcotest.test_case "panel reuses spaces" `Quick
             test_panel_reuses_spaces;
-          Alcotest.test_case "eval" `Quick (smoke Harness.Eval_target 40);
-          Alcotest.test_case "proof" `Quick (smoke Harness.Proof_target 100);
-          Alcotest.test_case "parse" `Quick (smoke Harness.Parse_target 150);
+          Alcotest.test_case "eval" `Quick (smoke Harness.eval 40);
+          Alcotest.test_case "proof" `Quick (smoke Harness.proof 100);
+          Alcotest.test_case "parse" `Quick (smoke Harness.parse 150);
           Alcotest.test_case "deterministic report" `Quick
             test_report_deterministic;
           Alcotest.test_case "summary escapes strings" `Quick
