@@ -54,6 +54,21 @@ let nonneg_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* Runs a checkpointed study for [cmd] ([evaluate] or [study]) and turns
+   its expected failures into one [<cmd>: …] line on stderr and exit 1: a
+   rejected checkpoint, a fresh run refused over a directory that already
+   holds one, and a chunk whose worker died more often than [--retries]
+   allows. *)
+let reporting_study_failures cmd f =
+  let fail msg =
+    Printf.eprintf "%s: %s\n%!" cmd msg;
+    exit 1
+  in
+  try f () with
+  | Eval.Manifest.Corrupt msg -> fail ("checkpoint rejected: " ^ msg)
+  | Failure msg -> fail msg
+  | Eval.Scheduler.Chunk_failed _ as e -> fail (Printexc.to_string e)
+
 (* The simulated-LLM profile, shared by [repair], [evaluate] and
    [hybrid-table].  An [Arg.enum] over the panel registry rejects unknown
    names at parse time (usage error, exit 124) — a typoed profile must
@@ -477,12 +492,9 @@ let evaluate_cmd =
   in
   let run sample seed jobs retries quiet what profiles csv_out csv_in
       artifacts_dir deadline_ms telemetry_out run_dir resume =
-    try
-      run sample seed jobs retries quiet what profiles csv_out csv_in
-        artifacts_dir deadline_ms telemetry_out run_dir resume
-    with Eval.Manifest.Corrupt msg ->
-      Printf.eprintf "evaluate: checkpoint rejected: %s\n%!" msg;
-      exit 1
+    reporting_study_failures "evaluate" (fun () ->
+        run sample seed jobs retries quiet what profiles csv_out csv_in
+          artifacts_dir deadline_ms telemetry_out run_dir resume)
   in
   Cmd.v
     (Cmd.info "evaluate"
@@ -704,29 +716,25 @@ let study_cmd =
     let csv = Option.value csv_out ~default:(Filename.concat dir "results.csv") in
     (* the CSV appears only once the merge has verified every row *)
     let tmp = csv ^ ".tmp" in
-    let reject msg =
-      if Sys.file_exists tmp then Sys.remove tmp;
-      Printf.eprintf "study: %s\n%!" msg;
-      exit 1
-    in
-    match
-      ignore
-        (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
-           ?telemetry ~techniques ~progress ~resume ~dir ~total ());
-      Option.iter close_out telemetry_chan;
-      let oc = open_out tmp in
-      let rows =
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Eval.Study.write_stream_csv ~dir oc)
-      in
-      Sys.rename tmp csv;
-      rows
-    with
-    | rows -> Printf.printf "study: %d rows -> %s\n%!" rows csv
-    | exception Eval.Manifest.Corrupt msg ->
-        reject ("checkpoint rejected: " ^ msg)
-    | exception Failure msg -> reject msg
+    reporting_study_failures "study" (fun () ->
+        ignore
+          (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
+             ?telemetry ~techniques ~progress ~resume ~dir ~total ());
+        Option.iter close_out telemetry_chan;
+        let oc = open_out tmp in
+        let rows =
+          match
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () -> Eval.Study.write_stream_csv ~dir oc)
+          with
+          | rows -> rows
+          | exception e ->
+              Sys.remove tmp;
+              raise e
+        in
+        Sys.rename tmp csv;
+        Printf.printf "study: %d rows -> %s\n%!" rows csv)
   in
   Cmd.v
     (Cmd.info "study"

@@ -182,10 +182,27 @@ let rows_cover ~lo ~hi rows =
 
 (* {2 Parent side} *)
 
+(* OCaml numbers the signals it knows with its own negative constants;
+   a signal it does not know keeps its system number. *)
+let signal_to_string n =
+  match
+    List.assoc_opt n
+      Sys.
+        [
+          (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+          (sigfpe, "SIGFPE"); (sighup, "SIGHUP"); (sigill, "SIGILL");
+          (sigint, "SIGINT"); (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE");
+          (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV"); (sigstop, "SIGSTOP");
+          (sigterm, "SIGTERM"); (sigtstp, "SIGTSTP"); (sigxcpu, "SIGXCPU");
+        ]
+  with
+  | Some name -> name
+  | None -> Printf.sprintf "signal %d" n
+
 let status_to_string = function
   | Unix.WEXITED n -> Printf.sprintf "exited %d" n
-  | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
+  | Unix.WSIGNALED n -> "killed by " ^ signal_to_string n
+  | Unix.WSTOPPED n -> "stopped by " ^ signal_to_string n
 
 (* Verify that the shard backing a completed range still parses and
    covers exactly its rows; anything less means the checkpoint lies. *)

@@ -23,17 +23,6 @@ let guard f : outcome =
 (* Sequencing of checks: the first failure stops the chain. *)
 let ( let* ) (r : outcome) f = match r with `Fail _ -> r | `Ok | `Skip -> f ()
 
-type report = {
-  target : string;
-  seed : int;
-  iters : int;
-  checks : int;
-  skipped : int;
-  discrepancies : int;
-  corpus : string list;
-  counts : (string * int) list;
-}
-
 (* {2 Targets} *)
 
 (* Where a failing iteration's shrunk input is persisted. *)
@@ -56,7 +45,11 @@ let shrink_spec fails spec =
 
 (* One iteration: its guarded outcome, what it adds to the summary
    counters, and the shrink-and-persist step a failure runs. *)
-type iteration = { outcome : outcome; tallies : int list; persist : unit -> string }
+type iteration = {
+  outcome : outcome;
+  tallies : int list;
+  persist : unit -> string;
+}
 
 type target = {
   name : string;
@@ -529,7 +522,8 @@ let oracle =
     ~counts:
       ( (fun (_, oracle) -> Oracle.stats oracle),
         [
-          ("contexts_retired", "contexts_retired"); ("keys_reused", "keys_reused");
+          ("contexts_retired", "contexts_retired");
+          ("keys_reused", "keys_reused");
         ] )
     ~persist:(fun e ~fails:_ (case, _) ->
       (* find a single failing base/candidate pair, then shrink the
@@ -727,7 +721,8 @@ let stream =
         Corpus_stream.variant ~source:case.w_source ~seed:case.w_seed case.w_lo
       in
       save_spec e
-        v.Specrepair_benchmarks.Generate.injected.Specrepair_benchmarks.Fault.faulty)
+        v.Specrepair_benchmarks.Generate.injected
+          .Specrepair_benchmarks.Fault.faulty)
 
 (* {2 Panel target} *)
 
@@ -880,7 +875,9 @@ let panel =
       let env = Gen.spec ~with_commands:true rng in
       (env, Mutation_space.create_store ()))
     ~check:(fun rng (env, spaces) -> check_panel_case ~spaces rng env)
-    ~counts:((fun (_, spaces) -> Mutation_space.stats spaces), [ ("spaces_reused", "reused") ])
+    ~counts:
+      ( (fun (_, spaces) -> Mutation_space.stats spaces),
+        [ ("spaces_reused", "reused") ] )
     ~persist:(fun e ~fails:_ ((env : Alloy.Typecheck.env), _) ->
       let fails env' =
         guard (fun () ->
@@ -895,6 +892,17 @@ let panel =
 (* {2 Campaign driver} *)
 
 let all_targets = [ sat; solver; oracle; eval; proof; parse; stream; panel ]
+
+type report = {
+  target : string;
+  seed : int;
+  iters : int;
+  checks : int;
+  skipped : int;
+  discrepancies : int;
+  corpus : string list;
+  counts : (string * int) list;
+}
 
 let run ?(corpus_dir = "artifacts/fuzz") t ~seed ~iters () =
   let checks = ref 0 and skipped = ref 0 and corpus = ref [] in
@@ -969,7 +977,11 @@ let replay path =
         in
         guard (fun () ->
             check_proof_case
-              { p_cnf = cnf; p_assumptions = assumptions; p_format = Proof.Text })
+              {
+                p_cnf = cnf;
+                p_assumptions = assumptions;
+                p_format = Proof.Text;
+              })
   else if Filename.check_suffix path ".als" then
     match Corpus.load_spec path with
     | exception e -> `Fail (Printexc.to_string e)

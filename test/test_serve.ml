@@ -517,13 +517,17 @@ let start_daemon ?(config = fun c -> c) () =
       await 200;
       (sock, pid)
 
-let stop_daemon pid =
+(* A SIGKILLed daemon never unlinks its socket: the test does. *)
+let stop_daemon (sock, pid) =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error (ECHILD, _, _) -> ()
+  (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (ECHILD, _, _) -> ());
+  try Unix.unlink sock with Unix.Unix_error _ -> ()
 
 let with_daemon ?config k =
   let sock, pid = start_daemon ?config () in
-  Fun.protect ~finally:(fun () -> stop_daemon pid) (fun () -> k sock pid)
+  Fun.protect
+    ~finally:(fun () -> stop_daemon (sock, pid))
+    (fun () -> k sock pid)
 
 let ask sock line =
   match Client.oneshot (Client.Unix_sock sock) line with

@@ -180,7 +180,7 @@ def shape_checklist(rows):
     best_single = max(n.values())
     add("Hybrids: best union beats best individual technique",
         best_union > best_single)
-    add("Hybrids: best union is in the 80-90%% band (paper: 85.5%%)",
+    add("Hybrids: best union is in the 80-90% band (paper: 85.5%)",
         0.78 * total_n <= best_union <= 0.93 * total_n)
     add("Hybrids: ARepair gains the most from hybridisation (relative)",
         max(union("ARepair", llm) for llm in ORDER[4:]) / max(1, n["ARepair"])
