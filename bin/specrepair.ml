@@ -66,6 +66,12 @@ let reporting_study_failures cmd f =
   in
   try f () with
   | Eval.Manifest.Corrupt msg -> fail ("checkpoint rejected: " ^ msg)
+  | Eval.Scheduler.Checkpoint_exists { dir; rows } ->
+      fail
+        (Printf.sprintf
+           "%s already holds a checkpoint with %d completed rows; pass \
+            --resume to continue it or use a fresh directory"
+           dir rows)
   | Failure msg -> fail msg
   | Eval.Scheduler.Chunk_failed _ as e -> fail (Printexc.to_string e)
 

@@ -51,6 +51,7 @@ let workers_lost = counter "workers_lost"
 let heartbeat_kills = counter "heartbeat_kills"
 
 exception Chunk_failed of { indices : int list; attempts : int; reason : string }
+exception Checkpoint_exists of { dir : string; rows : int }
 
 type chunk = { id : int; lo : int; hi : int; mutable attempts : int }
 
@@ -255,12 +256,7 @@ let open_manifest ~resume ~dir ~fingerprint n =
     (match Manifest.load ~dir with
     | exception Manifest.Corrupt _ -> ()
     | m when Manifest.rows_done m > 0 ->
-        failwith
-          (Printf.sprintf
-             "Scheduler.map_checkpointed: %s already holds a checkpoint with \
-              %d completed rows; pass ~resume:true to continue it or use a \
-              fresh directory"
-             dir (Manifest.rows_done m))
+        raise (Checkpoint_exists { dir; rows = Manifest.rows_done m })
     | _ -> ());
     let m = Manifest.create ~fingerprint ~total:n in
     Manifest.save ~dir m;
@@ -419,9 +415,11 @@ let map_checkpointed ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
                { indices; attempts; reason = "worker error: " ^ String.concat " " rest })
       | _ -> () (* HB: draining already recorded the heartbeat *)
     in
+    (* a run ending in an exception leaves no worker and no chunk file *)
     let cleanup () =
       List.iter (fun w -> Worker.kill w.proc) (live_workers ());
-      Hashtbl.reset workers
+      Hashtbl.reset workers;
+      sweep_stray_chunks dir
     in
     Worker.with_sigpipe_ignored @@ fun () ->
     Fun.protect ~finally:cleanup (fun () ->
@@ -501,12 +499,28 @@ let fold_shards ~dir f acc =
           List.fold_left (fun acc (i, r) -> f acc i r) acc in_order)
     acc m.Manifest.completed
 
+(* "rows 0–53", "row 7" or "rows 1–2, 5": runs of consecutive indices
+   as ranges *)
+let rows_to_string indices =
+  let rec runs = function
+    | [] -> []
+    | i :: rest -> (
+        match runs rest with
+        | (lo, hi) :: tl when lo = i + 1 -> (i, hi) :: tl
+        | rs -> (i, i) :: rs)
+  in
+  let run (lo, hi) =
+    if lo = hi then string_of_int lo else Printf.sprintf "%d\u{2013}%d" lo hi
+  in
+  match indices with
+  | [] -> "no known rows"
+  | [ i ] -> "row " ^ string_of_int i
+  | _ -> "rows " ^ String.concat ", " (List.map run (runs indices))
+
 let () =
   Printexc.register_printer (function
     | Chunk_failed { indices; attempts; reason } ->
         Some
-          (Printf.sprintf
-             "Scheduler.Chunk_failed: rows [%s] failed after %d attempt(s): %s"
-             (String.concat "; " (List.map string_of_int indices))
-             attempts reason)
+          (Printf.sprintf "Scheduler.Chunk_failed: %s failed after %d attempt(s): %s"
+             (rows_to_string indices) attempts reason)
     | _ -> None)

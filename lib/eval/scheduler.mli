@@ -26,7 +26,12 @@ val workers_lost : Specrepair_json.Counters.key
 
 exception Chunk_failed of { indices : int list; attempts : int; reason : string }
 (** A chunk exhausted its retry budget ([indices] are the work items it
-    carried), or a worker reported a deterministic evaluation error. *)
+    carried), or a worker reported a deterministic evaluation error.  Its
+    printer names consecutive rows as a range ([rows 0–53]). *)
+
+exception Checkpoint_exists of { dir : string; rows : int }
+(** A run without [~resume] was refused: [dir] already holds a checkpoint
+    with [rows] completed rows. *)
 
 val map_checkpointed :
   jobs:int ->
@@ -68,8 +73,10 @@ val map_checkpointed :
     pending complement computed; a truncated or tampered checkpoint
     raises {!Manifest.Corrupt} (never a silent re-run or skip).  Without
     [~resume], a directory already holding a non-empty checkpoint is
-    refused.  Progress lines carry this run's rows/s and an ETA.  Read
-    the rows back with {!fold_shards}. *)
+    refused with {!Checkpoint_exists}.  A run that ends in an exception
+    kills its workers and removes their chunk files; the shards and the
+    manifest stay, for [~resume].  Progress lines carry this run's rows/s
+    and an ETA.  Read the rows back with {!fold_shards}. *)
 
 val fold_shards : dir:string -> ('a -> int -> string -> 'a) -> 'a -> 'a
 (** [fold_shards ~dir f acc] streams every result row of a {e complete}

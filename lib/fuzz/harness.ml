@@ -889,9 +889,119 @@ let panel =
       in
       save_spec e (shrink_spec fails env.spec))
 
+(* {2 Replies target} *)
+
+module Handler = Specrepair_serve.Handler
+
+(* The serve handler's reply memo vs. recomputation: one request sequence
+   goes through a handler that answers repeats from its entries' memos
+   and through one that bypasses them, and every reply must be
+   byte-identical.  Registries of one or two entries over two or three
+   specs make evictions (and with them memo drops) happen mid-sequence.
+   No request carries a deadline: the clock decides [timed_out]. *)
+type replies_case = {
+  r_variants : Ast.spec list;
+  r_max_sessions : int;
+  r_requests : (int * string * int * string) list;
+      (** variant index, tool, seed, file *)
+  r_reused : Counters.t;  (** memo hits, read by the summary *)
+}
+
+let replies_schema = Counters.schema "replies"
+let replies_reused = Counters.counter replies_schema "reused"
+
+let gen_replies_case rng =
+  let seed = Rng.int rng 1_000_000 in
+  let n = Rng.range rng 2 3 in
+  let r_variants =
+    List.init n (fun i ->
+        (Corpus_stream.variant ~source:Stream_source.fuzzed ~seed i)
+          .Specrepair_benchmarks.Generate.injected
+          .Specrepair_benchmarks.Fault.faulty)
+  in
+  let tools = List.map fst Specrepair_eval.Portfolio.tools in
+  (* half the requests repeat an earlier one, so the memo gets hits *)
+  let rec draw acc k =
+    if k = 0 then List.rev acc
+    else
+      let r =
+        if acc <> [] && Rng.bool rng then Rng.choose rng acc
+        else
+          ( Rng.int rng n,
+            Rng.choose rng tools,
+            Rng.range rng 1 2,
+            Rng.choose rng [ "a.als"; "b.als" ] )
+      in
+      draw (r :: acc) (k - 1)
+  in
+  let r_requests = draw [] (Rng.range rng 4 12) in
+  {
+    r_variants;
+    r_max_sessions = Rng.range rng 1 2;
+    r_requests;
+    r_reused = Counters.create replies_schema;
+  }
+
+let repair_line ~id (source, tool, seed, file) =
+  Specrepair_json.(
+    to_string
+      (Obj
+         [
+           ("id", Str id);
+           ("method", Str "repair");
+           ( "params",
+             Obj
+               [
+                 ("source", Str source);
+                 ("tool", Str tool);
+                 ("seed", int seed);
+                 ("file", Str file);
+               ] );
+         ]))
+
+let check_replies_case c =
+  let memo = Handler.create ~no_cache:false ~max_sessions:c.r_max_sessions () in
+  let bypass = Handler.create ~no_cache:true ~max_sessions:c.r_max_sessions () in
+  let sources = List.map Alloy.Pretty.source c.r_variants in
+  let rec go k = function
+    | [] -> `Ok
+    | (v, tool, seed, file) :: rest ->
+        let line =
+          repair_line ~id:(Printf.sprintf "r%d" k)
+            (List.nth sources v, tool, seed, file)
+        in
+        let reply, warmth = Handler.handle memo line in
+        if warmth = Handler.Reused then Counters.incr c.r_reused replies_reused;
+        let recomputed, _ = Handler.handle bypass line in
+        if reply <> recomputed then
+          `Fail
+            (Printf.sprintf
+               "request %d (%s, seed %d, %s) on variant %d: the memo replied %s, \
+                recomputing gave %s"
+               k tool seed file v reply recomputed)
+        else go (k + 1) rest
+  in
+  go 0 c.r_requests
+
+let replies =
+  target "replies" ~gen:gen_replies_case ~check:(Fun.const check_replies_case)
+    ~counts:((fun c -> c.r_reused), [ ("replies_reused", "reused") ])
+    ~persist:(fun e ~fails case ->
+      (* keep the shortest prefix of the sequence that still diverges, and
+         persist the spec its last request repaired *)
+      let prefix k = { case with r_requests = take k case.r_requests } in
+      let rec shortest k =
+        if k >= List.length case.r_requests || fails (prefix k) then k
+        else shortest (k + 1)
+      in
+      let k = shortest 1 in
+      let v, _, _, _ = List.nth case.r_requests (k - 1) in
+      save_spec e (List.nth case.r_variants v))
+
 (* {2 Campaign driver} *)
 
-let all_targets = [ sat; solver; oracle; eval; proof; parse; stream; panel ]
+let all_targets =
+  [ sat; solver; oracle; eval; proof; parse; stream; panel; replies ]
 
 type report = {
   target : string;

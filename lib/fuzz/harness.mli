@@ -1,7 +1,7 @@
 (** The differential fuzzing campaigns: generate, cross-check, shrink,
     persist.
 
-    Eight targets, each pitting a production component against an
+    Nine targets, each pitting a production component against an
     independent reference.  Every iteration derives its own {!Rng} stream
     from (seed, target, iteration index), so campaigns are
     bit-reproducible and every failure is replayable from the summary
@@ -88,8 +88,20 @@ val panel : target
     [corrupt-token], a correct implementation makes the chaos campaign
     {e pass}, because loud rejection is the desired behaviour. *)
 
+val replies : target
+(** The serve handler's reply memo ({!Specrepair_serve.Handler}) vs.
+    recomputation: random repair-request sequences over two or three
+    fuzz-generated variants, every repair tool, seeds 1 and 2 and two
+    file names, go through a handler that answers repeats from its
+    registry entries' memos and through one created with
+    [~no_cache:true], each with one or two registry entries (so
+    evictions drop memos mid-sequence); every reply must be
+    byte-identical.  Requests carry no deadline, since the clock decides
+    [timed_out].  Its summary reports [replies_reused] (requests the memo
+    answered). *)
+
 val all_targets : target list
-(** The eight targets, in the order a full campaign runs them. *)
+(** The nine targets, in the order a full campaign runs them. *)
 
 val target_name : target -> string
 (** The CLI spelling, e.g. ["sat"]. *)

@@ -61,6 +61,7 @@ module Count = struct
   let overloaded = counter "overloaded"
   let cache_hits = counter "cache_hits"
   let cache_misses = counter "cache_misses"
+  let replies_reused = counter "replies_reused"
   let worker_respawns = counter "worker_respawns"
   let inflight = Counters.gauge schema "inflight"
   let queued = Counters.gauge schema "queued"
@@ -118,7 +119,7 @@ let run config =
   if !listeners = [] then failwith "serve: no listener configured (--socket or --tcp)";
 
   (* {2 Worker pool} *)
-  let handler = Handler.create ~max_sessions:config.max_sessions in
+  let handler = Handler.create ~max_sessions:config.max_sessions () in
   let pool = Pool.create ~jobs:config.workers ~handle:(Handler.handle handler) in
 
   (* {2 State} *)
@@ -184,8 +185,13 @@ let run config =
     | Some entry ->
         Hashtbl.remove inflight token;
         count (if okay then Count.ok else Count.errors);
+        (* a memo hit is also a registry hit, so hits + misses stays the
+           number of answered spec requests *)
         (match warmth with
         | Some Handler.Warm -> count Count.cache_hits
+        | Some Handler.Reused ->
+            count Count.cache_hits;
+            count Count.replies_reused
         | Some Handler.Cold -> count Count.cache_misses
         | Some Handler.Uncached | None -> ());
         telemetry
@@ -196,7 +202,7 @@ let run config =
             ("ok", Json.Bool okay);
             ( "warm",
               match warmth with
-              | Some Handler.Warm -> Json.Bool true
+              | Some (Handler.Warm | Handler.Reused) -> Json.Bool true
               | Some Handler.Cold -> Json.Bool false
               | _ -> Json.Null );
             ("ms", Json.Num ((Unix.gettimeofday () -. entry.t0) *. 1000.));

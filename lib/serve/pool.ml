@@ -34,11 +34,13 @@ type event =
 let warmth_char = function
   | Handler.Warm -> 'W'
   | Handler.Cold -> 'C'
+  | Handler.Reused -> 'R'
   | Handler.Uncached -> 'U'
 
 let warmth_of_char = function
   | "W" -> Some Handler.Warm
   | "C" -> Some Handler.Cold
+  | "R" -> Some Handler.Reused
   | "U" -> Some Handler.Uncached
   | _ -> None
 

@@ -11,7 +11,8 @@
 
     worker -> parent
       HB <token>              request received; solving (heartbeat)
-      RES <token> <W|C|U> <line>   reply line, tagged warm/cold/uncached
+      RES <token> <W|C|R|U> <line>
+                              reply line, tagged warm/cold/reused/uncached
     v}
 
     Workers are {e sticky}: the daemon routes each request to the worker

@@ -155,6 +155,17 @@ let test_panel_reuses_spaces () =
   Alcotest.(check int) "eval report has no count" 0
     (List.length e.Harness.counts)
 
+(* The replies campaign must answer requests from its memo handlers, or
+   it compared recomputations with themselves. *)
+let test_replies_reuse_replies () =
+  let dir = tmp_dir "fuzz-replies" in
+  let r = Harness.run ~corpus_dir:dir Harness.replies ~seed:11 ~iters:20 () in
+  Alcotest.(check int) "zero discrepancies" 0 r.Harness.discrepancies;
+  Alcotest.(check (list string)) "replies report's counts" [ "replies_reused" ]
+    (List.map fst r.Harness.counts);
+  Alcotest.(check bool) "replies reused" true
+    (List.assoc "replies_reused" r.Harness.counts > 0)
+
 let test_report_deterministic () =
   let dir = tmp_dir "fuzz-det" in
   let run () =
@@ -313,6 +324,8 @@ let () =
             test_oracle_retires_contexts;
           Alcotest.test_case "panel reuses spaces" `Quick
             test_panel_reuses_spaces;
+          Alcotest.test_case "replies reuse replies" `Quick
+            test_replies_reuse_replies;
           Alcotest.test_case "eval" `Quick (smoke Harness.eval 40);
           Alcotest.test_case "proof" `Quick (smoke Harness.proof 100);
           Alcotest.test_case "parse" `Quick (smoke Harness.parse 150);

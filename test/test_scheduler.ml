@@ -142,6 +142,19 @@ let test_retry_exhaustion_names_rows () =
       Alcotest.(check int) "attempts = initial + retry" 2 attempts;
       Alcotest.(check bool) "reason mentions the worker" true (reason <> "")
 
+(* The failure's printer names consecutive rows as ranges *)
+let test_chunk_failed_rows_as_ranges () =
+  let message indices =
+    Printexc.to_string
+      (Scheduler.Chunk_failed { indices; attempts = 1; reason = "boom" })
+  in
+  Alcotest.(check string) "a run and a single row"
+    "Scheduler.Chunk_failed: rows 0\u{2013}2, 5 failed after 1 attempt(s): boom"
+    (message [ 0; 1; 2; 5 ]);
+  Alcotest.(check string) "one row"
+    "Scheduler.Chunk_failed: row 7 failed after 1 attempt(s): boom"
+    (message [ 7 ])
+
 (* {2 The study runner on top of the scheduler} *)
 
 let sample_variants = lazy (B.Generate.sample ~per_domain:1 ())
@@ -248,6 +261,39 @@ let test_study_parallel_removes_scratch () =
       Alcotest.(check (array string)) "nothing left after Chunk_failed" [||]
         (Sys.readdir tmp))
 
+(* A study that ends in Chunk_failed keeps its manifest, for --resume,
+   but none of its workers' chunk files: the killed worker's
+   [chunk_<n>.tmp] and any finished but unmerged [chunk_<n>.res] go with
+   the workers. *)
+let test_failed_study_leaves_no_chunks () =
+  let dir = Filename.temp_dir "specrepair_sched_failed_" "" in
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      Unix.putenv "SPECREPAIR_SCHED_KILL_ITEM" "1";
+      Unix.putenv "SPECREPAIR_SCHED_KILL_MARK"
+        (Filename.concat dir "missing/mark");
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "SPECREPAIR_SCHED_KILL_ITEM" "";
+          Unix.putenv "SPECREPAIR_SCHED_KILL_MARK" "")
+        (fun () ->
+          match
+            Eval.Study.run_stream ~techniques:[ Eval.Technique.ATR ] ~jobs:2
+              ~max_retries:0 ~progress:ignore ~dir ~total:2 ()
+          with
+          | _ -> Alcotest.fail "expected Chunk_failed"
+          | exception Scheduler.Chunk_failed { indices; _ } ->
+              Alcotest.(check (list int)) "names the killed row" [ 1 ] indices);
+      let chunks =
+        List.filter
+          (fun f -> String.length f >= 6 && String.sub f 0 6 = "chunk_")
+          (Array.to_list (Sys.readdir dir))
+      in
+      Alcotest.(check (list string)) "no chunk file left" [] chunks;
+      Alcotest.(check bool) "manifest kept" true
+        (Sys.file_exists (Filename.concat dir "manifest.json")))
+
 (* {2 Strict CSV parsing} *)
 
 let csv_header = "variant_id,domain,benchmark,technique,rep,tm,sm,tool_claimed,time_ms"
@@ -298,6 +344,8 @@ let () =
             test_heartbeat_kills_hung_worker;
           Alcotest.test_case "retry exhaustion names rows" `Quick
             test_retry_exhaustion_names_rows;
+          Alcotest.test_case "rows print as ranges" `Quick
+            test_chunk_failed_rows_as_ranges;
         ] );
       ( "study",
         [
@@ -307,6 +355,8 @@ let () =
             test_study_parallel_survives_sigkill;
           Alcotest.test_case "scratch dir removed" `Slow
             test_study_parallel_removes_scratch;
+          Alcotest.test_case "failed study leaves no chunk file" `Slow
+            test_failed_study_leaves_no_chunks;
         ] );
       ( "csv",
         [

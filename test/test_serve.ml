@@ -260,7 +260,7 @@ let evaluate_request ?(id = "") ?chaos ?deadline_ms src =
        ])
 
 let test_handler_errors_and_warmth () =
-  let h = Handler.create ~max_sessions:4 in
+  let h = Handler.create ~max_sessions:4 () in
   let reply, warmth = Handler.handle h "not json" in
   check_contains "malformed line" {|"code":"parse_error"|} reply;
   Alcotest.(check bool) "errors are uncached" true
@@ -289,8 +289,13 @@ let test_handler_errors_and_warmth () =
    every spec is served cold, warm, cold again after its entry was
    evicted, then warm again, and each reply equals the first once [warm]
    is normalised, [candidates_tried] included.  BeAFix's candidate list
-   is the state a warm entry keeps here, beside the oracle. *)
-let repair_request ~tool src =
+   is the state a warm entry keeps here, beside the oracle.  Every
+   request also goes to a second handler created under
+   SPECREPAIR_NO_CACHE=1, which recomputes each warm repeat that the
+   first answers from its reply memo: the two replies must be
+   byte-identical. *)
+let repair_request ?(tool = "beafix") ?(seed = 42) ?(file = "<test>")
+    ?deadline_ms src =
   Json.to_string
     (Json.Obj
        [
@@ -298,11 +303,16 @@ let repair_request ~tool src =
          ("method", Json.Str "repair");
          ( "params",
            Json.Obj
-             [
-               ("source", Json.Str src);
-               ("file", Json.Str "<test>");
-               ("tool", Json.Str tool);
-             ] );
+             ([
+                ("source", Json.Str src);
+                ("file", Json.Str file);
+                ("tool", Json.Str tool);
+                ("seed", Json.int seed);
+              ]
+             @
+             match deadline_ms with
+             | Some d -> [ ("deadline_ms", Json.Num d) ]
+             | None -> []) );
        ])
 
 let cold_form reply =
@@ -317,16 +327,33 @@ let cold_form reply =
   in
   go 0
 
-let test_handler_warm_equals_cold () =
+let sample_sources ~per_domain =
   let module B = Specrepair_benchmarks in
-  let h = Handler.create ~max_sessions:2 in
-  let sources =
-    List.map
-      (fun (v : B.Generate.variant) ->
-        (v.id, Specrepair_alloy.Pretty.source v.injected.faulty))
-      (B.Generate.sample ~seed:11 ~per_domain:1 ())
-  in
-  Alcotest.(check int) "one spec per domain" (List.length B.Domains.all)
+  List.map
+    (fun (v : B.Generate.variant) ->
+      (v.id, Specrepair_alloy.Pretty.source v.injected.faulty))
+    (B.Generate.sample ~seed:11 ~per_domain ())
+
+(* A handler whose reply memo is bypassed through the environment, as a
+   daemon started with SPECREPAIR_NO_CACHE=1 creates it *)
+let bypass_handler ~max_sessions =
+  Unix.putenv "SPECREPAIR_NO_CACHE" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SPECREPAIR_NO_CACHE" "")
+    (fun () -> Handler.create ~max_sessions ())
+
+let warmth_name = function
+  | Handler.Warm -> "warm"
+  | Handler.Cold -> "cold"
+  | Handler.Reused -> "reused"
+  | Handler.Uncached -> "uncached"
+
+let test_handler_warm_equals_cold () =
+  let h = Handler.create ~no_cache:false ~max_sessions:2 () in
+  let bypass = bypass_handler ~max_sessions:2 in
+  let sources = sample_sources ~per_domain:1 in
+  Alcotest.(check int) "one spec per domain"
+    (List.length Specrepair_benchmarks.Domains.all)
     (List.length sources);
   let candidates_tried reply =
     match Json.parse reply with
@@ -334,11 +361,24 @@ let test_handler_warm_equals_cold () =
         Option.bind (Json.member "result" j) (Json.mem_int "candidates_tried")
     | Error _ -> None
   in
-  let serve ~tool (id, src) expected_warmth =
+  let reused = ref 0 in
+  (* [expected] is the memo handler's warmth; the bypass handler never
+     reuses a reply, so it serves that request warm *)
+  let serve ~tool (id, src) expected =
     let line = repair_request ~tool src in
     let reply, warmth = Handler.handle h line in
-    if warmth <> expected_warmth then
-      Alcotest.failf "%s (%s): unexpected warmth" id tool;
+    let recomputed, bypass_warmth = Handler.handle bypass line in
+    if warmth <> expected then
+      Alcotest.failf "%s (%s): %s, expected %s" id tool (warmth_name warmth)
+        (warmth_name expected);
+    let bypass_expected = if expected = Handler.Reused then Handler.Warm else expected in
+    if bypass_warmth <> bypass_expected then
+      Alcotest.failf "%s (%s): bypass handler served it %s" id tool
+        (warmth_name bypass_warmth);
+    if reply <> recomputed then
+      Alcotest.failf "%s (%s): memo reply differs from the recomputed one:\n%s\n%s"
+        id tool reply recomputed;
+    if warmth = Handler.Reused then incr reused;
     reply
   in
   let check_same ~tool ((id, _) as spec) first warmth =
@@ -357,29 +397,104 @@ let test_handler_warm_equals_cold () =
         check_contains (fst spec) {|"ok":true|} first;
         if candidates_tried first = None then
           Alcotest.failf "%s: no candidates_tried" (fst spec);
-        check_same ~tool:"beafix" spec first Handler.Warm;
+        check_same ~tool:"beafix" spec first Handler.Reused;
         first)
       sources
   in
   List.iter2
     (fun spec first ->
       check_same ~tool:"beafix" spec first Handler.Cold;
-      check_same ~tool:"beafix" spec first Handler.Warm)
+      check_same ~tool:"beafix" spec first Handler.Reused)
     sources firsts;
   let s = Handler.registry_stats h in
   Alcotest.(check bool) "entries were evicted" true
     (Counters.find s "evictions" >= List.length sources);
   (* a portfolio request on a spec whose entry a BeAFix request warmed *)
-  match sources with
+  (match sources with
   | spec :: (other :: third :: _) ->
       ignore (serve ~tool:"beafix" spec Handler.Cold);
       let first = cold_form (serve ~tool:"portfolio" spec Handler.Warm) in
-      check_same ~tool:"portfolio" spec first Handler.Warm;
+      check_same ~tool:"portfolio" spec first Handler.Reused;
       ignore (serve ~tool:"beafix" other Handler.Cold);
       ignore (serve ~tool:"beafix" third Handler.Cold);
       check_same ~tool:"portfolio" spec first Handler.Cold;
-      check_same ~tool:"portfolio" spec first Handler.Warm
-  | _ -> Alcotest.fail "too few specs"
+      check_same ~tool:"portfolio" spec first Handler.Reused
+  | _ -> Alcotest.fail "too few specs");
+  Alcotest.(check int) "memo answers every repeat"
+    ((2 * List.length sources) + 2)
+    !reused
+
+(* The reply memo's key, its no-timeout rule, its owner and its bound.
+   Multi-Round's reply depends on the seed and on the file name (the
+   task's id), so a memo that ignored either would answer wrongly; every
+   reply is compared with a bypass handler's recomputation. *)
+let test_handler_reply_memo () =
+  let h = Handler.create ~no_cache:false ~max_sessions:1 () in
+  let bypass = Handler.create ~no_cache:true ~max_sessions:1 () in
+  let src, other =
+    match sample_sources ~per_domain:1 with
+    | (_, a) :: (_, b) :: _ -> (a, b)
+    | _ -> Alcotest.fail "too few specs"
+  in
+  let ask what line expected =
+    let reply, warmth = Handler.handle h line in
+    if warmth <> expected then
+      Alcotest.failf "%s: %s, expected %s" what (warmth_name warmth)
+        (warmth_name expected);
+    let recomputed, _ = Handler.handle bypass line in
+    if reply <> recomputed then
+      Alcotest.failf "%s: memo reply differs from the recomputed one:\n%s\n%s"
+        what reply recomputed;
+    reply
+  in
+  let base = repair_request ~tool:"multi-round" ~seed:1 ~file:"a" src in
+  let first = ask "first request" base Handler.Cold in
+  ignore (ask "repeat" base Handler.Reused);
+  (* each key field on its own misses, then is stored *)
+  List.iter
+    (fun (field, line) ->
+      ignore (ask (field ^ " changed") line Handler.Warm);
+      ignore (ask (field ^ " changed, repeated") line Handler.Reused))
+    [
+      ("tool", repair_request ~tool:"beafix" ~seed:1 ~file:"a" src);
+      ("seed", repair_request ~tool:"multi-round" ~seed:2 ~file:"a" src);
+      ("file", repair_request ~tool:"multi-round" ~seed:1 ~file:"b" src);
+      ( "deadline_ms",
+        repair_request ~tool:"multi-round" ~seed:1 ~file:"a"
+          ~deadline_ms:600_000. src );
+    ];
+  let reseeded =
+    fst (Handler.handle h (repair_request ~tool:"multi-round" ~seed:2 ~file:"a" src))
+  in
+  if reseeded = first then Alcotest.fail "multi-round ignores the seed here";
+  (* a timed-out result depends on the clock: it is never stored *)
+  let rushed =
+    repair_request ~tool:"multi-round" ~seed:1 ~file:"a" ~deadline_ms:0.001 src
+  in
+  let r, _ = Handler.handle h rushed in
+  check_contains "the deadline expires" {|"timed_out":true|} r;
+  let _, w = Handler.handle h rushed in
+  Alcotest.(check string) "a timed-out result is recomputed" "warm"
+    (warmth_name w);
+  (* a ninth distinct key drops the oldest: [base] was stored first *)
+  ignore (ask "five stored keys, base still held" base Handler.Reused);
+  List.iter
+    (fun seed ->
+      ignore
+        (ask "filling the memo"
+           (repair_request ~tool:"multi-round" ~seed ~file:"a" src)
+           Handler.Warm))
+    [ 3; 4; 5; 6 ];
+  ignore
+    (ask "the second oldest survives"
+       (repair_request ~tool:"beafix" ~seed:1 ~file:"a" src)
+       Handler.Reused);
+  ignore (ask "the ninth key evicted the oldest" base Handler.Warm);
+  Alcotest.(check int) "the bound" 8 Handler.memo_bound;
+  (* evicting the entry drops its memo *)
+  ignore (ask "another spec evicts the entry" (repair_request other) Handler.Cold);
+  ignore (ask "the rebuilt entry starts empty" base Handler.Cold);
+  ignore (ask "and stores again" base Handler.Reused)
 
 (* {2 Pool} *)
 
@@ -573,6 +688,59 @@ let test_daemon_warm_requests () =
       Alcotest.(check int) "one miss" 1 (status_counter sock "cache_misses");
       Alcotest.(check int) "one hit" 1 (status_counter sock "cache_hits"))
 
+(* A repeated repair request is answered from its entry's reply memo:
+   it still counts as a cache hit (hits + misses = answered spec
+   requests), [replies_reused] counts it on [status] and in the shutdown
+   record, and its telemetry event says warm. *)
+let test_daemon_reused_replies () =
+  let telemetry = Filename.temp_file "specrepair_test_" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove telemetry) @@ fun () ->
+  let sock, pid =
+    start_daemon
+      ~config:(fun c -> { c with Daemon.telemetry = Some telemetry })
+      ()
+  in
+  Fun.protect ~finally:(fun () -> stop_daemon (sock, pid)) (fun () ->
+      let replies = List.init 3 (fun _ -> ask sock (repair_request spec_src)) in
+      (match replies with
+      | first :: repeats ->
+          List.iter
+            (fun r ->
+              Alcotest.(check string) "repeat equals the first, warm"
+                (cold_form r) first)
+            repeats
+      | [] -> ());
+      Alcotest.(check int) "one miss" 1 (status_counter sock "cache_misses");
+      Alcotest.(check int) "two hits" 2 (status_counter sock "cache_hits");
+      Alcotest.(check int) "both hits reused a reply" 2
+        (status_counter sock "replies_reused");
+      Unix.kill pid Sys.sigterm;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not exit cleanly");
+  let events =
+    In_channel.with_open_bin telemetry In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match Json.parse l with Ok j -> Some j | Error _ -> None)
+  in
+  let repair_warmth =
+    List.filter_map
+      (fun j ->
+        if Json.mem_str "method" j = Some "repair" then Json.mem_bool "warm" j
+        else None)
+      events
+  in
+  Alcotest.(check (list bool)) "reply events: cold, then warm"
+    [ false; true; true ] repair_warmth;
+  match List.find_opt (fun j -> Json.mem_str "event" j = Some "shutdown") events with
+  | None -> Alcotest.fail "no shutdown record"
+  | Some j ->
+      Alcotest.(check (option int)) "shutdown replies_reused" (Some 2)
+        (Json.mem_int "replies_reused" j);
+      Alcotest.(check (option int)) "shutdown cache_hits" (Some 2)
+        (Json.mem_int "cache_hits" j)
+
 let test_daemon_disconnect_mid_request () =
   with_daemon (fun sock _ ->
       (match Client.connect (Client.Unix_sock sock) with
@@ -700,6 +868,7 @@ let () =
             test_handler_errors_and_warmth;
           Alcotest.test_case "warm replies equal cold ones" `Quick
             test_handler_warm_equals_cold;
+          Alcotest.test_case "reply memo" `Quick test_handler_reply_memo;
         ] );
       ( "pool",
         [
@@ -714,6 +883,8 @@ let () =
           Alcotest.test_case "oversized requests" `Quick test_daemon_oversized;
           Alcotest.test_case "warm repeat requests" `Quick
             test_daemon_warm_requests;
+          Alcotest.test_case "reused repair replies" `Quick
+            test_daemon_reused_replies;
           Alcotest.test_case "disconnect mid-request" `Quick
             test_daemon_disconnect_mid_request;
           Alcotest.test_case "concurrent clients" `Quick

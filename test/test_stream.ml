@@ -228,10 +228,11 @@ let test_fresh_run_refuses_existing_checkpoint () =
   with_tmpdir (fun dir ->
       ignore (run_stream ~dir ());
       match run_stream ~dir () with
-      | _ -> Alcotest.fail "expected Failure on a dirty run directory"
-      | exception Failure msg ->
-          Alcotest.(check bool) "message points at --resume" true
-            (String.length msg > 0))
+      | _ -> Alcotest.fail "expected Checkpoint_exists on a dirty run directory"
+      | exception Eval.Scheduler.Checkpoint_exists { dir = d; rows } ->
+          Alcotest.(check string) "names the directory" dir d;
+          Alcotest.(check int) "counts its rows" (total * List.length techniques)
+            rows)
 
 (* {2 Manifest trust} *)
 

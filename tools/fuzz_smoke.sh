@@ -10,7 +10,8 @@
 # behaviour, model-finder vs enumeration, oracle coherence, pinned
 # translation vs evaluation, DRUP certificate checking, frontend
 # print/parse round-trips, streaming-corpus split invariance,
-# model-panel proposal contracts) is exercised on every run.
+# model-panel proposal contracts, serve reply memo vs recomputation) is
+# exercised on every run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,6 +39,7 @@ for pass in 1 2; do
         run parse "$iters"
         run stream "$iters"
         run panel "$iters"
+        run replies "$iters"
     } > "$workdir/summary-$pass.json" || {
         echo "fuzz_smoke: discrepancies found (pass $pass):" >&2
         cat "$workdir/summary-$pass.json" >&2
@@ -146,6 +148,15 @@ if ! SPECREPAIR_FUZZ_CHAOS=corrupt-stats dune exec bin/specrepair.exe -- fuzz \
     exit 1
 fi
 
+# The replies campaign must have answered requests from its handlers'
+# reply memos, or it compared recomputations with themselves.
+replies=$(grep -o '"target":"replies"[^}]*"replies_reused":[0-9]*' \
+    "$workdir/summary-1.json" | sed 's/.*://')
+if [ -z "$replies" ] || [ "$replies" -eq 0 ]; then
+    echo "fuzz_smoke: the replies campaign reused no reply" >&2
+    exit 1
+fi
+
 # Keep the campaign summaries (e.g. for a CI artifact upload) if asked.
 if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$FUZZ_ARTIFACTS_DIR"
@@ -157,4 +168,4 @@ if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel/replies x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; $replies replies reused; chaos hooks caught)"
