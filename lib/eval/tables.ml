@@ -13,12 +13,15 @@ let techniques_in results =
       end)
     results
 
+let traditional = List.map Technique.name Technique.traditional
+let llm_based = List.map Technique.name Technique.llm_based
+let paper = traditional @ llm_based
+
 (* keep the paper's column order where possible *)
 let ordered_techniques results =
   let present = techniques_in results in
-  let canonical = List.map Technique.name Technique.all in
-  List.filter (fun t -> List.mem t present) canonical
-  @ List.filter (fun t -> not (List.mem t canonical)) present
+  List.filter (fun t -> List.mem t present) paper
+  @ List.filter (fun t -> not (List.mem t paper)) present
 
 let for_technique results technique =
   List.filter (fun (r : Study.spec_result) -> r.technique = technique) results
@@ -80,10 +83,20 @@ let repaired_set results technique =
     results
   |> List.sort_uniq compare
 
+(* the sets are sorted, so their overlap is one merge *)
+let rec overlap_count a b =
+  match (a, b) with
+  | x :: a', y :: b' ->
+      let c = compare x y in
+      if c = 0 then 1 + overlap_count a' b'
+      else if c < 0 then overlap_count a' b
+      else overlap_count a b'
+  | _ -> 0
+
 let hybrid results ~traditional ~llm =
   let a = repaired_set results traditional in
   let b = repaired_set results llm in
-  let overlap = List.length (List.filter (fun x -> List.mem x b) a) in
+  let overlap = overlap_count a b in
   (List.length a, overlap, List.length a + List.length b - overlap)
 
 (* {2 Panel coverage} *)
@@ -120,7 +133,10 @@ let panel_coverage results =
   let union = union_sets (List.map (fun (_, _, s) -> s) per_profile) in
   (per_profile, union)
 
-(* {2 Text rendering} *)
+(* {2 Rows}
+
+   Each artifact's rows are computed here once; the text views and the
+   CSVs below only print them. *)
 
 let domain_order =
   List.map (fun (d : Benchmarks.Domains.t) -> d.name) Benchmarks.Domains.all
@@ -137,12 +153,200 @@ let count_where results pred =
     (fun acc (r : Study.spec_result) -> if pred r then acc + r.rep else acc)
     0 results
 
-let variants_of_domain results domain =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun (r : Study.spec_result) ->
-         if r.domain = domain then Some r.variant_id else None)
-       results)
+let spec_count results =
+  List.length
+    (List.sort_uniq compare
+       (List.map (fun (r : Study.spec_result) -> r.variant_id) results))
+
+(* the present techniques of one group, in the paper's order *)
+let present_in techniques group =
+  List.filter (fun t -> List.mem t group) techniques
+
+type count_row = { label : string; nspec : int; counts : int list }
+
+let count_row techniques label rows =
+  {
+    label;
+    nspec = spec_count rows;
+    counts =
+      List.map
+        (fun t -> count_where rows (fun r -> r.technique = t))
+        techniques;
+  }
+
+(* Table I: per benchmark present, its name, one row per domain and its
+   summary row *)
+let table1_rows results =
+  let techniques = ordered_techniques results in
+  List.filter_map
+    (fun bench ->
+      match
+        List.filter (fun (r : Study.spec_result) -> r.benchmark = bench) results
+      with
+      | [] -> None
+      | rows ->
+          let domain d =
+            count_row techniques d
+              (List.filter (fun (r : Study.spec_result) -> r.domain = d) rows)
+          in
+          Some
+            ( Benchmarks.Domains.benchmark_to_string bench,
+              List.map domain (domains_in rows),
+              count_row techniques "Summary" rows ))
+    [ Benchmarks.Domains.A4F; Benchmarks.Domains.ARepair_bench ]
+
+let fig2_rows results =
+  List.map
+    (fun t -> (t, mean_tm results ~technique:t, mean_sm results ~technique:t))
+    (ordered_techniques results)
+
+(* Figure 3: one matrix row per technique, its (other, r, p) cells *)
+let fig3_rows results =
+  let techniques = ordered_techniques results in
+  List.map
+    (fun t1 ->
+      ( t1,
+        List.map
+          (fun t2 ->
+            let r, p = correlation results ~t1 ~t2 in
+            (t2, r, p))
+          techniques ))
+    techniques
+
+type hybrid_row = {
+  traditional : string;
+  trad_repairs : int;
+  llm : string;
+  llm_repairs : int;
+  overlap : int;
+  union : int;
+}
+
+(* Table II: every present (traditional, LLM) pair *)
+let table2_rows results =
+  let techniques = ordered_techniques results in
+  List.concat_map
+    (fun trad ->
+      List.map
+        (fun llm ->
+          let trad_repairs, overlap, union =
+            hybrid results ~traditional:trad ~llm
+          in
+          {
+            traditional = trad;
+            trad_repairs;
+            llm;
+            llm_repairs = rep_count results ~technique:llm;
+            overlap;
+            union;
+          })
+        (present_in techniques llm_based))
+    (present_in techniques traditional)
+
+(* {2 The paper's shape} *)
+
+(* The paper's Table I totals, over its 1,974 specifications. *)
+let paper_specs = 1974
+
+let paper_totals =
+  [
+    ("ARepair", 194); ("ICEBAR", 1072); ("BeAFix", 1005); ("ATR", 1308);
+    ("Single-Round_Loc+Fix", 430); ("Single-Round_Loc", 517);
+    ("Single-Round_Pass", 329); ("Single-Round_None", 151);
+    ("Single-Round_Loc+Pass", 385); ("Multi-Round_None", 1372);
+    ("Multi-Round_Generic", 1319); ("Multi-Round_Auto", 1264);
+  ]
+
+let single_round = List.filter (String.starts_with ~prefix:"Single") paper
+let multi_round = List.filter (String.starts_with ~prefix:"Multi") paper
+let r_of results t1 t2 = fst (correlation results ~t1 ~t2)
+let min_of = List.fold_left Float.min Float.infinity
+
+let rec distinct_pairs = function
+  | [] -> []
+  | a :: rest -> List.map (fun b -> (a, b)) rest @ distinct_pairs rest
+
+(* Figure 3's clusters: the traditional tools' weakest internal r, the
+   MR_Generic~MR_Auto r, and the weakest single-round-vs-traditional r *)
+let fig3_clusters results =
+  let r = r_of results in
+  ( min_of (List.map (fun (a, b) -> r a b) (distinct_pairs traditional)),
+    r "Multi-Round_Generic" "Multi-Round_Auto",
+    min_of
+      (List.concat_map
+         (fun a -> List.map (r a) traditional)
+         single_round) )
+
+let shape_checks results =
+  let n t = rep_count results ~technique:t in
+  let in_bench benchmark t = rep_count_in results ~technique:t ~benchmark in
+  let a4f = in_bench Benchmarks.Domains.A4F in
+  let arep = in_bench Benchmarks.Domains.ARepair_bench in
+  let max_of f ts = List.fold_left max min_int (List.map f ts) in
+  let min_of_int f ts = List.fold_left min max_int (List.map f ts) in
+  let top4 =
+    List.filteri
+      (fun i _ -> i < 4)
+      (List.stable_sort (fun a b -> compare (a4f b) (a4f a)) paper)
+  in
+  let mean_of f ts =
+    List.fold_left (fun acc t -> acc +. f results ~technique:t) 0. ts
+    /. float_of_int (List.length ts)
+  in
+  let r = r_of results in
+  let trad_internal, _, _ = fig3_clusters results in
+  let cross = r "Single-Round_None" "ATR" in
+  let union tr llm =
+    let _, _, u = hybrid results ~traditional:tr ~llm in
+    u
+  in
+  let best_union_with tr = max_of (union tr) llm_based in
+  let best_union = max_of best_union_with traditional in
+  let gain tr =
+    float_of_int (best_union_with tr) /. float_of_int (max 1 (n tr))
+  in
+  let total = float_of_int (spec_count results) in
+  [
+    ( "A4F: Multi-Round family and ATR/BeAFix dominate the top 4",
+      List.length
+        (List.filter
+           (fun t -> List.mem t (multi_round @ [ "ATR"; "BeAFix" ]))
+           top4)
+      >= 3 );
+    ( "A4F: ICEBAR > every Single-Round setting",
+      List.for_all (fun t -> a4f "ICEBAR" > a4f t) single_round );
+    ( "A4F: every Single-Round setting > ARepair is FALSE for weak hints \
+       (ARepair lowest among traditional)",
+      a4f "ARepair" = min_of_int a4f traditional );
+    ( "A4F: Single-Round_None is the weakest technique",
+      n "Single-Round_None" = min_of_int n paper );
+    ( "ARepair bench: a Multi-Round setting is at or near the top",
+      max_of arep multi_round >= max_of arep paper - 2 );
+    ( "ARepair bench: BeAFix is the best traditional tool",
+      arep "BeAFix" = max_of arep traditional );
+    ( "Fig 2: SM >= TM for most techniques",
+      List.length
+        (List.filter
+           (fun t ->
+             mean_sm results ~technique:t >= mean_tm results ~technique:t)
+           paper)
+      >= 8 );
+    ( "Fig 2: traditional mean TM >= LLM mean TM",
+      mean_of mean_tm traditional >= mean_of mean_tm llm_based );
+    ( "Fig 3: traditional internal correlation exceeds single-vs-traditional",
+      trad_internal > cross );
+    ( "Fig 3: MR_Generic ~ MR_Auto is a strong pair",
+      r "Multi-Round_Generic" "Multi-Round_Auto" > cross );
+    ( "Hybrids: best union beats best individual technique",
+      best_union > max_of n paper );
+    ( "Hybrids: best union is in the 80-90% band (paper: 85.5%)",
+      0.78 *. total <= float_of_int best_union
+      && float_of_int best_union <= 0.93 *. total );
+    ( "Hybrids: ARepair gains the most from hybridisation (relative)",
+      List.for_all (fun tr -> gain "ARepair" >= gain tr) traditional );
+  ]
+
+(* {2 Text rendering} *)
 
 let table1 results =
   let techniques = ordered_techniques results in
@@ -152,123 +356,72 @@ let table1 results =
   add "%-14s %6s" "Domain" "#spec";
   List.iter (fun t -> add " %14s" t) techniques;
   add "\n";
-  let row label nspec count_for =
+  let row { label; nspec; counts } =
     add "%-14s %6d" label nspec;
-    List.iter (fun t -> add " %14d" (count_for t)) techniques;
+    List.iter (add " %14d") counts;
     add "\n"
   in
-  let benches =
-    [ (Benchmarks.Domains.A4F, "A4F benchmark");
-      (Benchmarks.Domains.ARepair_bench, "ARepair benchmark") ]
-  in
   List.iter
-    (fun (bench, bench_label) ->
-      let bench_results =
-        List.filter (fun (r : Study.spec_result) -> r.benchmark = bench) results
-      in
-      if bench_results <> [] then begin
-        add "-- %s --\n" bench_label;
-        List.iter
-          (fun domain ->
-            let nspec = List.length (variants_of_domain bench_results domain) in
-            if nspec > 0 then
-              row domain nspec (fun t ->
-                  count_where bench_results (fun r ->
-                      r.domain = domain && r.technique = t)))
-          (domains_in bench_results);
-        let nspec =
-          List.length
-            (List.sort_uniq compare
-               (List.map (fun (r : Study.spec_result) -> r.variant_id) bench_results))
-        in
-        row "Summary" nspec (fun t ->
-            count_where bench_results (fun r -> r.technique = t))
-      end)
-    benches;
-  let nspec =
-    List.length
-      (List.sort_uniq compare
-         (List.map (fun (r : Study.spec_result) -> r.variant_id) results))
-  in
+    (fun (bench, domains, summary) ->
+      add "-- %s benchmark --\n" bench;
+      List.iter row domains;
+      row summary)
+    (table1_rows results);
   add "-- Total --\n";
-  add "%-14s %6d" "Total" nspec;
-  List.iter (fun t -> add " %14d" (rep_count results ~technique:t)) techniques;
-  add "\n";
+  row (count_row techniques "Total" results);
   Buffer.contents buf
 
 let fig2 results =
-  let techniques = ordered_techniques results in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "FIGURE 2: similarity to ground truth (mean over all candidates)\n\n";
   add "%-24s %8s %8s\n" "Technique" "TM" "SM";
   List.iter
-    (fun t ->
-      add "%-24s %8.3f %8.3f\n" t (mean_tm results ~technique:t)
-        (mean_sm results ~technique:t))
-    techniques;
+    (fun (t, tm, sm) -> add "%-24s %8.3f %8.3f\n" t tm sm)
+    (fig2_rows results);
   Buffer.contents buf
 
 let fig3 results =
-  let techniques = ordered_techniques results in
+  let rows = fig3_rows results in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "FIGURE 3: Pearson correlation of per-spec match scores\n\n";
   add "%-24s" "";
-  List.iter (fun t -> add " %10s" (String.sub t 0 (min 10 (String.length t)))) techniques;
+  List.iter
+    (fun (t, _) -> add " %10s" (String.sub t 0 (min 10 (String.length t))))
+    rows;
   add "\n";
   let insignificant = ref 0 in
   List.iter
-    (fun t1 ->
+    (fun (t1, cells) ->
       add "%-24s" t1;
       List.iter
-        (fun t2 ->
-          let r, p = correlation results ~t1 ~t2 in
+        (fun (t2, r, p) ->
           if p >= 0.001 && t1 <> t2 then incr insignificant;
           add " %10.3f" r)
-        techniques;
+        cells;
       add "\n")
-    techniques;
+    rows;
   add "\n(%d off-diagonal pairs with p >= 0.001)\n" (!insignificant / 2);
   Buffer.contents buf
 
 let table2 results =
-  let techniques = ordered_techniques results in
-  let traditional =
-    List.filter
-      (fun t -> List.mem t (List.map Technique.name Technique.traditional))
-      techniques
-  in
-  let llms =
-    List.filter
-      (fun t -> List.mem t (List.map Technique.name Technique.llm_based))
-      techniques
-  in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "TABLE II: hybrid approaches (traditional + LLM)\n\n";
   add "%-10s %8s  %-24s %8s %8s %8s\n" "Trad." "repairs" "LLM technique"
     "repairs" "overlap" "union";
   List.iter
-    (fun trad ->
-      let trad_repairs = rep_count results ~technique:trad in
-      List.iter
-        (fun llm ->
-          let llm_repairs = rep_count results ~technique:llm in
-          let _, overlap, union = hybrid results ~traditional:trad ~llm in
-          add "%-10s %8d  %-24s %8d %8d %8d\n" trad trad_repairs llm
-            llm_repairs overlap union)
-        llms)
-    traditional;
+    (fun h ->
+      add "%-10s %8d  %-24s %8d %8d %8d\n" h.traditional h.trad_repairs h.llm
+        h.llm_repairs h.overlap h.union)
+    (table2_rows results);
   Buffer.contents buf
 
 let summary results =
   let techniques = ordered_techniques results in
-  let nspec =
-    List.length
-      (List.sort_uniq compare
-         (List.map (fun (r : Study.spec_result) -> r.variant_id) results))
-  in
+  let nspec = spec_count results in
+  let pct n total = 100. *. float_of_int n /. float_of_int (max 1 total) in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "SUMMARY (%d specifications)\n\n" nspec;
@@ -279,26 +432,14 @@ let summary results =
   in
   add "Individual techniques by repairs:\n";
   List.iter
-    (fun (t, c) ->
-      add "  %-24s %5d (%.1f%%)\n" t c (100. *. float_of_int c /. float_of_int (max 1 nspec)))
+    (fun (t, c) -> add "  %-24s %5d (%.1f%%)\n" t c (pct c nspec))
     ranked;
-  let traditional = List.map Technique.name Technique.traditional in
-  let llms = List.map Technique.name Technique.llm_based in
-  let best_hybrid =
-    List.concat_map
-      (fun tr ->
-        List.map
-          (fun llm ->
-            let _, _, union = hybrid results ~traditional:tr ~llm in
-            ((tr, llm), union))
-          (List.filter (fun t -> List.mem t techniques) llms))
-      (List.filter (fun t -> List.mem t techniques) traditional)
-    |> List.sort (fun a b -> compare (snd b) (snd a))
-  in
-  (match best_hybrid with
-  | ((tr, llm), union) :: _ ->
-      add "\nBest hybrid: %s + %s = %d repairs (%.1f%%)\n" tr llm union
-        (100. *. float_of_int union /. float_of_int (max 1 nspec))
+  (match
+     List.stable_sort (fun a b -> compare b.union a.union) (table2_rows results)
+   with
+  | h :: _ ->
+      add "\nBest hybrid: %s + %s = %d repairs (%.1f%%)\n" h.traditional h.llm
+        h.union (pct h.union nspec)
   | [] -> ());
   add "\nMean runtime per attempt:\n";
   List.iter
@@ -310,15 +451,36 @@ let summary results =
       in
       add "  %-24s %8.1f ms\n" t mean_ms)
     techniques;
+  (* the comparison with the paper needs its whole roster *)
+  if List.for_all (fun t -> List.mem t techniques) paper then begin
+    add "\nPaper vs. measured repairs (paper over %d specifications):\n"
+      paper_specs;
+    List.iter
+      (fun (t, p) ->
+        let m = rep_count results ~technique:t in
+        add "  %-24s %5d (%4.1f%%) %5d (%4.1f%%)\n" t p (pct p paper_specs) m
+          (pct m nspec))
+      paper_totals;
+    let trad_min, mr_pair, cross_min = fig3_clusters results in
+    add
+      "\nFigure 3: traditional cluster minimum r = %.3f; MR_Generic~MR_Auto \
+       r = %.3f; weakest single-round-vs-traditional r = %.3f (paper: \
+       0.972+, 0.949, down to 0.644)\n"
+      trad_min mr_pair cross_min;
+    add "\nShape checklist:\n";
+    let checks = shape_checks results in
+    List.iter
+      (fun (label, ok) -> add "- [%c] %s\n" (if ok then 'x' else ' ') label)
+      checks;
+    add "\n%d/%d checks hold.\n"
+      (List.length (List.filter snd checks))
+      (List.length checks)
+  end;
   Buffer.contents buf
 
 let panel_table results =
   let per_profile, union = panel_coverage results in
-  let nspec =
-    List.length
-      (List.sort_uniq compare
-         (List.map (fun (r : Study.spec_result) -> r.variant_id) results))
-  in
+  let nspec = spec_count results in
   let pct n = 100. *. float_of_int n /. float_of_int (max 1 nspec) in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -341,98 +503,62 @@ let panel_table results =
   add "\nPanel union strictly exceeds every single profile: %b\n" strictly;
   Buffer.contents buf
 
+(* {2 CSV artifacts} *)
+
 let panel_table_csv results =
   let per_profile, union = panel_coverage results in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "profile,techniques,repairs\n";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "profile,techniques,repairs\n";
   List.iter
-    (fun (name, ntechs, set) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d\n" name ntechs (List.length set)))
+    (fun (name, ntechs, set) -> add "%s,%d,%d\n" name ntechs (List.length set))
     per_profile;
   let ntechs = List.fold_left (fun acc (_, n, _) -> acc + n) 0 per_profile in
-  Buffer.add_string buf
-    (Printf.sprintf "union,%d,%d\n" ntechs (List.length union));
+  add "union,%d,%d\n" ntechs (List.length union);
   Buffer.contents buf
 
-(* {2 CSV artifacts} *)
-
 let table1_csv results =
-  let techniques = ordered_techniques results in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("benchmark,domain,n," ^ String.concat "," techniques ^ "\n");
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "benchmark,domain,n,%s\n"
+    (String.concat "," (ordered_techniques results));
   List.iter
-    (fun (bench, label) ->
-      let bench_results =
-        List.filter (fun (r : Study.spec_result) -> r.benchmark = bench) results
-      in
+    (fun (bench, domains, _) ->
       List.iter
-        (fun domain ->
-          let n = List.length (variants_of_domain bench_results domain) in
-          if n > 0 then begin
-            Buffer.add_string buf (Printf.sprintf "%s,%s,%d" label domain n);
-            List.iter
-              (fun t ->
-                Buffer.add_string buf
-                  (Printf.sprintf ",%d"
-                     (count_where bench_results (fun r ->
-                          r.domain = domain && r.technique = t))))
-              techniques;
-            Buffer.add_char buf '\n'
-          end)
-        (domains_in bench_results))
-    [ (Benchmarks.Domains.A4F, "A4F"); (Benchmarks.Domains.ARepair_bench, "ARepair") ];
+        (fun { label; nspec; counts } ->
+          add "%s,%s,%d" bench label nspec;
+          List.iter (add ",%d") counts;
+          add "\n")
+        domains)
+    (table1_rows results);
   Buffer.contents buf
 
 let fig2_csv results =
-  let techniques = ordered_techniques results in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "technique,tm,sm\n";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "technique,tm,sm\n";
   List.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%.6f,%.6f\n" t (mean_tm results ~technique:t)
-           (mean_sm results ~technique:t)))
-    techniques;
+    (fun (t, tm, sm) -> add "%s,%.6f,%.6f\n" t tm sm)
+    (fig2_rows results);
   Buffer.contents buf
 
 let fig3_csv results =
-  let techniques = ordered_techniques results in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "t1,t2,r,p\n";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "t1,t2,r,p\n";
   List.iter
-    (fun t1 ->
-      List.iter
-        (fun t2 ->
-          let r, p = correlation results ~t1 ~t2 in
-          Buffer.add_string buf (Printf.sprintf "%s,%s,%.6f,%.6g\n" t1 t2 r p))
-        techniques)
-    techniques;
+    (fun (t1, cells) ->
+      List.iter (fun (t2, r, p) -> add "%s,%s,%.6f,%.6g\n" t1 t2 r p) cells)
+    (fig3_rows results);
   Buffer.contents buf
 
 let table2_csv results =
-  let techniques = ordered_techniques results in
-  let traditional =
-    List.filter
-      (fun t -> List.mem t (List.map Technique.name Technique.traditional))
-      techniques
-  in
-  let llms =
-    List.filter
-      (fun t -> List.mem t (List.map Technique.name Technique.llm_based))
-      techniques
-  in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "traditional,trad_repairs,llm,llm_repairs,overlap,union\n";
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "traditional,trad_repairs,llm,llm_repairs,overlap,union\n";
   List.iter
-    (fun trad ->
-      List.iter
-        (fun llm ->
-          let trad_repairs, overlap, union = hybrid results ~traditional:trad ~llm in
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%s,%d,%d,%d\n" trad trad_repairs llm
-               (rep_count results ~technique:llm)
-               overlap union))
-        llms)
-    traditional;
+    (fun h ->
+      add "%s,%d,%s,%d,%d,%d\n" h.traditional h.trad_repairs h.llm
+        h.llm_repairs h.overlap h.union)
+    (table2_rows results);
   Buffer.contents buf

@@ -15,7 +15,16 @@ val fig2 : Study.spec_result list -> string
 val fig3 : Study.spec_result list -> string
 val table2 : Study.spec_result list -> string
 val summary : Study.spec_result list -> string
-(** Headline findings (top technique, best hybrid, rates), Section IV prose. *)
+(** Headline findings (top technique, best hybrid, rates), Section IV prose.
+    When the results hold the paper's twelve techniques, it adds the
+    paper-vs-measured Table I totals, Figure 3's three cluster r values and
+    the {!shape_checks} checklist with its [N/13 checks hold.] line. *)
+
+val shape_checks : Study.spec_result list -> (string * bool) list
+(** The paper's shape as 13 labelled checks (the contract in DESIGN.md,
+    "Expected shape"): Table I orderings on each benchmark, Figure 2's
+    TM/SM ordering, Figure 3's clusters and Table II's hybrid unions.  Each
+    pair is the check's label and whether it holds on these results. *)
 
 (** {2 Raw accessors, used by tests and the bench harness} *)
 

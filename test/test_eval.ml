@@ -119,6 +119,64 @@ let test_rep_counts_by_benchmark_sum () =
       Alcotest.(check int) (name ^ " benchmark split sums") total (a4f + arep))
     mini_techniques
 
+(* Synthetic rows for the shape checklist: every paper technique on [n]
+   variants of one benchmark, variant [i] repaired by [t] when
+   [repaired t i]. *)
+let synthetic_rows ~benchmark n repaired =
+  List.concat_map
+    (fun i ->
+      List.map
+        (fun t ->
+          let technique = Eval.Technique.name t in
+          {
+            Eval.Study.variant_id = Printf.sprintf "v%03d" i;
+            domain = "d";
+            benchmark;
+            technique;
+            rep = (if repaired technique i then 1 else 0);
+            tm = 0.9;
+            sm = 0.95;
+            tool_claimed = false;
+            time_ms = 0.;
+          })
+        Eval.Technique.all)
+    (List.init n Fun.id)
+
+let shape_check label rows = List.assoc label (Eval.Tables.shape_checks rows)
+
+let test_shape_checks_labelled () =
+  let checks =
+    Eval.Tables.shape_checks
+      (synthetic_rows ~benchmark:B.Domains.A4F 3 (fun _ _ -> false))
+  in
+  Alcotest.(check int) "13 checks" 13 (List.length checks);
+  Alcotest.(check int) "labels are distinct" 13
+    (List.length (List.sort_uniq compare (List.map fst checks)))
+
+let test_shape_beafix_best () =
+  let label = "ARepair bench: BeAFix is the best traditional tool" in
+  let rows leader other =
+    synthetic_rows ~benchmark:B.Domains.ARepair_bench 2 (fun t i ->
+        t = leader || (t = other && i = 0))
+  in
+  Alcotest.(check bool) "holds when BeAFix repairs the most" true
+    (shape_check label (rows "BeAFix" "ATR"));
+  Alcotest.(check bool) "fails when ATR repairs more" false
+    (shape_check label (rows "ATR" "BeAFix"))
+
+let test_shape_hybrid_band () =
+  let label = "Hybrids: best union is in the 80-90% band (paper: 85.5%)" in
+  List.iter
+    (fun (k, expected) ->
+      let rows =
+        synthetic_rows ~benchmark:B.Domains.A4F 100 (fun t i ->
+            t = "ATR" && i < k)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "best union %d of 100" k)
+        expected (shape_check label rows))
+    [ (77, false); (78, true); (93, true); (94, false) ]
+
 let test_technique_roster () =
   Alcotest.(check int) "12 techniques" 12 (List.length Eval.Technique.all);
   Alcotest.(check int) "4 traditional" 4 (List.length Eval.Technique.traditional);
@@ -249,6 +307,12 @@ let () =
           Alcotest.test_case "hybrid algebra" `Slow test_hybrid_algebra;
           Alcotest.test_case "benchmark split" `Slow test_rep_counts_by_benchmark_sum;
           Alcotest.test_case "technique roster" `Quick test_technique_roster;
+          Alcotest.test_case "shape checks labelled" `Quick
+            test_shape_checks_labelled;
+          Alcotest.test_case "shape: BeAFix best on ARepair bench" `Quick
+            test_shape_beafix_best;
+          Alcotest.test_case "shape: hybrid band edges" `Quick
+            test_shape_hybrid_band;
         ] );
       ( "parallel",
         [ Alcotest.test_case "matches sequential" `Slow test_parallel_matches_sequential ] );
