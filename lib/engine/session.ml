@@ -36,6 +36,8 @@ type t = {
   spaces : Space.store;  (* shared with derived sessions *)
   bases : Counters.t list;  (* [reported] at creation, for deltas *)
   expiry : bool ref;  (* latched; shared with derived sessions *)
+  deferred : (unit -> unit) list ref;
+      (* newest first, run by [settle]; shared with derived sessions *)
 }
 
 (* The counters a telemetry line reports as the session's delta, in line
@@ -76,6 +78,7 @@ let create ?oracle ?(certify = false) ?(budget = default_budget) ?(seed = 42)
     spaces;
     bases = reported oracle spaces;
     expiry = ref false;
+    deferred = ref [];
   }
 
 let for_spec ?oracle ?certify ?budget ?seed ?deadline_ms spec =
@@ -116,7 +119,17 @@ let elapsed_ms t =
   | Some ms -> ms
   | None -> Int64.to_float (Int64.sub (now_ns ()) t.started_ns) /. 1e6
 
+let defer t f = t.deferred := f :: !(t.deferred)
+
+let settle t =
+  let fs = List.rev !(t.deferred) in
+  t.deferred := [];
+  List.iter (fun f -> f ()) fs
+
+(* Settled first, so that the work deferred to a stop is inside the
+   elapsed time, as its phase timers are. *)
 let stop_clock t =
+  settle t;
   if !(t.stopped_ms) = None then t.stopped_ms := Some (elapsed_ms t)
 
 let time t phase f =
@@ -156,6 +169,7 @@ let deltas t =
 let telemetry_json ?(extra = []) t =
   let module Json = Specrepair_json in
   let ms f = Json.Fixed (3, f) in
+  settle t;
   let deltas = deltas t in
   let oracle = List.hd deltas in
   let certificates key = Json.int (Counters.get oracle key) in

@@ -118,11 +118,21 @@ val elapsed_ms : t -> float
     {!stop_clock} once that has been called. *)
 
 val stop_clock : t -> unit
-(** Freezes {!elapsed_ms} (and so the [elapsed_ms] of {!telemetry_json})
-    at its current value, for work done after the session's own: a study
-    row scores its result after the engine returns, and that time belongs
-    to neither the row's [time_ms] nor its telemetry line.  Idempotent;
-    shared with derived sessions; deadlines are unaffected. *)
+(** Runs the {!defer}red work, then freezes {!elapsed_ms} (and so the
+    [elapsed_ms] of {!telemetry_json}) at its current value, for work
+    done after the session's own: a study row scores its result after
+    the engine returns, and that time belongs to neither the row's
+    [time_ms] nor its telemetry line.  Idempotent; shared with derived
+    sessions; deadlines are unaffected. *)
+
+val defer : t -> (unit -> unit) -> unit
+(** [defer t f] runs [f] once, at the first {!stop_clock} or
+    {!telemetry_json} after this call, in the order deferred, and never
+    if neither comes.  It is for telemetry that costs work the repair
+    does not need: BeAFix defers counting its candidate list
+    ([candidates_generated], [pool_peak]), because the count builds
+    every pool replacement, so a [serve] request, which reports neither
+    counter, skips that work.  Shared with derived sessions. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f] and adds its wall-clock duration to the
@@ -175,7 +185,8 @@ val deltas : t -> Counters.t list
     oracle's [contexts], are reported as they are. *)
 
 val telemetry_json : ?extra:(string * string) list -> t -> string
-(** One-line JSON object: [extra] string fields first, then
+(** Runs the {!defer}red work, then renders a one-line JSON object:
+    [extra] string fields first, then
     [elapsed_ms], [timed_out], [solver_queries], the {!Telemetry.t}
     counters, the oracle delta's certificate counts as [certified_unsat]
     and [certificate_failures], one object per set of {!deltas} under its

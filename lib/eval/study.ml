@@ -164,8 +164,13 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
   in
   let gt_text = Alloy.Pretty.spec_to_string v.ground_truth in
   let cand_text = Alloy.Pretty.spec_to_string final in
-  let tm = Metrics.Bleu.token_match ~reference:gt_text ~candidate:cand_text in
-  let sm = Metrics.Tree_kernel.syntax_match v.ground_truth final in
+  (* rounded to the six decimals a CSV or a shard stores, so a row kept in
+     memory equals one read back from either *)
+  let six x = float_of_string (Printf.sprintf "%.6f" x) in
+  let tm =
+    six (Metrics.Bleu.token_match ~reference:gt_text ~candidate:cand_text)
+  in
+  let sm = six (Metrics.Tree_kernel.syntax_match v.ground_truth final) in
   Option.iter (fun (sink, l) -> sink l) line;
   {
     variant_id = v.id;

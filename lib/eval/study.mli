@@ -21,8 +21,12 @@ type spec_result = {
   benchmark : Benchmarks.Domains.benchmark;
   technique : string;
   rep : int;  (** 1 = command outcomes match the ground truth *)
-  tm : float;  (** Token Match of the final candidate vs ground truth *)
-  sm : float;  (** Syntax Match of the final candidate vs ground truth *)
+  tm : float;
+      (** Token Match of the final candidate vs ground truth, rounded to
+          the six decimals {!to_csv} writes *)
+  sm : float;
+      (** Syntax Match of the final candidate vs ground truth, rounded
+          the same way *)
   tool_claimed : bool;  (** the technique's own success verdict *)
   time_ms : float;  (** monotonic wall clock of the technique run *)
 }

@@ -90,13 +90,15 @@ let shared_pools env =
             Pool.atomic_fmlas env ~vars ~limit ()));
   }
 
-(* Mutations of an expression node. *)
+(* Mutations of an expression node: its structural edits, and a thunk
+   for its pool replacements. *)
 let expr_mutations env pools vars e ~with_pool =
   let arity_of e =
     match Alloy.Typecheck.expr_arity env vars e with
     | a -> Some a
     | exception Alloy.Typecheck.Type_error _ -> None
   in
+  let arity = arity_of e in
   let structural =
     match e with
     | Binop (op, a, b) ->
@@ -121,7 +123,7 @@ let expr_mutations env pools vars e ~with_pool =
         [ ("compr-negate", Compr (decls, Not body)) ]
   in
   let unary_additions =
-    match arity_of e with
+    match arity with
     | Some 2 -> (
         match e with
         | Unop _ -> []
@@ -132,8 +134,8 @@ let expr_mutations env pools vars e ~with_pool =
             ])
     | _ -> []
   in
-  let pool_replacements =
-    match arity_of e with
+  let pool_replacements () =
+    match arity with
     | Some a ->
         let depth = if with_pool then 2 else 1 in
         let limit = if with_pool then 60 else 15 in
@@ -142,9 +144,10 @@ let expr_mutations env pools vars e ~with_pool =
         |> List.map (fun e' -> ("expr-replace", e'))
     | None -> []
   in
-  structural @ unary_additions @ pool_replacements
+  (structural @ unary_additions, pool_replacements)
 
-(* Mutations of a formula node. *)
+(* Mutations of a formula node: its structural edits, and a thunk for its
+   pool replacements. *)
 let fmla_mutations pools vars f ~with_pool =
   let structural =
     match f with
@@ -189,7 +192,7 @@ let fmla_mutations pools vars f ~with_pool =
   let negation_add =
     match f with Not _ -> [] | _ -> [ ("negation-add", Not f) ]
   in
-  let pool_juncts =
+  let pool_juncts () =
     if not with_pool then []
     else
       pools.atoms ~vars ~limit:40
@@ -199,56 +202,86 @@ let fmla_mutations pools vars f ~with_pool =
                ("junct-add-or", Or (f, atom));
              ])
   in
-  structural @ negation_add @ pool_juncts
+  (structural @ negation_add, pool_juncts)
 
-let mutations_with env pools spec site path ~with_pool =
+(* The mutations of one node, no-ops dropped: its structural edits, and a
+   thunk for its pool replacements (the {!from_pool} ones), which every
+   node offers after its structural edits. *)
+let node_mutations env pools spec site path ~with_pool =
   let node = Location.get (Location.body spec site) path in
   let vars = Location.vars_at env spec site path in
-  let results =
-    match node with
-    | Location.F f ->
-        List.map
-          (fun (op, f') -> { site; path; replacement = Location.F f'; op })
-          (fmla_mutations pools vars f ~with_pool)
-    | Location.E e ->
-        List.map
-          (fun (op, e') -> { site; path; replacement = Location.E e'; op })
-          (expr_mutations env pools vars e ~with_pool)
+  let lift (plain, pooled) wrap =
+    let mutation (op, r) = { site; path; replacement = wrap r; op } in
+    (* drop no-op mutations *)
+    let keep m = m.replacement <> node in
+    ( List.filter keep (List.map mutation plain),
+      fun () -> List.filter keep (List.map mutation (pooled ())) )
   in
-  (* drop no-op mutations *)
-  List.filter (fun m -> m.replacement <> node) results
+  match node with
+  | Location.F f ->
+      lift (fmla_mutations pools vars f ~with_pool) (fun f' -> Location.F f')
+  | Location.E e ->
+      lift (expr_mutations env pools vars e ~with_pool) (fun e' -> Location.E e')
+
+let mutations_with env pools spec site path ~with_pool =
+  let plain, pooled = node_mutations env pools spec site path ~with_pool in
+  plain @ pooled ()
 
 let mutations_at env spec site path ?(with_pool = false) () =
   mutations_with env (shared_pools env) spec site path ~with_pool
 
-(* A node's mutations with repeated replacements dropped, first kept.  The
-   key is the replacement alone: every mutation of a node shares its site
-   and path, and a key that starts with them spends the polymorphic
-   hash's ten meaningful words there, so all of a node's replacements
-   would share one bucket. *)
-let distinct ms =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun m ->
-      if Hashtbl.mem seen m.replacement then false
-      else begin
-        Hashtbl.add seen m.replacement ();
-        true
-      end)
-    ms
+(* The nodes of [sites], in enumeration order. *)
+let nodes spec sites =
+  List.concat_map
+    (fun site ->
+      List.map (fun (path, _) -> (site, path))
+        (Location.subnodes (Location.body spec site)))
+    sites
 
-let all_mutations env spec ?sites ?(with_pool = false) ?(unique = false) () =
+let all_mutations env spec ?sites ?(with_pool = false) () =
   let sites = match sites with Some s -> s | None -> Location.sites spec in
   let pools = shared_pools env in
   List.concat_map
-    (fun site ->
-      let body = Location.body spec site in
-      List.concat_map
-        (fun (path, _) ->
-          let ms = mutations_with env pools spec site path ~with_pool in
-          if unique then distinct ms else ms)
-        (Location.subnodes body))
-    sites
+    (fun (site, path) -> mutations_with env pools spec site path ~with_pool)
+    (nodes spec sites)
+
+(* Each node's replacements with repeats dropped, first kept.  A node's
+   structural edits are a handful, so a scan finds their repeats; its
+   pool replacements are a hundred-odd, so they go through a table that
+   starts with the structural ones.  The key is the replacement alone:
+   every mutation of a node shares its site and path, and a key that
+   starts with them spends the polymorphic hash's ten meaningful words
+   there, so all of a node's replacements would share one bucket. *)
+let candidates_by_node (env : Alloy.Typecheck.env) ~sites ~with_pool =
+  let pools = shared_pools env in
+  List.map
+    (fun (site, path) ->
+      let plain, pooled =
+        node_mutations env pools env.spec site path ~with_pool
+      in
+      let plain =
+        List.rev
+          (List.fold_left
+             (fun kept m ->
+               if List.exists (fun k -> k.replacement = m.replacement) kept
+               then kept
+               else m :: kept)
+             [] plain)
+      in
+      let pooled () =
+        let seen = Hashtbl.create 64 in
+        List.iter (fun m -> Hashtbl.add seen m.replacement ()) plain;
+        List.filter
+          (fun m ->
+            if Hashtbl.mem seen m.replacement then false
+            else begin
+              Hashtbl.add seen m.replacement ();
+              true
+            end)
+          (pooled ())
+      in
+      (plain, pooled))
+    (nodes env.spec sites)
 
 let from_pool m =
   match m.op with

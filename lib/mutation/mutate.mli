@@ -36,15 +36,27 @@ val all_mutations :
   Ast.spec ->
   ?sites:Location.site list ->
   ?with_pool:bool ->
-  ?unique:bool ->
   unit ->
   t list
 (** Mutations at every node of the given sites (default: all sites), node
     by node.  One node can offer the same replacement twice (dropping
-    either of two equal operands); [~unique:true] (default false) keeps
-    only the first of each node's equal replacements.  Mutations at
-    different nodes never repeat each other, provided [sites] has no
-    repeated site. *)
+    either of two equal operands).  Mutations at different nodes never
+    repeat each other, provided [sites] has no repeated site. *)
+
+val candidates_by_node :
+  Specrepair_alloy.Typecheck.env ->
+  sites:Location.site list ->
+  with_pool:bool ->
+  (t list * (unit -> t list)) list
+(** The mutations {!all_mutations} enumerates over [env.spec] ([env] its
+    own typecheck result), one pair per node in the same order, with
+    each node's repeated replacements dropped, the first kept: the
+    node's structural edits, built now, and a thunk that builds its
+    pool replacements ({!from_pool}), dropping any equal to one of the
+    node's structural edits.  Every node offers its pool replacements
+    after its structural edits, so the two parts concatenated are the
+    node's mutations, repeats dropped.  The thunks share the
+    replacement pools of one build. *)
 
 val from_pool : t -> bool
 (** Is the replacement drawn from {!Pool} (an [expr-replace] or an added

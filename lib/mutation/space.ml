@@ -21,12 +21,27 @@ let build spec =
           in
           Some { mutations; sizes })
 
-let build_candidates (env : Alloy.Typecheck.env) ~sites ~with_pool =
-  let plain, pooled =
-    Mutate.all_mutations env env.spec ~sites ~with_pool ~unique:true ()
-    |> List.partition (fun m -> not (Mutate.from_pool m))
-  in
-  plain @ pooled
+type candidates = {
+  plain : Mutate.t list;  (* every node's structural edits, in node order *)
+  pooled : Mutate.t list Lazy.t array;
+      (* each node's pool replacements, built when first reached *)
+}
+
+let to_seq c =
+  Seq.append (List.to_seq c.plain)
+    (Seq.concat_map
+       (fun tail -> List.to_seq (Lazy.force tail))
+       (Array.to_seq c.pooled))
+
+let length c =
+  Array.fold_left
+    (fun n tail -> n + List.length (Lazy.force tail))
+    (List.length c.plain) c.pooled
+
+let pools_built c =
+  Array.fold_left
+    (fun n tail -> if Lazy.is_val tail then n + 1 else n)
+    0 c.pooled
 
 module Counters = Specrepair_json.Counters
 
@@ -86,7 +101,7 @@ let lookup lru spec key build =
 
 type store = {
   spaces : (unit, t option) lru;
-  lists : (Location.site list * bool, Mutate.t list) lru;
+  lists : (Location.site list * bool, candidates) lru;
 }
 
 let create_store () =
@@ -102,7 +117,11 @@ let find store spec = lookup store.spaces spec () (fun () -> build spec)
 
 let candidates store (env : Alloy.Typecheck.env) ~sites ~with_pool =
   lookup store.lists env.spec (sites, with_pool) (fun () ->
-      build_candidates env ~sites ~with_pool)
+      let nodes = Mutate.candidates_by_node env ~sites ~with_pool in
+      {
+        plain = List.concat_map fst nodes;
+        pooled = Array.of_list (List.map (fun (_, p) -> Lazy.from_fun p) nodes);
+      })
 
 let stats store = Counters.copy store.spaces.counts
 let specs store = List.map (fun (s, _, _) -> s) store.spaces.entries

@@ -25,18 +25,30 @@ val build : Ast.spec -> t option
 (** The space of a spec; [None] when the spec does not type-check or has
     no mutation. *)
 
-val build_candidates :
-  Specrepair_alloy.Typecheck.env ->
-  sites:Location.site list ->
-  with_pool:bool ->
-  Mutate.t list
-(** BeAFix's depth-1 candidate list over [env.spec] ([env] its own
-    typecheck result): {!Mutate.all_mutations} [~unique:true] at every
-    node of [sites] (which must not repeat a site), the structural edits
-    first and then the pool replacements ({!Mutate.from_pool}), each part
-    in enumeration order.  Cheap edits across every site come before any
-    pool replacement, so one pool-heavy site cannot starve the rest of
-    the budget. *)
+(** {2 BeAFix's depth-1 candidate list} *)
+
+type candidates
+(** Every single mutation at every node of the swept sites, each node's
+    repeated replacements dropped, the first kept
+    ({!Mutate.candidates_by_node}): first the structural edits of every
+    node, then the pool replacements ({!Mutate.from_pool}) of each node
+    in turn, each part in enumeration order.  Cheap edits across every
+    site come before any pool replacement, so one pool-heavy site cannot
+    starve the rest of the budget.  The structural edits are built with
+    the list; a node's pool replacements are built the first time a walk
+    reaches them, and kept. *)
+
+val to_seq : candidates -> Mutate.t Seq.t
+(** The list, in order.  Reading past the structural edits builds each
+    node's pool replacements as the walk reaches them. *)
+
+val length : candidates -> int
+(** The length of the whole list; builds every node's pool
+    replacements. *)
+
+val pools_built : candidates -> int
+(** How many nodes' pool replacements have been built so far, for
+    tests. *)
 
 (** {2 Store} *)
 
@@ -66,10 +78,13 @@ val candidates :
   Specrepair_alloy.Typecheck.env ->
   sites:Location.site list ->
   with_pool:bool ->
-  Mutate.t list
-(** {!build_candidates}, looked up like {!find}: a stored list whose spec
-    is physically equal to [env.spec], else {!Ast.equal_spec}, with equal
-    [sites] and [with_pool], else a new build, stored. *)
+  candidates
+(** BeAFix's depth-1 candidate list over [env.spec] ([env] its own
+    typecheck result) at every node of [sites] (which must not repeat a
+    site), looked up like {!find}: a stored list whose spec is
+    physically equal to [env.spec], else {!Ast.equal_spec}, with equal
+    [sites] and [with_pool], else a new list, stored.  A stored list
+    keeps the pool replacements its walks have built, and only those. *)
 
 val stats : store -> Specrepair_json.Counters.t
 (** Lifetime counters, schema ["spaces"]: {!find} calls that built a space

@@ -107,16 +107,21 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
     in
     let tried = ref 0 in
     let verify env' = Common.oracle_passes ~max_conflicts session env' in
+    let mutation f = Session.time session "mutation" f in
     let depth1 =
       (* candidate stream: depth 1 = single mutations at every node of the
          suspicious subtrees, kept with the session's spaces; depth 2 =
          pairs across distinct locations *)
-      Session.time session "mutation" (fun () ->
+      mutation (fun () ->
           Mutation.Space.candidates (Session.spaces session) env0
             ~sites:(List.map fst top_locations)
             ~with_pool:budget.Session.use_pool)
     in
-    Telemetry.record_pool telemetry (List.length depth1);
+    (* the count builds every pool replacement; a caller that reports it
+       settles it *)
+    Session.defer session (fun () ->
+        mutation (fun () ->
+            Telemetry.record_pool telemetry (Mutation.Space.length depth1)));
     let try_candidate spec' =
       incr tried;
       Telemetry.(incr telemetry candidates_evaluated);
@@ -134,9 +139,11 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
           else if verify env' then Some spec'
           else None
     in
-    let rec search1 = function
-      | [] -> None
-      | m :: rest ->
+    (* a step can build a node's pool replacements *)
+    let rec search1 seq =
+      match mutation seq with
+      | Seq.Nil -> None
+      | Seq.Cons (m, rest) ->
           if !tried >= budget.Session.max_candidates || Session.expired session
           then None
           else begin
@@ -145,7 +152,7 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
             | None -> search1 rest
           end
     in
-    let result1 = search1 depth1 in
+    let result1 = search1 (Mutation.Space.to_seq depth1) in
     let result =
       match result1 with
       | Some s -> Some s
@@ -156,7 +163,8 @@ let repair ?session (env0 : Alloy.Typecheck.env) =
              late one — a plain nested loop would spend the whole budget on
              pairs anchored at index 0. *)
           let ms =
-            Array.of_list (List.filteri (fun i _ -> i < 150) depth1)
+            mutation (fun () ->
+                Array.of_seq (Seq.take 150 (Mutation.Space.to_seq depth1)))
           in
           let n = Array.length ms in
           let found = ref None in

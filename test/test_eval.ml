@@ -93,6 +93,14 @@ let test_fig3_diagonal_is_one () =
   Alcotest.(check (float 1e-9)) "self correlation" 1.0 r;
   Alcotest.(check bool) "significant" true (p < 0.001)
 
+(* Rows scored in this process and rows read back from their CSV give the
+   same figure 3: a study's TM and SM are stored at the CSV's precision. *)
+let test_fig3_of_stored_rows () =
+  let rs = Lazy.force mini_results in
+  Alcotest.(check string) "fig3.csv"
+    (Eval.Tables.fig3_csv rs)
+    (Eval.Tables.fig3_csv (Eval.Study.of_csv (Eval.Study.to_csv rs)))
+
 let test_hybrid_algebra () =
   let rs = Lazy.force mini_results in
   let a = Eval.Tables.rep_count rs ~technique:"ATR" in
@@ -304,6 +312,8 @@ let () =
           Alcotest.test_case "fig2" `Slow test_fig2_renders;
           Alcotest.test_case "fig3" `Slow test_fig3_renders;
           Alcotest.test_case "self correlation" `Slow test_fig3_diagonal_is_one;
+          Alcotest.test_case "fig3 of stored rows" `Slow
+            test_fig3_of_stored_rows;
           Alcotest.test_case "hybrid algebra" `Slow test_hybrid_algebra;
           Alcotest.test_case "benchmark split" `Slow test_rep_counts_by_benchmark_sum;
           Alcotest.test_case "technique roster" `Quick test_technique_roster;

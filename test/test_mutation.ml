@@ -298,7 +298,8 @@ let test_shared_pools_corpus () =
    (site, path, replacement) in a polymorphic hash table, then stable-
    sorting the structural edits before the pool replacements.  That
    pipeline is kept here as the reference: the per-node dedup and the
-   partition must give the same list, in the same order. *)
+   lazily built pool replacements must give the same list, in the same
+   order, and the same length. *)
 
 let reference_candidates (env : Typecheck.env) ~sites ~with_pool =
   let seen = Hashtbl.create 64 in
@@ -327,6 +328,12 @@ let beafix_sites spec n =
          | _ -> true)
   |> List.filteri (fun i _ -> i < n)
 
+(* A list built outside any store a test looks in *)
+let fresh_list env ~sites ~with_pool =
+  Space.candidates (Space.create_store ()) env ~sites ~with_pool
+
+let elements list = List.of_seq (Space.to_seq list)
+
 let test_candidates_match_reference () =
   let module B = Specrepair_benchmarks in
   let variants = B.Generate.sample ~seed:7 ~per_domain:3 () in
@@ -346,15 +353,18 @@ let test_candidates_match_reference () =
             (fun (n, with_pool) ->
               let sites = beafix_sites env.spec n in
               let expected = reference_candidates env ~sites ~with_pool in
-              let got = Space.build_candidates env ~sites ~with_pool in
-              if got <> expected then
+              let list = fresh_list env ~sites ~with_pool in
+              if elements list <> expected then
                 Alcotest.failf "%s (%d sites, with_pool %b): list differs" v.id
                   n with_pool;
+              if Space.length list <> List.length expected then
+                Alcotest.failf "%s (%d sites, with_pool %b): length differs"
+                  v.id n with_pool;
               dropped :=
                 !dropped
                 + List.length
                     (Mutate.all_mutations env env.spec ~sites ~with_pool ())
-                - List.length got)
+                - Space.length list)
             [ (5, false); (5, true); (6, true); (max_int, false) ])
     variants;
   (* the dedup has something to do *)
@@ -371,7 +381,7 @@ let test_candidates_store () =
   let first = Space.candidates store e ~sites ~with_pool:true in
   Alcotest.(check (pair int int)) "cold: one build" (1, 0) (lists ());
   Alcotest.(check bool) "a build is the fresh list" true
-    (first = Space.build_candidates e ~sites ~with_pool:true);
+    (elements first = elements (fresh_list e ~sites ~with_pool:true));
   Alcotest.(check bool) "a hit is the stored list" true
     (Space.candidates store e ~sites ~with_pool:true == first);
   (* a structurally equal spec from a second parse hits too *)
@@ -384,7 +394,7 @@ let test_candidates_store () =
   (* the sites and the pool switch are part of the key *)
   let plain = Space.candidates store e ~sites ~with_pool:false in
   Alcotest.(check bool) "without pool" true
-    (plain = Space.build_candidates e ~sites ~with_pool:false);
+    (elements plain = elements (fresh_list e ~sites ~with_pool:false));
   ignore (Space.candidates store e ~sites:(List.tl sites) ~with_pool:true);
   Alcotest.(check (pair int int)) "other keys build" (3, 2) (lists ());
   (* two lists at most: the first key was least recently used *)

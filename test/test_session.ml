@@ -139,6 +139,8 @@ let test_telemetry_counters () =
   let session = Session.create env in
   let r = Repair.Beafix.repair ~session env in
   Alcotest.(check bool) "repair succeeded" true r.repaired;
+  (* BeAFix's candidate count settles when the session stops *)
+  Session.stop_clock session;
   let t = Session.telemetry session in
   let n = Counters.find t in
   Alcotest.(check bool) "candidates evaluated >= 1" true
@@ -153,16 +155,20 @@ let test_telemetry_counters () =
 (* A BeAFix session handed the store of an earlier one (as a warm serve
    entry hands it) reads its depth-1 list from there: the telemetry
    [spaces] object shows a reuse and no build, where the cold session
-   shows the build; the two runs generate and try the same candidates. *)
+   shows the build; the two runs generate and try the same candidates.
+   Stopped, each reports the whole list's length, 860, as
+   [candidates_generated] and [pool_peak], as when the list was built in
+   full before the search. *)
 let test_warm_candidate_list () =
   let store = Specrepair_mutation.Space.create_store () in
   let run env =
     let session = Session.create ~spaces:store env in
     let r = Repair.Beafix.repair ~session env in
+    Session.stop_clock session;
     let j = Result.get_ok (Json.parse (Session.telemetry_json session)) in
     let spaces = Option.get (Json.member "spaces" j) in
     ( r,
-      Json.mem_int "candidates_generated" j,
+      (Json.mem_int "candidates_generated" j, Json.mem_int "pool_peak" j),
       (Json.mem_int "lists_built" spaces, Json.mem_int "lists_reused" spaces)
     )
   in
@@ -173,12 +179,49 @@ let test_warm_candidate_list () =
     "cold: one list built" (Some 1, Some 0) cold_lists;
   Alcotest.(check (pair (option int) (option int)))
     "warm: one list reused" (Some 0, Some 1) warm_lists;
-  Alcotest.(check (option int)) "same candidates generated" cold_generated
-    warm_generated;
+  Alcotest.(check (pair (option int) (option int)))
+    "cold: the whole list counted" (Some 860, Some 860) cold_generated;
+  Alcotest.(check (pair (option int) (option int)))
+    "same candidates generated" cold_generated warm_generated;
   Alcotest.(check bool) "same result" true
     (cold_r.repaired = warm_r.repaired
     && cold_r.candidates_tried = warm_r.candidates_tried
     && Ast.equal_spec cold_r.final_spec warm_r.final_spec)
+
+(* BeAFix builds a node's pool replacements only when its search reaches
+   them.  The fault here is repaired by a structural edit, so a session
+   that is never stopped (a serve request) leaves every pool unbuilt, and
+   stopping it builds them all for the count. *)
+let test_pools_on_demand () =
+  let module Space = Specrepair_mutation.Space in
+  let env = Lazy.force faulty_env in
+  let store = Space.create_store () in
+  let session = Session.create ~spaces:store env in
+  let r = Repair.Beafix.repair ~session env in
+  Alcotest.(check bool) "repaired" true r.repaired;
+  (* the sites BeAFix swept: the first [locations] constraint roots *)
+  let sites =
+    Specrepair_faultloc.Faultloc.candidate_locations env.spec
+      ~sites:(Specrepair_mutation.Location.sites env.spec)
+    |> List.filter (fun (_, path) -> path = [])
+    |> List.filteri (fun i _ -> i < Session.default_budget.locations)
+    |> List.map fst
+  in
+  let list = Space.candidates store env ~sites ~with_pool:true in
+  let lists key = Counters.find (Space.stats store) key in
+  Alcotest.(check (pair int int)) "the list BeAFix swept" (1, 1)
+    (lists "lists_built", lists "lists_reused");
+  Alcotest.(check int) "no pool built" 0 (Space.pools_built list);
+  Alcotest.(check int) "nothing counted yet" 0
+    (Counters.find (Session.telemetry session) "candidates_generated");
+  Session.stop_clock session;
+  Alcotest.(check bool) "stopping builds every pool" true
+    (Space.pools_built list > 0
+    && Space.pools_built list
+       = Specrepair_mutation.(
+           List.length (Mutate.candidates_by_node env ~sites ~with_pool:true)));
+  Alcotest.(check int) "stopping counts the whole list" (Space.length list)
+    (Counters.find (Session.telemetry session) "candidates_generated")
 
 (* The Multi-Round pipeline builds one proposal distribution per round and
    draws its best-of-k self-check proposals from it, so builds never
@@ -530,6 +573,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_telemetry_counters;
           Alcotest.test_case "warm candidate list" `Quick
             test_warm_candidate_list;
+          Alcotest.test_case "pools built on demand" `Quick
+            test_pools_on_demand;
           Alcotest.test_case "proposal builds per round" `Quick
             test_proposal_builds_per_round;
           Alcotest.test_case "certified repair" `Quick test_certified_repair;
