@@ -892,10 +892,12 @@ let panel =
 (* {2 Replies target} *)
 
 module Handler = Specrepair_serve.Handler
+module Replies = Specrepair_serve.Replies
 
-(* The serve handler's reply memo vs. recomputation: one request sequence
-   goes through a handler that answers repeats from its entries' memos
-   and through one that bypasses them, and every reply must be
+(* The daemon's reply memo vs. recomputation: one request sequence goes
+   through a memo and a handler composed in the daemon's order
+   ([Replies.local]), which answers repeats from the memo, and through a
+   composition whose memo stores nothing, and every reply must be
    byte-identical.  Registries of one or two entries over two or three
    specs make evictions (and with them memo drops) happen mid-sequence.
    No request carries a deadline: the clock decides [timed_out]. *)
@@ -960,8 +962,12 @@ let repair_line ~id (source, tool, seed, file) =
          ]))
 
 let check_replies_case c =
-  let memo = Handler.create ~no_cache:false ~max_sessions:c.r_max_sessions () in
-  let bypass = Handler.create ~no_cache:true ~max_sessions:c.r_max_sessions () in
+  let front no_cache =
+    Replies.local
+      (Replies.create ~no_cache ~slots:1)
+      (Handler.create ~max_sessions:c.r_max_sessions ())
+  in
+  let memo = front false and bypass = front true in
   let sources = List.map Alloy.Pretty.source c.r_variants in
   let rec go k = function
     | [] -> `Ok
@@ -970,9 +976,9 @@ let check_replies_case c =
           repair_line ~id:(Printf.sprintf "r%d" k)
             (List.nth sources v, tool, seed, file)
         in
-        let reply, warmth = Handler.handle memo line in
-        if warmth = Handler.Reused then Counters.incr c.r_reused replies_reused;
-        let recomputed, _ = Handler.handle bypass line in
+        let reply, answer = memo line in
+        if answer = Replies.Memo then Counters.incr c.r_reused replies_reused;
+        let recomputed, _ = bypass line in
         if reply <> recomputed then
           `Fail
             (Printf.sprintf

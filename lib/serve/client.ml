@@ -44,8 +44,11 @@ let write_all fd s =
 let send_partial c s =
   try write_all c.fd s with Unix.Unix_error _ -> ()
 
+(* one read buffer for every connection: reads are blocking and one at
+   a time, and [burst]'s children each have their own copy *)
+let scratch = Bytes.create 65536
+
 let read_line c =
-  let buf = Bytes.create 65536 in
   let rec go () =
     let text = Buffer.contents c.rbuf in
     match String.index_opt text '\n' with
@@ -54,10 +57,10 @@ let read_line c =
         Buffer.add_substring c.rbuf text (i + 1) (String.length text - i - 1);
         Ok (String.sub text 0 i)
     | None -> (
-        match Unix.read c.fd buf 0 (Bytes.length buf) with
+        match Unix.read c.fd scratch 0 (Bytes.length scratch) with
         | 0 -> Error "connection closed by the daemon"
         | k ->
-            Buffer.add_subbytes c.rbuf buf 0 k;
+            Buffer.add_subbytes c.rbuf scratch 0 k;
             go ()
         | exception Unix.Unix_error (EINTR, _, _) -> go ()
         | exception Unix.Unix_error (e, _, _) ->

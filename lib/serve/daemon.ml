@@ -1,7 +1,7 @@
-(* The serve daemon: accept loop, request router, admission control and
-   counters.  See daemon.mli for the semantics; the protocol lives in
-   protocol.ml, the execution in handler.ml (worker side), the process
-   supervision in pool.ml. *)
+(* The serve daemon: accept loop, request router, reply memo, admission
+   control and counters.  See daemon.mli for the semantics; the protocol
+   lives in protocol.ml, the memo in replies.ml, the execution in
+   handler.ml (worker side), the process supervision in pool.ml. *)
 
 module Worker = Specrepair_workers.Worker
 module Json = Specrepair_json
@@ -39,7 +39,13 @@ type client = {
   mutable close_after_flush : bool;
 }
 
-type inflight = { origin : Unix.file_descr option; req_id : string; meth : string; t0 : float }
+type inflight = {
+  origin : Unix.file_descr option;
+  req_id : string;
+  meth : string;
+  t0 : float;
+  memo_key : Replies.key option;
+}
 
 type pending = {
   p_token : int;
@@ -118,9 +124,14 @@ let run config =
   | None -> ());
   if !listeners = [] then failwith "serve: no listener configured (--socket or --tcp)";
 
-  (* {2 Worker pool} *)
+  (* {2 Worker pool and reply memo} *)
   let handler = Handler.create ~max_sessions:config.max_sessions () in
-  let pool = Pool.create ~jobs:config.workers ~handle:(Handler.handle handler) in
+  let pool = Pool.create ~jobs:config.workers ~handle:(Handler.serve handler) in
+  let memo =
+    Replies.create
+      ~no_cache:(Sys.getenv_opt "SPECREPAIR_NO_CACHE" = Some "1")
+      ~slots:(Pool.jobs pool)
+  in
 
   (* {2 State} *)
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
@@ -179,7 +190,7 @@ let run config =
   in
 
   (* {2 Routing} *)
-  let record_reply ~token ~okay ~warmth =
+  let record_reply ~token ~okay ~answer =
     match Hashtbl.find_opt inflight token with
     | None -> None
     | Some entry ->
@@ -187,13 +198,13 @@ let run config =
         count (if okay then Count.ok else Count.errors);
         (* a memo hit is also a registry hit, so hits + misses stays the
            number of answered spec requests *)
-        (match warmth with
-        | Some Handler.Warm -> count Count.cache_hits
-        | Some Handler.Reused ->
+        (match answer with
+        | Some (Replies.Worker Handler.Warm) -> count Count.cache_hits
+        | Some Replies.Memo ->
             count Count.cache_hits;
             count Count.replies_reused
-        | Some Handler.Cold -> count Count.cache_misses
-        | Some Handler.Uncached | None -> ());
+        | Some (Replies.Worker Handler.Cold) -> count Count.cache_misses
+        | Some (Replies.Worker Handler.Uncached) | None -> ());
         telemetry
           [
             ("event", Json.Str "reply");
@@ -201,16 +212,31 @@ let run config =
             ("id", Json.Str entry.req_id);
             ("ok", Json.Bool okay);
             ( "warm",
-              match warmth with
-              | Some (Handler.Warm | Handler.Reused) -> Json.Bool true
-              | Some Handler.Cold -> Json.Bool false
+              match answer with
+              | Some (Replies.Worker Handler.Warm | Replies.Memo) -> Json.Bool true
+              | Some (Replies.Worker Handler.Cold) -> Json.Bool false
               | _ -> Json.Null );
             ("ms", Json.Num ((Unix.gettimeofday () -. entry.t0) *. 1000.));
           ];
         Some entry
   in
+  (* [slot] is idle: answer a stored repair from the memo, or send the
+     request to the worker with the touches the memo queued for it *)
   let dispatch ~slot ~token ~kill_after_s line =
-    Pool.dispatch pool ~slot ~token ?kill_after_s line
+    let hit =
+      match Hashtbl.find_opt inflight token with
+      | Some { req_id; memo_key = Some key; _ } ->
+          Replies.find memo ~slot ~id:req_id key
+      | _ -> None
+    in
+    match hit with
+    | Some reply -> (
+        match record_reply ~token ~okay:true ~answer:(Some Replies.Memo) with
+        | Some { origin = Some fd; _ } -> send_to_fd fd reply
+        | Some { origin = None; _ } | None -> ())
+    | None ->
+        Pool.dispatch pool ~slot ~token ?kill_after_s
+          ~touched:(Replies.touched memo ~slot) line
   in
   (* dispatch the oldest queued entry whose sticky slot is idle, then
      rescan: freeing one slot can unblock several queued keys *)
@@ -272,6 +298,7 @@ let run config =
         | _ ->
             let key = Option.get (Protocol.cache_key call) in
             let slot = Pool.slot_of_key pool key in
+            let memo_key = Replies.key ~entry:key call in
             let deadline_ms =
               match call with
               | Protocol.Repair p -> p.Protocol.deadline_ms
@@ -295,7 +322,13 @@ let run config =
               let token = !next_token in
               incr next_token;
               Hashtbl.replace inflight token
-                { origin = Some c.fd; req_id = id; meth; t0 = Unix.gettimeofday () };
+                {
+                  origin = Some c.fd;
+                  req_id = id;
+                  meth;
+                  t0 = Unix.gettimeofday ();
+                  memo_key;
+                };
               if Pool.idle pool slot then
                 dispatch ~slot ~token ~kill_after_s line
               else if List.length !pending >= config.queue_depth then begin
@@ -360,8 +393,9 @@ let run config =
     in
     go ()
   in
+  (* one read buffer for every client: the loop reads one at a time *)
+  let buf = Bytes.create 65536 in
   let read_client c =
-    let buf = Bytes.create 65536 in
     match Unix.read c.fd buf 0 (Bytes.length buf) with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> close_client c
@@ -374,26 +408,32 @@ let run config =
     List.iter
       (fun ev ->
         match ev with
-        | Pool.Reply { token; warmth; line } -> (
-            match record_reply ~token ~okay:(Protocol.reply_is_ok line)
-                    ~warmth:(Some warmth)
+        | Pool.Reply { token; slot; warmth; evicted; line } -> (
+            let memo_key =
+              Option.bind (Hashtbl.find_opt inflight token) (fun e -> e.memo_key)
+            in
+            Replies.record memo ~slot memo_key warmth ~evicted line;
+            match
+              record_reply ~token ~okay:(Protocol.reply_is_ok line)
+                ~answer:(Some (Replies.Worker warmth))
             with
             | Some { origin = Some fd; _ } -> send_to_fd fd line
             | Some { origin = None; _ } | None -> ())
         | Pool.Died { token; _ } -> (
-            match record_reply ~token ~okay:false ~warmth:None with
+            match record_reply ~token ~okay:false ~answer:None with
             | Some { origin = Some fd; req_id; _ } ->
                 send_to_fd fd
                   (Protocol.error_reply ~id:req_id ~code:Protocol.Worker_crashed
                      "the worker serving this request died; it was respawned")
             | Some { origin = None; _ } | None -> ())
         | Pool.Timed_out { token; _ } -> (
-            match record_reply ~token ~okay:false ~warmth:None with
+            match record_reply ~token ~okay:false ~answer:None with
             | Some { origin = Some fd; req_id; _ } ->
                 send_to_fd fd
                   (Protocol.error_reply ~id:req_id ~code:Protocol.Deadline_exceeded
                      "hard deadline exceeded; the worker was killed")
-            | Some { origin = None; _ } | None -> ()))
+            | Some { origin = None; _ } | None -> ())
+        | Pool.Respawned { slot } -> Replies.clear memo ~slot)
       events;
     if events <> [] then pump_queue ()
   in

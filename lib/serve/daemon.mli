@@ -7,8 +7,21 @@
     parent never solves — it parses and validates requests
     ({!Protocol.parse_request}), applies admission control, routes each
     request to its sticky worker, and forwards reply lines; all solving
-    (and all warm state) lives in the forked workers, so a worker crash
-    costs exactly the request it was serving.
+    (and the registries of warm entries) lives in the forked workers, so
+    a worker crash costs exactly the request it was serving.
+
+    {b Reply memo.}  The daemon owns the reply memo ({!Replies}): when a
+    [repair] request's sticky worker is idle and the memo holds the
+    request's result, the daemon answers it with the stored result under
+    the request's [id] and ["warm":true], without a worker round trip,
+    and counts it in [cache_hits] and [replies_reused].  A request for a
+    busy worker is queued and looked up when it is dispatched.  The hit
+    goes to the worker as a touch on its next request, and each worker
+    reply reports the keys its registry evicted, so the memo holds only
+    what the worker's registry holds; a respawned worker's memo is
+    dropped.  [SPECREPAIR_NO_CACHE=1] in the daemon's environment, read
+    once by {!run}, stores nothing.  Requests carrying [params.chaos]
+    skip the memo.
 
     {b Admission.}  A request is dispatched if its sticky worker is idle,
     queued while fewer than [queue_depth] requests wait, and refused with

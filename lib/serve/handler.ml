@@ -1,12 +1,13 @@
 (* Request execution inside a serve worker.
 
    The warm state lives here: a bounded LRU mapping request digests to
-   type-checked environments with their incremental oracles,
-   mutation-space stores and repair-reply memos (spec requests) or
-   memoized verdicts (sat requests).  A second request for the same
-   source skips the frontend, the translation, BeAFix's candidate list
-   and — via the oracle's digest-keyed verdict caches — most of the
-   solving; a repeated repair request skips the tool altogether. *)
+   type-checked environments with their incremental oracles and
+   mutation-space stores (spec requests) or memoized verdicts (sat
+   requests).  A second request for the same source skips the frontend,
+   the translation, BeAFix's candidate list and — via the oracle's
+   digest-keyed verdict caches — most of the solving.  A repeated repair
+   request never gets here: the daemon answers it from its reply memo
+   ({!Replies}) and forwards the hit as a touch. *)
 
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
@@ -17,35 +18,20 @@ module Llm = Specrepair_llm
 module Eval = Specrepair_eval
 module Json = Specrepair_json
 
-type warmth = Warm | Cold | Reused | Uncached
+type warmth = Warm | Cold | Uncached
 
-(* The repair request fields a reply depends on beyond the registry key
-   (source and profile): tool, seed, file and deadline_ms *)
-type reply_key = string * int * string * float option
-
-(* A reply memo holds at most this many results, newest first *)
-let memo_bound = 8
-
-(* The store's spaces and candidate lists, and the reply memo, live and
-   die with the entry *)
+(* The store's spaces and candidate lists live and die with the entry *)
 type spec_state = {
   env : Alloy.Typecheck.env;
   oracle : Solver.Oracle.t;
   spaces : Specrepair_mutation.Space.store;
-  mutable replies : (reply_key * Json.t) list;
 }
 
 type entry = Spec of spec_state | Cnf_verdict of string
 
-type t = { registry : entry Registry.t; no_cache : bool }
+type t = { registry : entry Registry.t }
 
-let create ?no_cache ~max_sessions () =
-  let no_cache =
-    match no_cache with
-    | Some b -> b
-    | None -> Sys.getenv_opt "SPECREPAIR_NO_CACHE" = Some "1"
-  in
-  { registry = Registry.create ~max:max_sessions; no_cache }
+let create ~max_sessions () = { registry = Registry.create ~max:max_sessions }
 let registry_stats t = Registry.stats t.registry
 
 let chaos_enabled () = Sys.getenv_opt "SPECREPAIR_SERVE_CHAOS" = Some "1"
@@ -90,7 +76,6 @@ let spec_entry t ~id ~key ~file ~source =
             env = ok.Alloy.Frontend.env;
             oracle = Solver.Oracle.create ok.Alloy.Frontend.env;
             spaces = Specrepair_mutation.Space.create_store ();
-            replies = [];
           }
     | Error d -> raise (Reply (spec_error ~id ~source [ d ]))
   in
@@ -124,43 +109,44 @@ let repair_result ~warm (r : Repair.Common.result) spec =
       ("spec", spec);
     ]
 
+let stored_result reply =
+  match Json.parse reply with
+  | Ok j -> (
+      match (Json.mem_bool "ok" j, Json.member "result" j) with
+      | Some true, Some (Json.Obj fields)
+        when List.assoc_opt "timed_out" fields = Some (Json.Bool false) ->
+          let warm (k, v) = if k = "warm" then (k, Json.Bool true) else (k, v) in
+          Some (Json.to_string (Json.Obj (List.map warm fields)))
+      | _ -> None)
+  | Error _ -> None
+
 let handle_repair t ~id (p : Protocol.repair_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Repair p)) in
-  let state, warm = spec_entry t ~id ~key ~file:p.file ~source:p.source in
-  let reply_key = (p.tool, p.seed, p.file, p.deadline_ms) in
-  match List.assoc_opt reply_key state.replies with
-  | Some result -> (Protocol.ok_reply ~id result, Reused)
-  | None ->
-      let { env; oracle; spaces; _ } = state in
-      let session =
-        Repair.Session.create ~oracle ~spaces ~seed:p.seed
-          ?deadline_ms:p.deadline_ms env
-      in
-      (* validated by Protocol.parse_request against the panel registry *)
-      let profile = Option.get (Llm.Model.profile_of_name p.profile) in
-      let task =
-        Llm.Task.make ~spec_id:p.file ~domain:"serve"
-          ~faulty:env.Alloy.Typecheck.spec ()
-      in
-      (* the tool name is validated by Protocol.parse_request against the
-         same table *)
-      let result =
-        (List.assoc p.tool Eval.Portfolio.tools) ~session ~profile env task
-      in
-      let spec = Json.Str (Alloy.Pretty.spec_to_string result.final_spec) in
-      (* a timed-out result depends on the clock, not only on the
-         request; under SPECREPAIR_NO_CACHE=1 nothing is stored *)
-      if not (t.no_cache || result.timed_out) then
-        state.replies <-
-          List.filteri
-            (fun i _ -> i < memo_bound)
-            ((reply_key, repair_result ~warm:true result spec) :: state.replies);
-      ( Protocol.ok_reply ~id (repair_result ~warm result spec),
-        if warm then Warm else Cold )
+  let { env; oracle; spaces }, warm =
+    spec_entry t ~id ~key ~file:p.file ~source:p.source
+  in
+  let session =
+    Repair.Session.create ~oracle ~spaces ~seed:p.seed
+      ?deadline_ms:p.deadline_ms env
+  in
+  (* validated by Protocol.parse_request against the panel registry *)
+  let profile = Option.get (Llm.Model.profile_of_name p.profile) in
+  let task =
+    Llm.Task.make ~spec_id:p.file ~domain:"serve"
+      ~faulty:env.Alloy.Typecheck.spec ()
+  in
+  (* the tool name is validated by Protocol.parse_request against the
+     same table *)
+  let result =
+    (List.assoc p.tool Eval.Portfolio.tools) ~session ~profile env task
+  in
+  let spec = Json.Str (Alloy.Pretty.spec_to_string result.final_spec) in
+  ( Protocol.ok_reply ~id (repair_result ~warm result spec),
+    if warm then Warm else Cold )
 
 let handle_evaluate t ~id (p : Protocol.evaluate_params) =
   let key = Option.get (Protocol.cache_key (Protocol.Evaluate p)) in
-  let { env; oracle; spaces; _ }, warm =
+  let { env; oracle; spaces }, warm =
     spec_entry t ~id ~key ~file:p.e_file ~source:p.e_source
   in
   let session =
@@ -265,3 +251,8 @@ let handle t line =
           | e ->
               ( Protocol.error_reply ~id ~code:Protocol.Internal (Printexc.to_string e),
                 Uncached )))
+
+let serve t ~touched line =
+  List.iter (Registry.touch t.registry) touched;
+  let reply, warmth = handle t line in
+  (reply, warmth, Registry.take_evicted t.registry)

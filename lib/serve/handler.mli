@@ -1,14 +1,11 @@
 (** Worker-side request execution: one handler per worker process, owning
     that worker's warm-state {!Registry}.
 
-    Each spec entry also owns a reply memo for [repair] requests, keyed
-    on the fields the registry key (source and profile) leaves out:
-    [tool], [seed], [file] and [deadline_ms].  A repeat of a request whose
-    result the entry already holds is answered from it, with the
-    request's [id] and ["warm":true], without running the tool.  Only
-    results that did not time out are stored; the memo keeps the
-    {!memo_bound} newest and goes away with its entry when the registry
-    evicts it.
+    The handler holds no reply memo: the daemon answers a repeated
+    [repair] request itself, from {!Replies}, and forwards that hit on
+    the slot's next request as a touch, which {!serve} replays on the
+    registry before handling the request.  So the registry's recency and
+    counters are those of a worker that had served every request.
 
     [handle] turns a raw request line into a complete reply line plus a
     warmth tag for the daemon's cache counters.  It never raises: every
@@ -27,21 +24,26 @@
 type warmth =
   | Warm  (** served against a registry hit *)
   | Cold  (** served against a freshly built entry *)
-  | Reused  (** answered from a warm entry's reply memo *)
   | Uncached  (** no cacheable state involved (errors, status) *)
 
 type t
 
-val memo_bound : int
-(** Results one entry's reply memo holds at most (8); the oldest is
-    dropped first. *)
-
-val create : ?no_cache:bool -> max_sessions:int -> unit -> t
-(** [~no_cache:true] bypasses the reply memo: every repair request runs
-    its tool.  The default reads [SPECREPAIR_NO_CACHE=1] once, here. *)
+val create : max_sessions:int -> unit -> t
 
 val handle : t -> string -> string * warmth
 (** [handle t line] executes one request line and returns the reply line
     (newline-free) and its warmth. *)
+
+val serve : t -> touched:string list -> string -> string * warmth * string list
+(** What a serve worker runs per request: {!Registry.touch} each of
+    [touched] in order, {!handle} the line, and return the reply, its
+    warmth and the registry keys evicted meanwhile, oldest first. *)
+
+val stored_result : string -> string option
+(** [stored_result reply], for a repair reply line, is the result the
+    daemon's memo stores: its [result] rendered with ["warm":true], byte
+    for byte what the handler renders for a warm run.  [None] for an
+    error reply, and for a result that timed out: such a result depends
+    on the clock, not only on the request. *)
 
 val registry_stats : t -> Specrepair_json.Counters.t

@@ -1,11 +1,15 @@
 (* The serving worker pool.  Workers are {!Specrepair_workers.Worker}
    processes (fork, pipes, line framing, reaping, kill); this module adds
-   the REQ/QUIT and HB/RES messages and the daemon's policy: workers are
+   the REQ/QUIT and RES messages and the daemon's policy: workers are
    long-lived and sticky (warm caches accrue per slot), requests are
    individually dispatched rather than chunked, and a lost worker fails
    exactly its in-flight request — the daemon turns that into one error
    reply, never a retry (repair requests are not idempotent in wall-clock
-   cost). *)
+   cost).  A REQ carries the registry keys the daemon's reply memo
+   answered since the slot's last request, and a RES the keys the
+   worker's registry evicted, so the memo can mirror the registry
+   ({!Replies}).  Keys are hex digests, so a comma joins them and ["-"]
+   stands for none. *)
 
 module Worker = Specrepair_workers.Worker
 
@@ -22,27 +26,47 @@ type slot = {
 
 type t = {
   slots : slot array;
-  handle : string -> string * Handler.warmth;
+  handle : touched:string list -> string -> string * Handler.warmth * string list;
   mutable respawns : int;
 }
 
 type event =
-  | Reply of { token : int; warmth : Handler.warmth; line : string }
+  | Reply of {
+      token : int;
+      slot : int;
+      warmth : Handler.warmth;
+      evicted : string list;
+      line : string;
+    }
   | Died of { token : int; slot : int }
   | Timed_out of { token : int; slot : int }
+  | Respawned of { slot : int }
 
 let warmth_char = function
   | Handler.Warm -> 'W'
   | Handler.Cold -> 'C'
-  | Handler.Reused -> 'R'
   | Handler.Uncached -> 'U'
 
 let warmth_of_char = function
   | "W" -> Some Handler.Warm
   | "C" -> Some Handler.Cold
-  | "R" -> Some Handler.Reused
   | "U" -> Some Handler.Uncached
   | _ -> None
+
+let keys_field = function [] -> "-" | keys -> String.concat "," keys
+let keys_of_field = function "-" -> [] | field -> String.split_on_char ',' field
+
+(* [fields line n] splits the first [n] space-separated fields off [line]
+   and returns them with the rest, which may hold spaces *)
+let fields line n =
+  let rec go from k acc =
+    if k = 0 then Some (List.rev acc, String.sub line from (String.length line - from))
+    else
+      match String.index_from_opt line from ' ' with
+      | Some sp -> go (sp + 1) (k - 1) (String.sub line from (sp - from) :: acc)
+      | None -> None
+  in
+  go 0 n []
 
 (* {2 Worker side} *)
 
@@ -54,30 +78,28 @@ let worker_main ~handle ~recv ~send =
   let rec loop () =
     match recv () with
     | None | Some "QUIT" -> ()
-    | Some line -> (
-        match String.index_opt line ' ' with
-        | Some sp when String.sub line 0 sp = "REQ" -> (
-            let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
-            match String.index_opt rest ' ' with
-            | Some sp2 -> (
-                match int_of_string_opt (String.sub rest 0 sp2) with
-                | Some token ->
-                    let req = String.sub rest (sp2 + 1) (String.length rest - sp2 - 1) in
-                    send (Printf.sprintf "HB %d" token);
-                    let reply, warmth =
-                      try handle req
-                      with e ->
-                        ( Protocol.error_reply ~id:"" ~code:Protocol.Internal
-                            (Printexc.to_string e),
-                          Handler.Uncached )
-                    in
-                    send
-                      (Printf.sprintf "RES %d %c %s" token (warmth_char warmth)
-                         (Worker.one_line reply));
-                    loop ()
-                | None -> loop ())
-            | None -> loop ())
-        | _ -> loop ())
+    | Some line ->
+        (match fields line 3 with
+        | Some ([ "REQ"; token; touched ], req) when int_of_string_opt token <> None ->
+            let reply, warmth, evicted =
+              try handle ~touched:(keys_of_field touched) req
+              with e ->
+                ( Protocol.error_reply ~id:"" ~code:Protocol.Internal
+                    (Printexc.to_string e),
+                  Handler.Uncached,
+                  [] )
+            in
+            send
+              (String.concat " "
+                 [
+                   "RES";
+                   token;
+                   String.make 1 (warmth_char warmth);
+                   keys_field evicted;
+                   Worker.one_line reply;
+                 ])
+        | _ -> ());
+        loop ()
   in
   loop ()
 
@@ -95,7 +117,7 @@ let idle t i = t.slots.(i).inflight = None
 let respawns t = t.respawns
 let pids t = Array.to_list (Array.map (fun s -> s.proc.Worker.pid) t.slots)
 
-let dispatch t ~slot ~token ?kill_after_s line =
+let dispatch t ~slot ~token ?kill_after_s ?(touched = []) line =
   let s = t.slots.(slot) in
   if s.inflight <> None then invalid_arg "Pool.dispatch: slot is busy";
   s.inflight <-
@@ -108,35 +130,41 @@ let dispatch t ~slot ~token ?kill_after_s line =
      in flight, the reap poll will surface the Died event and respawn *)
   ignore
     (Worker.send s.proc
-       ("REQ " ^ string_of_int token ^ " " ^ Worker.one_line line))
+       (String.concat " "
+          [ "REQ"; string_of_int token; keys_field touched; Worker.one_line line ]))
 
 let fds t = Array.to_list (Array.map (fun s -> s.proc.Worker.msg) t.slots)
 
 (* A reaped worker's slot: respawn immediately (the daemon's router
-   assumes every slot exists) and surface the lost request, if any. *)
+   assumes every slot exists) and surface the lost request, if any, and
+   the respawn, newest first like [acc]. *)
 let lose t (s : slot) ~timed_out acc =
-  let ev =
+  let acc =
     match s.inflight with
-    | Some { token; _ } ->
-        if timed_out then Some (Timed_out { token; slot = s.index })
-        else Some (Died { token; slot = s.index })
-    | None -> None
+    | Some { token; _ } when timed_out -> Timed_out { token; slot = s.index } :: acc
+    | Some { token; _ } -> Died { token; slot = s.index } :: acc
+    | None -> acc
   in
   t.respawns <- t.respawns + 1;
   s.proc <- Worker.spawn (worker_main ~handle:t.handle);
   s.inflight <- None;
-  match ev with Some e -> e :: acc | None -> acc
+  Respawned { slot = s.index } :: acc
 
 let handle_line (s : slot) line acc =
-  match String.split_on_char ' ' line with
-  | "RES" :: token :: w :: rest -> (
-      match (int_of_string_opt token, warmth_of_char w, s.inflight) with
-      | Some token, Some warmth, Some { token = t'; _ } when token = t' ->
+  match (fields line 4, s.inflight) with
+  | Some ([ "RES"; token; w; evicted ], line), Some { token = t'; _ }
+    when int_of_string_opt token = Some t' -> (
+      match warmth_of_char w with
+      | Some warmth ->
           s.inflight <- None;
-          Reply { token; warmth; line = String.concat " " rest } :: acc
-      | _ -> acc (* stale or garbled; the reap poll recovers *))
-  | _ -> acc (* HB: draining already recorded the heartbeat *)
+          Reply
+            { token = t'; slot = s.index; warmth; evicted = keys_of_field evicted; line }
+          :: acc
+      | None -> acc)
+  | _ -> acc (* stale or garbled; the reap poll recovers *)
 
+(* Events come out in the order they happened, so a slot's last reply
+   is taken in before the respawn that follows it. *)
 let drain t readable =
   let events = ref [] in
   Array.iter
@@ -150,7 +178,7 @@ let drain t readable =
         events := lose t s ~timed_out:false !events
       end)
     t.slots;
-  !events
+  List.rev !events
 
 let reap t =
   Array.fold_left
@@ -159,6 +187,7 @@ let reap t =
       | None -> acc
       | Some _ -> lose t s ~timed_out:false acc)
     [] t.slots
+  |> List.rev
 
 let kill_overdue t =
   Array.fold_left
@@ -169,6 +198,7 @@ let kill_overdue t =
           lose t s ~timed_out:true acc
       | _ -> acc)
     [] t.slots
+  |> List.rev
 
 let shutdown t =
   Array.iter

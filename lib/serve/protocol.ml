@@ -60,9 +60,11 @@ let code_to_string = function
   | Shutting_down -> "shutting_down"
   | Internal -> "internal"
 
-let ok_reply ~id result =
-  Json.to_string
-    (Json.Obj [ ("id", Json.Str id); ("ok", Json.Bool true); ("result", result) ])
+let ok_reply_text ~id result =
+  String.concat ""
+    [ {|{"id":|}; Json.to_string (Json.Str id); {|,"ok":true,"result":|}; result; "}" ]
+
+let ok_reply ~id result = ok_reply_text ~id (Json.to_string result)
 
 let error_reply ?(data = []) ~id ~code message =
   Json.to_string
@@ -77,7 +79,7 @@ let error_reply ?(data = []) ~id ~code message =
              :: data) );
        ])
 
-(* Replies are always built by the two constructors above, so the success
+(* Replies are always built by the constructors above, so the success
    flag sits in a fixed position right after the escaped id: skip the id's
    string literal (an escaped character never closes it) and read the
    member that follows.  Nothing after the flag is looked at, so a

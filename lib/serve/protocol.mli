@@ -80,6 +80,12 @@ val parse_request : string -> (request, string) result
     recovered from the malformed request). *)
 
 val ok_reply : id:string -> Specrepair_json.t -> string
+
+val ok_reply_text : id:string -> string -> string
+(** [ok_reply_text ~id (Json.to_string r)] is [ok_reply ~id r]: a reply
+    around a result rendered earlier, as the daemon's reply memo
+    stores it. *)
+
 val error_reply :
   ?data:(string * Specrepair_json.t) list ->
   id:string ->

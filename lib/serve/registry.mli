@@ -28,5 +28,14 @@ val stats : 'a t -> Counters.t
     served from the registry ([hits]), lookups that built a fresh entry
     ([misses]) and entries dropped by the LRU bound ([evictions]). *)
 
+val touch : 'a t -> string -> unit
+(** [touch t key] promotes a held [key] to most-recently-used, as a
+    {!find_or_add} hit would, without counting a lookup; a key the
+    registry does not hold is ignored.  The daemon's reply memo answers
+    repeats without the worker, which replays them through [touch]. *)
+
+val take_evicted : 'a t -> string list
+(** The keys the LRU bound dropped since the last call, oldest first. *)
+
 val hits : Counters.key
 val misses : Counters.key

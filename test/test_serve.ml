@@ -11,6 +11,7 @@ module Counters = Json.Counters
 module Protocol = Serve.Protocol
 module Registry = Serve.Registry
 module Handler = Serve.Handler
+module Replies = Serve.Replies
 module Pool = Serve.Pool
 module Daemon = Serve.Daemon
 module Client = Serve.Client
@@ -289,10 +290,11 @@ let test_handler_errors_and_warmth () =
    every spec is served cold, warm, cold again after its entry was
    evicted, then warm again, and each reply equals the first once [warm]
    is normalised, [candidates_tried] included.  BeAFix's candidate list
-   is the state a warm entry keeps here, beside the oracle.  Every
-   request also goes to a second handler created under
-   SPECREPAIR_NO_CACHE=1, which recomputes each warm repeat that the
-   first answers from its reply memo: the two replies must be
+   is the state a warm entry keeps here, beside the oracle.  Requests go
+   through a reply memo and a handler composed in the daemon's order;
+   every request also goes to a second composition whose memo is
+   bypassed, as under SPECREPAIR_NO_CACHE=1, which recomputes each warm
+   repeat that the first answers from its memo: the two replies must be
    byte-identical. *)
 let repair_request ?(tool = "beafix") ?(seed = 42) ?(file = "<test>")
     ?deadline_ms src =
@@ -334,23 +336,25 @@ let sample_sources ~per_domain =
       (v.id, Specrepair_alloy.Pretty.source v.injected.faulty))
     (B.Generate.sample ~seed:11 ~per_domain ())
 
-(* A handler whose reply memo is bypassed through the environment, as a
-   daemon started with SPECREPAIR_NO_CACHE=1 creates it *)
-let bypass_handler ~max_sessions =
-  Unix.putenv "SPECREPAIR_NO_CACHE" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SPECREPAIR_NO_CACHE" "")
-    (fun () -> Handler.create ~max_sessions ())
+(* One worker slot as the daemon runs it: a reply memo in front of a
+   handler.  [~no_cache:true] is the memo a daemon started with
+   SPECREPAIR_NO_CACHE=1 creates. *)
+let front ?(no_cache = false) h = Replies.local (Replies.create ~no_cache ~slots:1) h
+
+let reused = Replies.Memo
+let warm = Replies.Worker Handler.Warm
+let cold = Replies.Worker Handler.Cold
 
 let warmth_name = function
-  | Handler.Warm -> "warm"
-  | Handler.Cold -> "cold"
-  | Handler.Reused -> "reused"
-  | Handler.Uncached -> "uncached"
+  | Replies.Worker Handler.Warm -> "warm"
+  | Replies.Worker Handler.Cold -> "cold"
+  | Replies.Memo -> "reused"
+  | Replies.Worker Handler.Uncached -> "uncached"
 
 let test_handler_warm_equals_cold () =
-  let h = Handler.create ~no_cache:false ~max_sessions:2 () in
-  let bypass = bypass_handler ~max_sessions:2 in
+  let handler = Handler.create ~max_sessions:2 () in
+  let h = front handler in
+  let bypass = front ~no_cache:true (Handler.create ~max_sessions:2 ()) in
   let sources = sample_sources ~per_domain:1 in
   Alcotest.(check int) "one spec per domain"
     (List.length Specrepair_benchmarks.Domains.all)
@@ -361,24 +365,24 @@ let test_handler_warm_equals_cold () =
         Option.bind (Json.member "result" j) (Json.mem_int "candidates_tried")
     | Error _ -> None
   in
-  let reused = ref 0 in
+  let reuses = ref 0 in
   (* [expected] is the memo handler's warmth; the bypass handler never
      reuses a reply, so it serves that request warm *)
   let serve ~tool (id, src) expected =
     let line = repair_request ~tool src in
-    let reply, warmth = Handler.handle h line in
-    let recomputed, bypass_warmth = Handler.handle bypass line in
+    let reply, warmth = h line in
+    let recomputed, bypass_warmth = bypass line in
     if warmth <> expected then
       Alcotest.failf "%s (%s): %s, expected %s" id tool (warmth_name warmth)
         (warmth_name expected);
-    let bypass_expected = if expected = Handler.Reused then Handler.Warm else expected in
+    let bypass_expected = if expected = reused then warm else expected in
     if bypass_warmth <> bypass_expected then
       Alcotest.failf "%s (%s): bypass handler served it %s" id tool
         (warmth_name bypass_warmth);
     if reply <> recomputed then
       Alcotest.failf "%s (%s): memo reply differs from the recomputed one:\n%s\n%s"
         id tool reply recomputed;
-    if warmth = Handler.Reused then incr reused;
+    if warmth = reused then incr reuses;
     reply
   in
   let check_same ~tool ((id, _) as spec) first warmth =
@@ -393,68 +397,68 @@ let test_handler_warm_equals_cold () =
   let firsts =
     List.map
       (fun spec ->
-        let first = serve ~tool:"beafix" spec Handler.Cold in
+        let first = serve ~tool:"beafix" spec cold in
         check_contains (fst spec) {|"ok":true|} first;
         if candidates_tried first = None then
           Alcotest.failf "%s: no candidates_tried" (fst spec);
-        check_same ~tool:"beafix" spec first Handler.Reused;
+        check_same ~tool:"beafix" spec first reused;
         first)
       sources
   in
   List.iter2
     (fun spec first ->
-      check_same ~tool:"beafix" spec first Handler.Cold;
-      check_same ~tool:"beafix" spec first Handler.Reused)
+      check_same ~tool:"beafix" spec first cold;
+      check_same ~tool:"beafix" spec first reused)
     sources firsts;
-  let s = Handler.registry_stats h in
+  let s = Handler.registry_stats handler in
   Alcotest.(check bool) "entries were evicted" true
     (Counters.find s "evictions" >= List.length sources);
   (* a portfolio request on a spec whose entry a BeAFix request warmed *)
   (match sources with
   | spec :: (other :: third :: _) ->
-      ignore (serve ~tool:"beafix" spec Handler.Cold);
-      let first = cold_form (serve ~tool:"portfolio" spec Handler.Warm) in
-      check_same ~tool:"portfolio" spec first Handler.Reused;
-      ignore (serve ~tool:"beafix" other Handler.Cold);
-      ignore (serve ~tool:"beafix" third Handler.Cold);
-      check_same ~tool:"portfolio" spec first Handler.Cold;
-      check_same ~tool:"portfolio" spec first Handler.Reused
+      ignore (serve ~tool:"beafix" spec cold);
+      let first = cold_form (serve ~tool:"portfolio" spec warm) in
+      check_same ~tool:"portfolio" spec first reused;
+      ignore (serve ~tool:"beafix" other cold);
+      ignore (serve ~tool:"beafix" third cold);
+      check_same ~tool:"portfolio" spec first cold;
+      check_same ~tool:"portfolio" spec first reused
   | _ -> Alcotest.fail "too few specs");
   Alcotest.(check int) "memo answers every repeat"
     ((2 * List.length sources) + 2)
-    !reused
+    !reuses
 
 (* The reply memo's key, its no-timeout rule, its owner and its bound.
    Multi-Round's reply depends on the seed and on the file name (the
    task's id), so a memo that ignored either would answer wrongly; every
-   reply is compared with a bypass handler's recomputation. *)
+   reply is compared with a bypassed memo's recomputation. *)
 let test_handler_reply_memo () =
-  let h = Handler.create ~no_cache:false ~max_sessions:1 () in
-  let bypass = Handler.create ~no_cache:true ~max_sessions:1 () in
+  let h = front (Handler.create ~max_sessions:1 ()) in
+  let bypass = front ~no_cache:true (Handler.create ~max_sessions:1 ()) in
   let src, other =
     match sample_sources ~per_domain:1 with
     | (_, a) :: (_, b) :: _ -> (a, b)
     | _ -> Alcotest.fail "too few specs"
   in
   let ask what line expected =
-    let reply, warmth = Handler.handle h line in
+    let reply, warmth = h line in
     if warmth <> expected then
       Alcotest.failf "%s: %s, expected %s" what (warmth_name warmth)
         (warmth_name expected);
-    let recomputed, _ = Handler.handle bypass line in
+    let recomputed, _ = bypass line in
     if reply <> recomputed then
       Alcotest.failf "%s: memo reply differs from the recomputed one:\n%s\n%s"
         what reply recomputed;
     reply
   in
   let base = repair_request ~tool:"multi-round" ~seed:1 ~file:"a" src in
-  let first = ask "first request" base Handler.Cold in
-  ignore (ask "repeat" base Handler.Reused);
+  let first = ask "first request" base cold in
+  ignore (ask "repeat" base reused);
   (* each key field on its own misses, then is stored *)
   List.iter
     (fun (field, line) ->
-      ignore (ask (field ^ " changed") line Handler.Warm);
-      ignore (ask (field ^ " changed, repeated") line Handler.Reused))
+      ignore (ask (field ^ " changed") line warm);
+      ignore (ask (field ^ " changed, repeated") line reused))
     [
       ("tool", repair_request ~tool:"beafix" ~seed:1 ~file:"a" src);
       ("seed", repair_request ~tool:"multi-round" ~seed:2 ~file:"a" src);
@@ -464,37 +468,37 @@ let test_handler_reply_memo () =
           ~deadline_ms:600_000. src );
     ];
   let reseeded =
-    fst (Handler.handle h (repair_request ~tool:"multi-round" ~seed:2 ~file:"a" src))
+    fst (h (repair_request ~tool:"multi-round" ~seed:2 ~file:"a" src))
   in
   if reseeded = first then Alcotest.fail "multi-round ignores the seed here";
   (* a timed-out result depends on the clock: it is never stored *)
   let rushed =
     repair_request ~tool:"multi-round" ~seed:1 ~file:"a" ~deadline_ms:0.001 src
   in
-  let r, _ = Handler.handle h rushed in
+  let r, _ = h rushed in
   check_contains "the deadline expires" {|"timed_out":true|} r;
-  let _, w = Handler.handle h rushed in
+  let _, w = h rushed in
   Alcotest.(check string) "a timed-out result is recomputed" "warm"
     (warmth_name w);
   (* a ninth distinct key drops the oldest: [base] was stored first *)
-  ignore (ask "five stored keys, base still held" base Handler.Reused);
+  ignore (ask "five stored keys, base still held" base reused);
   List.iter
     (fun seed ->
       ignore
         (ask "filling the memo"
            (repair_request ~tool:"multi-round" ~seed ~file:"a" src)
-           Handler.Warm))
+           warm))
     [ 3; 4; 5; 6 ];
   ignore
     (ask "the second oldest survives"
        (repair_request ~tool:"beafix" ~seed:1 ~file:"a" src)
-       Handler.Reused);
-  ignore (ask "the ninth key evicted the oldest" base Handler.Warm);
-  Alcotest.(check int) "the bound" 8 Handler.memo_bound;
+       reused);
+  ignore (ask "the ninth key evicted the oldest" base warm);
+  Alcotest.(check int) "the bound" 8 Replies.bound;
   (* evicting the entry drops its memo *)
-  ignore (ask "another spec evicts the entry" (repair_request other) Handler.Cold);
-  ignore (ask "the rebuilt entry starts empty" base Handler.Cold);
-  ignore (ask "and stores again" base Handler.Reused)
+  ignore (ask "another spec evicts the entry" (repair_request other) cold);
+  ignore (ask "the rebuilt entry starts empty" base cold);
+  ignore (ask "and stores again" base reused)
 
 (* {2 Pool} *)
 
@@ -507,9 +511,13 @@ let rec pool_events ?(deadline = 10.) pool =
   | [] when deadline > 0. -> pool_events ~deadline:(deadline -. 0.2) pool
   | evs -> evs
 
-let toy_handle line =
+(* Echoes the request, and the touched keys, which it also reports as
+   evicted: both key lists cross the pipes *)
+let toy_handle ~touched line =
   if line = "sleep" then Unix.sleepf 30.;
-  ("echo:" ^ line, Handler.Uncached)
+  match touched with
+  | [] -> ("echo:" ^ line, Handler.Uncached, [])
+  | keys -> ("echo:" ^ line ^ " after " ^ String.concat "," keys, Handler.Uncached, keys)
 
 let test_pool_roundtrip () =
   let pool = Pool.create ~jobs:2 ~handle:toy_handle in
@@ -535,10 +543,16 @@ let test_pool_roundtrip () =
         [ (1, "echo:hello"); (2, "echo:world") ]
         replies;
       Alcotest.(check bool) "slot 0 idle again" true (Pool.idle pool 0);
-      (match Pool.dispatch pool ~slot:0 ~token:3 "again" with
+      (match Pool.dispatch pool ~slot:0 ~token:3 ~touched:[ "k1"; "k2" ] "again" with
       | () -> ()
       | exception Invalid_argument _ -> Alcotest.fail "idle slot refused");
-      ignore (pool_events pool);
+      (match pool_events pool with
+      | [ Pool.Reply { token = 3; slot = 0; evicted; line; _ } ] ->
+          Alcotest.(check string) "touched keys reach the worker"
+            "echo:again after k1,k2" line;
+          Alcotest.(check (list string)) "evicted keys come back" [ "k1"; "k2" ]
+            evicted
+      | _ -> Alcotest.fail "expected one reply");
       Alcotest.(check int) "no respawns in a clean run" 0 (Pool.respawns pool))
 
 let test_pool_kill9 () =
@@ -604,12 +618,13 @@ let fresh_socket () =
   Printf.sprintf "/tmp/specrepair_test_%d_%d.sock" (Unix.getpid ())
     !socket_counter
 
-let start_daemon ?(config = fun c -> c) () =
+let start_daemon ?(config = fun c -> c) ?(env = []) () =
   let sock = fresh_socket () in
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   match Unix.fork () with
   | 0 ->
       Unix.putenv "SPECREPAIR_SERVE_CHAOS" "1";
+      List.iter (fun (k, v) -> Unix.putenv k v) env;
       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
       Unix.dup2 devnull Unix.stdout;
       Unix.close devnull;
@@ -638,8 +653,8 @@ let stop_daemon (sock, pid) =
   (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (ECHILD, _, _) -> ());
   try Unix.unlink sock with Unix.Unix_error _ -> ()
 
-let with_daemon ?config k =
-  let sock, pid = start_daemon ?config () in
+let with_daemon ?config ?env k =
+  let sock, pid = start_daemon ?config ?env () in
   Fun.protect
     ~finally:(fun () -> stop_daemon (sock, pid))
     (fun () -> k sock pid)
@@ -740,6 +755,127 @@ let test_daemon_reused_replies () =
         (Json.mem_int "replies_reused" j);
       Alcotest.(check (option int)) "shutdown cache_hits" (Some 2)
         (Json.mem_int "cache_hits" j)
+
+(* {3 The reply memo at the front door} *)
+
+(* The reply to [line], or [None] if none comes within [timeout] s *)
+let ask_within ~timeout sock line =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let line = line ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match String.index_opt (Buffer.contents buf) '\n' with
+    | Some i -> Some (Buffer.sub buf 0 i)
+    | None -> (
+        match Unix.select [ fd ] [] [] timeout with
+        | [], _, _ -> None
+        | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> None
+            | k ->
+                Buffer.add_subbytes buf chunk 0 k;
+                go ()))
+  in
+  go ()
+
+(* The daemon's workers: its child processes, read off /proc *)
+let children_of pid =
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map (fun dir ->
+         match int_of_string_opt dir with
+         | None -> None
+         | Some child -> (
+             match
+               In_channel.with_open_bin
+                 (Printf.sprintf "/proc/%d/stat" child)
+                 In_channel.input_all
+             with
+             | exception Sys_error _ -> None
+             | stat -> (
+                 (* the fields after the parenthesised command: state, ppid *)
+                 let i = String.rindex stat ')' in
+                 match
+                   String.split_on_char ' '
+                     (String.sub stat (i + 2) (String.length stat - i - 2))
+                 with
+                 | _ :: ppid :: _ when int_of_string_opt ppid = Some pid -> Some child
+                 | _ -> None)))
+
+let single_worker c = { c with Daemon.workers = 1 }
+
+(* A repeat never reaches the worker: with the slot's worker stopped, the
+   daemon still answers it, from its memo *)
+let test_daemon_memo_skips_worker () =
+  with_daemon ~config:single_worker (fun sock pid ->
+      let line = repair_request spec_src in
+      let first = ask sock line in
+      check_contains "cold first" {|"warm":false|} first;
+      let worker =
+        match children_of pid with
+        | [ w ] -> w
+        | ws -> Alcotest.failf "expected one worker, found %d" (List.length ws)
+      in
+      Unix.kill worker Sys.sigstop;
+      let repeat =
+        Fun.protect
+          ~finally:(fun () -> Unix.kill worker Sys.sigcont)
+          (fun () -> ask_within ~timeout:5. sock line)
+      in
+      (match repeat with
+      | Some r -> Alcotest.(check string) "the stored reply, warm" first (cold_form r)
+      | None -> Alcotest.fail "the repeat waited for the stopped worker");
+      Alcotest.(check int) "answered from the memo" 1
+        (status_counter sock "replies_reused"))
+
+(* The worker keeps the registry's recency: a repeat the daemon answers
+   still makes its entry the most recently used, so the next new spec
+   evicts the other one *)
+let test_daemon_memo_touches () =
+  with_daemon
+    ~config:(fun c -> { (single_worker c) with Daemon.max_sessions = 2 })
+    (fun sock _ ->
+      let spec name = Printf.sprintf "sig %s {}\nrun { some %s } for 2\n" name name in
+      let a = spec "A" and b = spec "B" and c = spec "C" in
+      ignore (ask sock (repair_request a));
+      ignore (ask sock (repair_request b));
+      check_contains "a repeat of A" {|"warm":true|} (ask sock (repair_request a));
+      Alcotest.(check int) "answered by the daemon" 1
+        (status_counter sock "replies_reused");
+      ignore (ask sock (repair_request c));
+      check_contains "A's entry survived C" {|"warm":true|}
+        (ask sock (repair_request ~seed:2 a));
+      check_contains "B's entry was evicted" {|"warm":false|}
+        (ask sock (repair_request b)))
+
+(* A respawned worker starts with an empty registry, so the daemon drops
+   its slot's memo: the next repeat is served cold *)
+let test_daemon_memo_respawn () =
+  with_daemon ~config:single_worker (fun sock _ ->
+      let line = repair_request spec_src in
+      ignore (ask sock line);
+      check_contains "stored" {|"warm":true|} (ask sock line);
+      check_contains "the worker is killed" {|"code":"worker_crashed"|}
+        (ask sock (evaluate_request ~chaos:"kill" spec_src));
+      check_contains "the repeat is cold" {|"warm":false|} (ask sock line);
+      Alcotest.(check int) "one reuse, before the crash" 1
+        (status_counter sock "replies_reused"))
+
+(* SPECREPAIR_NO_CACHE=1 in the daemon's environment stores nothing:
+   every repeat runs its tool on the warm entry *)
+let test_daemon_no_cache () =
+  with_daemon ~env:[ ("SPECREPAIR_NO_CACHE", "1") ] (fun sock _ ->
+      let line = repair_request spec_src in
+      let first = ask sock line in
+      List.iter
+        (fun _ ->
+          Alcotest.(check string) "a warm repeat, recomputed" first
+            (cold_form (ask sock line)))
+        [ 1; 2 ];
+      Alcotest.(check int) "two hits" 2 (status_counter sock "cache_hits");
+      Alcotest.(check int) "no reply reused" 0 (status_counter sock "replies_reused"))
 
 let test_daemon_disconnect_mid_request () =
   with_daemon (fun sock _ ->
@@ -885,6 +1021,14 @@ let () =
             test_daemon_warm_requests;
           Alcotest.test_case "reused repair replies" `Quick
             test_daemon_reused_replies;
+          Alcotest.test_case "a repeat skips the stopped worker" `Quick
+            test_daemon_memo_skips_worker;
+          Alcotest.test_case "memo hits keep the registry's recency" `Quick
+            test_daemon_memo_touches;
+          Alcotest.test_case "a respawn drops the slot's memo" `Quick
+            test_daemon_memo_respawn;
+          Alcotest.test_case "no-cache daemon reuses no reply" `Quick
+            test_daemon_no_cache;
           Alcotest.test_case "disconnect mid-request" `Quick
             test_daemon_disconnect_mid_request;
           Alcotest.test_case "concurrent clients" `Quick

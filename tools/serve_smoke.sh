@@ -4,6 +4,8 @@
 #
 #   - warm-cache counters: a burst of identical requests routes to one
 #     sticky worker, so exactly one request misses and every other hits;
+#   - the reply memo: two repeats of a repair request are answered by the
+#     daemon with the first reply, flagged warm, and counted as reused;
 #   - crash containment: a chaos-SIGKILLed worker costs exactly the one
 #     request it was serving (an error reply, a respawn counter tick) and
 #     the daemon keeps answering;
@@ -79,6 +81,25 @@ echo "$status" | grep -q '"worker_respawns":0' || {
     exit 1
 }
 
+# The reply memo: three identical repair requests.  The two repeats are
+# answered from the daemon's memo: the first reply, apart from "warm".
+for n in 1 2 3; do
+    client repair --file "$spec" | sed 's/"warm":true/"warm":false/' \
+        > "$workdir/repair$n.json"
+done
+for n in 2 3; do
+    cmp -s "$workdir/repair1.json" "$workdir/repair$n.json" || {
+        echo "serve_smoke: repeat $n differs from the first repair reply:" >&2
+        cat "$workdir/repair1.json" "$workdir/repair$n.json" >&2
+        exit 1
+    }
+done
+status=$(client status)
+echo "$status" | grep -q '"replies_reused":2' || {
+    echo "serve_smoke: expected 2 reused repair replies: $status" >&2
+    exit 1
+}
+
 # Chaos: SIGKILL the worker mid-request.  The client must get an error
 # reply (exit 1), the respawn counter must tick, and the daemon must keep
 # answering — including from state the dead worker never got to warm.
@@ -127,4 +148,4 @@ if [ -n "${SERVE_ARTIFACTS_DIR:-}" ]; then
     cp "$telem" "$SERVE_ARTIFACTS_DIR/serve_telemetry.jsonl"
 fi
 
-echo "serve_smoke: ok (8/8 warm hits, crash cost one request, clean SIGTERM shutdown)"
+echo "serve_smoke: ok (8/8 warm hits, 2/2 reused repair replies, crash cost one request, clean SIGTERM shutdown)"
