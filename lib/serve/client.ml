@@ -3,10 +3,11 @@
    per request so the daemon genuinely sees overlapping connections. *)
 
 module Worker = Specrepair_workers.Worker
+module Lines = Specrepair_workers.Lines
 
 type addr = Unix_sock of string | Tcp of string * int
 
-type conn = { fd : Unix.file_descr; rbuf : Buffer.t }
+type conn = { fd : Unix.file_descr; lines : Lines.t }
 
 let connect addr =
   match
@@ -27,7 +28,7 @@ let connect addr =
         Unix.connect fd (Unix.ADDR_INET (ip, port));
         fd
   with
-  | fd -> Ok { fd; rbuf = Buffer.create 1024 }
+  | fd -> Ok { fd; lines = Lines.create () }
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "connect failed: %s" (Unix.error_message e))
   | exception Failure msg -> Error msg
@@ -35,14 +36,9 @@ let connect addr =
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
 let send_partial c s =
-  try write_all c.fd s with Unix.Unix_error _ -> ()
+  try ignore (Unix.write_substring c.fd s 0 (String.length s))
+  with Unix.Unix_error _ -> ()
 
 (* one read buffer for every connection: reads are blocking and one at
    a time, and [burst]'s children each have their own copy *)
@@ -50,17 +46,13 @@ let scratch = Bytes.create 65536
 
 let read_line c =
   let rec go () =
-    let text = Buffer.contents c.rbuf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        Buffer.clear c.rbuf;
-        Buffer.add_substring c.rbuf text (i + 1) (String.length text - i - 1);
-        Ok (String.sub text 0 i)
+    match Lines.pop c.lines with
+    | Some line -> Ok line
     | None -> (
         match Unix.read c.fd scratch 0 (Bytes.length scratch) with
         | 0 -> Error "connection closed by the daemon"
         | k ->
-            Buffer.add_subbytes c.rbuf scratch 0 k;
+            Lines.add c.lines scratch 0 k;
             go ()
         | exception Unix.Unix_error (EINTR, _, _) -> go ()
         | exception Unix.Unix_error (e, _, _) ->
@@ -69,7 +61,7 @@ let read_line c =
   go ()
 
 let roundtrip c line =
-  match write_all c.fd (line ^ "\n") with
+  match Lines.write c.fd line with
   | () -> read_line c
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "write failed: %s" (Unix.error_message e))

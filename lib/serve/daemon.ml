@@ -4,6 +4,7 @@
    handler.ml (worker side), the process supervision in pool.ml. *)
 
 module Worker = Specrepair_workers.Worker
+module Lines = Specrepair_workers.Lines
 module Json = Specrepair_json
 module Counters = Json.Counters
 
@@ -34,25 +35,22 @@ let default_config =
 
 type client = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  inbuf : Lines.t;
   outbuf : Buffer.t;
   mutable close_after_flush : bool;
 }
 
-type inflight = {
-  origin : Unix.file_descr option;
-  req_id : string;
+(* An accepted request, from its admission to its answer *)
+type request = {
+  token : int;
+  client : Unix.file_descr;
+  id : string;
   meth : string;
   t0 : float;
   memo_key : Replies.key option;
-}
-
-type pending = {
-  p_token : int;
-  p_slot : int;
-  p_line : string;
-  p_kill_after_s : float option;
-  p_origin : Unix.file_descr;
+  slot : int;
+  line : string;
+  kill_after_s : float option;
 }
 
 (* The daemon's counters, in the order [status] prints them; the shutdown
@@ -98,31 +96,33 @@ let run config =
   in
 
   (* {2 Listeners} *)
-  let listeners = ref [] in
-  (match config.socket with
-  | Some path ->
-      if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.bind fd (Unix.ADDR_UNIX path)
-       with Unix.Unix_error (e, _, _) ->
-         failwith
-           (Printf.sprintf "serve: cannot bind %s: %s" path (Unix.error_message e)));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners
-  | None -> ());
-  (match config.tcp with
-  | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with Unix.Unix_error (e, _, _) ->
-         failwith
-           (Printf.sprintf "serve: cannot bind 127.0.0.1:%d: %s" port
-              (Unix.error_message e)));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners
-  | None -> ());
-  if !listeners = [] then failwith "serve: no listener configured (--socket or --tcp)";
+  let listen name domain addr =
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    (try Unix.bind fd addr
+     with Unix.Unix_error (e, _, _) ->
+       failwith (Printf.sprintf "serve: cannot bind %s: %s" name (Unix.error_message e)));
+    Unix.listen fd 64;
+    (name, fd)
+  in
+  let on_socket =
+    Option.map
+      (fun path ->
+        if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
+        listen path Unix.PF_UNIX (Unix.ADDR_UNIX path))
+      config.socket
+  in
+  let on_tcp =
+    Option.map
+      (fun port ->
+        listen (Printf.sprintf "127.0.0.1:%d" port) Unix.PF_INET
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+      config.tcp
+  in
+  let named_listeners = List.filter_map Fun.id [ on_socket; on_tcp ] in
+  if named_listeners = [] then
+    failwith "serve: no listener configured (--socket or --tcp)";
+  let listeners = List.map snd named_listeners in
 
   (* {2 Worker pool and reply memo} *)
   let handler = Handler.create ~max_sessions:config.max_sessions () in
@@ -135,26 +135,24 @@ let run config =
 
   (* {2 State} *)
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
-  let inflight : (int, inflight) Hashtbl.t = Hashtbl.create 16 in
-  let pending : pending list ref = ref [] in
+  (* every accepted request until it is answered (dispatched + queued),
+     and the tokens of the queued ones, oldest first *)
+  let requests : (int, request) Hashtbl.t = Hashtbl.create 16 in
+  let waiting : int Queue.t = Queue.create () in
   let next_token = ref 0 in
   let stop = ref false in
 
-  let old_term =
-    try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true)))
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  let old_int =
-    try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true)))
-    with Invalid_argument _ | Sys_error _ -> None
+  let previous_handlers =
+    List.filter_map
+      (fun signum ->
+        try Some (signum, Sys.signal signum (Sys.Signal_handle (fun _ -> stop := true)))
+        with Invalid_argument _ | Sys_error _ -> None)
+      [ Sys.sigterm; Sys.sigint ]
   in
   let restore_signals () =
-    let restore signum = function
-      | Some h -> ( try Sys.set_signal signum h with Invalid_argument _ -> ())
-      | None -> ()
-    in
-    restore Sys.sigterm old_term;
-    restore Sys.sigint old_int
+    List.iter
+      (fun (signum, h) -> try Sys.set_signal signum h with Invalid_argument _ -> ())
+      previous_handlers
   in
   (* replies go to client sockets that may close under the daemon *)
   Worker.with_sigpipe_ignored @@ fun () ->
@@ -168,7 +166,7 @@ let run config =
     let text = Buffer.contents c.outbuf in
     let len = String.length text in
     if len > 0 then begin
-      match Unix.write c.fd (Bytes.of_string text) 0 len with
+      match Unix.write_substring c.fd text 0 len with
       | written ->
           Buffer.clear c.outbuf;
           if written < len then
@@ -190,81 +188,66 @@ let run config =
   in
 
   (* {2 Routing} *)
-  let record_reply ~token ~okay ~answer =
-    match Hashtbl.find_opt inflight token with
-    | None -> None
-    | Some entry ->
-        Hashtbl.remove inflight token;
-        count (if okay then Count.ok else Count.errors);
-        (* a memo hit is also a registry hit, so hits + misses stays the
-           number of answered spec requests *)
-        (match answer with
-        | Some (Replies.Worker Handler.Warm) -> count Count.cache_hits
-        | Some Replies.Memo ->
-            count Count.cache_hits;
-            count Count.replies_reused
-        | Some (Replies.Worker Handler.Cold) -> count Count.cache_misses
-        | Some (Replies.Worker Handler.Uncached) | None -> ());
-        telemetry
-          [
-            ("event", Json.Str "reply");
-            ("method", Json.Str entry.meth);
-            ("id", Json.Str entry.req_id);
-            ("ok", Json.Bool okay);
-            ( "warm",
-              match answer with
-              | Some (Replies.Worker Handler.Warm | Replies.Memo) -> Json.Bool true
-              | Some (Replies.Worker Handler.Cold) -> Json.Bool false
-              | _ -> Json.Null );
-            ("ms", Json.Num ((Unix.gettimeofday () -. entry.t0) *. 1000.));
-          ];
-        Some entry
-  in
-  (* [slot] is idle: answer a stored repair from the memo, or send the
-     request to the worker with the touches the memo queued for it *)
-  let dispatch ~slot ~token ~kill_after_s line =
-    let hit =
-      match Hashtbl.find_opt inflight token with
-      | Some { req_id; memo_key = Some key; _ } ->
-          Replies.find memo ~slot ~id:req_id key
-      | _ -> None
+  (* The one way an accepted request leaves: counted, logged, and its
+     [reply] sent.  [by] is what answered it, [None] for a lost worker. *)
+  let answer r ~okay ~by reply =
+    Hashtbl.remove requests r.token;
+    count (if okay then Count.ok else Count.errors);
+    (* a memo hit is also a registry hit, so hits + misses stays the
+       number of answered spec requests *)
+    let warm =
+      match by with
+      | Some (Replies.Worker Handler.Warm) ->
+          count Count.cache_hits;
+          Json.Bool true
+      | Some Replies.Memo ->
+          count Count.cache_hits;
+          count Count.replies_reused;
+          Json.Bool true
+      | Some (Replies.Worker Handler.Cold) ->
+          count Count.cache_misses;
+          Json.Bool false
+      | Some (Replies.Worker Handler.Uncached) | None -> Json.Null
     in
-    match hit with
-    | Some reply -> (
-        match record_reply ~token ~okay:true ~answer:(Some Replies.Memo) with
-        | Some { origin = Some fd; _ } -> send_to_fd fd reply
-        | Some { origin = None; _ } | None -> ())
+    telemetry
+      [
+        ("event", Json.Str "reply");
+        ("method", Json.Str r.meth);
+        ("id", Json.Str r.id);
+        ("ok", Json.Bool okay);
+        ("warm", warm);
+        ("ms", Json.Num ((Unix.gettimeofday () -. r.t0) *. 1000.));
+      ];
+    send_to_fd r.client reply
+  in
+  (* [r]'s slot is idle: answer a stored repair from the memo, or send
+     the request to the worker with the touches the memo queued for it *)
+  let dispatch r =
+    match Option.bind r.memo_key (Replies.find memo ~slot:r.slot ~id:r.id) with
+    | Some reply -> answer r ~okay:true ~by:(Some Replies.Memo) reply
     | None ->
-        Pool.dispatch pool ~slot ~token ?kill_after_s
-          ~touched:(Replies.touched memo ~slot) line
+        Pool.dispatch pool ~slot:r.slot ~token:r.token ?kill_after_s:r.kill_after_s
+          ~touched:(Replies.touched memo ~slot:r.slot)
+          r.line
   in
-  (* dispatch the oldest queued entry whose sticky slot is idle, then
-     rescan: freeing one slot can unblock several queued keys *)
+  (* dispatch every queued request whose sticky slot is idle, oldest
+     first.  A dispatch never frees a slot, so one pass in arrival order
+     picks what rescanning after each dispatch would. *)
   let pump_queue () =
-    let rec take acc = function
-      | [] -> None
-      | p :: rest ->
-          if Pool.idle pool p.p_slot then begin
-            pending := List.rev_append acc rest;
-            Some p
-          end
-          else take (p :: acc) rest
-    in
-    let rec go () =
-      match take [] !pending with
-      | None -> ()
-      | Some p ->
-          dispatch ~slot:p.p_slot ~token:p.p_token ~kill_after_s:p.p_kill_after_s
-            p.p_line;
-          go ()
-    in
-    go ()
+    let still = Queue.create () in
+    Queue.iter
+      (fun token ->
+        let r = Hashtbl.find requests token in
+        if Pool.idle pool r.slot then dispatch r else Queue.add token still)
+      waiting;
+    Queue.clear waiting;
+    Queue.transfer still waiting
   in
   (* the levels kept elsewhere, read into [counts] before it is printed *)
   let read_levels () =
     Counters.set counts Count.worker_respawns (Pool.respawns pool);
-    Counters.set counts Count.inflight (Hashtbl.length inflight);
-    Counters.set counts Count.queued (List.length !pending)
+    Counters.set counts Count.inflight (Hashtbl.length requests);
+    Counters.set counts Count.queued (Queue.length waiting)
   in
   let status_reply ~id =
     let by_method =
@@ -299,99 +282,73 @@ let run config =
             let key = Option.get (Protocol.cache_key call) in
             let slot = Pool.slot_of_key pool key in
             let memo_key = Replies.key ~entry:key call in
-            let deadline_ms =
-              match call with
-              | Protocol.Repair p -> p.Protocol.deadline_ms
-              | Protocol.Evaluate p -> p.Protocol.e_deadline_ms
-              | _ -> None
-            in
             let kill_after_s =
-              match deadline_ms with
-              | Some d -> Some (((3. *. d) +. 2000.) /. 1000.)
-              | None -> Option.map (fun ms -> ms /. 1000.) config.hard_timeout_ms
+              match call with
+              | Protocol.Repair { deadline_ms = Some d; _ }
+              | Protocol.Evaluate { e_deadline_ms = Some d; _ } ->
+                  Some (((3. *. d) +. 2000.) /. 1000.)
+              | _ -> Option.map (fun ms -> ms /. 1000.) config.hard_timeout_ms
             in
-            let accepted = Hashtbl.length inflight + List.length !pending in
-            if accepted >= config.max_inflight then begin
+            let accepted = Hashtbl.length requests in
+            let refuse message =
               count Count.overloaded;
               count Count.errors;
               send_to_fd c.fd
-                (Protocol.error_reply ~id ~code:Protocol.Overloaded
-                   (Printf.sprintf "%d request(s) already in flight" accepted))
-            end
+                (Protocol.error_reply ~id ~code:Protocol.Overloaded message)
+            in
+            if accepted >= config.max_inflight then
+              refuse (Printf.sprintf "%d request(s) already in flight" accepted)
+            else if
+              (not (Pool.idle pool slot)) && Queue.length waiting >= config.queue_depth
+            then refuse (Printf.sprintf "queue full (%d waiting)" (Queue.length waiting))
             else begin
-              let token = !next_token in
-              incr next_token;
-              Hashtbl.replace inflight token
+              let r =
                 {
-                  origin = Some c.fd;
-                  req_id = id;
+                  token = !next_token;
+                  client = c.fd;
+                  id;
                   meth;
                   t0 = Unix.gettimeofday ();
                   memo_key;
-                };
-              if Pool.idle pool slot then
-                dispatch ~slot ~token ~kill_after_s line
-              else if List.length !pending >= config.queue_depth then begin
-                Hashtbl.remove inflight token;
-                count Count.overloaded;
-                count Count.errors;
-                send_to_fd c.fd
-                  (Protocol.error_reply ~id ~code:Protocol.Overloaded
-                     (Printf.sprintf "queue full (%d waiting)" (List.length !pending)))
-              end
+                  slot;
+                  line;
+                  kill_after_s;
+                }
+              in
+              incr next_token;
+              Hashtbl.replace requests r.token r;
+              if Pool.idle pool slot then dispatch r
               else begin
-                pending :=
-                  !pending
-                  @ [
-                      {
-                        p_token = token;
-                        p_slot = slot;
-                        p_line = line;
-                        p_kill_after_s = kill_after_s;
-                        p_origin = c.fd;
-                      };
-                    ];
-                Counters.max counts Count.queue_high_water
-                  (List.length !pending)
+                Queue.add r.token waiting;
+                Counters.max counts Count.queue_high_water (Queue.length waiting)
               end
             end)
   in
-  let process_inbuf c =
-    let rec go () =
-      let text = Buffer.contents c.inbuf in
-      match String.index_opt text '\n' with
-      | Some i ->
-          Buffer.clear c.inbuf;
-          Buffer.add_substring c.inbuf text (i + 1) (String.length text - i - 1);
-          let line = String.sub text 0 i in
-          if String.length line > config.max_request_bytes then begin
-            count Count.requests;
-            count Count.errors;
-            send_to_fd c.fd
-              (Protocol.error_reply ~id:"" ~code:Protocol.Oversized
-                 (Printf.sprintf "request line of %d bytes exceeds the %d-byte limit"
-                    (String.length line) config.max_request_bytes))
-          end
-          else if String.trim line <> "" then handle_request c line;
-          if Hashtbl.mem clients c.fd then go ()
-      | None ->
-          if Buffer.length c.inbuf > config.max_request_bytes then begin
-            (* an unterminated line already past the limit: answer once,
-               then drop the connection — the daemon will not buffer
-               unbounded input *)
-            count Count.requests;
-            count Count.errors;
-            Buffer.clear c.inbuf;
-            Buffer.add_string c.outbuf
-              (Protocol.error_reply ~id:"" ~code:Protocol.Oversized
-                 (Printf.sprintf "request exceeds the %d-byte limit"
-                    config.max_request_bytes));
-            Buffer.add_char c.outbuf '\n';
-            c.close_after_flush <- true;
-            try_flush c
-          end
-    in
-    go ()
+  let oversized c message =
+    count Count.requests;
+    count Count.errors;
+    send_to_fd c.fd (Protocol.error_reply ~id:"" ~code:Protocol.Oversized message)
+  in
+  let rec take_lines c =
+    match Lines.pop c.inbuf with
+    | Some line ->
+        let n = String.length line in
+        if n > config.max_request_bytes then
+          oversized c
+            (Printf.sprintf "request line of %d bytes exceeds the %d-byte limit" n
+               config.max_request_bytes)
+        else if String.trim line <> "" then handle_request c line;
+        if Hashtbl.mem clients c.fd then take_lines c
+    | None ->
+        if Lines.pending c.inbuf > config.max_request_bytes then begin
+          (* an unterminated line already past the limit: answer once,
+             then drop the connection — the daemon will not buffer
+             unbounded input *)
+          Lines.clear c.inbuf;
+          c.close_after_flush <- true;
+          oversized c
+            (Printf.sprintf "request exceeds the %d-byte limit" config.max_request_bytes)
+        end
   in
   (* one read buffer for every client: the loop reads one at a time *)
   let buf = Bytes.create 65536 in
@@ -401,50 +358,43 @@ let run config =
     | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> close_client c
     | 0 -> close_client c
     | k ->
-        Buffer.add_subbytes c.inbuf buf 0 k;
-        process_inbuf c
+        Lines.add c.inbuf buf 0 k;
+        take_lines c
+  in
+  (* a request whose worker was lost: answered with an error *)
+  let lost token code message =
+    Option.iter
+      (fun r ->
+        answer r ~okay:false ~by:None (Protocol.error_reply ~id:r.id ~code message))
+      (Hashtbl.find_opt requests token)
   in
   let handle_pool_events events =
     List.iter
       (fun ev ->
         match ev with
-        | Pool.Reply { token; slot; warmth; evicted; line } -> (
-            let memo_key =
-              Option.bind (Hashtbl.find_opt inflight token) (fun e -> e.memo_key)
-            in
-            Replies.record memo ~slot memo_key warmth ~evicted line;
-            match
-              record_reply ~token ~okay:(Protocol.reply_is_ok line)
-                ~answer:(Some (Replies.Worker warmth))
-            with
-            | Some { origin = Some fd; _ } -> send_to_fd fd line
-            | Some { origin = None; _ } | None -> ())
-        | Pool.Died { token; _ } -> (
-            match record_reply ~token ~okay:false ~answer:None with
-            | Some { origin = Some fd; req_id; _ } ->
-                send_to_fd fd
-                  (Protocol.error_reply ~id:req_id ~code:Protocol.Worker_crashed
-                     "the worker serving this request died; it was respawned")
-            | Some { origin = None; _ } | None -> ())
-        | Pool.Timed_out { token; _ } -> (
-            match record_reply ~token ~okay:false ~answer:None with
-            | Some { origin = Some fd; req_id; _ } ->
-                send_to_fd fd
-                  (Protocol.error_reply ~id:req_id ~code:Protocol.Deadline_exceeded
-                     "hard deadline exceeded; the worker was killed")
-            | Some { origin = None; _ } | None -> ())
+        | Pool.Reply { token; slot; warmth; evicted; line } ->
+            let r = Hashtbl.find_opt requests token in
+            Replies.record memo ~slot
+              (Option.bind r (fun r -> r.memo_key))
+              warmth ~evicted line;
+            Option.iter
+              (fun r ->
+                answer r ~okay:(Protocol.reply_is_ok line)
+                  ~by:(Some (Replies.Worker warmth)) line)
+              r
+        | Pool.Died { token; _ } ->
+            lost token Protocol.Worker_crashed
+              "the worker serving this request died; it was respawned"
+        | Pool.Timed_out { token; _ } ->
+            lost token Protocol.Deadline_exceeded
+              "hard deadline exceeded; the worker was killed"
         | Pool.Respawned { slot } -> Replies.clear memo ~slot)
       events;
     if events <> [] then pump_queue ()
   in
 
   Printf.printf "serve: listening on %s (workers=%d)\n%!"
-    (String.concat ", "
-       (List.filter_map Fun.id
-          [
-            config.socket;
-            Option.map (Printf.sprintf "127.0.0.1:%d") config.tcp;
-          ]))
+    (String.concat ", " (List.map fst named_listeners))
     (Pool.jobs pool);
 
   (* {2 The loop} *)
@@ -452,7 +402,7 @@ let run config =
      while not !stop do
        let client_list = Hashtbl.fold (fun _ c acc -> c :: acc) clients [] in
        let read_fds =
-         !listeners @ List.map (fun c -> c.fd) client_list @ Pool.fds pool
+         listeners @ List.map (fun c -> c.fd) client_list @ Pool.fds pool
        in
        let write_fds =
          List.filter_map
@@ -473,12 +423,12 @@ let run config =
                  Hashtbl.replace clients fd
                    {
                      fd;
-                     inbuf = Buffer.create 1024;
+                     inbuf = Lines.create ();
                      outbuf = Buffer.create 1024;
                      close_after_flush = false;
                    }
              | exception Unix.Unix_error _ -> ())
-         !listeners;
+         listeners;
        (* 2. client input *)
        List.iter
          (fun c ->
@@ -499,23 +449,19 @@ let run config =
      Pool.shutdown pool;
      raise e);
 
-  (* {2 Shutdown} *)
-  List.iter
-    (fun p ->
-      (match Hashtbl.find_opt inflight p.p_token with
-      | Some { req_id; _ } ->
-          Hashtbl.remove inflight p.p_token;
-          send_to_fd p.p_origin
-            (Protocol.error_reply ~id:req_id ~code:Protocol.Shutting_down
-               "the daemon is shutting down")
-      | None -> ()))
-    !pending;
-  pending := [];
+  (* {2 Shutdown}: the queued requests are answered, and not counted *)
+  Queue.iter
+    (fun token ->
+      let r = Hashtbl.find requests token in
+      send_to_fd r.client
+        (Protocol.error_reply ~id:r.id ~code:Protocol.Shutting_down
+           "the daemon is shutting down"))
+    waiting;
   Pool.shutdown pool;
   Hashtbl.iter (fun _ c -> try_flush c) clients;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;
   Hashtbl.reset clients;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
   (match config.socket with
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | None -> ());

@@ -210,15 +210,17 @@ let handle_sat t ~id (p : Protocol.sat_params) =
       | Spec _, _ ->
           (Protocol.error_reply ~id ~code:Protocol.Internal "cache kind clash", Uncached))
 
+(* a request's reply, with a failure turned into its error reply *)
+let guarded ~id f =
+  try f () with
+  | Reply r -> (r, Uncached)
+  | e ->
+      (Protocol.error_reply ~id ~code:Protocol.Internal (Printexc.to_string e), Uncached)
+
 let handle t line =
   match Protocol.parse_request line with
   | Error reply -> (reply, Uncached)
   | Ok { id; call } -> (
-      (match call with
-      | Protocol.Repair p -> run_chaos p.chaos
-      | Protocol.Evaluate p -> run_chaos p.e_chaos
-      | Protocol.Sat p -> run_chaos p.s_chaos
-      | Protocol.Status -> ());
       match call with
       | Protocol.Status ->
           (* the daemon answers status itself; a worker only sees it in
@@ -233,24 +235,15 @@ let handle t line =
                    ("cache_misses", Json.int (get Registry.misses));
                  ]),
             Uncached )
-      | Protocol.Repair p -> (
-          try handle_repair t ~id p with
-          | Reply r -> (r, Uncached)
-          | e ->
-              ( Protocol.error_reply ~id ~code:Protocol.Internal (Printexc.to_string e),
-                Uncached ))
-      | Protocol.Evaluate p -> (
-          try handle_evaluate t ~id p with
-          | Reply r -> (r, Uncached)
-          | e ->
-              ( Protocol.error_reply ~id ~code:Protocol.Internal (Printexc.to_string e),
-                Uncached ))
-      | Protocol.Sat p -> (
-          try handle_sat t ~id p with
-          | Reply r -> (r, Uncached)
-          | e ->
-              ( Protocol.error_reply ~id ~code:Protocol.Internal (Printexc.to_string e),
-                Uncached )))
+      | Protocol.Repair p ->
+          run_chaos p.chaos;
+          guarded ~id (fun () -> handle_repair t ~id p)
+      | Protocol.Evaluate p ->
+          run_chaos p.e_chaos;
+          guarded ~id (fun () -> handle_evaluate t ~id p)
+      | Protocol.Sat p ->
+          run_chaos p.s_chaos;
+          guarded ~id (fun () -> handle_sat t ~id p))
 
 let serve t ~touched line =
   List.iter (Registry.touch t.registry) touched;

@@ -5,19 +5,13 @@ type t = {
   pid : int;
   cmd : Unix.file_descr;
   msg : Unix.file_descr;
-  buf : Buffer.t;
+  lines : Lines.t;
   mutable last_beat : float;
   mutable eof : bool;
   mutable status : Unix.process_status option;
 }
 
 let now () = Unix.gettimeofday ()
-
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
 
 let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
 
@@ -52,7 +46,7 @@ let spawn body =
       close_inherited ~keep:[ cmd_r; msg_w ];
       let ic = Unix.in_channel_of_descr cmd_r in
       let recv () = try Some (input_line ic) with End_of_file -> None in
-      (match body ~recv ~send:(write_line msg_w) with
+      (match body ~recv ~send:(Lines.write msg_w) with
       | () -> Unix._exit 0
       | exception _ -> Unix._exit 2)
   | pid ->
@@ -61,8 +55,8 @@ let spawn body =
       (* a caller's readable set can outlive a respawn that recycles this
          descriptor number: reading must never block on a silent pipe *)
       Unix.set_nonblock msg;
-      let buf = Buffer.create 256 in
-      { pid; cmd; msg; buf; last_beat = now (); eof = false; status = None }
+      { pid; cmd; msg; lines = Lines.create (); last_beat = now (); eof = false;
+        status = None }
 
 (* Record the exit status and release the parent's pipe ends, exactly once:
    a second close could hit a descriptor number already reused. *)
@@ -74,7 +68,7 @@ let reaped t status =
 let send t line =
   t.status = None
   &&
-  match write_line t.cmd line with
+  match Lines.write t.cmd line with
   | () -> true
   | exception Unix.Unix_error ((EPIPE | EBADF), _, _) -> false
 
@@ -85,19 +79,11 @@ let drain t ~readable on_line =
     match Unix.read t.msg scratch 0 (Bytes.length scratch) with
     | 0 -> t.eof <- true
     | k ->
-        Buffer.add_subbytes t.buf scratch 0 k;
-        let text = Buffer.contents t.buf in
-        Buffer.clear t.buf;
-        let rec lines start =
-          match String.index_from_opt text start '\n' with
-          | Some i ->
-              t.last_beat <- now ();
-              on_line (String.sub text start (i - start));
-              lines (i + 1)
-          | None ->
-              Buffer.add_substring t.buf text start (String.length text - start)
-        in
-        lines 0
+        Lines.add t.lines scratch 0 k;
+        Seq.of_dispenser (fun () -> Lines.pop t.lines)
+        |> Seq.iter (fun line ->
+               t.last_beat <- now ();
+               on_line line)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
 
 let reap t =

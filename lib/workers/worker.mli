@@ -13,7 +13,7 @@ type t = private {
   pid : int;
   cmd : Unix.file_descr;  (** parent's end of the command pipe *)
   msg : Unix.file_descr;  (** parent's end of the message pipe, non-blocking *)
-  buf : Buffer.t;  (** the partial message line *)
+  lines : Lines.t;  (** the message lines read and not yet passed on *)
   mutable last_beat : float;  (** spawn time or the last message's arrival *)
   mutable eof : bool;  (** the message pipe reached end of file *)
   mutable status : Unix.process_status option;

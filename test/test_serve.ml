@@ -3,7 +3,8 @@
    the worker-side handler, the fork-worker pool (including kill -9 of a
    busy worker), and the daemon end to end over a Unix socket — malformed
    requests, oversized lines, client disconnects mid-request, concurrent
-   clients, chaos worker crashes, and SIGTERM shutdown. *)
+   clients, chaos worker crashes, admission at max_inflight, and SIGTERM
+   shutdown with a queued request. *)
 
 module Serve = Specrepair_serve
 module Json = Specrepair_json
@@ -758,13 +759,16 @@ let test_daemon_reused_replies () =
 
 (* {3 The reply memo at the front door} *)
 
-(* The reply to [line], or [None] if none comes within [timeout] s *)
-let ask_within ~timeout sock line =
+(* A fresh connection that has sent [line] *)
+let send_line sock line =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (Unix.ADDR_UNIX sock);
   let line = line ^ "\n" in
   ignore (Unix.write_substring fd line 0 (String.length line));
+  fd
+
+(* The next reply on [fd], or [None] if none comes within [timeout] s *)
+let read_reply ~timeout fd =
   let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
   let rec go () =
     match String.index_opt (Buffer.contents buf) '\n' with
@@ -780,6 +784,12 @@ let ask_within ~timeout sock line =
                 go ()))
   in
   go ()
+
+(* The reply to [line], or [None] if none comes within [timeout] s *)
+let ask_within ~timeout sock line =
+  let fd = send_line sock line in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  read_reply ~timeout fd
 
 (* The daemon's workers: its child processes, read off /proc *)
 let children_of pid =
@@ -876,6 +886,102 @@ let test_daemon_no_cache () =
         [ 1; 2 ];
       Alcotest.(check int) "two hits" 2 (status_counter sock "cache_hits");
       Alcotest.(check int) "no reply reused" 0 (status_counter sock "replies_reused"))
+
+(* {3 Admission and the queue} *)
+
+(* Poll [status] until its [name] counter reads [expected] *)
+let await_status sock name expected =
+  let rec go tries =
+    let v = status_counter sock name in
+    if v <> expected then
+      if tries = 0 then Alcotest.failf "status %s stayed %d, not %d" name v expected
+      else begin
+        Unix.sleepf 0.02;
+        go (tries - 1)
+      end
+  in
+  go 250
+
+(* Admission counts each accepted request once: with one worker and
+   max_inflight 3, one dispatched and two queued requests are accepted,
+   the fourth is refused, and the three are served *)
+let test_daemon_admission () =
+  with_daemon
+    ~config:(fun c -> { (single_worker c) with Daemon.max_inflight = 3 })
+    (fun sock _ ->
+      (* the sleeper goes first, so the other two queue behind it *)
+      let first =
+        send_line sock (evaluate_request ~id:"a" ~chaos:"sleep:1500" spec_src)
+      in
+      await_status sock "inflight" 1;
+      let conns =
+        first
+        :: List.map
+             (fun id -> send_line sock (evaluate_request ~id spec_src))
+             [ "b"; "c" ]
+      in
+      Fun.protect ~finally:(fun () -> List.iter Unix.close conns) @@ fun () ->
+      await_status sock "queued" 2;
+      Alcotest.(check int) "dispatched + queued" 3 (status_counter sock "inflight");
+      let r = ask sock (evaluate_request ~id:"d" spec_src) in
+      check_contains "the fourth is refused" {|"code":"overloaded"|} r;
+      check_contains "under its id" {|"id":"d"|} r;
+      List.iter2
+        (fun id fd ->
+          match read_reply ~timeout:10. fd with
+          | Some r ->
+              check_contains "served under its id" (Printf.sprintf {|"id":"%s"|} id) r;
+              Alcotest.(check bool) "served" true (Protocol.reply_is_ok r)
+          | None -> Alcotest.failf "request %s got no reply" id)
+        [ "a"; "b"; "c" ] conns;
+      Alcotest.(check int) "queue high water" 2 (status_counter sock "queue_high_water");
+      Alcotest.(check int) "one refusal" 1 (status_counter sock "overloaded"))
+
+(* SIGTERM answers a queued request [shutting_down] under its own id, and
+   that answer adds to neither the counters nor the telemetry *)
+let test_daemon_shutdown_answers_queue () =
+  let telemetry = Filename.temp_file "specrepair_test_" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove telemetry) @@ fun () ->
+  let sock, pid =
+    start_daemon
+      ~config:(fun c -> { (single_worker c) with Daemon.telemetry = Some telemetry })
+      ()
+  in
+  Fun.protect ~finally:(fun () -> stop_daemon (sock, pid)) (fun () ->
+      let sleeper =
+        send_line sock (evaluate_request ~id:"sleeper" ~chaos:"sleep:10000" spec_src)
+      in
+      await_status sock "inflight" 1;
+      let queued = send_line sock (evaluate_request ~id:"queued" spec_src) in
+      Fun.protect ~finally:(fun () -> List.iter Unix.close [ sleeper; queued ])
+      @@ fun () ->
+      await_status sock "queued" 1;
+      Unix.kill pid Sys.sigterm;
+      (match read_reply ~timeout:5. queued with
+      | Some r ->
+          check_contains "queued request refused" {|"code":"shutting_down"|} r;
+          check_contains "under its own id" {|"id":"queued"|} r
+      | None -> Alcotest.fail "the queued request got no reply");
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not exit cleanly");
+  let events =
+    In_channel.with_open_bin telemetry In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match Json.parse l with Ok j -> Some j | Error _ -> None)
+  in
+  Alcotest.(check int) "no reply event" 0
+    (List.length
+       (List.filter (fun j -> Json.mem_str "event" j = Some "reply") events));
+  match List.find_opt (fun j -> Json.mem_str "event" j = Some "shutdown") events with
+  | None -> Alcotest.fail "no shutdown record"
+  | Some j ->
+      let field name = Option.value ~default:(-1) (Json.mem_int name j) in
+      Alcotest.(check int) "no error" 0 (field "errors");
+      Alcotest.(check int) "queue high water" 1 (field "queue_high_water");
+      Alcotest.(check int) "neither ok nor error: the two requests" 2
+        (field "requests" - field "ok")
 
 let test_daemon_disconnect_mid_request () =
   with_daemon (fun sock _ ->
@@ -1029,6 +1135,10 @@ let () =
             test_daemon_memo_respawn;
           Alcotest.test_case "no-cache daemon reuses no reply" `Quick
             test_daemon_no_cache;
+          Alcotest.test_case "admission counts a request once" `Quick
+            test_daemon_admission;
+          Alcotest.test_case "shutdown answers the queue" `Quick
+            test_daemon_shutdown_answers_queue;
           Alcotest.test_case "disconnect mid-request" `Quick
             test_daemon_disconnect_mid_request;
           Alcotest.test_case "concurrent clients" `Quick

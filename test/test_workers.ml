@@ -1,9 +1,11 @@
 (* Tests for the fork-worker substrate shared by the study scheduler, the
-   serve pool and the client's burst: line framing, exit statuses, kill -9,
-   heartbeat staleness, descriptor hygiene, writes into a dead worker, the
-   SIGPIPE guard, and reads under a readable set a respawn made stale. *)
+   serve pool and the client's burst: the line framer, line framing over
+   pipes, exit statuses, kill -9, heartbeat staleness, descriptor hygiene,
+   writes into a dead worker, the SIGPIPE guard, and reads under a
+   readable set a respawn made stale. *)
 
 module Worker = Specrepair_workers.Worker
+module Lines = Specrepair_workers.Lines
 
 (* A worker that says nothing and exits when its command pipe closes. *)
 let silent ~recv ~send:_ = ignore (recv ())
@@ -42,6 +44,89 @@ let status =
       | Unix.WEXITED n -> Fmt.pf ppf "exited %d" n
       | Unix.WSIGNALED n | Unix.WSTOPPED n -> Fmt.pf ppf "signal %d" n)
     ( = )
+
+(* {2 The line framer} *)
+
+(* Every complete line [t] holds, in order *)
+let pop_all t =
+  let rec go acc =
+    match Lines.pop t with Some l -> go (l :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Feed [input] in reads of the given lengths, popping after each read as
+   the readers do; the lines and the final tail length *)
+let framed input reads =
+  let t = Lines.create () and bytes = Bytes.of_string input in
+  let lines, _ =
+    List.fold_left
+      (fun (acc, off) k ->
+        Lines.add t bytes off k;
+        (acc @ pop_all t, off + k))
+      ([], 0) reads
+  in
+  (lines, Lines.pending t)
+
+(* Every way of cutting a small input into reads yields the same lines *)
+let test_framer_any_split () =
+  let input = "ab\n\ncde\nf\n\nghi" in
+  let n = String.length input in
+  (* bit [i] of [cuts] ends a read after byte [i] *)
+  for cuts = 0 to (1 lsl (n - 1)) - 1 do
+    let reads, last =
+      List.fold_left
+        (fun (reads, from) i ->
+          if i = n || cuts land (1 lsl (i - 1)) <> 0 then ((i - from) :: reads, i)
+          else (reads, from))
+        ([], 0)
+        (List.init n (fun i -> i + 1))
+    in
+    assert (last = n);
+    let lines, tail = framed input (List.rev reads) in
+    Alcotest.(check (list string)) "lines" [ "ab"; ""; "cde"; "f"; "" ] lines;
+    Alcotest.(check int) "unterminated tail" 3 tail
+  done
+
+(* Lines around the buffer's first size, in reads of several sizes, so
+   the framer both slides its pending bytes and grows *)
+let test_framer_many_lines () =
+  let lines = List.init 200 (fun i -> String.make ((i * 37) mod 1500) 'x') in
+  let input = String.concat "\n" lines ^ "\n" in
+  List.iter
+    (fun size ->
+      let n = String.length input in
+      let reads =
+        List.init ((n + size - 1) / size) (fun i -> min size (n - (i * size)))
+      in
+      let got, tail = framed input reads in
+      Alcotest.(check (list string)) (Printf.sprintf "reads of %d" size) lines got;
+      Alcotest.(check int) "no tail" 0 tail)
+    [ 1; 7; 1000; 4096; 65536 ]
+
+(* A 1 MiB line fed in 64 KiB reads comes out whole; until its newline
+   arrives, the tail length is every byte read so far, which is what the
+   daemon holds against its request size limit *)
+let test_framer_big_line () =
+  let line = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+  let input = Bytes.of_string (line ^ "\nnext") in
+  let t = Lines.create () and got = ref [] and off = ref 0 in
+  while !off < Bytes.length input do
+    let k = min 65536 (Bytes.length input - !off) in
+    Lines.add t input !off k;
+    off := !off + k;
+    got := !got @ pop_all t;
+    if !off <= String.length line then
+      Alcotest.(check int) "tail so far" !off (Lines.pending t)
+  done;
+  Alcotest.(check int) "one line" 1 (List.length !got);
+  Alcotest.(check bool) "whole" true (!got = [ line ]);
+  Alcotest.(check int) "the next line's start" 4 (Lines.pending t);
+  Lines.clear t;
+  Alcotest.(check int) "cleared" 0 (Lines.pending t);
+  Lines.add t (Bytes.of_string "after\n") 0 6;
+  Alcotest.(check (list string)) "framing resumes" [ "after" ] (pop_all t)
+
+(* {2 Workers} *)
 
 let test_line_roundtrip () =
   let rec echo ~recv ~send =
@@ -161,7 +246,13 @@ let () =
   let case name f = Alcotest.test_case name `Quick (within f) in
   Alcotest.run "workers"
     [
-      ("framing", [ case "line round trip" test_line_roundtrip ]);
+      ( "framing",
+        [
+          case "every split gives the same lines" test_framer_any_split;
+          case "lines through slides and growth" test_framer_many_lines;
+          case "a 1 MiB line in 64 KiB reads" test_framer_big_line;
+          case "line round trip" test_line_roundtrip;
+        ] );
       ( "lifecycle",
         [
           case "exit statuses" test_exit_statuses;

@@ -10,7 +10,10 @@
 #     request it was serving (an error reply, a respawn counter tick) and
 #     the daemon keeps answering;
 #   - clean shutdown: SIGTERM ends the daemon with exit 0, the socket
-#     file is unlinked, and the telemetry sink records the shutdown.
+#     file is unlinked, and the telemetry sink records the shutdown;
+#   - admission: with one worker and --max-inflight 3, a burst of four
+#     slow requests has one dispatched and two queued, and exactly one
+#     is refused overloaded.
 #
 # Set SERVE_ARTIFACTS_DIR to keep the telemetry JSONL for upload.
 set -eu
@@ -35,20 +38,39 @@ trap cleanup EXIT
 dune build bin/specrepair.exe
 exe=_build/default/bin/specrepair.exe
 
-SPECREPAIR_SERVE_CHAOS=1 "$exe" serve --socket "$sock" --workers 2 \
-    --telemetry "$telem" > "$daemon_log" 2>&1 &
-daemon_pid=$!
+# start_daemon ARGS...: a chaos-enabled daemon on $sock, once it listens
+start_daemon() {
+    SPECREPAIR_SERVE_CHAOS=1 "$exe" serve --socket "$sock" "$@" \
+        > "$daemon_log" 2>&1 &
+    daemon_pid=$!
+    i=0
+    while [ ! -S "$sock" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "serve_smoke: daemon socket never appeared" >&2
+            cat "$daemon_log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
 
-i=0
-while [ ! -S "$sock" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve_smoke: daemon socket never appeared" >&2
+# stop_daemon: SIGTERM must end it with exit 0 and unlink the socket
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    if wait "$daemon_pid"; then :; else
+        echo "serve_smoke: daemon exited nonzero on SIGTERM" >&2
         cat "$daemon_log" >&2
         exit 1
     fi
-    sleep 0.1
-done
+    daemon_pid=
+    if [ -S "$sock" ]; then
+        echo "serve_smoke: socket file survived shutdown" >&2
+        exit 1
+    fi
+}
+
+start_daemon --workers 2 --telemetry "$telem"
 
 client() {
     "$exe" client "$@" --socket "$sock"
@@ -122,17 +144,7 @@ client status | grep -q '"worker_respawns":1' || {
     exit 1
 }
 
-kill -TERM "$daemon_pid"
-if wait "$daemon_pid"; then :; else
-    echo "serve_smoke: daemon exited nonzero on SIGTERM" >&2
-    cat "$daemon_log" >&2
-    exit 1
-fi
-daemon_pid=
-if [ -S "$sock" ]; then
-    echo "serve_smoke: socket file survived shutdown" >&2
-    exit 1
-fi
+stop_daemon
 
 [ -s "$telem" ] || {
     echo "serve_smoke: daemon wrote no telemetry" >&2
@@ -143,9 +155,23 @@ grep -q '"event":"shutdown"' "$telem" || {
     exit 1
 }
 
+# Admission: one request is dispatched and sleeps, two wait in the queue,
+# and the fourth finds max-inflight reached.  Chaos requests skip the
+# reply memo, so the count does not depend on timing.
+start_daemon --workers 1 --max-inflight 3
+client repair --file "$spec" --chaos sleep:1500 --burst 4 \
+    > "$workdir/admission.json" || true
+refused=$(grep -c '"code":"overloaded"' "$workdir/admission.json" || true)
+if [ "$refused" -ne 1 ]; then
+    echo "serve_smoke: expected 1 overloaded reply in the burst of 4, got $refused" >&2
+    cat "$workdir/admission.json" >&2
+    exit 1
+fi
+stop_daemon
+
 if [ -n "${SERVE_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$SERVE_ARTIFACTS_DIR"
     cp "$telem" "$SERVE_ARTIFACTS_DIR/serve_telemetry.jsonl"
 fi
 
-echo "serve_smoke: ok (8/8 warm hits, 2/2 reused repair replies, crash cost one request, clean SIGTERM shutdown)"
+echo "serve_smoke: ok (8/8 warm hits, 2/2 reused repair replies, crash cost one request, clean SIGTERM shutdown, 1/4 refused at max-inflight 3)"
