@@ -897,10 +897,18 @@ let serve_socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path")
 
+let tcp_port =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= 65_535 -> Ok n
+    | Some _ | None -> Error (`Msg "expected a port from 1 to 65535")
+  in
+  Arg.conv ~docv:"PORT" (parse, Format.pp_print_int)
+
 let serve_tcp_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some tcp_port) None
     & info [ "tcp" ] ~docv:"PORT" ~doc:"TCP port on 127.0.0.1")
 
 let serve_cmd =

@@ -284,6 +284,7 @@ type fact_entry = {
 
 type memo = {
   inst : Instance.t;
+  counted : bool;  (* does its work move the process-wide totals? *)
   mutable implicit : implicit_entry list;  (* newest first *)
   mutable n_implicit : int;
   mutable facts : fact_entry list;  (* newest first *)
@@ -293,7 +294,8 @@ type memo = {
 let implicit_capacity = 8
 let fact_capacity = 64
 
-let memo inst = { inst; implicit = []; n_implicit = 0; facts = []; n_facts = 0 }
+let memo ?(counted = true) inst =
+  { inst; counted; implicit = []; n_implicit = 0; facts = []; n_facts = 0 }
 let instance m = m.inst
 
 module Counters = Specrepair_json.Counters
@@ -304,7 +306,7 @@ let implicit_memoized = Counters.counter schema "implicit_memoized"
 let facts_evaluated = Counters.counter schema "facts_evaluated"
 let facts_memoized = Counters.counter schema "facts_memoized"
 let totals = Counters.create schema
-let count = Counters.incr totals
+let count m key = if m.counted then Counters.incr totals key
 let counters () = Counters.copy totals
 
 let same ~structural a b = a == b || (structural && a = b)
@@ -331,14 +333,14 @@ let implicit_verdict env m =
     | None -> find_implicit ~structural:true spec m.implicit
   with
   | Some e ->
-      count implicit_memoized;
+      count m implicit_memoized;
       e.i_verdict
   | None ->
       let v =
         decide (fun () ->
             List.for_all (fun f -> fmla env m.inst [] f) (Implicit.constraints env))
       in
-      count implicit_evaluated;
+      count m implicit_evaluated;
       if m.n_implicit >= implicit_capacity then begin
         m.implicit <- [];
         m.n_implicit <- 0
@@ -360,11 +362,11 @@ let fact_verdict env m body =
   let spec = env.Typecheck.spec in
   match find_fact body spec.preds spec.funs m.facts with
   | Some e ->
-      count facts_memoized;
+      count m facts_memoized;
       e.f_verdict
   | None ->
       let v = decide (fun () -> fmla env m.inst [] body) in
-      count facts_evaluated;
+      count m facts_evaluated;
       if m.n_facts >= fact_capacity then begin
         m.facts <- [];
         m.n_facts <- 0

@@ -49,8 +49,9 @@ val facts_hold : Typecheck.env -> Instance.t -> bool
 
 type memo
 
-val memo : Instance.t -> memo
-(** A fresh, empty memo for the instance. *)
+val memo : ?counted:bool -> Instance.t -> memo
+(** A fresh, empty memo for the instance.  With [~counted:false] its work
+    is left out of {!counters}: the owner books it in its own schema. *)
 
 val instance : memo -> Instance.t
 

@@ -47,6 +47,7 @@ let reported oracle spaces =
   [
     Solver.Oracle.stats oracle;
     Solver.Oracle.sat_stats oracle;
+    Solver.Oracle.fresh_sat_stats oracle;
     Alloy.Eval.counters ();
     Space.stats spaces;
   ]

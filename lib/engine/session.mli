@@ -177,7 +177,8 @@ val enumerate :
 val deltas : t -> Counters.t list
 (** The counters accumulated {e during this session}, one set per schema,
     in telemetry-line order: the oracle's ({!Solver.Oracle.stats}), the
-    SAT work under it ({!Solver.Oracle.sat_stats}), the evaluator's
+    SAT work of its verdict contexts ({!Solver.Oracle.sat_stats}) and of
+    its fresh solves ({!Solver.Oracle.fresh_sat_stats}), the evaluator's
     ({!Alloy.Eval.counters}) and the space store's ({!Space.stats}).
     Each is the difference against a snapshot taken at session creation
     (the oracle and the store may be shared across sessions, as in the

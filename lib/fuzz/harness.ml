@@ -513,6 +513,13 @@ let check_reparsed_then_stream oracle case =
 let check_oracle_pair base cand =
   check_oracle_case { o_base = base; o_candidates = [ cand ] }
 
+(* Every verdict the oracle gives, those its stored witnesses and cores
+   answer included, is compared with a fresh analyzer solve; the summary
+   counts the answers each store gave.  Two chaos hooks in {!Oracle} make
+   those answers wrong on purpose, and the campaign must report
+   discrepancies under each: [SPECREPAIR_FUZZ_CHAOS=corrupt-witness]
+   answers from a witness without checking the goal, and [drop-core-key]
+   stores each core less one key. *)
 let oracle =
   target "oracle"
     ~gen:(fun rng ->
@@ -524,6 +531,8 @@ let oracle =
         [
           ("contexts_retired", "contexts_retired");
           ("keys_reused", "keys_reused");
+          ("witness_hits", "witness_hits");
+          ("core_hits", "core_hits");
         ] )
     ~persist:(fun e ~fails:_ (case, _) ->
       (* find a single failing base/candidate pair, then shrink the

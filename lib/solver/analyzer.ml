@@ -26,41 +26,47 @@ let load ?proof env scope goal_of_bounds =
   Tseitin.assert_formula ts (goal_of_bounds bounds);
   (solver, bounds)
 
-let solve_goal ?proof ?max_conflicts env scope goal_of_bounds =
+let solve_goal ?proof ?spent ?max_conflicts env scope goal_of_bounds =
   let solver, bounds = load ?proof env scope goal_of_bounds in
-  match Solver.solve ?max_conflicts solver with
+  let result = Solver.solve ?max_conflicts solver in
+  Option.iter (fun f -> f solver) spent;
+  match result with
   | Solver.Sat -> Sat (Bounds.extract bounds (Solver.value solver))
   | Solver.Unsat -> Unsat
   | Solver.Unknown -> Unknown
 
-let solve_fmla ?proof ?max_conflicts env scope f =
-  solve_goal ?proof ?max_conflicts env scope (fun bounds ->
-      Translate.fmla bounds [] f)
+let fmla_goal f bounds = Translate.fmla bounds [] f
 
-let run_pred ?proof ?max_conflicts env scope name =
+let pred_goal env name =
   match Ast.find_pred env.Alloy.Typecheck.spec name with
   | None -> invalid_arg (Printf.sprintf "Analyzer.run_pred: unknown predicate %s" name)
-  | Some p ->
-      solve_goal ?proof ?max_conflicts env scope (fun bounds ->
-          Translate.pred_goal bounds p)
+  | Some p -> fun bounds -> Translate.pred_goal bounds p
 
-let check_assert ?proof ?max_conflicts env scope name =
+let assert_goal env name =
   match Ast.find_assert env.Alloy.Typecheck.spec name with
   | None ->
       invalid_arg (Printf.sprintf "Analyzer.check_assert: unknown assertion %s" name)
-  | Some a -> solve_fmla ?proof ?max_conflicts env scope (Ast.Not a.assert_body)
+  | Some a -> fmla_goal (Ast.Not a.assert_body)
 
-let run_command ?proof ?max_conflicts env (c : Ast.command) =
-  let scope = Bounds.scope_of_command c in
-  match c.cmd_kind with
-  | Ast.Run_pred name -> run_pred ?proof ?max_conflicts env scope name
-  | Ast.Run_fmla f -> solve_fmla ?proof ?max_conflicts env scope f
-  | Ast.Check name -> check_assert ?proof ?max_conflicts env scope name
+let solve_fmla ?proof ?max_conflicts env scope f =
+  solve_goal ?proof ?max_conflicts env scope (fmla_goal f)
 
-let enumerate ?(limit = 10) ?max_conflicts env scope f =
-  let solver, bounds =
-    load env scope (fun bounds -> Translate.fmla bounds [] f)
-  in
+let run_pred ?proof ?max_conflicts env scope name =
+  solve_goal ?proof ?max_conflicts env scope (pred_goal env name)
+
+let check_assert ?proof ?max_conflicts env scope name =
+  solve_goal ?proof ?max_conflicts env scope (assert_goal env name)
+
+let run_command ?proof ?spent ?max_conflicts env (c : Ast.command) =
+  solve_goal ?proof ?spent ?max_conflicts env
+    (Bounds.scope_of_command c)
+    (match c.cmd_kind with
+    | Ast.Run_pred name -> pred_goal env name
+    | Ast.Run_fmla f -> fmla_goal f
+    | Ast.Check name -> assert_goal env name)
+
+let enumerate ?(limit = 10) ?spent ?max_conflicts env scope f =
+  let solver, bounds = load env scope (fmla_goal f) in
   let all_primary_vars =
     Hashtbl.fold
       (fun _ cells acc -> List.map snd cells @ acc)
@@ -81,4 +87,6 @@ let enumerate ?(limit = 10) ?max_conflicts env scope f =
           loop (inst :: acc) (n + 1)
       | Solver.Unsat | Solver.Unknown -> List.rev acc
   in
-  loop [] 0
+  let insts = loop [] 0 in
+  Option.iter (fun f -> f solver) spent;
+  insts

@@ -52,20 +52,26 @@ val check_assert :
 
 val run_command :
   ?proof:Specrepair_sat.Proof.sink ->
+  ?spent:(Specrepair_sat.Solver.t -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Alloy.Ast.command ->
   outcome
+(** The command's query: {!run_pred}, {!check_assert}, or {!solve_fmla} on
+    a [run {...}] goal.  [?spent] is called with the solver once its
+    search is over, so a caller can read its search counters. *)
 
 val enumerate :
   ?limit:int ->
+  ?spent:(Specrepair_sat.Solver.t -> unit) ->
   ?max_conflicts:int ->
   Alloy.Typecheck.env ->
   Bounds.scope ->
   Alloy.Ast.fmla ->
   Alloy.Instance.t list
 (** Up to [limit] (default 10) distinct instances of [facts /\ f], found by
-    adding blocking clauses over the primary variables. *)
+    adding blocking clauses over the primary variables.  [?spent] is called
+    with the solver after the last search, as for {!run_command}. *)
 
 val default_scope : Bounds.scope
 (** Scope 3 with no overrides. *)

@@ -51,15 +51,51 @@ let definitions_shared = counter "definitions_shared"
 let keys_digested = counter "keys_digested"
 let keys_reused = counter "keys_reused"
 
-(* The SAT work under the oracle, printed as the [sat] object: the search
-   counters of its verdict contexts' solvers. *)
-let sat_schema = Counters.schema "sat"
-let sat_counter = Counters.counter sat_schema
-let conflicts = sat_counter "conflicts"
-let decisions = sat_counter "decisions"
-let propagations = sat_counter "propagations"
-let restarts = sat_counter "restarts"
-let reductions = sat_counter "reductions"
+(* verdict queries answered by a stored witness, witness evaluations
+   (each a candidate's facts and goal against one witness), and models
+   stored as witnesses *)
+let witness_hits = counter "witness_hits"
+let witness_checks = counter "witness_checks"
+let witnesses_stored = counter "witnesses_stored"
+
+(* verdict queries answered by a stored assumption core, and cores
+   stored *)
+let core_hits = counter "core_hits"
+let cores_stored = counter "cores_stored"
+
+(* The SAT work under the oracle: the search counters of its verdict
+   contexts' solvers, printed as the [sat] object, and those of its fresh
+   solves (instance queries, enumerations and the sig-incompatible
+   fallback), printed as the [sat_fresh] object. *)
+type search = {
+  conflicts : Counters.key;
+  decisions : Counters.key;
+  propagations : Counters.key;
+  restarts : Counters.key;
+  reductions : Counters.key;
+}
+
+(* keys are declared in print order, one [let] each: a record's fields
+   are not evaluated in the order they are written *)
+let search_schema name =
+  let schema = Counters.schema name in
+  let c = Counters.counter schema in
+  let conflicts = c "conflicts" in
+  let decisions = c "decisions" in
+  let propagations = c "propagations" in
+  let restarts = c "restarts" in
+  let reductions = c "reductions" in
+  (schema, { conflicts; decisions; propagations; restarts; reductions })
+
+let sat_schema, sat = search_schema "sat"
+let fresh_schema, fresh = search_schema "sat_fresh"
+
+let add_search set keys s =
+  Counters.add set keys.conflicts (Solver.n_conflicts s);
+  Counters.add set keys.decisions (Solver.n_decisions s);
+  Counters.add set keys.propagations (Solver.n_propagations s);
+  Counters.add set keys.restarts (Solver.n_restarts s);
+  Counters.add set keys.reductions (Solver.n_reductions s)
 
 (* The certification state of one long-lived context: an independent DRUP
    checker mirroring the solver's clause stream step by step.  A failed
@@ -126,10 +162,25 @@ type keys = {
   mutable last : (Ast.spec * string) option;
 }
 
+(* What the oracle already found in one scope, kept across context
+   retirement: models of its verdict contexts' base, each with its
+   evaluation memo, and the activation keys of assumption cores.  Both
+   newest first, at most [witness_bound] and [core_bound]. *)
+type known = {
+  mutable witnesses : Alloy.Eval.memo list;
+  mutable cores : string list list;
+}
+
+let witness_bound = 8
+let core_bound = 16
+
 type t = {
   base : Alloy.Typecheck.env;
   certify : bool;
+  no_cache : bool;  (* SPECREPAIR_NO_CACHE=1: no witness or core store *)
+  chaos : string option;  (* SPECREPAIR_FUZZ_CHAOS, for the fuzz target *)
   contexts : (string, context) Hashtbl.t;
+  known : (string, known) Hashtbl.t;
   verdicts : (string, verdict) Hashtbl.t;
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
   instances : (string, Alloy.Instance.t list) Hashtbl.t;
@@ -140,13 +191,17 @@ type t = {
   spent : Counters.t;
       (* of the sat schema: retired contexts' solvers (live ones are read
          in {!snapshot}) *)
+  fresh : Counters.t;  (* of the sat_fresh schema *)
 }
 
 let create ?(certify = false) base =
   {
     base;
     certify;
+    no_cache = Sys.getenv_opt "SPECREPAIR_NO_CACHE" = Some "1";
+    chaos = Sys.getenv_opt "SPECREPAIR_FUZZ_CHAOS";
     contexts = Hashtbl.create 4;
+    known = Hashtbl.create 4;
     verdicts = Hashtbl.create 512;
     outcomes = Hashtbl.create 64;
     instances = Hashtbl.create 64;
@@ -160,6 +215,7 @@ let create ?(certify = false) base =
        });
     counts = Counters.create schema;
     spent = Counters.create sat_schema;
+    fresh = Counters.create fresh_schema;
   }
 
 let bump t key = Counters.incr t.counts key
@@ -399,11 +455,13 @@ let outcome_tag = Analyzer.outcome_verdict
    sig-incompatible fallback and instance-producing queries, so an UNSAT
    answer is certified no matter which path served it. *)
 let analyzer_run ?max_conflicts t env c =
-  if not t.certify then Analyzer.run_command ?max_conflicts env c
+  let spent = add_search t.fresh fresh in
+  if not t.certify then Analyzer.run_command ~spent ?max_conflicts env c
   else begin
     let r = Proof.recorder () in
     let o =
-      Analyzer.run_command ~proof:(Proof.recorder_sink r) ?max_conflicts env c
+      Analyzer.run_command ~proof:(Proof.recorder_sink r) ~spent ?max_conflicts
+        env c
     in
     (match o with
     | Analyzer.Unsat ->
@@ -435,12 +493,7 @@ let max_growth = 3
 (* The work of a context's solver and clausifier, added into [counts] and
    [spent] when it retires, and into a snapshot's copies while it lives. *)
 let add_context_work ~counts ~spent ctx =
-  let s = ctx.solver in
-  Counters.add spent conflicts (Solver.n_conflicts s);
-  Counters.add spent decisions (Solver.n_decisions s);
-  Counters.add spent propagations (Solver.n_propagations s);
-  Counters.add spent restarts (Solver.n_restarts s);
-  Counters.add spent reductions (Solver.n_reductions s);
+  add_search spent sat ctx.solver;
   Counters.add counts definitions (Tseitin.definitions ctx.ts);
   Counters.add counts definitions_shared (Tseitin.definitions_shared ctx.ts)
 
@@ -449,44 +502,134 @@ let retire t key ctx =
   Hashtbl.remove t.contexts key;
   bump t contexts_retired
 
+(* {2 What the oracle already found}
+
+   A verdict query is answered before its context is touched when a
+   stored core or witness decides it.
+
+   - A core is the set of activation keys a solver [Unsat] rested on
+     ({!Solver.unsat_assumptions} mapped back to their keys).  A query
+     whose keys contain a stored core is [Unsat]: a context for the same
+     scope has the same base, and the same key names the same formula.
+     A certifying oracle neither stores nor uses cores, so every UNSAT it
+     certifies is its own solve.
+   - A witness is a model of a verdict context's base, extracted after a
+     solver [Sat].  The base includes the scope caps, so a witness is an
+     instance within the scope; if the candidate's implicit constraints,
+     facts and goal hold in it ({!Alloy.Eval}), the query is [Sat].  An
+     [Eval_error] is no answer.
+
+   Both stores are keyed on the scope and outlive context retirement. *)
+
+let known_for t key =
+  if t.no_cache then None
+  else
+    match Hashtbl.find_opt t.known key with
+    | Some _ as k -> k
+    | None ->
+        let k = { witnesses = []; cores = [] } in
+        Hashtbl.add t.known key k;
+        Some k
+
+let newest bound x xs = List.filteri (fun i _ -> i < bound) (x :: xs)
+
+let core_implied known keys =
+  List.exists
+    (fun core -> List.for_all (fun k -> List.mem k keys) core)
+    known.cores
+
+let witnessed t known env goal =
+  let goal_holds m =
+    (* the corrupt-witness chaos hook answers from the facts alone *)
+    t.chaos = Some "corrupt-witness"
+    || Alloy.Eval.fmla env (Alloy.Eval.instance m) [] goal
+  in
+  List.exists
+    (fun m ->
+      bump t witness_checks;
+      try Alloy.Eval.facts_hold_memo env m && goal_holds m
+      with Alloy.Eval.Eval_error _ -> false)
+    known.witnesses
+
+let store_witness t known ctx =
+  let inst = Bounds.extract ctx.bounds (Solver.value ctx.solver) in
+  known.witnesses <-
+    newest witness_bound (Alloy.Eval.memo ~counted:false inst) known.witnesses;
+  bump t witnesses_stored
+
+let store_core t known ctx assumed =
+  if not t.certify then begin
+    let core = Solver.unsat_assumptions ctx.solver in
+    let keys =
+      List.filter_map
+        (fun (key, (act, _)) ->
+          if List.exists (Lit.equal act) core then Some key else None)
+        assumed
+    in
+    let keys =
+      (* the drop-core-key chaos hook stores a core too small *)
+      match (t.chaos, keys) with
+      | Some "drop-core-key", _ :: rest -> rest
+      | _ -> keys
+    in
+    known.cores <- newest core_bound keys known.cores;
+    bump t cores_stored
+  end
+
 let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c
     (goal, goal_node) =
   let scope = Bounds.scope_of_command c in
   let key = scope_key scope in
-  let ctx = context_for t key scope in
   let dd = decls_key t env.spec in
-  let facts = env.spec.facts in
-  let fact_acts =
-    List.map2
-      (fun (fact : Ast.fact_decl) d ->
-        activation t ctx env ("fact:" ^ d ^ "#" ^ dd) fact.fact_body)
-      facts
-      (digests t (List.map (fun (f : Ast.fact_decl) -> Fmla f.fact_body) facts))
+  let bodies =
+    List.map (fun (f : Ast.fact_decl) -> f.fact_body) env.spec.facts
   in
-  let goal_act =
-    activation t ctx env ("goal:" ^ digest t goal_node ^ "#" ^ dd) goal
+  let keys =
+    List.map
+      (fun d -> "fact:" ^ d ^ "#" ^ dd)
+      (digests t (List.map (fun f -> Fmla f) bodies))
+    @ [ "goal:" ^ digest t goal_node ^ "#" ^ dd ]
   in
-  let assumed = fact_acts @ [ goal_act ] in
-  let assumptions = List.map fst assumed in
-  let used = List.fold_left (fun n (_, v) -> n + v) ctx.base_vars assumed in
-  let verdict =
-    match Solver.solve ~assumptions ?max_conflicts ctx.solver with
-    | Solver.Sat -> `Sat
-    | Solver.Unsat ->
-        (match ctx.cert with
-        | None -> ()
-        | Some cert ->
-            (* every proof step was already RUP-checked as it streamed in;
-               what remains is that the clause store actually refutes this
-               query's assumptions *)
-            note_certified t
-              (cert.cert_error = None
-              && Drat.refutes cert.checker assumptions));
-        `Unsat
-    | Solver.Unknown -> `Unknown
-  in
-  if Solver.n_vars ctx.solver > max_growth * used then retire t key ctx;
-  verdict
+  let known = known_for t key in
+  match known with
+  | Some k when core_implied k keys ->
+      bump t core_hits;
+      `Unsat
+  | Some k when witnessed t k env goal ->
+      bump t witness_hits;
+      `Sat
+  | _ ->
+      let ctx = context_for t key scope in
+      let assumed =
+        List.map2
+          (fun k f -> (k, activation t ctx env k f))
+          keys (bodies @ [ goal ])
+      in
+      let assumptions = List.map (fun (_, (act, _)) -> act) assumed in
+      let used =
+        List.fold_left (fun n (_, (_, v)) -> n + v) ctx.base_vars assumed
+      in
+      let verdict =
+        match Solver.solve ~assumptions ?max_conflicts ctx.solver with
+        | Solver.Sat ->
+            Option.iter (fun k -> store_witness t k ctx) known;
+            `Sat
+        | Solver.Unsat ->
+            (match ctx.cert with
+            | None -> ()
+            | Some cert ->
+                (* every proof step was already RUP-checked as it streamed
+                   in; what remains is that the clause store actually
+                   refutes this query's assumptions *)
+                note_certified t
+                  (cert.cert_error = None
+                  && Drat.refutes cert.checker assumptions));
+            Option.iter (fun k -> store_core t k ctx assumed) known;
+            `Unsat
+        | Solver.Unknown -> `Unknown
+      in
+      if Solver.n_vars ctx.solver > max_growth * used then retire t key ctx;
+      verdict
 
 let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
     (c : Ast.command) =
@@ -548,7 +691,10 @@ let enumerate ?(limit = 10) ?max_conflicts t (env : Alloy.Typecheck.env) scope
       insts
   | None ->
       bump t instance_misses;
-      let insts = Analyzer.enumerate ~limit ?max_conflicts env scope f in
+      let insts =
+        Analyzer.enumerate ~limit ~spent:(add_search t.fresh fresh)
+          ?max_conflicts env scope f
+      in
       Hashtbl.add t.instances key insts;
       insts
 
@@ -562,3 +708,4 @@ let snapshot t =
 
 let stats t = fst (snapshot t)
 let sat_stats t = snd (snapshot t)
+let fresh_sat_stats t = Counters.copy t.fresh

@@ -26,6 +26,13 @@
     retired, and the next query for its scope builds a fresh
     one.  Verdicts, outcomes and instances are unaffected.
 
+    Before a verdict query reaches its context, the oracle tries what it
+    already found in that scope: a stored assumption core the query's
+    formulas contain answers [Unsat], and a stored model of the context's
+    base (a witness) in which the candidate's facts and goal evaluate true
+    answers [Sat].  At most 8 witnesses and 16 cores are kept per scope;
+    they outlive context retirement and die with the oracle.
+
     On top of the incremental contexts sit structural caches keyed by the
     digest of the pretty-printed candidate (x command x scope x conflict
     budget): a verdict cache for sat/unsat answers and an instance cache for
@@ -65,7 +72,12 @@ val create : ?certify:bool -> Alloy.Typecheck.env -> t
     leave it off on hot paths and on for auditing runs.
 
     Every fresh solve, the sig-incompatible fallback included, is a plain
-    {!Analyzer.run_command}. *)
+    {!Analyzer.run_command}.
+
+    With [SPECREPAIR_NO_CACHE=1] in the environment when the oracle is
+    created, it stores no witness and no core, so every verdict query
+    that misses the verdict cache is solved.  A certifying oracle never
+    answers from a stored core. *)
 
 val compatible : t -> Alloy.Typecheck.env -> bool
 (** Does the candidate declare exactly the base's signatures and fields (so
@@ -111,7 +123,8 @@ val enumerate :
 val stats : t -> Counters.t
 (** Snapshot of the oracle's counters, schema ["oracle"]: cache hits and
     misses, fallback solves, translations, contexts (a gauge) and their
-    retirements, certificates, clausifier definitions and key digests.
+    retirements, certificates, clausifier definitions, key digests, and
+    the queries stored witnesses and cores answered.
     Each key is declared and described once, in oracle.ml. *)
 
 val certified : Counters.key
@@ -121,3 +134,8 @@ val sat_stats : t -> Counters.t
 (** Aggregate SAT-solver work under this oracle, schema ["sat"]: the
     lifetime search counters of every incremental context's solver, live
     or retired; every key is monotone.  Fresh solves are not counted. *)
+
+val fresh_sat_stats : t -> Counters.t
+(** The same search counters, schema ["sat_fresh"], of the oracle's fresh
+    solves: instance queries, enumerations and the sig-incompatible
+    fallback. *)

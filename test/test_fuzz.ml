@@ -131,12 +131,16 @@ let test_oracle_retires_contexts () =
   let dir = tmp_dir "fuzz-retire" in
   let r = Harness.run ~corpus_dir:dir Harness.oracle ~seed:11 ~iters:25 () in
   Alcotest.(check (list string)) "oracle report's counts"
-    [ "contexts_retired"; "keys_reused" ]
+    [ "contexts_retired"; "keys_reused"; "witness_hits"; "core_hits" ]
     (List.map fst r.Harness.counts);
   Alcotest.(check bool) "contexts retired" true
     (List.assoc "contexts_retired" r.Harness.counts > 0);
   Alcotest.(check bool) "key digests reused" true
     (List.assoc "keys_reused" r.Harness.counts > 0);
+  Alcotest.(check bool) "stored witnesses answered" true
+    (List.assoc "witness_hits" r.Harness.counts > 0);
+  Alcotest.(check bool) "stored cores answered" true
+    (List.assoc "core_hits" r.Harness.counts > 0);
   let e = Harness.run ~corpus_dir:dir Harness.eval ~seed:11 ~iters:1 () in
   Alcotest.(check int) "eval report has no count" 0
     (List.length e.Harness.counts)
@@ -279,6 +283,24 @@ let test_chaos_parse_rejection () =
   Alcotest.(check int) "every iteration completed" 60
     (r.Harness.checks + r.Harness.skipped)
 
+(* The oracle target under its two chaos hooks: a witness that answers
+   without its goal checked gives wrong [Sat]s, a core stored less one key
+   wrong [Unsat]s, and the comparison with fresh solves must catch both. *)
+let test_chaos_oracle_stores () =
+  List.iter
+    (fun hook ->
+      let dir = tmp_dir ("fuzz-chaos-" ^ hook) in
+      Unix.putenv "SPECREPAIR_FUZZ_CHAOS" hook;
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "SPECREPAIR_FUZZ_CHAOS" "")
+          (fun () ->
+            Harness.run ~corpus_dir:dir Harness.oracle ~seed:42 ~iters:20 ())
+      in
+      Alcotest.(check bool) (hook ^ ": wrong answers caught") true
+        (r.Harness.discrepancies > 0))
+    [ "corrupt-witness"; "drop-core-key" ]
+
 (* {2 Regression corpus replay} *)
 
 (* `dune runtest` runs from the test directory, `dune exec` from the
@@ -341,6 +363,7 @@ let () =
             test_chaos_proof_rejection;
           Alcotest.test_case "parse rejection" `Quick
             test_chaos_parse_rejection;
+          Alcotest.test_case "oracle stores" `Quick test_chaos_oracle_stores;
         ] );
       ( "corpus",
         [ Alcotest.test_case "regression replay" `Quick test_corpus_replay ] );

@@ -272,7 +272,8 @@ let test_telemetry_json_parses () =
       "unsat_verdicts"; "unknown_verdicts"; "instance_queries"; "enumerations";
       "candidates_generated"; "candidates_evaluated"; "llm_rounds";
       "proposal_builds"; "pool_peak"; "deadline_checks"; "certified_unsat";
-      "certificate_failures"; "oracle"; "sat"; "eval"; "spaces"; "phases";
+      "certificate_failures"; "oracle"; "sat"; "sat_fresh"; "eval"; "spaces";
+      "phases";
     ]
     j;
   let sub name = Option.get (Json.member name j) in
@@ -281,14 +282,18 @@ let test_telemetry_json_parses () =
       "verdict_hits"; "verdict_misses"; "instance_hits"; "instance_misses";
       "fallback_queries"; "formulas_translated"; "formulas_reused"; "contexts";
       "contexts_retired"; "certified"; "certificate_failures"; "definitions";
-      "definitions_shared"; "keys_digested"; "keys_reused";
+      "definitions_shared"; "keys_digested"; "keys_reused"; "witness_hits";
+      "witness_checks"; "witnesses_stored"; "core_hits"; "cores_stored";
     ]
     (sub "oracle");
-  check_keys "sat"
-    [
-      "conflicts"; "decisions"; "propagations"; "restarts"; "reductions";
-    ]
-    (sub "sat");
+  List.iter
+    (fun schema ->
+      check_keys schema
+        [
+          "conflicts"; "decisions"; "propagations"; "restarts"; "reductions";
+        ]
+        (sub schema))
+    [ "sat"; "sat_fresh" ];
   check_keys "eval"
     [
       "implicit_evaluated"; "implicit_memoized"; "facts_evaluated";
@@ -439,7 +444,10 @@ let test_study_line_elapsed_is_row_time () =
    run backwards across a retirement.  Structural sharing makes contexts
    grow at different rates per domain, so each domain's stream runs for at
    least [retirement_floor] candidates and then until its plain oracle has
-   retired a context. *)
+   retired a context.  Stored witnesses and cores answer most queries
+   without touching a context, so the oracles are created under
+   SPECREPAIR_NO_CACHE=1, which stores neither: every query that misses the
+   verdict cache is solved in a context. *)
 
 let retirement_floor = 40
 
@@ -465,12 +473,19 @@ let check_deltas_nonnegative label session =
         (Counters.bindings delta))
     (Session.deltas session)
 
+let bypassed f =
+  let old = Option.value ~default:"" (Sys.getenv_opt "SPECREPAIR_NO_CACHE") in
+  Unix.putenv "SPECREPAIR_NO_CACHE" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "SPECREPAIR_NO_CACHE" old) f
+
 let test_retirement_invisible () =
   List.iter
     (fun (d : B.Domains.t) ->
       let base = B.Domains.env d in
-      let plain = Solver.Oracle.create base in
-      let certified = Solver.Oracle.create ~certify:true base in
+      let plain = bypassed (fun () -> Solver.Oracle.create base) in
+      let certified =
+        bypassed (fun () -> Solver.Oracle.create ~certify:true base)
+      in
       let check_candidate (env : Typecheck.env) =
         (* a session per candidate, as a study row has one *)
         let session = Session.create ~oracle:plain base in

@@ -759,6 +759,87 @@ let test_oracle_keys_warm_equals_fresh () =
         Alcotest.failf "%s: the warm oracle reused no key digest" d.name)
     (Lazy.force key_pools)
 
+(* {2 What the oracle already found}
+
+   A verdict query can be answered by a stored witness ([Sat]) or a stored
+   assumption core ([Unsat]) without a solve.  Over every corpus domain, a
+   stream of mutants of the ground truth must get the same verdicts from
+   an oracle using both stores as from one created under
+   SPECREPAIR_NO_CACHE=1, which stores nothing and solves every query, and
+   from a certifying oracle, which never answers from a core. *)
+
+let with_no_cache value f =
+  let old = Option.value ~default:"" (Sys.getenv_opt "SPECREPAIR_NO_CACHE") in
+  Unix.putenv "SPECREPAIR_NO_CACHE" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SPECREPAIR_NO_CACHE" old) f
+
+let mutant_stream (truth : Typecheck.env) n =
+  let mutants = Specrepair_mutation.Mutate.all_mutations truth truth.spec () in
+  let stride = max 1 (List.length mutants / n) in
+  truth
+  :: (List.filteri (fun i _ -> i mod stride = 0) mutants
+     |> List.filter_map (fun m ->
+            match
+              Typecheck.check_result
+                (Specrepair_mutation.Mutate.apply truth.spec m)
+            with
+            | Ok env -> Some env
+            | Error _ | (exception _) -> None))
+
+let test_oracle_stores_match_bypass () =
+  let label = function
+    | `Sat -> "sat"
+    | `Unsat -> "unsat"
+    | `Unknown -> "unknown"
+  in
+  let count o key = Counters.find (Solver.Oracle.stats o) key in
+  let answered =
+    List.map
+      (fun (d : Bench.Domains.t) ->
+        let truth = Bench.Domains.env d in
+        let stored = with_no_cache "" (fun () -> Solver.Oracle.create truth) in
+        let bypass = with_no_cache "1" (fun () -> Solver.Oracle.create truth) in
+        let certified =
+          with_no_cache "" (fun () -> Solver.Oracle.create ~certify:true truth)
+        in
+        List.iter
+          (fun (env : Typecheck.env) ->
+            List.iter
+              (fun c ->
+                let want = label (Solver.Oracle.command_verdict bypass env c) in
+                Alcotest.(check string)
+                  (d.name ^ ": stored answers = solves")
+                  want
+                  (label (Solver.Oracle.command_verdict stored env c));
+                Alcotest.(check string)
+                  (d.name ^ ": certifying oracle = solves")
+                  want
+                  (label (Solver.Oracle.command_verdict certified env c)))
+              env.spec.commands)
+          (mutant_stream truth 40);
+        Alcotest.(check (list int))
+          (d.name ^ ": the bypass stores and answers nothing")
+          [ 0; 0; 0; 0 ]
+          (List.map (count bypass)
+             [ "witnesses_stored"; "witness_hits"; "cores_stored"; "core_hits" ]);
+        Alcotest.(check int)
+          (d.name ^ ": a certifying oracle answers from no core")
+          0
+          (count certified "core_hits");
+        Alcotest.(check int)
+          (d.name ^ ": no certificate failures")
+          0
+          (count certified "certificate_failures");
+        (count stored "witness_hits", count stored "core_hits"))
+      Bench.Domains.all
+  in
+  Alcotest.(check bool)
+    "stored witnesses answered queries" true
+    (List.exists (fun (w, _) -> w > 0) answered);
+  Alcotest.(check bool)
+    "stored cores answered queries" true
+    (List.exists (fun (_, c) -> c > 0) answered)
+
 let prop_solver_agrees_with_eval =
   QCheck2.Test.make ~count:150 ~name:"model finder agrees with evaluator"
     ~print:Pretty.fmla_to_string gen_vocab_fmla
@@ -811,6 +892,11 @@ let () =
             test_oracle_keys_match_prints;
           Alcotest.test_case "warm oracle answers as fresh ones" `Quick
             test_oracle_keys_warm_equals_fresh;
+        ] );
+      ( "oracle stores",
+        [
+          Alcotest.test_case "stored answers equal solves" `Quick
+            test_oracle_stores_match_bypass;
         ] );
       ( "properties",
         [

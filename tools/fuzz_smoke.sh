@@ -7,7 +7,8 @@
 # Iteration counts are deliberately modest — the full campaigns run
 # locally via `specrepair fuzz --iters 500` — but every discrepancy
 # class the harness knows (SAT verdicts, models, unsat cores, budget
-# behaviour, model-finder vs enumeration, oracle coherence, pinned
+# behaviour, model-finder vs enumeration, oracle coherence (stored
+# witness and core answers included), pinned
 # translation vs evaluation, DRUP certificate checking, frontend
 # print/parse round-trips, streaming-corpus split invariance,
 # model-panel proposal contracts, serve reply memo vs recomputation) is
@@ -86,6 +87,20 @@ if [ -z "$keys" ] || [ "$keys" -eq 0 ]; then
     exit 1
 fi
 
+# And its oracles must have answered queries from stored witnesses and
+# stored cores, or the comparison never checked a stored answer.
+oracle_count() {
+    grep -o '"target":"oracle"[^}]*"'"$1"'":[0-9]*' \
+        "$workdir/summary-1.json" | sed 's/.*://'
+}
+witnesses=$(oracle_count witness_hits)
+cores=$(oracle_count core_hits)
+if [ -z "$witnesses" ] || [ "$witnesses" -eq 0 ] ||
+    [ -z "$cores" ] || [ "$cores" -eq 0 ]; then
+    echo "fuzz_smoke: the oracle campaign answered no query from a stored witness or core" >&2
+    exit 1
+fi
+
 # Likewise the panel campaign must have answered proposal builds from its
 # shared mutation-space stores, or the store comparison checked nothing.
 reused=$(grep -o '"target":"panel"[^}]*"spaces_reused":[0-9]*' \
@@ -121,6 +136,24 @@ if ! ls "$workdir/chaos-proof"/*.cnf >/dev/null 2>&1; then
     echo "fuzz_smoke: proof chaos run persisted no corpus entry" >&2
     exit 1
 fi
+
+# Two oracle chaos hooks make stored answers wrong: corrupt-witness
+# answers from a witness without checking the goal (wrong sat verdicts),
+# drop-core-key stores each core less one key (wrong unsat verdicts).
+# The comparison with fresh solves must catch each and fail the run.
+for hook in corrupt-witness drop-core-key; do
+    if SPECREPAIR_FUZZ_CHAOS=$hook dune exec bin/specrepair.exe -- fuzz \
+        --target oracle --iters 20 --seed "$seed" \
+        --corpus-dir "$workdir/chaos-$hook" > "$workdir/chaos-$hook.json" 2>&1; then
+        echo "fuzz_smoke: the $hook chaos hook was not detected" >&2
+        exit 1
+    fi
+    if ! grep -q '"discrepancies":[1-9]' "$workdir/chaos-$hook.json"; then
+        echo "fuzz_smoke: the $hook chaos run failed without a discrepancy" >&2
+        cat "$workdir/chaos-$hook.json" >&2
+        exit 1
+    fi
+done
 
 # The parse chaos hook corrupts one token of each printed spec; the
 # frontend must reject every corrupted source with a diagnostic placed
@@ -161,11 +194,12 @@ fi
 if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$FUZZ_ARTIFACTS_DIR"
     cp "$workdir/summary-1.json" "$FUZZ_ARTIFACTS_DIR/fuzz_summary.json"
-    for c in chaos chaos-proof chaos-parse chaos-panel; do
+    for c in chaos chaos-proof chaos-parse chaos-panel \
+        chaos-corrupt-witness chaos-drop-core-key; do
         if [ -s "$workdir/$c.json" ]; then
             cp "$workdir/$c.json" "$FUZZ_ARTIFACTS_DIR/fuzz_$c.json"
         fi
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel/replies x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $reused mutation spaces reused; $replies replies reused; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel/replies x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $witnesses witness and $cores core answers; $reused mutation spaces reused; $replies replies reused; chaos hooks caught)"
