@@ -449,6 +449,35 @@ let gen_oracle_case rng =
   in
   { o_base; o_candidates }
 
+(* The goal a command's instance query streams models of: the negated
+   assertion of a [check], the formula of a [run {...}]. *)
+let streamed_goal (env : Alloy.Typecheck.env) (c : Ast.command) =
+  match c.cmd_kind with
+  | Ast.Check name ->
+      Option.map
+        (fun (a : Ast.assert_decl) -> Ast.Not a.assert_body)
+        (Ast.find_assert env.spec name)
+  | Ast.Run_fmla f -> Some f
+  | Ast.Run_pred _ -> None
+
+(* Enumerations through the oracle, after its instance query opened the
+   command's stream, against fresh ones: a longer prefix extends the
+   stream, and a one-conflict budget must give up (or not) exactly where a
+   fresh enumeration does. *)
+let check_oracle_enumerations oracle env c =
+  match streamed_goal env c with
+  | None -> true
+  | Some goal ->
+      let scope = Bounds.scope_of_command c in
+      List.for_all
+        (fun (limit, max_conflicts) ->
+          let streamed =
+            Oracle.enumerate ~limit ?max_conflicts oracle env scope goal
+          and fresh = Analyzer.enumerate ~limit ?max_conflicts env scope goal in
+          List.length streamed = List.length fresh
+          && List.for_all2 Alloy.Instance.equal streamed fresh)
+        [ (3, None); (2, Some 1) ]
+
 let check_oracle_stream oracle { o_base; o_candidates } =
   let rec over_envs first = function
     | [] -> `Ok
@@ -463,15 +492,19 @@ let check_oracle_stream oracle { o_base; o_candidates } =
               else if Oracle.command_verdict oracle env' c <> incremental then
                 `Fail "oracle verdict changed on a repeat query"
               else if first then
-                (* instance-producing path: memoized fresh solves must be
-                   bit-identical to the plain analyzer *)
+                (* instance-producing path: streamed models must be
+                   bit-identical to the plain analyzer's *)
+                let enumerations () =
+                  if check_oracle_enumerations oracle env' c then over_cmds cmds
+                  else `Fail "oracle enumeration differs from the analyzer's"
+                in
                 match (Oracle.run_command oracle env' c, fresh) with
                 | Analyzer.Sat a, Analyzer.Sat b ->
-                    if Alloy.Instance.equal a b then over_cmds cmds
+                    if Alloy.Instance.equal a b then enumerations ()
                     else `Fail "oracle instance differs from the analyzer's"
                 | Analyzer.Unsat, Analyzer.Unsat
                 | Analyzer.Unknown, Analyzer.Unknown ->
-                    over_cmds cmds
+                    enumerations ()
                 | _ -> `Fail "oracle run_command tag differs from the analyzer's"
               else over_cmds cmds)
         in
@@ -514,12 +547,14 @@ let check_oracle_pair base cand =
   check_oracle_case { o_base = base; o_candidates = [ cand ] }
 
 (* Every verdict the oracle gives, those its stored witnesses and cores
-   answer included, is compared with a fresh analyzer solve; the summary
-   counts the answers each store gave.  Two chaos hooks in {!Oracle} make
-   those answers wrong on purpose, and the campaign must report
-   discrepancies under each: [SPECREPAIR_FUZZ_CHAOS=corrupt-witness]
-   answers from a witness without checking the goal, and [drop-core-key]
-   stores each core less one key. *)
+   answer included, is compared with a fresh analyzer solve, and its
+   instances and enumerations (read off model streams) with fresh ones;
+   the summary counts the answers each store gave.  Three chaos hooks in
+   {!Oracle} make those answers wrong on purpose, and the campaign must
+   report discrepancies under each: [SPECREPAIR_FUZZ_CHAOS=corrupt-witness]
+   answers from a witness without checking the goal, [drop-core-key]
+   stores each core less one key, and [stream-skip-block] makes a stream
+   forget its blocking clauses. *)
 let oracle =
   target "oracle"
     ~gen:(fun rng ->
@@ -533,6 +568,7 @@ let oracle =
           ("keys_reused", "keys_reused");
           ("witness_hits", "witness_hits");
           ("core_hits", "core_hits");
+          ("stream_models_reused", "stream_models_reused");
         ] )
     ~persist:(fun e ~fails:_ (case, _) ->
       (* find a single failing base/candidate pair, then shrink the

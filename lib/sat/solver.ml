@@ -405,6 +405,12 @@ let reduce_db s =
       end)
     arr
 
+(* In a sorted, duplicate-free literal list a complementary pair, [2v]
+   and [2v + 1], is adjacent. *)
+let rec complementary = function
+  | a :: (b :: _ as rest) -> a lxor 1 = b || complementary rest
+  | [] | [ _ ] -> false
+
 let add_clause s lits =
   if s.ok then begin
     emit_input s lits;
@@ -412,8 +418,7 @@ let add_clause s lits =
     let lits = List.map Lit.to_int lits in
     let lits = List.sort_uniq Int.compare lits in
     let tautology =
-      List.exists (fun l -> List.memq (l lxor 1) lits) lits
-      || List.exists (fun l -> value_lit s l = 1) lits
+      complementary lits || List.exists (fun l -> value_lit s l = 1) lits
     in
     if not tautology then begin
       let lits = List.filter (fun l -> value_lit s l <> 0) lits in

@@ -77,6 +77,10 @@ val set_proof : t -> Proof.sink option -> unit
 
 (** {2 Statistics} *)
 
+val n_clauses : t -> int
+(** Original (non-learnt) clauses of two or more literals held: a
+    dropped tautology or a unit clause adds none. *)
+
 val n_conflicts : t -> int
 val n_decisions : t -> int
 val n_propagations : t -> int

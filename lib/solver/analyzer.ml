@@ -17,17 +17,18 @@ let default_scope = { Bounds.default = 3; overrides = [] }
    bounds assert symmetry-breaking and multiplicity clauses at
    construction time, and a checker that never saw them cannot validate
    anything derived from them. *)
-let load ?proof env scope goal_of_bounds =
+let load_goal ?proof ?facts env scope goal_of_bounds =
   let solver = Solver.create () in
   (match proof with None -> () | Some _ -> Solver.set_proof solver proof);
   let bounds = Bounds.create solver env scope in
   let ts = Tseitin.create solver in
-  Tseitin.assert_formula ts (Translate.spec_fmla bounds);
+  Tseitin.assert_formula ts
+    (Translate.spec_fmla ?facts:(Option.map (fun f -> f bounds) facts) bounds);
   Tseitin.assert_formula ts (goal_of_bounds bounds);
   (solver, bounds)
 
 let solve_goal ?proof ?spent ?max_conflicts env scope goal_of_bounds =
-  let solver, bounds = load ?proof env scope goal_of_bounds in
+  let solver, bounds = load_goal ?proof env scope goal_of_bounds in
   let result = Solver.solve ?max_conflicts solver in
   Option.iter (fun f -> f solver) spent;
   match result with
@@ -36,6 +37,14 @@ let solve_goal ?proof ?spent ?max_conflicts env scope goal_of_bounds =
   | Solver.Unknown -> Unknown
 
 let fmla_goal f bounds = Translate.fmla bounds [] f
+
+let load ?facts ?goal env scope f =
+  load_goal ?facts env scope (Option.value goal ~default:(fmla_goal f))
+
+let primary_vars bounds =
+  Hashtbl.fold
+    (fun _ cells acc -> List.map snd cells @ acc)
+    bounds.Bounds.rel_vars []
 
 let pred_goal env name =
   match Ast.find_pred env.Alloy.Typecheck.spec name with
@@ -66,12 +75,8 @@ let run_command ?proof ?spent ?max_conflicts env (c : Ast.command) =
     | Ast.Check name -> assert_goal env name)
 
 let enumerate ?(limit = 10) ?spent ?max_conflicts env scope f =
-  let solver, bounds = load env scope (fmla_goal f) in
-  let all_primary_vars =
-    Hashtbl.fold
-      (fun _ cells acc -> List.map snd cells @ acc)
-      bounds.Bounds.rel_vars []
-  in
+  let solver, bounds = load env scope f in
+  let all_primary_vars = primary_vars bounds in
   let rec loop acc n =
     if n >= limit then List.rev acc
     else

@@ -73,5 +73,24 @@ val enumerate :
     adding blocking clauses over the primary variables.  [?spent] is called
     with the solver after the last search, as for {!run_command}. *)
 
+val load :
+  ?facts:(Bounds.t -> Specrepair_sat.Formula.t list) ->
+  ?goal:(Bounds.t -> Specrepair_sat.Formula.t) ->
+  Alloy.Typecheck.env ->
+  Bounds.scope ->
+  Alloy.Ast.fmla ->
+  Specrepair_sat.Solver.t * Bounds.t
+(** The solver {!solve_fmla} and {!enumerate} search for the goal [f]:
+    bounds, then the spec formula and the goal, clausified unshared.
+    [?facts] and [?goal], given the bounds, supply the translations of
+    the spec's facts (in order) and of [f] in place of {!Translate.fmla}'s.
+    The clauses are the same as without them when each is structurally
+    the formula {!Translate.fmla} builds and no two share a compound
+    node. *)
+
+val primary_vars : Bounds.t -> int list
+(** The tuple variables of every relation: what {!enumerate} blocks a
+    model on. *)
+
 val default_scope : Bounds.scope
 (** Scope 3 with no overrides. *)

@@ -14,6 +14,8 @@ type t = {
   scope : scope;
   pools : (string * string list) list;
   universe : string list;
+  atoms : string array;
+  index : (string, int) Hashtbl.t;
   rel_vars : (string, (Tuple.t * int) list) Hashtbl.t;
   matrices : (string, Matrix.t) Hashtbl.t;
   univ_matrix : Matrix.t;
@@ -63,6 +65,13 @@ let create solver (env : Alloy.Typecheck.env) scope =
       env.top_sigs
   in
   let universe = List.concat_map snd pools in
+  (* the interned universe: atom [i] is the [i]th name in [String.compare]
+     order, so code order is {!Tuple.compare} order *)
+  let atoms = Array.of_list (List.sort_uniq String.compare universe) in
+  let index = Hashtbl.create (Array.length atoms) in
+  Array.iteri (fun i a -> Hashtbl.replace index a i) atoms;
+  let n = Array.length atoms in
+  let code tuple = Matrix.encode ~n (Array.map (Hashtbl.find index) tuple) in
   let rel_vars = Hashtbl.create 32 in
   let matrices = Hashtbl.create 32 in
   let alloc name tuples =
@@ -76,8 +85,8 @@ let create solver (env : Alloy.Typecheck.env) scope =
     Hashtbl.replace rel_vars name cells;
     let arity = match tuples with t :: _ -> Array.length t | [] -> 1 in
     Hashtbl.replace matrices name
-      (Matrix.of_cells arity
-         (List.map (fun (t, v) -> (t, Formula.var v)) cells))
+      (Matrix.of_cells ~n arity
+         (List.map (fun (t, v) -> (code t, Formula.var v)) cells))
   in
   (* signatures: membership variables over the root pool *)
   List.iter
@@ -122,12 +131,13 @@ let create solver (env : Alloy.Typecheck.env) scope =
     List.filter_map (fun top -> Hashtbl.find_opt matrices top) env.top_sigs
   in
   let univ_matrix =
-    List.fold_left Matrix.union (Matrix.empty 1) top_matrices
+    List.fold_left Matrix.union (Matrix.empty ~n 1) top_matrices
   in
   let iden_matrix =
-    Matrix.of_cells 2
+    Matrix.of_cells ~n 2
       (List.map
-         (fun a -> ([| a; a |], Matrix.cell univ_matrix [| a |]))
+         (fun a ->
+           (code [| a; a |], Matrix.cell univ_matrix (Hashtbl.find index a)))
          universe)
   in
   {
@@ -136,6 +146,8 @@ let create solver (env : Alloy.Typecheck.env) scope =
     scope;
     pools;
     universe;
+    atoms;
+    index;
     rel_vars;
     matrices;
     univ_matrix;

@@ -19,9 +19,14 @@ type t = {
   scope : scope;
   pools : (string * string list) list;  (** top-level sig -> atom pool *)
   universe : string list;
+  atoms : string array;
+      (** the universe in [String.compare] order: the atoms {!Matrix}
+          codes index *)
+  index : (string, int) Hashtbl.t;  (** atom name -> its index in [atoms] *)
   rel_vars : (string, (Alloy.Instance.Tuple.t * int) list) Hashtbl.t;
       (** per relation: tuple and its SAT variable *)
-  matrices : (string, Matrix.t) Hashtbl.t;  (** per relation *)
+  matrices : (string, Matrix.t) Hashtbl.t;
+      (** per relation, over the codes of [atoms] *)
   univ_matrix : Matrix.t;
   iden_matrix : Matrix.t;
 }

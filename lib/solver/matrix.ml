@@ -1,42 +1,94 @@
 open Specrepair_sat
-module Tuple = Specrepair_alloy.Instance.Tuple
-module Tuple_map = Map.Make (Tuple)
+module Tuple_map = Map.Make (Int)
 
-type t = { arity : int; cells : Formula.t Tuple_map.t }
+type t = { n : int; arity : int; cells : Formula.t Tuple_map.t }
 
-let empty arity = { arity; cells = Tuple_map.empty }
+let size ~n k =
+  let rec go acc k =
+    if k = 0 then acc
+    else if n > 0 && acc > max_int / n then
+      invalid_arg "Matrix: n^arity overflows an int"
+    else go (acc * n) (k - 1)
+  in
+  go 1 k
 
-let add_cell cells tuple f =
+let encode ~n atoms = Array.fold_left (fun code a -> (code * n) + a) 0 atoms
+
+let decode ~n arity code =
+  let t = Array.make arity 0 in
+  let rec go i code =
+    if i >= 0 then begin
+      t.(i) <- code mod n;
+      go (i - 1) (code / n)
+    end
+  in
+  go (arity - 1) code;
+  t
+
+let empty ~n arity =
+  ignore (size ~n arity);
+  { n; arity; cells = Tuple_map.empty }
+
+let add_cell cells code f =
   if Formula.is_false f then cells
   else
-    Tuple_map.update tuple
+    Tuple_map.update code
       (function None -> Some f | Some g -> Some (Formula.or2 g f))
       cells
 
-let constant arity tuples =
+let constant ~n arity codes =
   {
-    arity;
+    (empty ~n arity) with
     cells =
       List.fold_left
-        (fun m t -> Tuple_map.add t Formula.tru m)
-        Tuple_map.empty tuples;
+        (fun m c -> Tuple_map.add c Formula.tru m)
+        Tuple_map.empty codes;
   }
 
-let singleton tuple =
-  { arity = Array.length tuple; cells = Tuple_map.singleton tuple Formula.tru }
+let singleton ~n arity code =
+  { (empty ~n arity) with cells = Tuple_map.singleton code Formula.tru }
 
-let of_cells arity cells =
+let of_cells ~n arity cells =
   {
-    arity;
-    cells = List.fold_left (fun m (t, f) -> add_cell m t f) Tuple_map.empty cells;
+    (empty ~n arity) with
+    cells =
+      List.fold_left (fun m (c, f) -> add_cell m c f) Tuple_map.empty cells;
   }
 
-let cell m tuple =
-  match Tuple_map.find_opt tuple m.cells with
+(* codes of arity [k] sharing their first atom [h] are the range
+   [h n^(k-1), (h+1) n^(k-1)) *)
+let tail m = size ~n:m.n (m.arity - 1)
+let head m code = code / tail m
+
+let cell m code =
+  match Tuple_map.find_opt code m.cells with
   | Some f -> f
   | None -> Formula.fls
 
 let support m = Tuple_map.bindings m.cells
+
+(* The cells of [m] with codes in [lo, hi), highest code first. *)
+let newest_first m lo hi =
+  let rec go acc seq =
+    match seq () with
+    | Seq.Cons (((c, _) as cell), rest) when c < hi -> go (cell :: acc) rest
+    | _ -> acc
+  in
+  go [] (Tuple_map.to_seq_from lo m.cells)
+
+(* [newest_first] per first atom, each range read once per operation.
+   Only the lists are shared: every cell formula is still built once per
+   use, so the circuit keeps the shape a fresh build gives it. *)
+let by_head m =
+  let tail = tail m in
+  let lists = Array.make m.n None in
+  fun h ->
+    match lists.(h) with
+    | Some l -> l
+    | None ->
+        let l = newest_first m (h * tail) ((h + 1) * tail) in
+        lists.(h) <- Some l;
+        l
 
 let merge_with op a b =
   Tuple_map.merge
@@ -49,73 +101,61 @@ let merge_with op a b =
 
 let union a b =
   if a.arity <> b.arity then invalid_arg "Matrix.union: arity mismatch";
-  { arity = a.arity; cells = merge_with Formula.or2 a.cells b.cells }
+  { a with cells = merge_with Formula.or2 a.cells b.cells }
 
 let inter a b =
   if a.arity <> b.arity then invalid_arg "Matrix.inter: arity mismatch";
-  { arity = a.arity; cells = merge_with Formula.and2 a.cells b.cells }
+  { a with cells = merge_with Formula.and2 a.cells b.cells }
 
 let diff a b =
   if a.arity <> b.arity then invalid_arg "Matrix.diff: arity mismatch";
   {
-    arity = a.arity;
+    a with
     cells =
       merge_with (fun fa fb -> Formula.and2 fa (Formula.not_ fb)) a.cells b.cells;
   }
 
-let head (t : Tuple.t) = t.(0)
-let last (t : Tuple.t) = t.(Array.length t - 1)
-
-let join_tuples (t1 : Tuple.t) (t2 : Tuple.t) =
-  let n1 = Array.length t1 and n2 = Array.length t2 in
-  let r = Array.make (n1 + n2 - 2) "" in
-  Array.blit t1 0 r 0 (n1 - 1);
-  Array.blit t2 1 r (n1 - 1) (n2 - 1);
-  r
-
+(* a's cells in code order, each against b's cells whose head is its last
+   atom, newest first *)
 let join a b =
   let arity = a.arity + b.arity - 2 in
   if arity < 1 then invalid_arg "Matrix.join: resulting arity < 1";
-  (* index b's cells by head atom to avoid the quadratic scan *)
-  let by_head = Hashtbl.create 16 in
-  Tuple_map.iter
-    (fun t f ->
-      let h = head t in
-      Hashtbl.replace by_head h ((t, f) :: Option.value ~default:[] (Hashtbl.find_opt by_head h)))
-    b.cells;
+  let n = a.n in
+  let matches = by_head b and b_tail = tail b in
   let cells =
     Tuple_map.fold
-      (fun t1 f1 acc ->
-        match Hashtbl.find_opt by_head (last t1) with
-        | None -> acc
-        | Some matches ->
-            List.fold_left
-              (fun acc (t2, f2) ->
-                add_cell acc (join_tuples t1 t2) (Formula.and2 f1 f2))
-              acc matches)
+      (fun c1 f1 acc ->
+        let prefix = c1 / n * b_tail in
+        List.fold_left
+          (fun acc (c2, f2) ->
+            add_cell acc (prefix + (c2 mod b_tail)) (Formula.and2 f1 f2))
+          acc
+          (matches (c1 mod n)))
       a.cells Tuple_map.empty
   in
-  { arity; cells }
+  { (empty ~n arity) with cells }
 
 let product a b =
+  let shift = size ~n:a.n b.arity in
   let cells =
     Tuple_map.fold
-      (fun t1 f1 acc ->
+      (fun c1 f1 acc ->
         Tuple_map.fold
-          (fun t2 f2 acc ->
-            add_cell acc (Array.append t1 t2) (Formula.and2 f1 f2))
+          (fun c2 f2 acc ->
+            add_cell acc ((c1 * shift) + c2) (Formula.and2 f1 f2))
           b.cells acc)
       a.cells Tuple_map.empty
   in
-  { arity = a.arity + b.arity; cells }
+  { (empty ~n:a.n (a.arity + b.arity)) with cells }
 
 let transpose a =
   if a.arity <> 2 then invalid_arg "Matrix.transpose: arity must be 2";
+  let n = a.n in
   {
-    arity = 2;
+    a with
     cells =
       Tuple_map.fold
-        (fun t f acc -> add_cell acc [| t.(1); t.(0) |] f)
+        (fun c f acc -> add_cell acc ((c mod n * n) + (c / n)) f)
         a.cells Tuple_map.empty;
   }
 
@@ -126,11 +166,19 @@ let closure a =
      iterate until that bound — support stability alone is NOT a correct
      stopping criterion, because cell formulas keep strengthening after the
      support saturates. *)
-  let atoms = Hashtbl.create 16 in
+  let seen = Array.make a.n false and atoms = ref 0 in
+  let see i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      incr atoms
+    end
+  in
   Tuple_map.iter
-    (fun t _ -> Array.iter (fun a -> Hashtbl.replace atoms a ()) t)
+    (fun c _ ->
+      see (c / a.n);
+      see (c mod a.n))
     a.cells;
-  let n_atoms = max 1 (Hashtbl.length atoms) in
+  let n_atoms = max 1 !atoms in
   let rec go acc len =
     if len >= n_atoms then acc else go (union acc (join acc acc)) (2 * len)
   in
@@ -139,56 +187,46 @@ let closure a =
 let override a b =
   if a.arity <> b.arity then invalid_arg "Matrix.override: arity mismatch";
   if a.arity < 2 then invalid_arg "Matrix.override: arity must be >= 2";
-  (* group b's cells by head: a tuple of a survives if no b tuple shares its
-     head atom *)
-  let by_head = Hashtbl.create 16 in
-  Tuple_map.iter
-    (fun t f ->
-      let h = head t in
-      Hashtbl.replace by_head h
-        (f :: Option.value ~default:[] (Hashtbl.find_opt by_head h)))
-    b.cells;
+  (* a tuple of a survives if no b tuple shares its head atom *)
+  let by_head = by_head b and a_tail = tail a in
   let kept =
     Tuple_map.fold
-      (fun t f acc ->
+      (fun c f acc ->
         let overridden =
-          match Hashtbl.find_opt by_head (head t) with
-          | None -> Formula.fls
-          | Some fs -> Formula.or_ fs
+          match by_head (c / a_tail) with
+          | [] -> Formula.fls
+          | cells -> Formula.or_ (List.map snd cells)
         in
-        add_cell acc t (Formula.and2 f (Formula.not_ overridden)))
+        add_cell acc c (Formula.and2 f (Formula.not_ overridden)))
       a.cells Tuple_map.empty
   in
-  { arity = a.arity; cells = merge_with Formula.or2 kept b.cells }
+  { a with cells = merge_with Formula.or2 kept b.cells }
 
 let dom_restrict s e =
   if s.arity <> 1 then invalid_arg "Matrix.dom_restrict: set must be unary";
+  let e_tail = tail e in
   {
-    arity = e.arity;
+    e with
     cells =
       Tuple_map.fold
-        (fun t f acc ->
-          let guard = cell s [| head t |] in
-          add_cell acc t (Formula.and2 f guard))
+        (fun c f acc -> add_cell acc c (Formula.and2 f (cell s (c / e_tail))))
         e.cells Tuple_map.empty;
   }
 
 let ran_restrict e s =
   if s.arity <> 1 then invalid_arg "Matrix.ran_restrict: set must be unary";
   {
-    arity = e.arity;
+    e with
     cells =
       Tuple_map.fold
-        (fun t f acc ->
-          let guard = cell s [| last t |] in
-          add_cell acc t (Formula.and2 f guard))
+        (fun c f acc -> add_cell acc c (Formula.and2 f (cell s (c mod e.n))))
         e.cells Tuple_map.empty;
   }
 
 let ite c a b =
   if a.arity <> b.arity then invalid_arg "Matrix.ite: arity mismatch";
   {
-    arity = a.arity;
+    a with
     cells = merge_with (fun fa fb -> Formula.ite c fa fb) a.cells b.cells;
   }
 
@@ -203,7 +241,7 @@ let subset a b =
   if a.arity <> b.arity then invalid_arg "Matrix.subset: arity mismatch";
   Formula.and_
     (Tuple_map.fold
-       (fun t f acc -> Formula.imp f (cell b t) :: acc)
+       (fun c f acc -> Formula.imp f (cell b c) :: acc)
        a.cells [])
 
 let equal a b = Formula.and2 (subset a b) (subset b a)

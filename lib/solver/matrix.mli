@@ -4,26 +4,48 @@
     A matrix maps tuples to {!Specrepair_sat.Formula.t}; tuples absent from
     the map are definitely not in the relation.  All relational operators of
     Mini-Alloy are implemented pointwise on these matrices; comparison and
-    multiplicity operators produce formulas. *)
+    multiplicity operators produce formulas.
+
+    Tuples are codes over an interned universe of [n] atoms: atom [i] is the
+    [i]th atom of the universe in [String.compare] order, and a tuple
+    [(a_0, ..., a_(k-1))] of arity [k] is the mixed-radix number
+    [a_0 n^(k-1) + ... + a_(k-1)], first column most significant.  Code
+    order is therefore the lexicographic order of the atoms' names, the
+    order of {!Specrepair_alloy.Instance.Tuple.compare}. *)
 
 open Specrepair_sat
-module Tuple = Specrepair_alloy.Instance.Tuple
 
-module Tuple_map : Map.S with type key = Tuple.t
+module Tuple_map : Map.S with type key = int
 
-type t = { arity : int; cells : Formula.t Tuple_map.t }
+type t = { n : int; arity : int; cells : Formula.t Tuple_map.t }
+(** [n] is the number of atoms of the universe the codes are over. *)
 
-val empty : int -> t
-val constant : int -> Tuple.t list -> t
-(** Matrix with [tru] at each listed tuple. *)
+val size : n:int -> int -> int
+(** [size ~n k] is [n^k], the number of tuples of arity [k]; raises
+    [Invalid_argument] when it overflows an [int]. *)
 
-val singleton : Tuple.t -> t
-val of_cells : int -> (Tuple.t * Formula.t) list -> t
-(** Duplicated tuples are combined with disjunction; false cells dropped. *)
+val encode : n:int -> int array -> int
+(** The code of a tuple of atom indices. *)
 
-val cell : t -> Tuple.t -> Formula.t
-val support : t -> (Tuple.t * Formula.t) list
-(** Non-false cells in tuple order. *)
+val decode : n:int -> int -> int -> int array
+(** [decode ~n arity code]: the atom indices of a code. *)
+
+val empty : n:int -> int -> t
+val constant : n:int -> int -> int list -> t
+(** Matrix with [tru] at each listed code. *)
+
+val singleton : n:int -> int -> int -> t
+(** [singleton ~n arity code]. *)
+
+val of_cells : n:int -> int -> (int * Formula.t) list -> t
+(** Duplicated codes are combined with disjunction; false cells dropped. *)
+
+val head : t -> int -> int
+(** The first atom of one of the matrix's codes. *)
+
+val cell : t -> int -> Formula.t
+val support : t -> (int * Formula.t) list
+(** Non-false cells in code order. *)
 
 val union : t -> t -> t
 val inter : t -> t -> t

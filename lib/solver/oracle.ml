@@ -17,7 +17,8 @@ let counter = Counters.counter schema
 let verdict_hits = counter "verdict_hits"
 let verdict_misses = counter "verdict_misses"
 
-(* instance lists served from the cache, and fresh enumeration solves *)
+(* instance queries answered without a solve (from a model stream or the
+   memo of fresh solves), and those that solved *)
 let instance_hits = counter "instance_hits"
 let instance_misses = counter "instance_misses"
 
@@ -63,6 +64,13 @@ let witnesses_stored = counter "witnesses_stored"
 let core_hits = counter "core_hits"
 let cores_stored = counter "cores_stored"
 
+(* model streams opened, models an instance query read from a stream that
+   an earlier query had already found, and translations served from the
+   translation table *)
+let streams_opened = counter "streams_opened"
+let stream_models_reused = counter "stream_models_reused"
+let translations_reused = counter "translations_reused"
+
 (* The SAT work under the oracle: the search counters of its verdict
    contexts' solvers, printed as the [sat] object, and those of its fresh
    solves (instance queries, enumerations and the sig-incompatible
@@ -90,18 +98,43 @@ let search_schema name =
 let sat_schema, sat = search_schema "sat"
 let fresh_schema, fresh = search_schema "sat_fresh"
 
+let search_values keys s =
+  [
+    (keys.conflicts, Solver.n_conflicts s);
+    (keys.decisions, Solver.n_decisions s);
+    (keys.propagations, Solver.n_propagations s);
+    (keys.restarts, Solver.n_restarts s);
+    (keys.reductions, Solver.n_reductions s);
+  ]
+
 let add_search set keys s =
-  Counters.add set keys.conflicts (Solver.n_conflicts s);
-  Counters.add set keys.decisions (Solver.n_decisions s);
-  Counters.add set keys.propagations (Solver.n_propagations s);
-  Counters.add set keys.restarts (Solver.n_restarts s);
-  Counters.add set keys.reductions (Solver.n_reductions s)
+  List.iter (fun (k, v) -> Counters.add set k v) (search_values keys s)
 
 (* The certification state of one long-lived context: an independent DRUP
    checker mirroring the solver's clause stream step by step.  A failed
    step is latched — once the stream has a gap, no later UNSAT from this
    context can be trusted. *)
 type cert = { checker : Drat.t; mutable cert_error : string option }
+
+(* A model stream: a solver loaded as {!Analyzer.load} loads one for a
+   (spec, goal, scope), and what its solves found so far, oldest first,
+   each model with the conflicts its solve took.  The last model's
+   blocking clause waits in [block] until the next solve; [stop] says how
+   the stream ended, and [charged] holds the solver's search counters
+   already added to the oracle's [sat_fresh] set. *)
+type stop =
+  | Exhausted of int  (* [Unsat] after this many conflicts *)
+  | Gave_up of int option  (* [Unknown] under this budget *)
+
+type stream = {
+  solver : Solver.t;
+  bounds : Bounds.t;
+  primary : int list;
+  mutable models : (Alloy.Instance.t * int) list;
+  mutable block : Lit.t list option;
+  mutable stop : stop option;
+  mutable charged : int list;
+}
 
 (* One shared solver per command scope: base bounds, Tseitin state, and the
    activation-literal memo for every formula guarded in it since it was
@@ -174,16 +207,27 @@ type known = {
 let witness_bound = 8
 let core_bound = 16
 
+let stream_bound = 8
+let translation_bound = 4096
+
 type t = {
   base : Alloy.Typecheck.env;
   certify : bool;
-  no_cache : bool;  (* SPECREPAIR_NO_CACHE=1: no witness or core store *)
+  no_cache : bool;
+      (* SPECREPAIR_NO_CACHE=1: no witness, core, stream or translation
+         store *)
   chaos : string option;  (* SPECREPAIR_FUZZ_CHAOS, for the fuzz target *)
   contexts : (string, context) Hashtbl.t;
   known : (string, known) Hashtbl.t;
+  streams : (string, stream) Hashtbl.t;
+      (* by spec, scope and goal key; at most [stream_bound] *)
+  translations : (string, Formula.t) Hashtbl.t;
+      (* by scope and activation key; at most [translation_bound] *)
   verdicts : (string, verdict) Hashtbl.t;
   outcomes : (string, Analyzer.outcome) Hashtbl.t;
   instances : (string, Alloy.Instance.t list) Hashtbl.t;
+      (* fresh instance queries and enumerations where no stream serves:
+         [run p] commands, certifying oracles, SPECREPAIR_NO_CACHE=1 *)
   keys : keys;
   counts : Counters.t;
       (* of the oracle schema; [definitions] and [definitions_shared]
@@ -202,6 +246,8 @@ let create ?(certify = false) base =
     chaos = Sys.getenv_opt "SPECREPAIR_FUZZ_CHAOS";
     contexts = Hashtbl.create 4;
     known = Hashtbl.create 4;
+    streams = Hashtbl.create stream_bound;
+    translations = Hashtbl.create 256;
     verdicts = Hashtbl.create 512;
     outcomes = Hashtbl.create 64;
     instances = Hashtbl.create 64;
@@ -406,13 +452,47 @@ let context_for t key scope =
       Hashtbl.add t.contexts key ctx;
       ctx
 
+(* {2 Translations}
+
+   The translation of a fact body or goal depends on the candidate's
+   predicate and function declarations (which the activation key
+   carries), on the signatures (the oracle's base for every compatible
+   candidate) and on the bounds' variables.  [Bounds.create] on a fresh
+   solver allocates the same variables for the same signatures and scope,
+   and bounds matrices hold only [Var] leaves, so a translation made for
+   one context or stream is, node for node, the one any later context or
+   stream of that scope would make. *)
+
+let translation t ~scope_key key bounds f =
+  if t.no_cache then Translate.fmla bounds [] f
+  else
+    let k = scope_key ^ "|" ^ key in
+    match Hashtbl.find_opt t.translations k with
+    | Some fm ->
+        bump t translations_reused;
+        fm
+    | None ->
+        let fm = Translate.fmla bounds [] f in
+        if Hashtbl.length t.translations >= translation_bound then
+          Hashtbl.reset t.translations;
+        Hashtbl.replace t.translations k fm;
+        fm
+
+(* The activation keys of a candidate's facts, in order, under the digest
+   [dd] of its predicate and function declarations. *)
+let fact_keys t dd bodies =
+  List.map
+    (fun d -> "fact:" ^ d ^ "#" ^ dd)
+    (digests t (List.map (fun f -> Fmla f) bodies))
+
 (* The activation literal of [f] in [ctx]: a fresh literal [act] with
    clauses enforcing [act => f], memoized structurally together with the
    number of variables the translation added.  Solving under the assumption
    [act] then enables exactly this formula; leaving [act] unassumed leaves
    the guarded clauses inert (the solver may satisfy them vacuously by
    setting [act] false). *)
-let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
+let activation t ~scope_key ctx (env : Alloy.Typecheck.env) key
+    (f : Ast.fmla) =
   match Hashtbl.find_opt ctx.acts key with
   | Some entry ->
       bump t formulas_reused;
@@ -421,7 +501,7 @@ let activation t ctx (env : Alloy.Typecheck.env) key (f : Ast.fmla) =
       bump t formulas_translated;
       let vars_before = Solver.n_vars ctx.solver in
       let bounds = Bounds.with_env ctx.bounds env in
-      let fm = Translate.fmla bounds [] f in
+      let fm = translation t ~scope_key key bounds f in
       let act = Lit.pos (Solver.new_var ctx.solver) in
       if Formula.is_true fm then ()
       else if Formula.is_false fm then
@@ -452,8 +532,9 @@ let goal_of (env : Alloy.Typecheck.env) (c : Ast.command) =
 let outcome_tag = Analyzer.outcome_verdict
 
 (* Fresh (non-incremental) solve, proof-checked when certifying: covers the
-   sig-incompatible fallback and instance-producing queries, so an UNSAT
-   answer is certified no matter which path served it. *)
+   sig-incompatible fallback and the instance queries no model stream
+   serves (every one of a certifying oracle), so an UNSAT answer is
+   certified no matter which path served it. *)
 let analyzer_run ?max_conflicts t env c =
   let spent = add_search t.fresh fresh in
   if not t.certify then Analyzer.run_command ~spent ?max_conflicts env c
@@ -487,7 +568,8 @@ let analyzer_run ?max_conflicts t env c =
    builds a fresh one.  A context built by a single query holds exactly
    what that query used, so the rule cannot thrash, and verdicts do not
    depend on the solver path, so nothing observable changes.  The verdict,
-   outcome and instance tables are untouched. *)
+   outcome and instance tables, the streams and the translations are
+   untouched. *)
 let max_growth = 3
 
 (* The work of a context's solver and clausifier, added into [counts] and
@@ -584,12 +666,8 @@ let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c
   let bodies =
     List.map (fun (f : Ast.fact_decl) -> f.fact_body) env.spec.facts
   in
-  let keys =
-    List.map
-      (fun d -> "fact:" ^ d ^ "#" ^ dd)
-      (digests t (List.map (fun f -> Fmla f) bodies))
-    @ [ "goal:" ^ digest t goal_node ^ "#" ^ dd ]
-  in
+  let goal_key = "goal:" ^ digest t goal_node ^ "#" ^ dd in
+  let keys = fact_keys t dd bodies @ [ goal_key ] in
   let known = known_for t key in
   match known with
   | Some k when core_implied k keys ->
@@ -602,7 +680,7 @@ let solve_incremental ?max_conflicts t (env : Alloy.Typecheck.env) c
       let ctx = context_for t key scope in
       let assumed =
         List.map2
-          (fun k f -> (k, activation t ctx env k f))
+          (fun k f -> (k, activation t ~scope_key:key ctx env k f))
           keys (bodies @ [ goal ])
       in
       let assumptions = List.map (fun (_, (act, _)) -> act) assumed in
@@ -658,45 +736,212 @@ let command_verdict ?max_conflicts t (env : Alloy.Typecheck.env)
       Hashtbl.add t.verdicts key v;
       v
 
-(* {2 Instance queries (fresh, memoized)} *)
+(* {2 Instance queries (model streams)}
+
+   A [check] or [run {...}] instance query and an enumeration read one
+   model stream per (spec, scope, goal): [run_command] answers with the
+   stream's first element and [enumerate ~limit:k] with its first [k],
+   solving only past what the stream already holds.  The solver here is
+   deterministic, so the stream's solves are the ones a fresh
+   {!Analyzer.enumerate} makes, in order, provided each recorded solve
+   would have run to its end under the query's budget: a budget only
+   stops a search, and a solve that took fewer conflicts than the budget
+   never reached the stop.  A query some recorded solve does not fit, or
+   one past a stream that gave up under another budget, is solved fresh.
+   [run p] commands, certifying oracles and [SPECREPAIR_NO_CACHE=1] keep
+   fresh solves memoized by query. *)
+
+let use_streams t = not (t.no_cache || t.certify)
+
+let fits max_conflicts conflicts =
+  match max_conflicts with None -> true | Some b -> conflicts < b
+
+(* adds the stream's search since the last charge to [sat_fresh] *)
+let charge t (st : stream) =
+  let now = search_values fresh st.solver in
+  List.iter2
+    (fun (k, v) was -> Counters.add t.fresh k (v - was))
+    now st.charged;
+  st.charged <- List.map snd now
+
+let open_stream t (env : Alloy.Typecheck.env) scope ~scope_key ~dd ~goal_key
+    goal : stream =
+  bump t streams_opened;
+  let facts, translated_goal =
+    if not (compatible t env) then (None, None)
+    else
+      let facts bounds =
+        let bodies =
+          List.map (fun (f : Ast.fact_decl) -> f.fact_body) env.spec.facts
+        in
+        (* a key met twice in one load is translated afresh: one physical
+           formula for both would let the unshared clausifier define it
+           once *)
+        let seen = Hashtbl.create 8 in
+        List.map2
+          (fun key body ->
+            if Hashtbl.mem seen key then Translate.fmla bounds [] body
+            else begin
+              Hashtbl.add seen key ();
+              translation t ~scope_key key bounds body
+            end)
+          (fact_keys t dd bodies) bodies
+      in
+      let goal bounds = translation t ~scope_key goal_key bounds goal in
+      (Some facts, Some goal)
+  in
+  let solver, bounds =
+    Analyzer.load ?facts ?goal:translated_goal env scope goal
+  in
+  {
+    solver;
+    bounds;
+    primary = Analyzer.primary_vars bounds;
+    models = [];
+    block = None;
+    stop = None;
+    charged = List.map (fun _ -> 0) (search_values fresh solver);
+  }
+
+(* One more solve, after the last model's blocking clause. *)
+let extend ?max_conflicts t (st : stream) =
+  (match st.block with
+  | Some clause when t.chaos <> Some "stream-skip-block" ->
+      Solver.add_clause st.solver clause
+  | _ -> (* the stream-skip-block chaos hook forgets the clause *) ());
+  st.block <- None;
+  let before = Solver.n_conflicts st.solver in
+  let result = Solver.solve ?max_conflicts st.solver in
+  let conflicts = Solver.n_conflicts st.solver - before in
+  charge t st;
+  match result with
+  | Solver.Sat ->
+      let value = Solver.value st.solver in
+      st.models <- st.models @ [ (Bounds.extract st.bounds value, conflicts) ];
+      st.block <-
+        Some (List.map (fun v -> Lit.make v (not (value v))) st.primary)
+  | Solver.Unsat -> st.stop <- Some (Exhausted conflicts)
+  | Solver.Unknown -> st.stop <- Some (Gave_up max_conflicts)
+
+(* The first [limit] models a fresh enumeration under [max_conflicts]
+   finds, and why it stopped short of [limit] if it did, read off the
+   stream for [goal] (extended as needed); [None] when the stream cannot
+   stand for that enumeration. *)
+let stream_query ?max_conflicts t (env : Alloy.Typecheck.env) scope
+    (goal, goal_node) limit =
+  let spec = env.spec in
+  let scope_key = scope_key scope in
+  let dd = decls_key t spec in
+  let goal_key = "goal:" ^ digest t goal_node ^ "#" ^ dd in
+  (* the overrides in command order, in which a load conjoins the scope
+     caps *)
+  let overrides =
+    List.map (fun (n, k) -> Printf.sprintf "%s=%d" n k) scope.Bounds.overrides
+  in
+  let key =
+    String.concat "|"
+      [
+        spec_key t spec;
+        string_of_int scope.default;
+        String.concat "," overrides;
+        goal_key;
+      ]
+  in
+  let (st : stream) =
+    match Hashtbl.find_opt t.streams key with
+    | Some st -> st
+    | None ->
+        let st = open_stream t env scope ~scope_key ~dd ~goal_key goal in
+        if Hashtbl.length t.streams >= stream_bound then
+          Hashtbl.reset t.streams;
+        Hashtbl.replace t.streams key st;
+        st
+  in
+  let found = List.length st.models and solved = ref false in
+  let rec read i acc =
+    if i >= limit then Some (List.rev acc, `Limit)
+    else
+      match (List.nth_opt st.models i, st.stop) with
+      | Some (m, c), _ ->
+          if fits max_conflicts c then read (i + 1) (m :: acc) else None
+      | None, Some (Exhausted c) ->
+          if fits max_conflicts c then Some (List.rev acc, `Unsat) else None
+      | None, Some (Gave_up b) ->
+          if b = max_conflicts then Some (List.rev acc, `Unknown) else None
+      | None, None ->
+          solved := true;
+          extend ?max_conflicts t st;
+          read i acc
+  in
+  let answer = read 0 [] in
+  bump t
+    (match answer with
+    | Some _ when not !solved -> instance_hits
+    | _ -> instance_misses);
+  (match answer with
+  | Some (ms, _) ->
+      Counters.add t.counts stream_models_reused (min found (List.length ms))
+  | None -> ());
+  answer
 
 let run_command ?max_conflicts t (env : Alloy.Typecheck.env) (c : Ast.command)
     =
   let vkey = verdict_cache_key ?max_conflicts t env c in
-  let key = "outcome|" ^ vkey in
-  match Hashtbl.find_opt t.outcomes key with
-  | Some o ->
-      bump t instance_hits;
-      o
-  | None ->
-      bump t instance_misses;
-      let o = analyzer_run ?max_conflicts t env c in
-      Hashtbl.add t.outcomes key o;
-      (* a fresh outcome also answers future verdict-only queries *)
-      if not (Hashtbl.mem t.verdicts vkey) then
-        Hashtbl.add t.verdicts vkey (outcome_tag o);
-      o
+  let memoized () =
+    let key = "outcome|" ^ vkey in
+    match Hashtbl.find_opt t.outcomes key with
+    | Some o ->
+        bump t instance_hits;
+        o
+    | None ->
+        bump t instance_misses;
+        let o = analyzer_run ?max_conflicts t env c in
+        Hashtbl.add t.outcomes key o;
+        o
+  in
+  let o =
+    match (c.cmd_kind, goal_of env c) with
+    | (Ast.Check _ | Ast.Run_fmla _), Some goal when use_streams t -> (
+        match
+          stream_query ?max_conflicts t env (Bounds.scope_of_command c) goal 1
+        with
+        | Some (m :: _, _) -> Analyzer.Sat m
+        | Some ([], `Unsat) -> Analyzer.Unsat
+        | Some ([], (`Unknown | `Limit)) -> Analyzer.Unknown
+        | None -> analyzer_run ?max_conflicts t env c)
+    | _ -> memoized ()
+  in
+  (* an outcome also answers future verdict-only queries *)
+  if not (Hashtbl.mem t.verdicts vkey) then
+    Hashtbl.add t.verdicts vkey (outcome_tag o);
+  o
 
 let enumerate ?(limit = 10) ?max_conflicts t (env : Alloy.Typecheck.env) scope
     f =
-  let key =
-    Printf.sprintf "enum|%s|%s|%s|%d|%s"
-      (spec_key t env.Alloy.Typecheck.spec)
-      (digest t (Fmla f) ^ "#" ^ decls_key t env.Alloy.Typecheck.spec)
-      (scope_key scope) limit (budget_key max_conflicts)
+  let solve_fresh () =
+    Analyzer.enumerate ~limit ~spent:(add_search t.fresh fresh) ?max_conflicts
+      env scope f
   in
-  match Hashtbl.find_opt t.instances key with
-  | Some insts ->
-      bump t instance_hits;
-      insts
-  | None ->
-      bump t instance_misses;
-      let insts =
-        Analyzer.enumerate ~limit ~spent:(add_search t.fresh fresh)
-          ?max_conflicts env scope f
-      in
-      Hashtbl.add t.instances key insts;
-      insts
+  if use_streams t then
+    match stream_query ?max_conflicts t env scope (f, Fmla f) limit with
+    | Some (insts, _) -> insts
+    | None -> solve_fresh ()
+  else
+    let key =
+      Printf.sprintf "enum|%s|%s|%s|%d|%s"
+        (spec_key t env.Alloy.Typecheck.spec)
+        (digest t (Fmla f) ^ "#" ^ decls_key t env.Alloy.Typecheck.spec)
+        (scope_key scope) limit (budget_key max_conflicts)
+    in
+    match Hashtbl.find_opt t.instances key with
+    | Some insts ->
+        bump t instance_hits;
+        insts
+    | None ->
+        bump t instance_misses;
+        let insts = solve_fresh () in
+        Hashtbl.add t.instances key insts;
+        insts
 
 (* {2 Statistics} *)
 

@@ -33,14 +33,29 @@
     answers [Sat].  At most 8 witnesses and 16 cores are kept per scope;
     they outlive context retirement and die with the oracle.
 
-    On top of the incremental contexts sit structural caches keyed by the
+    On top of the incremental contexts sits a verdict cache keyed by the
     digest of the pretty-printed candidate (x command x scope x conflict
-    budget): a verdict cache for sat/unsat answers and an instance cache for
-    witness/counterexample queries.  Instance-producing queries always run
-    on a fresh, {!Analyzer}-identical solve (then memoized), so the models
-    an oracle-backed session observes are bit-identical to the
+    budget).  Instance-producing queries read model streams: one solver
+    per (spec, scope, goal), loaded exactly as {!Analyzer} loads one (the
+    unshared encoding), with the models its solves found so far.  The
+    instance of a [check] or [run {...}] command is the stream's first
+    model and an enumeration of [k] instances its first [k], found by the
+    same solves, in the same order, as a fresh {!Analyzer.enumerate}: the
+    solver is deterministic, and a recorded solve answers a query only if
+    it took fewer conflicts than the query's budget, below which a budget
+    stops nothing.  Other queries are solved fresh.  So the models an
+    oracle-backed session observes are bit-identical to the
     non-incremental pipeline — verdicts are solver-path-independent, first
-    models are not.
+    models are not.  [run p] instance queries, and every instance query
+    of a certifying oracle, are fresh {!Analyzer.run_command} solves
+    memoized by query.  The oracle keeps at most 8 streams, dropped
+    together when full.
+
+    Fact and goal translations are kept per scope and activation key (at
+    most 4,096, dropped together when full) and shared by the contexts
+    and streams of that scope: a context rebuilt after a retirement and a
+    stream of a compatible candidate translate nothing the oracle has
+    translated before.
 
     Candidates whose signature declarations differ from the base are
     detected and served by fresh, certified-when-certifying
@@ -75,9 +90,10 @@ val create : ?certify:bool -> Alloy.Typecheck.env -> t
     {!Analyzer.run_command}.
 
     With [SPECREPAIR_NO_CACHE=1] in the environment when the oracle is
-    created, it stores no witness and no core, so every verdict query
-    that misses the verdict cache is solved.  A certifying oracle never
-    answers from a stored core. *)
+    created, it stores no witness, no core, no model stream and no
+    translation: every verdict query that misses the verdict cache is
+    solved, and instance queries are fresh solves memoized by query.  A
+    certifying oracle never answers from a stored core. *)
 
 val compatible : t -> Alloy.Typecheck.env -> bool
 (** Does the candidate declare exactly the base's signatures and fields (so
@@ -106,9 +122,10 @@ val run_command :
   Alloy.Typecheck.env ->
   Alloy.Ast.command ->
   Analyzer.outcome
-(** Like {!Analyzer.run_command} (instance included) but memoized on the
-    candidate digest.  The solve is fresh, so the instance is the one the
-    plain analyzer would return. *)
+(** Like {!Analyzer.run_command} (instance included): the first element
+    of the command's model stream, or a fresh solve for [run p] commands
+    and certifying oracles; either way the instance the plain analyzer
+    would return. *)
 
 val enumerate :
   ?limit:int ->
@@ -118,13 +135,16 @@ val enumerate :
   Bounds.scope ->
   Alloy.Ast.fmla ->
   Alloy.Instance.t list
-(** Memoized {!Analyzer.enumerate}: same instances, in the same order. *)
+(** {!Analyzer.enumerate} read off the model stream of ([env], [scope],
+    the formula): same instances, in the same order. *)
 
 val stats : t -> Counters.t
 (** Snapshot of the oracle's counters, schema ["oracle"]: cache hits and
     misses, fallback solves, translations, contexts (a gauge) and their
-    retirements, certificates, clausifier definitions, key digests, and
-    the queries stored witnesses and cores answered.
+    retirements, certificates, clausifier definitions, key digests, the
+    queries stored witnesses and cores answered, model streams opened,
+    models read back from them, and translations reused.  An instance
+    hit is a query answered without a solve.
     Each key is declared and described once, in oracle.ml. *)
 
 val certified : Counters.key
@@ -137,5 +157,5 @@ val sat_stats : t -> Counters.t
 
 val fresh_sat_stats : t -> Counters.t
 (** The same search counters, schema ["sat_fresh"], of the oracle's fresh
-    solves: instance queries, enumerations and the sig-incompatible
-    fallback. *)
+    solves: model streams (charged per solve), the other instance queries
+    and enumerations, and the sig-incompatible fallback. *)

@@ -21,7 +21,7 @@ let rec expr bounds (vars : var_env) (e : Ast.expr) =
             | None -> err "unknown relation %s" name)))
   | Ast.Univ -> bounds.Bounds.univ_matrix
   | Ast.Iden -> bounds.Bounds.iden_matrix
-  | Ast.None_ -> Matrix.empty 1
+  | Ast.None_ -> Matrix.empty ~n:(Array.length bounds.Bounds.atoms) 1
   | Ast.Unop (Transpose, e) -> Matrix.transpose (expr bounds vars e)
   | Ast.Unop (Closure, e) -> Matrix.closure (expr bounds vars e)
   | Ast.Unop (Rclosure, e) ->
@@ -45,52 +45,55 @@ let rec expr bounds (vars : var_env) (e : Ast.expr) =
   | Ast.Compr (decls, body) ->
       (* ground the declared variables over their bounds; each assignment
          contributes its tuple guarded by membership and the body *)
-      let rec expand guard vars tuple_prefix = function
-        | [] ->
-            let t = Array.of_list (List.rev tuple_prefix) in
-            [ (t, Formula.and2 guard (fmla bounds vars body)) ]
+      let n = Array.length bounds.Bounds.atoms in
+      let rec expand guard vars code = function
+        | [] -> [ (code, Formula.and2 guard (fmla bounds vars body)) ]
         | (name, bound) :: rest ->
             let m = expr bounds vars bound in
             List.concat_map
-              (fun ((tuple : Alloy.Instance.Tuple.t), cell_guard) ->
+              (fun (c, cell_guard) ->
                 expand
                   (Formula.and2 guard cell_guard)
-                  ((name, Matrix.singleton tuple) :: vars)
-                  (tuple.(0) :: tuple_prefix)
+                  ((name, Matrix.singleton ~n m.Matrix.arity c) :: vars)
+                  ((code * n) + Matrix.head m c)
                   rest)
               (Matrix.support m)
       in
-      Matrix.of_cells (List.length decls) (expand Formula.tru vars [] decls)
+      Matrix.of_cells ~n (List.length decls) (expand Formula.tru vars 0 decls)
 
 (* The matrix a function denotes: ground the parameters over their bounds,
    prefix the parameter atoms to the body matrix tuples. *)
 and derived_relation bounds (f : Ast.fun_decl) =
+  let n = Array.length bounds.Bounds.atoms in
+  (* the arity of the first cell found *)
+  let arity = ref None in
   let rec expand guard vars prefix = function
     | [] ->
         let body = expr bounds vars f.fun_body in
-        List.map
-          (fun (t, cell) ->
-            ( Array.append (Array.of_list (List.rev prefix)) t,
-              Formula.and2 guard cell ))
-          (Matrix.support body)
+        let shift = Matrix.size ~n body.Matrix.arity in
+        let cells =
+          List.map
+            (fun (c, cell) -> ((prefix * shift) + c, Formula.and2 guard cell))
+            (Matrix.support body)
+        in
+        if cells <> [] && !arity = None then
+          arity := Some (List.length f.fun_params + body.Matrix.arity);
+        cells
     | (name, bound) :: rest ->
         let m = expr bounds vars bound in
         List.concat_map
-          (fun ((tuple : Alloy.Instance.Tuple.t), cell_guard) ->
+          (fun (c, cell_guard) ->
             expand
               (Formula.and2 guard cell_guard)
-              ((name, Matrix.singleton tuple) :: vars)
-              (tuple.(0) :: prefix)
+              ((name, Matrix.singleton ~n m.Matrix.arity c) :: vars)
+              ((prefix * n) + Matrix.head m c)
               rest)
           (Matrix.support m)
   in
-  let cells = expand Formula.tru [] [] f.fun_params in
-  let arity =
-    match cells with
-    | (t, _) :: _ -> Array.length t
-    | [] -> 1 + List.length f.fun_params
-  in
-  Matrix.of_cells arity cells
+  let cells = expand Formula.tru [] 0 f.fun_params in
+  Matrix.of_cells ~n
+    (Option.value !arity ~default:(1 + List.length f.fun_params))
+    cells
 
 and fmla bounds vars (f : Ast.fmla) =
   match f with
@@ -150,10 +153,10 @@ and quantified bounds vars q decls body =
     | (name, bound) :: rest ->
         let m = expr bounds vars bound in
         List.concat_map
-          (fun (tuple, cell_guard) ->
+          (fun (c, cell_guard) ->
             assignments
               (Formula.and2 guard cell_guard)
-              ((name, Matrix.singleton tuple) :: vars)
+              ((name, Matrix.singleton ~n:m.Matrix.n m.Matrix.arity c) :: vars)
               rest)
           (Matrix.support m)
   in
@@ -202,22 +205,26 @@ let implicit_fmla bounds =
   in
   Formula.and_ (List.map (fmla bounds []) (implicit @ scope_caps))
 
-let spec_fmla bounds =
+let spec_fmla ?facts bounds =
   let env = bounds.Bounds.env in
-  let implicit = Alloy.Implicit.constraints env in
-  let facts = List.map (fun f -> f.Ast.fact_body) env.spec.facts in
+  let implicit = List.map (fmla bounds []) (Alloy.Implicit.constraints env) in
+  let facts =
+    match facts with
+    | Some facts -> facts
+    | None -> List.map (fun f -> fmla bounds [] f.Ast.fact_body) env.spec.facts
+  in
   let scope_caps =
     List.filter_map
       (fun (name, k) ->
         if List.mem name env.top_sigs then None
-        else Some (Ast.Card (Ast.Ile, Ast.Rel name, k)))
+        else Some (fmla bounds [] (Ast.Card (Ast.Ile, Ast.Rel name, k))))
       bounds.Bounds.scope.overrides
   in
-  (* translated in this exact order (implicit, facts, caps): definition
+  (* conjoined in this exact order (implicit, facts, caps): definition
      variables are allocated in traversal order and the first model found
      depends on it; [Oracle]'s fresh-path fallback must match a plain
      {!Analyzer} solve bit for bit *)
-  Formula.and_ (List.map (fmla bounds []) (implicit @ facts @ scope_caps))
+  Formula.and_ (implicit @ facts @ scope_caps)
 
 let pred_goal bounds (p : Ast.pred_decl) =
   match p.pred_params with

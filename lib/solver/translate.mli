@@ -15,9 +15,10 @@ type var_env = (string * Matrix.t) list
 
 val fmla : Bounds.t -> var_env -> Alloy.Ast.fmla -> Formula.t
 
-val spec_fmla : Bounds.t -> Formula.t
+val spec_fmla : ?facts:Formula.t list -> Bounds.t -> Formula.t
 (** Conjunction of all implicit constraints, explicit facts, and
-    child-signature scope overrides. *)
+    child-signature scope overrides.  [?facts] supplies the facts'
+    translations, in declaration order, in place of {!fmla}'s. *)
 
 val implicit_fmla : Bounds.t -> Formula.t
 (** Only the implicit constraints and child-signature scope caps — the part

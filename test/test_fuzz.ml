@@ -125,13 +125,16 @@ let smoke target iters () =
     (r.Harness.checks + r.Harness.skipped)
 
 (* The oracle campaign's long streams must actually exercise context
-   retirement and serve key digests from the memo, and only the oracle
-   report carries the counts. *)
+   retirement, serve key digests from the memo and read models off model
+   streams, and only the oracle report carries the counts. *)
 let test_oracle_retires_contexts () =
   let dir = tmp_dir "fuzz-retire" in
   let r = Harness.run ~corpus_dir:dir Harness.oracle ~seed:11 ~iters:25 () in
   Alcotest.(check (list string)) "oracle report's counts"
-    [ "contexts_retired"; "keys_reused"; "witness_hits"; "core_hits" ]
+    [
+      "contexts_retired"; "keys_reused"; "witness_hits"; "core_hits";
+      "stream_models_reused";
+    ]
     (List.map fst r.Harness.counts);
   Alcotest.(check bool) "contexts retired" true
     (List.assoc "contexts_retired" r.Harness.counts > 0);
@@ -141,6 +144,8 @@ let test_oracle_retires_contexts () =
     (List.assoc "witness_hits" r.Harness.counts > 0);
   Alcotest.(check bool) "stored cores answered" true
     (List.assoc "core_hits" r.Harness.counts > 0);
+  Alcotest.(check bool) "streamed models reused" true
+    (List.assoc "stream_models_reused" r.Harness.counts > 0);
   let e = Harness.run ~corpus_dir:dir Harness.eval ~seed:11 ~iters:1 () in
   Alcotest.(check int) "eval report has no count" 0
     (List.length e.Harness.counts)

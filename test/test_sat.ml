@@ -94,6 +94,25 @@ let test_assumptions () =
   check_sat "without assumption still sat" Sat (Solver.solve s);
   Alcotest.(check bool) "x0 must be false" false (Solver.value s 0)
 
+(* A clause holding a literal and its complement is dropped, however its
+   literals are ordered; duplicates are removed and the clause kept. *)
+let test_tautology_and_duplicates () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 4);
+  Solver.add_clause s [ lit 2 true; lit 0 false; lit 3 true; lit 2 false ];
+  Solver.add_clause s [ lit 1 true; lit 1 false ];
+  Alcotest.(check int) "tautologies dropped" 0 (Solver.n_clauses s);
+  Solver.add_clause s [ lit 3 true; lit 1 false; lit 3 true; lit 1 false ];
+  Alcotest.(check int) "duplicates kept once" 1 (Solver.n_clauses s);
+  (* the kept clause is (x1 -> x3), watched on both of its literals *)
+  check_sat "x1 forces x3" Sat (Solver.solve ~assumptions:[ lit 1 true ] s);
+  Alcotest.(check bool) "x3 forced" true (Solver.value s 3);
+  check_sat "not x3 forces not x1" Sat
+    (Solver.solve ~assumptions:[ lit 3 false ] s);
+  Alcotest.(check bool) "x1 forced false" false (Solver.value s 1);
+  check_sat "both contradict it" Unsat
+    (Solver.solve ~assumptions:[ lit 1 true; lit 3 false ] s)
+
 let test_incremental_blocking () =
   (* enumerate all 4 models of an unconstrained 2-var problem *)
   let s = Solver.create () in
@@ -486,6 +505,8 @@ let () =
           Alcotest.test_case "model validity" `Quick test_model_valid;
           Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
+          Alcotest.test_case "tautologies and duplicates" `Quick
+            test_tautology_and_duplicates;
           Alcotest.test_case "incremental blocking" `Quick test_incremental_blocking;
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "assumption flips" `Quick test_assumption_flips;

@@ -284,6 +284,7 @@ let test_telemetry_json_parses () =
       "contexts_retired"; "certified"; "certificate_failures"; "definitions";
       "definitions_shared"; "keys_digested"; "keys_reused"; "witness_hits";
       "witness_checks"; "witnesses_stored"; "core_hits"; "cores_stored";
+      "streams_opened"; "stream_models_reused"; "translations_reused";
     ]
     (sub "oracle");
   List.iter

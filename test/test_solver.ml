@@ -431,11 +431,15 @@ let prop_matrix_ops_agree =
       let module M = Specrepair_solver.Matrix in
       let module F = Specrepair_sat.Formula in
       let set1 = TS.of_list ts1 and set2 = TS.of_list ts2 in
-      let m1 = M.constant 2 (TS.elements set1) in
-      let m2 = M.constant 2 (TS.elements set2) in
+      (* matrices hold tuple codes over the atoms' indices *)
+      let index a = Option.get (Array.find_index (String.equal a) atoms) in
+      let code t = M.encode ~n:3 (Array.map index t) in
+      let tuple c = Array.map (fun i -> atoms.(i)) (M.decode ~n:3 2 c) in
+      let m1 = M.constant ~n:3 2 (List.map code (TS.elements set1)) in
+      let m2 = M.constant ~n:3 2 (List.map code (TS.elements set2)) in
       let to_set m =
         List.fold_left
-          (fun acc (t, f) -> if F.is_true f then TS.add t acc else acc)
+          (fun acc (c, f) -> if F.is_true f then TS.add (tuple c) acc else acc)
           TS.empty (M.support m)
       in
       let check_op name mop sop =
@@ -461,6 +465,232 @@ let prop_matrix_ops_agree =
       in
       let closure_want = Eval.expr env inst [] (Parser.parse_expr "^r") in
       TS.equal (to_set (M.closure m1)) closure_want)
+
+(* {2 The indexed matrix kernel against string tuples}
+
+   [Matrix] keys its cells on tuple codes over the interned universe.  The
+   reference below is the kernel it replaced, keyed on string tuples, with
+   the same folds in the same order: every operator of the two must visit
+   cells in the same order and build structurally equal formulas, which is
+   what keeps the clauses a solver sees unchanged. *)
+
+module Tuple_matrix = struct
+  module F = Specrepair_sat.Formula
+  module Tuple_map = Map.Make (Instance.Tuple)
+
+  type t = { arity : int; cells : F.t Tuple_map.t }
+
+  let add_cell cells tuple f =
+    if F.is_false f then cells
+    else
+      Tuple_map.update tuple
+        (function None -> Some f | Some g -> Some (F.or2 g f))
+        cells
+
+  let of_cells arity cells =
+    {
+      arity;
+      cells =
+        List.fold_left (fun m (t, f) -> add_cell m t f) Tuple_map.empty cells;
+    }
+
+  let cell m tuple =
+    Option.value ~default:F.fls (Tuple_map.find_opt tuple m.cells)
+
+  let support m = Tuple_map.bindings m.cells
+
+  let merge_with op a b =
+    Tuple_map.merge
+      (fun _ fa fb ->
+        let fa = Option.value ~default:F.fls fa in
+        let fb = Option.value ~default:F.fls fb in
+        let f = op fa fb in
+        if F.is_false f then None else Some f)
+      a b
+
+  let union a b = { a with cells = merge_with F.or2 a.cells b.cells }
+  let inter a b = { a with cells = merge_with F.and2 a.cells b.cells }
+
+  let diff a b =
+    {
+      a with
+      cells = merge_with (fun fa fb -> F.and2 fa (F.not_ fb)) a.cells b.cells;
+    }
+
+  let head (t : Instance.Tuple.t) = t.(0)
+  let last (t : Instance.Tuple.t) = t.(Array.length t - 1)
+
+  (* per head atom, the cells (or what [pick] keeps of them) newest first *)
+  let by_head pick m =
+    let tbl = Hashtbl.create 16 in
+    Tuple_map.iter
+      (fun t f ->
+        let h = head t in
+        Hashtbl.replace tbl h
+          (pick (t, f) :: Option.value ~default:[] (Hashtbl.find_opt tbl h)))
+      m.cells;
+    tbl
+
+  let join a b =
+    let by_head = by_head Fun.id b in
+    let cells =
+      Tuple_map.fold
+        (fun t1 f1 acc ->
+          match Hashtbl.find_opt by_head (last t1) with
+          | None -> acc
+          | Some matches ->
+              List.fold_left
+                (fun acc (t2, f2) ->
+                  let n1 = Array.length t1 and n2 = Array.length t2 in
+                  let r =
+                    Array.append (Array.sub t1 0 (n1 - 1)) (Array.sub t2 1 (n2 - 1))
+                  in
+                  add_cell acc r (F.and2 f1 f2))
+                acc matches)
+        a.cells Tuple_map.empty
+    in
+    { arity = a.arity + b.arity - 2; cells }
+
+  let product a b =
+    let cells =
+      Tuple_map.fold
+        (fun t1 f1 acc ->
+          Tuple_map.fold
+            (fun t2 f2 acc -> add_cell acc (Array.append t1 t2) (F.and2 f1 f2))
+            b.cells acc)
+        a.cells Tuple_map.empty
+    in
+    { arity = a.arity + b.arity; cells }
+
+  let transpose a =
+    {
+      a with
+      cells =
+        Tuple_map.fold
+          (fun t f acc -> add_cell acc [| t.(1); t.(0) |] f)
+          a.cells Tuple_map.empty;
+    }
+
+  let closure a =
+    let atoms = Hashtbl.create 16 in
+    Tuple_map.iter
+      (fun t _ -> Array.iter (fun x -> Hashtbl.replace atoms x ()) t)
+      a.cells;
+    let n_atoms = max 1 (Hashtbl.length atoms) in
+    let rec go acc len =
+      if len >= n_atoms then acc else go (union acc (join acc acc)) (2 * len)
+    in
+    go a 1
+
+  let override a b =
+    let by_head = by_head snd b in
+    let kept =
+      Tuple_map.fold
+        (fun t f acc ->
+          let overridden =
+            match Hashtbl.find_opt by_head (head t) with
+            | None -> F.fls
+            | Some fs -> F.or_ fs
+          in
+          add_cell acc t (F.and2 f (F.not_ overridden)))
+        a.cells Tuple_map.empty
+    in
+    { a with cells = merge_with F.or2 kept b.cells }
+
+  let restrict pick s e =
+    {
+      e with
+      cells =
+        Tuple_map.fold
+          (fun t f acc -> add_cell acc t (F.and2 f (cell s [| pick t |])))
+          e.cells Tuple_map.empty;
+    }
+
+  let dom_restrict s e = restrict head s e
+  let ran_restrict e s = restrict last s e
+  let ite c a b = { a with cells = merge_with (F.ite c) a.cells b.cells }
+  let formulas m = List.map snd (Tuple_map.bindings m.cells)
+
+  let subset a b =
+    F.and_
+      (Tuple_map.fold (fun t f acc -> F.imp f (cell b t) :: acc) a.cells [])
+end
+
+let prop_matrix_kernel_agrees =
+  let open QCheck2 in
+  let module M = Specrepair_solver.Matrix in
+  let module F = Specrepair_sat.Formula in
+  let module C = Specrepair_sat.Card in
+  let module R = Tuple_matrix in
+  (* names whose String.compare order is not their numeric order *)
+  let atoms = [| "N$0"; "N$1"; "N$10"; "N$2" |] in
+  let n = Array.length atoms in
+  let gen_cell =
+    Gen.(
+      oneof
+        [
+          return F.tru;
+          map F.var (int_bound 5);
+          map2
+            (fun a b -> F.and2 (F.var a) (F.not_ (F.var b)))
+            (int_bound 5) (int_bound 5);
+        ])
+  in
+  let gen_matrix arity =
+    Gen.(
+      list_size (int_bound 8)
+        (pair (list_repeat arity (int_bound (n - 1))) gen_cell))
+  in
+  let names t = Array.map (fun i -> atoms.(i)) t in
+  let both arity cells =
+    ( M.of_cells ~n arity
+        (List.map (fun (t, f) -> (M.encode ~n (Array.of_list t), f)) cells),
+      R.of_cells arity
+        (List.map (fun (t, f) -> (names (Array.of_list t), f)) cells) )
+  in
+  Test.make ~count:300 ~name:"indexed matrices equal string-tuple matrices"
+    Gen.(
+      tup4 (gen_matrix 1) (gen_matrix 2) (gen_matrix 2)
+        (pair (gen_matrix 3) gen_cell))
+    (fun (s, p, q, (r, c)) ->
+      let s, s' = both 1 s and p, p' = both 2 p in
+      let q, q' = both 2 q and r, r' = both 3 r in
+      let same name (m : M.t) (m' : R.t) =
+        let decoded =
+          List.map
+            (fun (code, f) -> (names (M.decode ~n m.arity code), f))
+            (M.support m)
+        in
+        (m.arity = m'.arity && decoded = R.support m')
+        || Test.fail_reportf "%s: cells differ" name
+      in
+      let same_fmla name f f' =
+        f = f' || Test.fail_reportf "%s: formulas differ" name
+      in
+      same "union" (M.union p q) (R.union p' q')
+      && same "inter" (M.inter p q) (R.inter p' q')
+      && same "diff" (M.diff p q) (R.diff p' q')
+      && same "join p.q" (M.join p q) (R.join p' q')
+      && same "join s.p" (M.join s p) (R.join s' p')
+      && same "join p.s" (M.join p s) (R.join p' s')
+      && same "join r.p" (M.join r p) (R.join r' p')
+      && same "join p.r" (M.join p r) (R.join p' r')
+      && same "product" (M.product s p) (R.product s' p')
+      && same "product r" (M.product p r) (R.product p' r')
+      && same "transpose" (M.transpose p) (R.transpose p')
+      && same "closure" (M.closure p) (R.closure p')
+      && same "override" (M.override p q) (R.override p' q')
+      && same "override r" (M.override r r) (R.override r' r')
+      && same "dom_restrict" (M.dom_restrict s p) (R.dom_restrict s' p')
+      && same "ran_restrict" (M.ran_restrict r s) (R.ran_restrict r' s')
+      && same "ite" (M.ite c p q) (R.ite c p' q')
+      && same_fmla "some" (M.some p) (F.or_ (R.formulas p'))
+      && same_fmla "lone" (M.lone r) (C.at_most 1 (R.formulas r'))
+      && same_fmla "one" (M.one s) (C.exactly 1 (R.formulas s'))
+      && same_fmla "subset" (M.subset p q) (R.subset p' q')
+      && same_fmla "card"
+           (M.card_compare `Ge q 2)
+           (C.compare_const `Ge (R.formulas q') 2))
 
 (* {2 Oracle equivalence}
 
@@ -854,6 +1084,165 @@ let prop_solver_agrees_with_eval =
       | Unsat -> not eval_sat
       | Unknown -> false)
 
+(* {2 Model streams}
+
+   Instance queries read one model stream per (spec, scope, goal).  Over
+   every corpus domain's commands, an oracle's [run_command] and
+   [enumerate] (limits 1, 3 and 4, asked in both orders, with no budget,
+   a one-conflict budget and budgets one conflict either side of what the
+   first solve took) must equal fresh [Analyzer] queries, on a fresh
+   oracle per budget and on one oracle asked under every budget in turn. *)
+
+let same_outcome a b =
+  match (a, b) with
+  | Solver.Analyzer.Sat i, Solver.Analyzer.Sat j -> Instance.equal i j
+  | Solver.Analyzer.Unsat, Solver.Analyzer.Unsat
+  | Solver.Analyzer.Unknown, Solver.Analyzer.Unknown ->
+      true
+  | _ -> false
+
+let same_models a b =
+  List.length a = List.length b && List.for_all2 Instance.equal a b
+
+let test_streams_match_fresh () =
+  let reused = ref 0 in
+  List.iter
+    (fun (d : Bench.Domains.t) ->
+      let env = Bench.Domains.env d in
+      let oracle () = with_no_cache "" (fun () -> Solver.Oracle.create env) in
+      List.iter
+        (fun (c : Ast.command) ->
+          let goal =
+            match c.cmd_kind with
+            | Ast.Check name ->
+                Option.map
+                  (fun (a : Ast.assert_decl) -> Ast.Not a.assert_body)
+                  (Ast.find_assert env.spec name)
+            | Ast.Run_fmla f -> Some f
+            | Ast.Run_pred _ -> None
+          in
+          match goal with
+          | None -> ()
+          | Some goal ->
+              let scope = Solver.Bounds.scope_of_command c in
+              let first = ref 0 in
+              ignore
+                (Solver.Analyzer.run_command
+                   ~spent:(fun s -> first := Specrepair_sat.Solver.n_conflicts s)
+                   env c);
+              (* one conflict first, so the later budgets of the shared
+                 oracle meet a stream that gave up *)
+              let budgets =
+                [ Some 1; None; Some (!first - 1); Some !first; Some (!first + 1) ]
+              in
+              let queries = [ `Run; `Enum 1; `Enum 3; `Enum 4 ] in
+              let fresh =
+                List.map
+                  (fun max_conflicts ->
+                    ( max_conflicts,
+                      ( Solver.Analyzer.run_command ?max_conflicts env c,
+                        List.map
+                          (fun limit ->
+                            ( limit,
+                              Solver.Analyzer.enumerate ~limit ?max_conflicts
+                                env scope goal ))
+                          [ 1; 3; 4 ] ) ))
+                  budgets
+              in
+              let ask oracle max_conflicts query =
+                let outcome, enums = List.assoc max_conflicts fresh in
+                let label =
+                  Printf.sprintf "%s, %s, budget %s" d.name
+                    (match query with
+                    | `Run -> "run_command"
+                    | `Enum k -> Printf.sprintf "enumerate %d" k)
+                    (match max_conflicts with
+                    | None -> "none"
+                    | Some b -> string_of_int b)
+                in
+                Alcotest.(check bool) label true
+                  (match query with
+                  | `Run ->
+                      same_outcome outcome
+                        (Solver.Oracle.run_command ?max_conflicts oracle env c)
+                  | `Enum limit ->
+                      same_models (List.assoc limit enums)
+                        (Solver.Oracle.enumerate ~limit ?max_conflicts oracle
+                           env scope goal))
+              in
+              List.iter
+                (fun order ->
+                  let shared = oracle () in
+                  List.iter
+                    (fun max_conflicts ->
+                      let own = oracle () in
+                      List.iter (ask own max_conflicts) order;
+                      List.iter (ask shared max_conflicts) order;
+                      reused :=
+                        !reused
+                        + Counters.find (Solver.Oracle.stats own)
+                            "stream_models_reused")
+                    budgets)
+                [ queries; List.rev queries ])
+        env.spec.commands)
+    Bench.Domains.all;
+  Alcotest.(check bool) "streams served models already found" true (!reused > 0)
+
+(* A stream's load must hand the solver the clauses a fresh load does,
+   translations read from the oracle's table included: its first solve
+   then takes exactly the fresh solve's conflicts, decisions and
+   propagations.  The spec repeats a fact, whose second occurrence a load
+   must translate afresh: one physical formula for both would let the
+   unshared clausifier define it once.  Verdict queries first fill the
+   translation table. *)
+let test_stream_load_is_fresh_load () =
+  let env =
+    parse_env
+      {|
+sig Node {
+  edges: set Node
+}
+fact Loopless {
+  all n: Node | n not in n.^edges
+}
+fact Loopless2 {
+  all n: Node | n not in n.^edges
+}
+assert Sink {
+  some n: Node | no n.edges
+}
+assert Linear {
+  all n: Node | lone n.edges
+}
+check Sink for 3
+check Linear for 3
+|}
+  in
+  let oracle = with_no_cache "" (fun () -> Solver.Oracle.create env) in
+  List.iter
+    (fun (c : Ast.command) -> ignore (Solver.Oracle.command_verdict oracle env c))
+    env.spec.commands;
+  List.iter
+    (fun (c : Ast.command) ->
+      let fresh = ref [] in
+      let want =
+        Solver.Analyzer.run_command
+          ~spent:(fun s ->
+            fresh :=
+              Specrepair_sat.Solver.
+                [ n_conflicts s; n_decisions s; n_propagations s ])
+          env c
+      in
+      let before = Solver.Oracle.fresh_sat_stats oracle in
+      let got = Solver.Oracle.run_command oracle env c in
+      let spent = Counters.since ~base:before (Solver.Oracle.fresh_sat_stats oracle) in
+      Alcotest.(check bool) "same outcome" true (same_outcome want got);
+      Alcotest.(check (list int)) "same search as a fresh load" !fresh
+        (List.map (Counters.find spent) [ "conflicts"; "decisions"; "propagations" ]))
+    env.spec.commands;
+  Alcotest.(check bool) "translations were read back" true
+    (Counters.find (Solver.Oracle.stats oracle) "translations_reused" > 0)
+
 let () =
   Alcotest.run "solver"
     [
@@ -898,9 +1287,17 @@ let () =
           Alcotest.test_case "stored answers equal solves" `Quick
             test_oracle_stores_match_bypass;
         ] );
+      ( "oracle streams",
+        [
+          Alcotest.test_case "streamed instances equal fresh ones" `Quick
+            test_streams_match_fresh;
+          Alcotest.test_case "a stream loads what a fresh solve loads" `Quick
+            test_stream_load_is_fresh_load;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_matrix_ops_agree;
+          QCheck_alcotest.to_alcotest prop_matrix_kernel_agrees;
           QCheck_alcotest.to_alcotest prop_solver_agrees_with_eval;
         ] );
     ]

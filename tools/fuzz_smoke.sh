@@ -101,6 +101,14 @@ if [ -z "$witnesses" ] || [ "$witnesses" -eq 0 ] ||
     exit 1
 fi
 
+# And it must have read models its oracles' streams had already found,
+# or no enumeration was checked against a stream it extended.
+streamed=$(oracle_count stream_models_reused)
+if [ -z "$streamed" ] || [ "$streamed" -eq 0 ]; then
+    echo "fuzz_smoke: the oracle campaign reused no streamed model" >&2
+    exit 1
+fi
+
 # Likewise the panel campaign must have answered proposal builds from its
 # shared mutation-space stores, or the store comparison checked nothing.
 reused=$(grep -o '"target":"panel"[^}]*"spaces_reused":[0-9]*' \
@@ -137,11 +145,13 @@ if ! ls "$workdir/chaos-proof"/*.cnf >/dev/null 2>&1; then
     exit 1
 fi
 
-# Two oracle chaos hooks make stored answers wrong: corrupt-witness
+# Three oracle chaos hooks make stored answers wrong: corrupt-witness
 # answers from a witness without checking the goal (wrong sat verdicts),
-# drop-core-key stores each core less one key (wrong unsat verdicts).
-# The comparison with fresh solves must catch each and fail the run.
-for hook in corrupt-witness drop-core-key; do
+# drop-core-key stores each core less one key (wrong unsat verdicts),
+# stream-skip-block makes a model stream forget its blocking clauses (an
+# enumeration repeats a model).  The comparison with fresh solves must
+# catch each and fail the run.
+for hook in corrupt-witness drop-core-key stream-skip-block; do
     if SPECREPAIR_FUZZ_CHAOS=$hook dune exec bin/specrepair.exe -- fuzz \
         --target oracle --iters 20 --seed "$seed" \
         --corpus-dir "$workdir/chaos-$hook" > "$workdir/chaos-$hook.json" 2>&1; then
@@ -195,11 +205,11 @@ if [ -n "${FUZZ_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$FUZZ_ARTIFACTS_DIR"
     cp "$workdir/summary-1.json" "$FUZZ_ARTIFACTS_DIR/fuzz_summary.json"
     for c in chaos chaos-proof chaos-parse chaos-panel \
-        chaos-corrupt-witness chaos-drop-core-key; do
+        chaos-corrupt-witness chaos-drop-core-key chaos-stream-skip-block; do
         if [ -s "$workdir/$c.json" ]; then
             cp "$workdir/$c.json" "$FUZZ_ARTIFACTS_DIR/fuzz_$c.json"
         fi
     done
 fi
 
-echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel/replies x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $witnesses witness and $cores core answers; $reused mutation spaces reused; $replies replies reused; chaos hooks caught)"
+echo "fuzz_smoke: ok (seed $seed; sat x$sat_iters, solver/oracle/eval/proof/parse/stream/panel/replies x$iters, twice, byte-identical; $retired oracle contexts retired; $keys key digests reused; $witnesses witness and $cores core answers; $streamed streamed models reused; $reused mutation spaces reused; $replies replies reused; chaos hooks caught)"
